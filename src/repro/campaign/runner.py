@@ -197,6 +197,18 @@ def clear_warm_state() -> None:
     _WARM_STATE.clear()
 
 
+def _note_store_write_error(kind: str, error: Exception) -> None:
+    """Count a store write that failed; the job's verdict does not depend on it.
+
+    The store is a cache, so a full disk or an unserializable derivation
+    must not fail the verification — but it must not vanish either: the
+    failure lands in ``repro_store_write_errors_total{kind}`` and, as
+    ``store_<kind>_write_error``, on the enclosing stage span.
+    """
+    get_registry().inc("repro_store_write_errors_total", kind=kind)
+    annotate(**{f"store_{kind}_write_error": f"{type(error).__name__}: {error}"})
+
+
 def _ensure_derivation(state: Dict[str, Any], job: JobSpec, store: Optional[Any]):
     """The derivation later stages depend on, cheapest source first.
 
@@ -218,8 +230,8 @@ def _ensure_derivation(state: Dict[str, Any], job: JobSpec, store: Optional[Any]
                     store.put_artifact(
                         key, derivation.to_artifact_bytes(include_covers=True)
                     )
-                except (ValueError, OSError):
-                    pass
+                except (ValueError, OSError) as error:
+                    _note_store_write_error("artifact", error)
         return derivation, "warm"
     spec = state["spec"]
     if store is not None:
@@ -241,8 +253,8 @@ def _ensure_derivation(state: Dict[str, Any], job: JobSpec, store: Optional[Any]
                 job.stage_key("derive"),
                 derivation.to_artifact_bytes(include_covers=True),
             )
-        except (ValueError, OSError):
-            pass
+        except (ValueError, OSError) as error:
+            _note_store_write_error("artifact", error)
     return derivation, "computed"
 
 
@@ -329,7 +341,7 @@ def _stage_faults(
     architecture = state["architecture"]
     profile = WorkloadProfile(length=job.workload_length)
     injector = FaultInjector(spec, seed=job.workload_seed)
-    faults = injector.standard_fault_set()[: job.max_faults]
+    faults = injector.standard_fault_set(limit=job.max_faults)
     if not faults:
         return StageResult(
             name="faults", ok=True, seconds=0.0, details={"injected": 0}
@@ -463,12 +475,12 @@ def run_verification_job(
                 error = traceback.format_exc()
             stage_span.annotate(ok=result.ok)
             registry.observe("repro_stage_seconds", result.seconds, stage=name)
+            if error is None and result.ok and store is not None:
+                try:
+                    store.put_stage(job.stage_key(name), result)
+                except OSError as write_error:
+                    _note_store_write_error("stage", write_error)
         stages.append(result)
-        if error is None and result.ok and store is not None:
-            try:
-                store.put_stage(job.stage_key(name), result)
-            except OSError:
-                pass
         if error is not None:
             break
     ok = error is None and all(stage.ok for stage in stages)

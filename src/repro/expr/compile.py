@@ -18,7 +18,8 @@ path.
 Three layers of API:
 
 * :func:`compile_bitparallel` — the compiler; returns a callable
-  :class:`CompiledExpr`.
+  :class:`CompiledExpr`.  :func:`compile_outputs` compiles several named
+  expressions into one function sharing their common sub-expressions.
 * :func:`pack_bools` / :meth:`CompiledExpr.evaluate_packed` — bulk
   evaluation over externally supplied rows (simulation traces).
 * :func:`bitparallel_tautology` / :func:`bitparallel_satisfiable` /
@@ -121,20 +122,51 @@ class CompiledExpr:
         return out
 
 
-def compile_bitparallel(expr: Expr, order: Optional[Sequence[str]] = None) -> CompiledExpr:
-    """Compile ``expr`` into a :class:`CompiledExpr`.
+class CompiledOutputs:
+    """Several named expressions compiled into one word-level function.
 
-    ``order`` fixes the variable-to-argument mapping; it must cover every
-    variable of the expression.  By default the expression's variables are
-    used in sorted order.
+    ``compiled(values, mask)`` takes the variable words in :attr:`names`
+    order, like :class:`CompiledExpr`, and returns one result word per
+    entry of :attr:`outputs`, in that order.  Sub-expressions shared
+    between outputs are evaluated once per call.
     """
+
+    __slots__ = ("outputs", "names", "_func", "source")
+
+    def __init__(
+        self, outputs: Tuple[str, ...], names: Tuple[str, ...], func: Callable, source: str
+    ):
+        self.outputs = outputs
+        self.names = names
+        self._func = func
+        self.source = source
+
+    def __call__(self, values: Sequence[int], mask: int = FULL_MASK) -> Tuple[int, ...]:
+        return self._func(values, mask)
+
+
+def _variable_names(exprs: Iterable[Expr], order: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    variables = set()
+    for expr in exprs:
+        variables |= expr.variables()
     if order is None:
-        names: Tuple[str, ...] = tuple(sorted(expr.variables()))
-    else:
-        names = tuple(order)
-        missing = expr.variables() - set(names)
-        if missing:
-            raise ValueError(f"order is missing variables {sorted(missing)}")
+        return tuple(sorted(variables))
+    names = tuple(order)
+    missing = variables - set(names)
+    if missing:
+        raise ValueError(f"order is missing variables {sorted(missing)}")
+    return names
+
+
+def _generate(
+    roots: Sequence[Expr], names: Tuple[str, ...], as_tuple: bool
+) -> Tuple[Callable, str]:
+    """Emit and compile ``def _bitwise(values, M)`` returning the roots' words.
+
+    One temporary per distinct sub-expression across all roots.  With
+    ``as_tuple`` the function returns a tuple in root order, otherwise the
+    word of the single root.
+    """
     index_of = {name: position for position, name in enumerate(names)}
 
     lines: List[str] = []
@@ -178,17 +210,47 @@ def compile_bitparallel(expr: Expr, order: Optional[Sequence[str]] = None) -> Co
         memo[node] = ref
         return ref
 
-    root = rec(expr)
+    refs = [rec(root) for root in roots]
+    result = "(" + "".join(f"{ref}, " for ref in refs) + ")" if as_tuple else refs[0]
     header = ["def _bitwise(values, M):"]
     header.extend(
         f"    v{position} = values[{position}]"
         for position in range(len(names))
         if used[position]
     )
-    source = "\n".join(header + lines + [f"    return {root}"]) + "\n"
+    source = "\n".join(header + lines + [f"    return {result}"]) + "\n"
     namespace: Dict[str, object] = {}
     exec(compile(source, "<bitparallel>", "exec"), namespace)  # noqa: S102
-    return CompiledExpr(expr, names, namespace["_bitwise"], source)
+    return namespace["_bitwise"], source
+
+
+def compile_bitparallel(expr: Expr, order: Optional[Sequence[str]] = None) -> CompiledExpr:
+    """Compile ``expr`` into a :class:`CompiledExpr`.
+
+    ``order`` fixes the variable-to-argument mapping; it must cover every
+    variable of the expression.  By default the expression's variables are
+    used in sorted order.
+    """
+    names = _variable_names([expr], order)
+    func, source = _generate([expr], names, as_tuple=False)
+    return CompiledExpr(expr, names, func, source)
+
+
+def compile_outputs(
+    exprs: Mapping[str, Expr], order: Optional[Sequence[str]] = None
+) -> CompiledOutputs:
+    """Compile named expressions into one :class:`CompiledOutputs` function.
+
+    ``order`` works as for :func:`compile_bitparallel`, over the union of
+    the expressions' variables.  Used where one input row feeds many
+    outputs — a closed-form interlock computes every moe flag from the
+    same cycle's inputs.
+    """
+    outputs = tuple(exprs)
+    roots = [exprs[name] for name in outputs]
+    names = _variable_names(roots, order)
+    func, source = _generate(roots, names, as_tuple=True)
+    return CompiledOutputs(outputs, names, func, source)
 
 
 # -- packing -----------------------------------------------------------------------

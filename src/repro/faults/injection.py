@@ -23,7 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 from ..expr.ast import And, Expr, FALSE, Not, Or, TRUE, Var
 from ..expr.transform import simplify
@@ -199,23 +200,33 @@ class FaultInjector:
 
     # -- fault sets ----------------------------------------------------------------------------
 
-    def standard_fault_set(self, reset_cycles: int = 4) -> List[InjectedFault]:
+    def standard_fault_set(
+        self, reset_cycles: int = 4, limit: Optional[int] = None
+    ) -> List[InjectedFault]:
         """A deterministic set covering every stage with every fault class.
 
         For every pipeline stage whose stall condition is non-trivial this
         produces an extra-stall fault, a missing-term fault, an
         unconditional-stall fault, a never-stall fault and a bad-reset fault.
+
+        Most faults re-derive a mutated interlock, so with ``limit`` only
+        the first ``limit`` faults of that order are built (the result
+        equals ``standard_fault_set()[:limit]``).
         """
-        faults: List[InjectedFault] = []
+        builders: List[Callable[[], InjectedFault]] = []
         for clause in self.spec.clauses:
             moe = clause.moe
-            faults.append(self.extra_stall_fault(moe))
+            builders.append(partial(self.extra_stall_fault, moe))
             if clause.condition != FALSE:
-                faults.append(self.missing_term_fault(moe, term_index=0))
-                faults.append(self.never_stall_fault(moe))
-            faults.append(self.stuck_stall_fault(moe))
-            faults.append(self.bad_reset_fault(moe, value=False, cycles=reset_cycles))
-        return faults
+                builders.append(partial(self.missing_term_fault, moe, term_index=0))
+                builders.append(partial(self.never_stall_fault, moe))
+            builders.append(partial(self.stuck_stall_fault, moe))
+            builders.append(
+                partial(self.bad_reset_fault, moe, value=False, cycles=reset_cycles)
+            )
+        if limit is not None:
+            builders = builders[:limit]
+        return [build() for build in builders]
 
     def random_fault(self, rng: Optional[random.Random] = None) -> InjectedFault:
         """One randomly chosen fault (used by randomised campaigns)."""

@@ -47,6 +47,7 @@ HELP: Dict[str, str] = {
     "repro_kernel_load_factor": "unique-table load factor at the last kernel checkpoint",
     "repro_store_reads_total": "result-store reads by entry kind and hit/miss outcome",
     "repro_store_corrupt_total": "result-store entries dropped as corrupt",
+    "repro_store_write_errors_total": "result-store writes that failed, by entry kind",
     "repro_campaign_runs_total": "campaigns executed by this process",
     "repro_campaign_jobs_total": "campaign jobs by outcome (ok/failed/cached)",
     "repro_job_seconds": "wall-clock seconds per verification job",

@@ -11,9 +11,11 @@ mutant — can all be plugged into the same datapath and compared.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import truth
 from typing import Dict, Mapping, Optional
 
 from ..expr.ast import Expr, Not, Var
+from ..expr.compile import CompiledOutputs, compile_outputs
 from ..expr.evaluate import eval_expr
 from ..expr.transform import simplify
 from ..spec.derivation import (
@@ -73,6 +75,10 @@ class ClosedFormInterlock(Interlock):
     injector produce.  Expressions may only refer to primary inputs (they
     are combinational in the inputs); cross-references between moe flags
     must already have been resolved by the derivation.
+
+    The expressions are compiled on first use into one straight-line
+    function over all flags (:func:`~repro.expr.compile.compile_outputs`),
+    so a simulated cycle costs one call instead of a tree walk per flag.
     """
 
     def __init__(
@@ -82,6 +88,7 @@ class ClosedFormInterlock(Interlock):
         description: str = "",
     ):
         self._expressions = dict(moe_expressions)
+        self._compiled: Optional[CompiledOutputs] = None
         self.name = name
         self.description = description or "closed-form combinational interlock"
 
@@ -110,10 +117,19 @@ class ClosedFormInterlock(Interlock):
         return dict(self._expressions)
 
     def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        return {
-            moe: eval_expr(expression, inputs)
-            for moe, expression in self._expressions.items()
-        }
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = compile_outputs(self._expressions)
+        try:
+            values = list(map(truth, map(inputs.__getitem__, compiled.names)))
+        except KeyError:
+            # A partial valuation: eval_expr short-circuits past unbound
+            # variables that cannot matter and raises on the ones that do.
+            return {
+                moe: eval_expr(expression, inputs)
+                for moe, expression in self._expressions.items()
+            }
+        return dict(zip(compiled.outputs, map(truth, compiled(values, 1))))
 
     def moe_flags(self) -> list:
         return list(self._expressions)

@@ -95,6 +95,7 @@ class PipelineSimulator:
         # The interlock must drive every moe flag the architecture defines;
         # a partial implementation is rejected at the first step.
         self._expected_moe = set(architecture.moe_signals())
+        self._input_signals = tuple(architecture.input_signals())
 
     # -- public API -------------------------------------------------------------------
 
@@ -159,7 +160,7 @@ class PipelineSimulator:
 
     def _sample_inputs(self, cycle: int, program: Program) -> Dict[str, bool]:
         arch = self.architecture
-        inputs: Dict[str, bool] = {name: False for name in arch.input_signals()}
+        inputs: Dict[str, bool] = dict.fromkeys(self._input_signals, False)
 
         for pipe in arch.pipes:
             for stage in pipe.stages():

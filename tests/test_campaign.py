@@ -1,5 +1,6 @@
 """Tests for the parallel verification-campaign subsystem."""
 
+import errno
 import io
 import json
 
@@ -19,7 +20,9 @@ from repro.campaign import (
     shutdown_warm_pool,
 )
 from repro.campaign.runner import JobResult, StageResult
+from repro.campaign.runner import run_traced_job
 from repro.cli import main as cli_main
+from repro.obs import get_registry
 
 #: Small enough that a full six-stage job takes ~0.1 s.
 TINY = dict(workload_length=24, max_faults=2)
@@ -115,6 +118,42 @@ class TestRunner:
         payload["schema"] = 999
         with pytest.raises(ValueError):
             JobResult.from_dict(payload)
+
+
+class FullDiskStore(ResultStore):
+    """A store whose every write fails as on a full disk."""
+
+    def put_artifact(self, key, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def put_stage(self, key, result):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestStoreWriteErrors:
+    def test_failed_writes_are_counted_not_fatal(self, tmp_path):
+        clear_warm_state()
+        registry = get_registry()
+        before = registry.snapshot()
+        result = run_traced_job(
+            tiny_job(), store=FullDiskStore(tmp_path), trace={"id": "full-disk"}
+        )
+        assert result.ok, result.error
+        delta = registry.delta_since(before)
+        counters = {key: entry[2] for key, entry in delta["counters"].items()}
+        assert counters['repro_store_write_errors_total{kind="artifact"}'] >= 1
+        assert counters['repro_store_write_errors_total{kind="stage"}'] == len(
+            result.stages
+        )
+        stage_spans = {
+            s["name"]: s["attrs"]
+            for s in result.trace_spans
+            if s["attrs"].get("kind") == "stage"
+        }
+        assert len(stage_spans) == len(result.stages)
+        for attrs in stage_spans.values():
+            assert attrs["store_stage_write_error"].startswith("OSError")
+        assert stage_spans["derive"]["store_artifact_write_error"].startswith("OSError")
 
 
 class TestStore:

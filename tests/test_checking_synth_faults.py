@@ -10,7 +10,8 @@ from repro.checking import (
     exhaustive_program_campaign,
     random_simulation_campaign,
 )
-from repro.expr import eval_expr
+from repro.archs import load_architecture
+from repro.expr import FALSE, eval_expr
 from repro.faults import FaultCampaign, FaultClass, FaultInjector
 from repro.pipeline import (
     ClosedFormInterlock,
@@ -21,7 +22,7 @@ from repro.pipeline import (
     simulate,
 )
 from repro.assertions import testbench_assertions
-from repro.spec import conservative_variant, symbolic_most_liberal
+from repro.spec import build_functional_spec, conservative_variant, symbolic_most_liberal
 from repro.synth import (
     GateKind,
     Module,
@@ -265,6 +266,49 @@ class TestFaultInjection:
         assert targeted == set(example_spec.moe_flags())
         classes = {fault.fault_class for fault in faults}
         assert classes == {FaultClass.PERFORMANCE, FaultClass.FUNCTIONAL, FaultClass.INITIALISATION}
+
+    def test_limited_fault_set_builds_only_what_it_returns(self, monkeypatch):
+        # A work count, not a timing: each built fault re-derives at most
+        # once, so a limit of 4 costs at most 4 derivations.
+        import repro.faults.injection
+        import repro.pipeline.interlock
+        import repro.spec.derivation
+
+        calls = []
+        original = repro.spec.derivation.symbolic_most_liberal
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return original(*args, **kwargs)
+
+        for module in (
+            repro.spec.derivation,
+            repro.faults.injection,
+            repro.pipeline.interlock,
+        ):
+            monkeypatch.setattr(module, "symbolic_most_liberal", counting)
+
+        spec = build_functional_spec(load_architecture("fam-r4w2d5s1-bypass"))
+        injector = FaultInjector(spec, seed=0)
+        assert len(calls) == 1  # the injector's reference derivation
+        limited = injector.standard_fault_set(limit=4)
+        assert len(limited) == 4
+        assert len(calls) - 1 <= 4
+
+        everything = injector.standard_fault_set()
+        expected = []
+        for clause in spec.clauses:
+            moe = clause.moe
+            expected.append(injector.extra_stall_fault(moe))
+            if clause.condition != FALSE:
+                expected.append(injector.missing_term_fault(moe, term_index=0))
+                expected.append(injector.never_stall_fault(moe))
+            expected.append(injector.stuck_stall_fault(moe))
+            expected.append(injector.bad_reset_fault(moe, value=False))
+        described = [fault.describe() for fault in everything]
+        assert described == [fault.describe() for fault in expected]
+        assert [fault.describe() for fault in limited] == described[:4]
+        assert injector.standard_fault_set(limit=0) == []
 
     def test_fault_descriptions(self, example_spec):
         injector = FaultInjector(example_spec)

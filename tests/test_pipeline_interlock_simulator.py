@@ -1,7 +1,12 @@
 """Tests for the interlock implementations and the cycle-accurate simulator."""
 
+import random
+
 import pytest
 
+from repro.archs import generate_family, load_architecture
+from repro.expr import UnboundVariableError, Var, eval_expr
+from repro.faults import FaultInjector
 from repro.pipeline import (
     ClosedFormInterlock,
     ConservativeCompletionInterlock,
@@ -24,6 +29,7 @@ from repro.workloads import (
     CONTENTION_HEAVY,
     HAZARD_HEAVY,
     WorkloadGenerator,
+    WorkloadProfile,
     completion_contention_program,
     dependent_chain,
     independent_stream,
@@ -95,6 +101,65 @@ class TestInterlockImplementations:
         assert slow.hazard_free()
         assert slow.num_cycles() > fast.num_cycles()
         assert slow.retired_instructions == fast.retired_instructions
+
+
+class EvalExprInterlock(ClosedFormInterlock):
+    """Reference evaluator: one ``eval_expr`` tree walk per flag and cycle."""
+
+    def compute_moe(self, inputs):
+        return {
+            moe: eval_expr(expression, inputs)
+            for moe, expression in self.expressions().items()
+        }
+
+
+def trace_rows(trace):
+    return [
+        (record.cycle, record.inputs, record.moe, record.occupancy)
+        for record in trace.cycles
+    ]
+
+
+class TestCompiledClosedForms:
+    """Compiled closed forms evaluate exactly like the expression trees."""
+
+    @pytest.mark.parametrize("arch_name", [config.name for config in generate_family()])
+    def test_family_member_and_first_faults(self, arch_name):
+        arch = load_architecture(arch_name)
+        spec = build_functional_spec(arch)
+        injector = FaultInjector(spec, seed=0)
+        interlocks = [injector.reference] + [
+            fault.interlock for fault in injector.standard_fault_set(limit=4)
+        ]
+        rng = random.Random(arch_name)
+        valuations = [
+            {name: rng.random() < 0.5 for name in spec.input_signals()}
+            for _ in range(64)
+        ]
+        for interlock in interlocks:
+            assert isinstance(interlock, ClosedFormInterlock)
+            reference = EvalExprInterlock(interlock.expressions())
+            for valuation in valuations:
+                assert interlock.compute_moe(valuation) == reference.compute_moe(
+                    valuation
+                )
+
+        program = WorkloadGenerator(arch, seed=7).generate(WorkloadProfile(length=48))
+        compiled_trace = simulate(arch, injector.reference, program)
+        reference_trace = simulate(
+            arch, EvalExprInterlock(injector.reference.expressions()), program
+        )
+        assert compiled_trace.num_cycles() > 0
+        assert trace_rows(compiled_trace) == trace_rows(reference_trace)
+        assert compiled_trace.hazards == reference_trace.hazards
+
+    def test_partial_valuation_keeps_eval_expr_semantics(self):
+        interlock = ClosedFormInterlock({"a.moe": Var("x") & Var("y")})
+        # y cannot matter once x is false, exactly as with eval_expr...
+        assert interlock.compute_moe({"x": False}) == {"a.moe": False}
+        # ...and an unbound variable that does matter is still an error.
+        with pytest.raises(UnboundVariableError):
+            interlock.compute_moe({"x": True})
 
 
 class TestSimulatorBasics:
@@ -183,7 +248,7 @@ class TestSimulatorBasics:
             {"long.4.moe": ClosedFormInterlock.from_spec(example_spec).expression_for("long.4.moe")}
         )
         program = Program.from_streams(long=[alu("long", dst=0)], short=[])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="did not drive moe flags"):
             simulate(example_arch, incomplete, program)
 
     def test_stop_on_hazard(self, example_arch, example_spec):

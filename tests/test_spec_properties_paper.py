@@ -10,13 +10,15 @@ import pytest
 
 from repro.archs import (
     example_architecture,
+    generate_family,
+    load_architecture,
     paper_combined_formula,
     paper_functional_formula,
     paper_performance_formula,
     paper_stall_conditions,
 )
 from repro.bdd import ExprBddContext
-from repro.expr import FALSE, Or, Var
+from repro.expr import FALSE, Or, Var, eval_expr
 from repro.spec import (
     FunctionalSpec,
     StallClause,
@@ -30,7 +32,7 @@ from repro.spec import (
     derive_performance_spec,
     symbolic_most_liberal,
 )
-from repro.spec.properties import check_semantic_monotonicity
+from repro.spec.properties import _whole_formula_closure, check_semantic_monotonicity
 
 
 class TestSectionThreeProperties:
@@ -106,6 +108,7 @@ class TestSectionThreeProperties:
         check = check_disjunction_closure(spec)
         assert not check.holds
         assert check.counterexample is not None
+        assert_closure_counterexample(spec, check)
 
     def test_direct_closure_skipped_for_large_specs(self, firepath_spec):
         report = check_all_properties(firepath_spec)
@@ -117,6 +120,77 @@ class TestSectionThreeProperties:
         report = check_all_properties(example_spec, direct_closure=True)
         names = [check.name for check in report.checks]
         assert "property-2-disjunction-closure" in names
+
+
+#: The default 24-member family grid plus the paper's example at full size.
+PROPERTY_TWO_ARCHS = [config.name for config in generate_family()] + ["dac2002-example"]
+
+
+def non_monotone_spec():
+    """Stall a.moe exactly when b is moving: Property 2 fails."""
+    return FunctionalSpec(
+        name="bad",
+        clauses=[
+            StallClause(moe="a.moe", condition=Var("b.moe")),
+            StallClause(moe="b.moe", condition=FALSE),
+        ],
+        inputs=[],
+    )
+
+
+def assert_closure_counterexample(spec, check):
+    """``m1`` and ``m2`` satisfy SPEC_func while ``m1 ∨ m2`` violates it."""
+    assignment = check.counterexample
+    assert assignment is not None
+    # Variables outside the counterexample's support are don't-cares.
+    inputs = {name: assignment.get(name, False) for name in spec.input_signals()}
+    m1 = {moe: assignment.get(f"__copy1::{moe}", False) for moe in spec.moe_flags()}
+    m2 = {moe: assignment.get(f"__copy2::{moe}", False) for moe in spec.moe_flags()}
+    joined = {moe: m1[moe] or m2[moe] for moe in spec.moe_flags()}
+    functional = spec.functional_formula()
+    assert eval_expr(functional, {**inputs, **m1})
+    assert eval_expr(functional, {**inputs, **m2})
+    assert not eval_expr(functional, {**inputs, **joined})
+
+
+class TestPropertyTwoRoutes:
+    """The per-clause and whole-formula Property 2 routes give one verdict."""
+
+    @pytest.mark.parametrize("arch", PROPERTY_TWO_ARCHS)
+    def test_routes_agree_and_clauses_decide(self, arch):
+        spec = build_functional_spec(load_architecture(arch))
+        per_clause = check_disjunction_closure(spec)
+        whole = _whole_formula_closure(spec)
+        assert per_clause.holds and whole.holds
+        assert "decided per clause" in per_clause.detail
+        assert "decided on the whole formula" in whole.detail
+
+    def test_routes_agree_on_non_monotone_spec(self):
+        spec = non_monotone_spec()
+        per_clause = check_disjunction_closure(spec)
+        whole = _whole_formula_closure(spec)
+        assert not per_clause.holds and not whole.holds
+        # A clause that is not closed alone hands the verdict to the
+        # whole formula, which supplies the counterexample.
+        assert "after the clause for a.moe" in per_clause.detail
+        assert_closure_counterexample(spec, per_clause)
+        assert_closure_counterexample(spec, whole)
+
+    def test_open_clause_alone_does_not_refute(self):
+        # a.moe's clause alone is not closed (m1 = {a}, m2 = {b}), but the
+        # b clause forbids b from moving, so the specification is.
+        spec = FunctionalSpec(
+            name="closed-by-conjunction",
+            clauses=[
+                StallClause(moe="a.moe", condition=Var("b.moe")),
+                StallClause(moe="b.moe", condition=Var("x") | ~Var("x")),
+            ],
+            inputs=["x"],
+        )
+        per_clause = check_disjunction_closure(spec)
+        assert per_clause.holds
+        assert "decided on the whole formula" in per_clause.detail
+        assert _whole_formula_closure(spec).holds
 
 
 class TestPaperCaseStudy:

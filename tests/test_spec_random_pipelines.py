@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checking import PropertyChecker
-from repro.expr import FALSE, Var, big_or, eval_expr
+from repro.expr import FALSE, Var, big_or, eval_expr, substitute
 from repro.pipeline import ClosedFormInterlock
 from repro.spec import (
     FunctionalSpec,
     StallClause,
     check_all_properties,
+    check_disjunction_closure,
     check_maximality,
     check_most_liberal_satisfies,
     concrete_most_liberal,
@@ -28,6 +29,7 @@ from repro.spec import (
     performance_spec_of,
     symbolic_most_liberal,
 )
+from repro.spec.properties import _whole_formula_closure
 
 GLOBAL_INPUTS = ["wait", "irq"]
 
@@ -87,6 +89,34 @@ def specs_with_valuations(draw):
     spec = draw(random_pipeline_specs())
     valuation = {name: draw(st.booleans()) for name in spec.input_signals()}
     return spec, valuation
+
+
+@st.composite
+def possibly_non_monotone_specs(draw):
+    """A random specification, sometimes with one moe flag used positively.
+
+    Flipping ``¬m`` to ``m`` in one stall condition breaks the Section 3.1
+    monotonicity requirement, which may or may not break Property (2).
+    """
+    spec = draw(random_pipeline_specs())
+    moe_set = set(spec.moe_flags())
+    coupled = [
+        clause for clause in spec.clauses if clause.condition.variables() & moe_set
+    ]
+    if not coupled or not draw(st.booleans()):
+        return spec
+    target = draw(st.sampled_from(coupled))
+    flipped = draw(st.sampled_from(sorted(target.condition.variables() & moe_set)))
+    clauses = [
+        StallClause(
+            moe=clause.moe,
+            condition=substitute(clause.condition, {flipped: ~Var(flipped)}),
+        )
+        if clause is target
+        else clause
+        for clause in spec.clauses
+    ]
+    return FunctionalSpec(name="flipped-pipeline", clauses=clauses, inputs=spec.inputs)
 
 
 class TestRandomPipelineTheory:
@@ -156,3 +186,22 @@ class TestRandomPipelineTheory:
         # inputs, it is not the most liberal assignment.
         derived = concrete_most_liberal(spec, {name: False for name in spec.input_signals()})
         assert all(derived.values()), "with no stall causes asserted nothing needs to stall"
+
+    @settings(max_examples=20, deadline=None)
+    @given(possibly_non_monotone_specs())
+    def test_property_two_routes_agree(self, spec):
+        per_clause = check_disjunction_closure(spec)
+        whole = _whole_formula_closure(spec)
+        assert per_clause.holds == whole.holds
+        if spec.is_monotone():
+            assert per_clause.holds and "decided per clause" in per_clause.detail
+        if not whole.holds:
+            witness = whole.counterexample
+            inputs = {name: witness.get(name, False) for name in spec.input_signals()}
+            m1 = {m: witness.get(f"__copy1::{m}", False) for m in spec.moe_flags()}
+            m2 = {m: witness.get(f"__copy2::{m}", False) for m in spec.moe_flags()}
+            joined = {m: m1[m] or m2[m] for m in spec.moe_flags()}
+            functional = spec.functional_formula()
+            assert eval_expr(functional, {**inputs, **m1})
+            assert eval_expr(functional, {**inputs, **m2})
+            assert not eval_expr(functional, {**inputs, **joined})
