@@ -1,6 +1,6 @@
 """Reduced ordered BDD package used by the specification and checking layers."""
 
-from .expr_to_bdd import ExprBddContext, compile_expr
+from .expr_to_bdd import compile_expr
 from .manager import FALSE_NODE, TRUE_NODE, BddManager, BddStats, CoverBudgetExceeded
 from .ordering import (
     interleaved_order,
@@ -27,7 +27,6 @@ __all__ = [
     "dump_nodes",
     "inspect_artifact",
     "load_nodes",
-    "ExprBddContext",
     "compile_expr",
     "interleaved_order",
     "occurrence_order",

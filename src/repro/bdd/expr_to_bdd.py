@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..expr.ast import And, Const, Expr, Iff, Implies, Ite, Not, Or, Var
 from .manager import BddManager
@@ -57,45 +57,3 @@ def compile_expr(
     with postpone():
         return rec(expr)
 
-
-class ExprBddContext:
-    """Convenience wrapper pairing a manager with an expression compiler.
-
-    Provides the high-level decision procedures the specification layer
-    needs: validity, satisfiability, equivalence and counterexamples.
-    """
-
-    def __init__(self, variable_order: Optional[Sequence[str]] = None):
-        self.manager = BddManager(variable_order)
-        self._cache: Dict[Expr, int] = {}
-        # Compiled nodes persist in this cache; after a sweep, reclaimed
-        # ids are reused and must not keep denoting old expressions.
-        self.manager.add_sweep_hook(self._on_sweep)
-
-    def _on_sweep(self, alive) -> None:
-        self._cache = {expr: node for expr, node in self._cache.items() if alive(node)}
-
-    def compile(self, expr: Expr) -> int:
-        """Compile an expression to a BDD node (cached across calls)."""
-        return compile_expr(self.manager, expr, self._cache)
-
-    def is_valid(self, expr: Expr) -> bool:
-        """Is the expression a tautology?"""
-        return self.manager.is_true(self.compile(expr))
-
-    def is_satisfiable(self, expr: Expr) -> bool:
-        """Does the expression have a satisfying assignment?"""
-        return not self.manager.is_false(self.compile(expr))
-
-    def are_equivalent(self, left: Expr, right: Expr) -> bool:
-        """Do two expressions denote the same boolean function?"""
-        return self.compile(left) == self.compile(right)
-
-    def counterexample(self, expr: Expr) -> Optional[Dict[str, bool]]:
-        """An assignment falsifying ``expr``, or None if it is valid."""
-        negation = self.manager.not_(self.compile(expr))
-        return self.manager.pick_one(negation)
-
-    def witness(self, expr: Expr) -> Optional[Dict[str, bool]]:
-        """An assignment satisfying ``expr``, or None if unsatisfiable."""
-        return self.manager.pick_one(self.compile(expr))

@@ -283,25 +283,23 @@ def _stage_derive(
         "bdd_nodes": sum(derivation.bdd_sizes.values()),
         "source": source,
     }
-    context = getattr(derivation, "context", None)
-    if context is not None:
-        # Kernel health of the derivation's manager (JSON-ready), so scale
-        # problems show up in campaign reports instead of only in profiles.
-        stats = context.manager.stats().as_dict()
-        details["kernel"] = stats
-        # Checkpoint delta against the warm state's previous reading: a
-        # fresh derivation reports its absolute counters, a warm rerun
-        # only what this job added to the long-lived manager.
-        previous = state.get("kernel_checkpoint") or {}
-        delta = {
-            counter: stats[counter] - previous.get(counter, 0)
-            for counter in KERNEL_COUNTERS
-        }
-        delta["live_nodes"] = stats["live_nodes"]
-        delta["load_factor"] = stats["load_factor"]
-        state["kernel_checkpoint"] = stats
-        record_kernel_stats(delta)
-        annotate(kernel=delta, source=source)
+    # Kernel health of the derivation's manager (JSON-ready), so scale
+    # problems show up in campaign reports instead of only in profiles.
+    stats = derivation.context.manager.stats().as_dict()
+    details["kernel"] = stats
+    # Checkpoint delta against the warm state's previous reading: a
+    # fresh derivation reports its absolute counters, a warm rerun
+    # only what this job added to the long-lived manager.
+    previous = state.get("kernel_checkpoint") or {}
+    delta = {
+        counter: stats[counter] - previous.get(counter, 0)
+        for counter in KERNEL_COUNTERS
+    }
+    delta["live_nodes"] = stats["live_nodes"]
+    delta["load_factor"] = stats["load_factor"]
+    state["kernel_checkpoint"] = stats
+    record_kernel_stats(delta)
+    annotate(kernel=delta, source=source)
     return StageResult(name="derive", ok=True, seconds=0.0, details=details)
 
 

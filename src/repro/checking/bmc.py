@@ -31,15 +31,15 @@ Models
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..bdd.expr_to_bdd import ExprBddContext
-from ..expr.ast import And, Expr, FALSE, Implies, Not, TRUE, Var
+from ..expr.ast import Expr, FALSE, Implies, Not, TRUE, Var
 from ..expr.builders import big_and
 from ..expr.transform import rename, simplify, substitute
 from ..pipeline.structure import Architecture
 from ..sat.interface import check_valid
 from ..spec.functional import FunctionalSpec
+from ..symbolic import SymbolicContext
 
 __all__ = [
     "timed_name",
@@ -96,12 +96,9 @@ class CombinationalModel:
     @classmethod
     def from_derivation(cls, derivation, name: Optional[str] = None) -> "CombinationalModel":
         """The model of a fixed-point derivation's closed forms."""
-        source = (
-            derivation.moe_functions
-            if derivation.moe_functions is not None
-            else derivation.moe_expressions
+        return cls(
+            derivation.moe_functions, name=name or f"derived({derivation.spec.name})"
         )
-        return cls(source, name=name or f"derived({derivation.spec.name})")
 
     def moe_flags(self) -> List[str]:
         """The moe flags the model drives."""
@@ -265,7 +262,7 @@ class BoundedModelChecker:
         # One shared context across all cycles and claims: the timed copies
         # of the environment and the model equations recur from claim to
         # claim, so their compiled BDDs are reused.
-        self._context = ExprBddContext() if backend == "bdd" else None
+        self._context = SymbolicContext() if backend == "bdd" else None
 
     # -- claim construction -----------------------------------------------------------
 
@@ -311,8 +308,8 @@ class BoundedModelChecker:
         if self.backend == "bdd":
             context = self._context
             manager = context.manager
-            assumption_node = context.compile(assumptions)
-            refutation = manager.not_(context.compile(claim))
+            assumption_node = context.lift(assumptions).node
+            refutation = manager.not_(context.lift(claim).node)
             # Valid iff assumptions ∧ ¬claim is unsatisfiable — one fused
             # relational-product sweep over every declared variable.
             witness = manager.and_exists(

@@ -20,16 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from ..bdd.expr_to_bdd import ExprBddContext
-from ..expr.ast import Expr, Not, Var
-from ..expr.builders import big_and
+from ..expr.ast import Expr, Not
 from ..expr.transform import substitute
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.structure import Architecture
 from ..sat.interface import check_valid
 from ..spec.derivation import symbolic_most_liberal
 from ..spec.functional import FunctionalSpec
-from ..symbolic import SymbolicFunction
+from ..symbolic import SymbolicContext, SymbolicFunction
 from .environment import environment_formula
 
 
@@ -105,7 +103,7 @@ class PropertyChecker:
         # One shared BDD context per checker: the environment formula, the
         # specification conditions and the derived moe equations are compiled
         # once and reused across every claim (a campaign may prove hundreds).
-        self._context = ExprBddContext() if backend == "bdd" else None
+        self._context = SymbolicContext() if backend == "bdd" else None
         self._derivation = None
 
     # -- helpers --------------------------------------------------------------------
@@ -129,32 +127,26 @@ class PropertyChecker:
     def _prove(self, claim) -> (bool, Optional[Dict[str, bool]]):
         """Prove one obligation under the environment assumptions.
 
-        ``claim`` may be an :class:`~repro.expr.ast.Expr` or a
-        :class:`~repro.symbolic.SymbolicFunction`.  A symbolic obligation is
-        decided in *its* context — the environment formula is lifted into
-        that context (cached there across claims) and no expression is ever
-        materialized; only the SAT backend needs a materialized form.
+        ``claim`` may be an :class:`~repro.expr.ast.Expr`, lifted into the
+        checker's shared context, or a
+        :class:`~repro.symbolic.SymbolicFunction`, decided in *its* context.
+        Either way the environment formula is lifted into that context
+        (cached there across claims); only the SAT backend needs a
+        materialized form.
         """
-        if isinstance(claim, SymbolicFunction):
-            if self.backend == "bdd":
-                manager = claim.context.manager
-                node = claim.node
-                if self.environment is not None:
-                    environment_node = claim.context.lift(self.environment).node
-                    node = manager.implies(environment_node, node)
-                if manager.is_true(node):
-                    return True, None
-                return False, manager.pick_one(manager.not_(node))
-            claim = claim.to_expr()
         if self.backend == "bdd":
-            manager = self._context.manager
-            node = self._context.compile(claim)
+            if isinstance(claim, SymbolicFunction):
+                context = claim.context
+            else:
+                context = self._context
+            function = context.lift(claim)
             if self.environment is not None:
-                environment_node = self._context.compile(self.environment)
-                node = manager.implies(environment_node, node)
-            if manager.is_true(node):
+                function = context.lift(self.environment).implies(function)
+            if function.is_true():
                 return True, None
-            return False, manager.pick_one(manager.not_(node))
+            return False, function.counterexample()
+        if isinstance(claim, SymbolicFunction):
+            claim = claim.to_expr()
         if self.environment is not None:
             claim = self.environment.implies(claim)
         decision = check_valid(claim)
@@ -173,16 +165,16 @@ class PropertyChecker:
         """
         if self.backend != "bdd":
             return self._prove(left.iff(right))
-        manager = self._context.manager
-        left_node = self._context.compile(left)
-        right_node = self._context.compile(right)
+        context = self._context
+        left_function = context.lift(left)
+        right_function = context.lift(right)
         if self.environment is not None:
-            environment_node = self._context.compile(self.environment)
-            left_node = manager.and_(environment_node, left_node)
-            right_node = manager.and_(environment_node, right_node)
-        if left_node == right_node:
+            environment = context.lift(self.environment)
+            left_function = environment & left_function
+            right_function = environment & right_function
+        if left_function.equivalent(right_function):
             return True, None
-        return False, manager.find_difference(left_node, right_node)
+        return False, left_function.find_difference(right_function)
 
     # -- checks ------------------------------------------------------------------------
 

@@ -79,7 +79,6 @@ from .spec.functional import FunctionalSpec
 from .synth import (
     behavioural_verilog,
     behavioural_vhdl,
-    optimize_derivation,
     synthesis_to_verilog,
     synthesis_to_vhdl,
     synthesize_interlock,
@@ -165,16 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     derive = subparsers.add_parser("derive", help="print the most liberal moe closed forms")
     _add_source_arguments(derive)
     derive.add_argument(
-        "--backend",
-        choices=["bdd", "expr"],
-        default="bdd",
-        help="fixed-point engine: 'bdd' iterates on canonical BDD nodes and "
-             "prints minimized ISOP covers (default); 'expr' is the DEPRECATED "
-             "legacy expression pipeline, kept only for A/B debugging — it "
-             "re-flattens substitution residue each step and cannot complete "
-             "the largest architectures",
-    )
-    derive.add_argument(
         "--verbose",
         action="store_true",
         help="also print BDD kernel statistics (node counts, cache hit rates, "
@@ -203,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["netlist", "behavioural"],
         default="behavioural",
         help="gate-level netlist or one continuous assignment per moe flag",
-    )
-    synth.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run two-level minimisation on the derived equations before emitting",
     )
 
     check = subparsers.add_parser("check", help="property-check an interlock variant")
@@ -530,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="contract lint: enforce the kernel/campaign/service invariants "
         "the type system can't see",
-        description="AST-based contract lint (rules RPL001-RPL007, see "
+        description="AST-based contract lint (rules RPL001-RPL008, see "
         "docs/contracts.md): raw node ids stored without protect(), "
         "cross-manager node mixing, raw-id loops outside "
         "postpone_reorder(), STAGE_DEPENDENCIES drift, blocking calls in "
@@ -598,21 +582,11 @@ def _cmd_spec(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_derive(args: argparse.Namespace, out: TextIO) -> int:
     _, functional = _resolve(args)
-    backend = getattr(args, "backend", "bdd")
-    if backend == "expr":
-        out.write(
-            "note: the 'expr' backend is deprecated and kept for A/B debugging; "
-            "the default 'bdd' backend is exact, faster and scales further\n"
-        )
-    derivation = symbolic_most_liberal(functional, backend=backend)
+    derivation = symbolic_most_liberal(functional)
     out.write(derivation.describe() + "\n")
     if getattr(args, "verbose", False):
-        context = getattr(derivation, "context", None)
-        if context is not None:
-            out.write("kernel statistics:\n")
-            out.write(context.manager.stats().describe() + "\n")
-        else:
-            out.write("kernel statistics: not available for the expr backend\n")
+        out.write("kernel statistics:\n")
+        out.write(derivation.context.manager.stats().describe() + "\n")
     return 0
 
 
@@ -636,8 +610,6 @@ def _cmd_assertions(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_synth(args: argparse.Namespace, out: TextIO) -> int:
     _, functional = _resolve(args)
     derivation = symbolic_most_liberal(functional)
-    if args.optimize:
-        derivation = optimize_derivation(functional, derivation).derivation
     if args.style == "behavioural":
         if args.language == "verilog":
             out.write(behavioural_verilog(functional, derivation) + "\n")

@@ -1,4 +1,4 @@
-"""The bundled contract rules (RPL001–RPL007).
+"""The bundled contract rules (RPL001–RPL008).
 
 Each rule encodes one invariant from the kernel/service contracts (see
 ``docs/contracts.md`` for the catalog with rationale and worked
@@ -746,4 +746,48 @@ class RawStageTiming(Rule):
                             "repro.obs.span() or annotate() the open span",
                         )
                     )
+        return findings
+
+
+@register
+class BddManagerOutsideKernel(Rule):
+    """RPL008: a ``BddManager`` constructed outside the BDD front door.
+
+    Every decision procedure reaches the kernel through
+    :class:`repro.symbolic.SymbolicContext`: it owns the manager, keeps
+    the compile and materialization caches coherent across GC sweeps, and
+    hands out :class:`~repro.symbolic.SymbolicFunction` handles that
+    protect their nodes.  A manager built anywhere else is a second front
+    door with none of that bookkeeping.  Only the kernel (``repro.bdd``),
+    the symbolic layer (``repro.symbolic``) and the sanitizer
+    (``repro.devtools``) construct managers.
+    """
+
+    code = "RPL008"
+    summary = (
+        "BddManager(...) constructed outside repro.bdd, repro.symbolic or "
+        "repro.devtools instead of through SymbolicContext"
+    )
+
+    _ALLOWED_PACKAGES = ("/repro/bdd/", "/repro/symbolic/", "/repro/devtools/")
+
+    def applies_to(self, source: SourceFile) -> bool:
+        normalized = "/" + source.path.replace("\\", "/")
+        return not any(package in normalized for package in self._ALLOWED_PACKAGES)
+
+    def check(self, source: SourceFile) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(source.tree):
+            if (
+                isinstance(node, ast.Call)
+                and _receiver_name(node.func) == "BddManager"
+            ):
+                findings.append(
+                    source.finding(
+                        node,
+                        self,
+                        "BddManager(...) constructed outside the kernel — create a "
+                        "repro.symbolic.SymbolicContext and use its lift()/manager",
+                    )
+                )
         return findings

@@ -95,10 +95,7 @@ class BenchResult:
 
 def _kernel_metrics(derivation: Any) -> Dict[str, Any]:
     """Kernel health of an in-process derivation: nodes, hit rate, GC."""
-    context = getattr(derivation, "context", None)
-    if context is None:
-        return {}
-    stats = context.manager.stats().as_dict()
+    stats = derivation.context.manager.stats().as_dict()
     lookups = stats["cache_hits"] + stats["cache_misses"]
     return {
         "kernel_live_nodes": stats["live_nodes"],

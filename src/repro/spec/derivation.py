@@ -29,25 +29,18 @@ and each step is one memoised simultaneous composition plus a cached
 negation.  The result is a :class:`DerivationResult` holding
 :class:`~repro.symbolic.SymbolicFunction` closed forms; human-readable
 expressions are materialized lazily as minimized ISOP covers only when a
-printer, HDL backend or monitor asks for them.  (The previous
-implementation kept an expression-tree candidate "in lock step" with the
-BDD side; the substitution residue grew super-linearly and the full
-16-register FirePath derivation never finished flattening its n-ary
-operands.  That legacy pipeline remains reachable as ``backend="expr"``
-for A/B debugging and is deprecated.)
+printer, HDL backend or monitor asks for them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional
 
-from ..bdd.expr_to_bdd import ExprBddContext
 from ..bdd.ordering import register_interleaved_order
 from ..bdd.serialize import ArtifactError
-from ..expr.ast import Expr, Not, TRUE, Var
+from ..expr.ast import Expr
 from ..expr.evaluate import eval_expr
 from ..expr.printer import to_text
-from ..expr.transform import simplify, substitute
 from ..obs import KernelWatch, current_trace_id, span
 from ..symbolic import SymbolicContext, SymbolicFunction
 from .functional import FunctionalSpec, SpecificationError
@@ -74,10 +67,6 @@ class DerivationResult:
     printers, HDL emitters and per-cycle evaluators; materialization is
     cached, so touching it twice costs nothing extra.
 
-    Results produced by expression-level passes (the legacy ``expr``
-    backend, the synthesis optimiser) carry expressions only and no
-    functions.
-
     Attributes:
         spec: the functional specification the derivation started from.
         iterations: number of global iterations until convergence.
@@ -85,8 +74,7 @@ class DerivationResult:
             the iteration converges in one pass over a topological order).
         bdd_sizes: per-flag BDD node counts of the closed forms, a rough
             complexity measure reported by the scale benchmarks.
-        moe_functions: per-flag closed forms as SymbolicFunctions, or None
-            for expression-backed results.
+        moe_functions: per-flag closed forms as SymbolicFunctions.
     """
 
     def __init__(
@@ -94,42 +82,30 @@ class DerivationResult:
         spec: FunctionalSpec,
         iterations: int,
         feed_forward: bool,
-        moe_functions: Optional[Dict[str, SymbolicFunction]] = None,
-        moe_expressions: Optional[Dict[str, Expr]] = None,
+        moe_functions: Dict[str, SymbolicFunction],
         bdd_sizes: Optional[Dict[str, int]] = None,
     ):
-        if moe_functions is None and moe_expressions is None:
-            raise ValueError("a derivation result needs functions or expressions")
         self.spec = spec
         self.iterations = iterations
         self.feed_forward = feed_forward
         self.moe_functions = moe_functions
-        # Kept by reference: the synthesis optimiser hands in a mapping it
-        # fills per flag after constructing the result object.
-        self._moe_expressions = moe_expressions
-        if bdd_sizes is None and moe_functions is not None:
+        if bdd_sizes is None:
             bdd_sizes = {
                 moe: function.dag_size() for moe, function in moe_functions.items()
             }
-        self.bdd_sizes: Dict[str, int] = dict(bdd_sizes or {})
+        self.bdd_sizes: Dict[str, int] = dict(bdd_sizes)
+        self._moe_expressions: Optional[Dict[str, Expr]] = None
         self._stall_expressions: Optional[Dict[str, Expr]] = None
 
     # -- the symbolic side -------------------------------------------------------
 
     @property
-    def context(self) -> Optional[SymbolicContext]:
-        """The shared symbolic context, or None for expression-backed results."""
-        if self.moe_functions is None:
-            return None
+    def context(self) -> SymbolicContext:
+        """The symbolic context every closed form lives in."""
         return next(iter(self.moe_functions.values())).context
 
     def moe_function(self, moe: str) -> SymbolicFunction:
         """The closed form of one flag as a SymbolicFunction."""
-        if self.moe_functions is None:
-            raise KeyError(
-                "this derivation result is expression-backed and carries no "
-                "symbolic functions (legacy 'expr' backend or optimiser output)"
-            )
         return self.moe_functions[moe]
 
     def stall_functions(self) -> Dict[str, SymbolicFunction]:
@@ -137,11 +113,6 @@ class DerivationResult:
 
         Negation is a cached involution in the BDD kernel, so this is free.
         """
-        if self.moe_functions is None:
-            raise KeyError(
-                "this derivation result is expression-backed and carries no "
-                "symbolic functions (legacy 'expr' backend or optimiser output)"
-            )
         return {moe: ~function for moe, function in self.moe_functions.items()}
 
     # -- materialized views ------------------------------------------------------
@@ -150,9 +121,8 @@ class DerivationResult:
     def moe_expressions(self) -> Dict[str, Expr]:
         """Closed-form ``MOE_i`` per flag, materialized lazily and cached.
 
-        Function-backed results materialize each flag as a minimized
-        irredundant-SOP cover of its BDD node (not the substitution residue
-        the iteration would have produced at expression level).
+        Each flag materializes as a minimized irredundant-SOP cover of its
+        BDD node.
         """
         if self._moe_expressions is None:
             self._moe_expressions = {
@@ -170,22 +140,16 @@ class DerivationResult:
     def stall_expressions(self) -> Dict[str, Expr]:
         """Closed-form stall conditions ``¬MOE_i`` per stage (memoised).
 
-        Function-backed results extract a minimized cover of the *negated*
-        node — usually smaller than ``Not(cover)`` — and the result is
-        cached, so monitors and reports can call this per trace without
-        re-simplifying anything.
+        Each stall condition is a minimized cover of the *negated* node —
+        usually smaller than ``Not(cover)`` — and the result is cached, so
+        monitors and reports can call this per trace without re-simplifying
+        anything.
         """
         if self._stall_expressions is None:
-            if self.moe_functions is not None:
-                self._stall_expressions = {
-                    moe: (~function).to_expr()
-                    for moe, function in self.moe_functions.items()
-                }
-            else:
-                self._stall_expressions = {
-                    moe: simplify(Not(expr))
-                    for moe, expr in self.moe_expressions.items()
-                }
+            self._stall_expressions = {
+                moe: (~function).to_expr()
+                for moe, function in self.moe_functions.items()
+            }
         return dict(self._stall_expressions)
 
     # -- artifact round trip -----------------------------------------------------
@@ -201,15 +165,7 @@ class DerivationResult:
         embedded: it is cheaply rebuilt from the architecture, and
         :meth:`from_artifact_bytes` verifies the artifact matches the
         spec it is being attached to.
-
-        Expression-backed results (legacy ``expr`` backend, optimiser
-        output) carry no symbolic functions and cannot be serialized.
         """
-        if self.moe_functions is None:
-            raise ValueError(
-                "expression-backed derivation results cannot be serialized; "
-                "re-derive with the default 'bdd' backend"
-            )
         from ..symbolic.serialize import dump_functions
 
         payload = {
@@ -266,14 +222,9 @@ class DerivationResult:
 
     def evaluate(self, input_valuation: Mapping[str, bool]) -> Dict[str, bool]:
         """Evaluate every closed form under a concrete input valuation."""
-        if self.moe_functions is not None:
-            return {
-                moe: function.evaluate(input_valuation)
-                for moe, function in self.moe_functions.items()
-            }
         return {
-            moe: eval_expr(expr, input_valuation)
-            for moe, expr in self.moe_expressions.items()
+            moe: function.evaluate(input_valuation)
+            for moe, function in self.moe_functions.items()
         }
 
     def describe(self) -> str:
@@ -372,8 +323,6 @@ def derivation_order(spec: FunctionalSpec) -> List[str]:
 def symbolic_most_liberal(
     spec: FunctionalSpec,
     max_iterations: Optional[int] = None,
-    simplify_result: bool = True,
-    backend: str = "bdd",
     context: Optional[SymbolicContext] = None,
 ) -> DerivationResult:
     """Closed-form most liberal moe assignment over the primary inputs.
@@ -388,25 +337,11 @@ def symbolic_most_liberal(
     Args:
         spec: the functional specification to derive from.
         max_iterations: iteration bound (default: number of flags + 2).
-        simplify_result: legacy-backend only — structurally simplify the
-            per-step expression candidates.
-        backend: ``"bdd"`` (default) or ``"expr"``.  The expression backend
-            is the pre-SymbolicFunction pipeline that carries an expression
-            candidate in lock step with the BDD side; it is kept reachable
-            for A/B debugging (``repro derive --backend expr``) and is
-            **deprecated** — it re-flattens n-ary substitution residue each
-            step and cannot complete the full 16-register FirePath
-            derivation.
         context: an existing :class:`~repro.symbolic.SymbolicContext` to
             derive into (so several specifications can be compared by
             pointer in one shared unique table).  By default a fresh
             context with the register-interleaved order is created.
     """
-    if backend not in ("bdd", "expr"):
-        raise ValueError(f"backend must be 'bdd' or 'expr', got {backend!r}")
-    if backend == "expr":
-        return _symbolic_most_liberal_expr(spec, max_iterations, simplify_result)
-
     moe_flags = spec.moe_flags()
     limit = max_iterations if max_iterations is not None else len(moe_flags) + 2
     if context is None:
@@ -525,72 +460,6 @@ def symbolic_most_liberal(
     )
 
 
-def _symbolic_most_liberal_expr(
-    spec: FunctionalSpec,
-    max_iterations: Optional[int],
-    simplify_result: bool,
-) -> DerivationResult:
-    """Deprecated expression-level pipeline (kept for A/B debugging).
-
-    Keeps an expression candidate in lock step with the BDD side; each step
-    substitutes the candidates into the stall conditions and negates, with
-    convergence detected semantically on the BDD side.  The substitution
-    residue grows super-linearly with pipeline depth and register count.
-    """
-    moe_flags = spec.moe_flags()
-    limit = max_iterations if max_iterations is not None else len(moe_flags) + 2
-    context = ExprBddContext(list(moe_flags) + list(spec.input_signals()))
-    manager = context.manager
-    condition_nodes: Dict[str, int] = {
-        clause.moe: context.compile(clause.condition) for clause in spec.clauses
-    }
-    current: Dict[str, Expr] = {moe: TRUE for moe in moe_flags}
-    current_nodes: Dict[str, int] = {moe: manager.true() for moe in moe_flags}
-
-    iterations = 0
-    for _ in range(limit):
-        iterations += 1
-        changed = False
-        next_exprs: Dict[str, Expr] = {}
-        next_nodes: Dict[str, int] = {}
-        for clause in spec.clauses:
-            substituted = substitute(clause.condition, current)
-            candidate = simplify(Not(substituted)) if simplify_result else Not(substituted)
-            node = manager.not_(
-                manager.compose_many(condition_nodes[clause.moe], current_nodes)
-            )
-            next_exprs[clause.moe] = candidate
-            next_nodes[clause.moe] = node
-            if node != current_nodes[clause.moe]:
-                changed = True
-        current = next_exprs
-        current_nodes = next_nodes
-        if not changed:
-            break
-    else:
-        raise DerivationError(
-            f"symbolic fixed-point iteration did not converge within {limit} iterations"
-        )
-
-    input_set = set(spec.input_signals())
-    for moe, expr in current.items():
-        leftover = expr.variables() - input_set
-        if leftover:
-            raise DerivationError(
-                f"closed form for {moe} still refers to {sorted(leftover)}; "
-                "the specification's moe dependency structure is malformed"
-            )
-
-    bdd_sizes = {moe: manager.dag_size(node) for moe, node in current_nodes.items()}
-    return DerivationResult(
-        spec=spec,
-        iterations=iterations,
-        feed_forward=spec.is_feed_forward(),
-        moe_expressions=current,
-        bdd_sizes=bdd_sizes,
-    )
-
-
 def derive_performance_spec(
     spec: FunctionalSpec, check_preconditions: bool = True
 ) -> PerformanceSpec:
@@ -650,28 +519,16 @@ def most_liberal_is_maximal(
     expressions are materialized.
     """
     derivation = derivation or symbolic_most_liberal(spec)
-    if derivation.moe_functions is not None:
-        context = derivation.context
-        manager = context.manager
-        functional_node = context.lift(spec.functional_formula()).node
-        for moe in spec.moe_flags():
-            # The claim is valid iff SPEC_func ∧ moe_i ∧ ¬MOE_i is
-            # unsatisfiable; the fused relational product decides that in
-            # one sweep without building the conjunction.
-            refutation = manager.and_(
-                manager.var(moe), manager.not_(derivation.moe_functions[moe].node)
-            )
-            witness = manager.and_exists(
-                functional_node, refutation, manager.variable_order()
-            )
-            if witness != manager.false():
-                return False
-        return True
-    context = ExprBddContext()
+    context = derivation.context
     manager = context.manager
-    functional_node = context.compile(spec.functional_formula())
+    functional_node = context.lift(spec.functional_formula()).node
     for moe in spec.moe_flags():
-        refutation = context.compile(Not(Var(moe).implies(derivation.moe_expressions[moe])))
+        # The claim is valid iff SPEC_func ∧ moe_i ∧ ¬MOE_i is
+        # unsatisfiable; the fused relational product decides that in
+        # one sweep without building the conjunction.
+        refutation = manager.and_(
+            manager.var(moe), manager.not_(derivation.moe_functions[moe].node)
+        )
         witness = manager.and_exists(
             functional_node, refutation, manager.variable_order()
         )

@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..bdd.expr_to_bdd import ExprBddContext
 from ..bdd.ordering import register_interleaved_order
 from ..expr.ast import Expr, Iff, Implies
-from ..expr.printer import to_text
 from ..symbolic import SymbolicContext
 from .derivation import symbolic_most_liberal
 from .functional import FunctionalSpec, SpecificationError
@@ -163,7 +161,7 @@ def _shared_flags(spec_a: FunctionalSpec, spec_b: FunctionalSpec) -> List[str]:
 
 
 def _compare(
-    context: ExprBddContext,
+    context: SymbolicContext,
     moe: str,
     expression_a: Expr,
     expression_b: Expr,
@@ -176,9 +174,11 @@ def _compare(
         forward = Implies(assumptions, forward)
         backward = Implies(assumptions, backward)
         both = Implies(assumptions, both)
-    forward_holds = context.is_valid(forward)
-    backward_holds = context.is_valid(backward)
-    counterexample = None if forward_holds and backward_holds else context.counterexample(both)
+    forward_holds = context.lift(forward).is_true()
+    backward_holds = context.lift(backward).is_true()
+    counterexample = (
+        None if forward_holds and backward_holds else context.lift(both).counterexample()
+    )
     return FlagComparison(
         moe=moe,
         equivalent=forward_holds and backward_holds,
@@ -194,7 +194,7 @@ def check_clause_equivalence(
     assumptions: Optional[Expr] = None,
 ) -> EquivalenceReport:
     """Compare the per-stage stall conditions of two specifications."""
-    context = ExprBddContext()
+    context = SymbolicContext()
     report = EquivalenceReport(name_a=spec_a.name, name_b=spec_b.name, level="clause-level")
     for moe in _shared_flags(spec_a, spec_b):
         report.flags.append(
@@ -283,7 +283,7 @@ def check_refinement(
     (performance: the implementation never adds a stall the reference does
     not justify).
     """
-    context = ExprBddContext()
+    context = SymbolicContext()
     report = RefinementReport(implementation=implementation.name, reference=reference.name)
     for moe in _shared_flags(implementation, reference):
         comparison = _compare(
@@ -313,7 +313,7 @@ def interlocks_equivalent(
             "implementations drive different moe flags: "
             f"{sorted(set(expressions_a) ^ set(expressions_b))}"
         )
-    context = ExprBddContext()
+    context = SymbolicContext()
     report = EquivalenceReport(name_a="implementation A", name_b="implementation B",
                                level="implementation")
     for moe in expressions_a:

@@ -34,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..bdd.expr_to_bdd import ExprBddContext
 from ..bdd.ordering import register_interleaved_order
 from ..expr.ast import Expr, FALSE, Or, TRUE, Var
 from ..expr.builders import big_and
 from ..expr.transform import simplify, substitute
+from ..symbolic import SymbolicContext
 from .derivation import DerivationResult, symbolic_most_liberal
 from .functional import FunctionalSpec
 
@@ -97,17 +97,19 @@ class PropertyReport:
 def check_all_false_satisfies(spec: FunctionalSpec) -> PropertyCheck:
     """Property (1): assigning False to every moe flag satisfies SPEC_func."""
     all_false = {moe: FALSE for moe in spec.moe_flags()}
-    context = ExprBddContext()
+    context = SymbolicContext()
     for clause in spec.clauses:
-        residual = simplify(substitute(clause.functional_formula(), all_false))
-        if not context.is_valid(residual):
+        residual = context.lift(
+            simplify(substitute(clause.functional_formula(), all_false))
+        )
+        if not residual.is_true():
             return PropertyCheck(
                 name="property-1-all-false-satisfies",
                 holds=False,
                 detail=(
                     f"the all-false moe vector violates the clause for {clause.moe}"
                 ),
-                counterexample=context.counterexample(residual),
+                counterexample=residual.counterexample(),
             )
     return PropertyCheck(
         name="property-1-all-false-satisfies",
@@ -142,21 +144,21 @@ def check_semantic_monotonicity(spec: FunctionalSpec) -> PropertyCheck:
     paper's Section 3.1 proof, entails the disjunction-closure property.
     """
     moe_set = set(spec.moe_flags())
-    context = ExprBddContext()
+    context = SymbolicContext()
     for clause in spec.clauses:
         used_moes = [name for name in clause.condition.variables() if name in moe_set]
         for name in used_moes:
             with_move = substitute(clause.condition, {name: TRUE})
             with_stall = substitute(clause.condition, {name: FALSE})
-            claim = with_move.implies(with_stall)
-            if not context.is_valid(claim):
+            claim = context.lift(with_move.implies(with_stall))
+            if not claim.is_true():
                 return PropertyCheck(
                     name="semantic-monotonicity",
                     holds=False,
                     detail=(
                         f"stall condition of {clause.moe} is not monotone in ¬{name}"
                     ),
-                    counterexample=context.counterexample(claim),
+                    counterexample=claim.counterexample(),
                 )
     return PropertyCheck(
         name="semantic-monotonicity",
@@ -179,24 +181,24 @@ def _closure_claim(formula: Expr, moe_flags: List[str]) -> Expr:
     )
 
 
-def _closure_context(spec: FunctionalSpec) -> ExprBddContext:
+def _closure_context(spec: FunctionalSpec) -> SymbolicContext:
     """A manager ordered as the register-interleaved inputs, then each moe
     flag's two copies kept adjacent."""
     order = register_interleaved_order(spec.input_signals())
     for moe in spec.moe_flags():
         order.extend((_copy_name(1, moe), _copy_name(2, moe)))
-    return ExprBddContext(order)
+    return SymbolicContext(order)
 
 
 def _whole_formula_closure(
     spec: FunctionalSpec,
-    context: Optional[ExprBddContext] = None,
+    context: Optional[SymbolicContext] = None,
     route: str = "whole formula",
 ) -> PropertyCheck:
     """Property (2) decided on the two-copy formula over the whole spec."""
     context = context or _closure_context(spec)
-    claim = _closure_claim(spec.functional_formula(), spec.moe_flags())
-    if context.is_valid(claim):
+    claim = context.lift(_closure_claim(spec.functional_formula(), spec.moe_flags()))
+    if claim.is_true():
         return PropertyCheck(
             name="property-2-disjunction-closure",
             holds=True,
@@ -212,7 +214,7 @@ def _whole_formula_closure(
             "found two satisfying moe vectors whose disjunction violates SPEC_func "
             f"(decided on the {route})"
         ),
-        counterexample=context.counterexample(claim),
+        counterexample=claim.counterexample(),
     )
 
 
@@ -239,7 +241,7 @@ def check_disjunction_closure(spec: FunctionalSpec) -> PropertyCheck:
         formula = clause.functional_formula()
         variables = formula.variables()
         used = [moe for moe in moe_flags if moe in variables]
-        if not context.is_valid(_closure_claim(formula, used)):
+        if not context.lift(_closure_claim(formula, used)).is_true():
             return _whole_formula_closure(
                 spec,
                 context,
@@ -263,45 +265,28 @@ def check_most_liberal_satisfies(
 ) -> PropertyCheck:
     """Property (3): the derived most liberal assignment satisfies SPEC_func.
 
-    With a SymbolicFunction-backed derivation the claim is decided on BDD
-    nodes in the derivation's own context: the clause condition is composed
-    with the closed forms and checked against ``¬MOE_i`` directly — no
-    expression is materialized or substituted.
+    The claim is decided on BDD nodes in the derivation's own context: the
+    clause condition is composed with the closed forms and checked against
+    ``¬MOE_i`` directly — no expression is materialized or substituted.
     """
     derivation = derivation or symbolic_most_liberal(spec)
-    if derivation.moe_functions is not None:
-        context = derivation.context
-        manager = context.manager
-        moe_nodes = {
-            moe: function.node for moe, function in derivation.moe_functions.items()
-        }
-        for clause in spec.clauses:
-            condition = manager.compose_many(
-                context.lift(clause.condition).node, moe_nodes
-            )
-            # condition∘MOE → ¬MOE_i is valid iff condition∘MOE ∧ MOE_i = ⊥.
-            violation = manager.and_(condition, moe_nodes[clause.moe])
-            if violation != manager.false():
-                return PropertyCheck(
-                    name="property-3-most-liberal-satisfies",
-                    holds=False,
-                    detail=f"the fixed point violates the clause for {clause.moe}",
-                    counterexample=manager.pick_one(violation),
-                )
-        return PropertyCheck(
-            name="property-3-most-liberal-satisfies",
-            holds=True,
-            detail=f"fixed point reached after {derivation.iterations} iteration(s)",
-        )
+    context = derivation.context
+    manager = context.manager
+    moe_nodes = {
+        moe: function.node for moe, function in derivation.moe_functions.items()
+    }
     for clause in spec.clauses:
-        residual = substitute(clause.functional_formula(), derivation.moe_expressions)
-        context = ExprBddContext()
-        if not context.is_valid(residual):
+        condition = manager.compose_many(
+            context.lift(clause.condition).node, moe_nodes
+        )
+        # condition∘MOE → ¬MOE_i is valid iff condition∘MOE ∧ MOE_i = ⊥.
+        violation = manager.and_(condition, moe_nodes[clause.moe])
+        if violation != manager.false():
             return PropertyCheck(
                 name="property-3-most-liberal-satisfies",
                 holds=False,
                 detail=f"the fixed point violates the clause for {clause.moe}",
-                counterexample=context.counterexample(residual),
+                counterexample=manager.pick_one(violation),
             )
     return PropertyCheck(
         name="property-3-most-liberal-satisfies",
@@ -336,58 +321,34 @@ def check_maximality(
     sufficient: the full specification implies its own cone.)
     """
     derivation = derivation or symbolic_most_liberal(spec)
-    if derivation.moe_functions is not None:
-        context = derivation.context
-        manager = context.manager
-        for moe in spec.moe_flags():
-            cone = _dependency_cone(spec, moe)
-            antecedent = context.lift(
-                big_and(
-                    clause.functional_formula()
-                    for clause in spec.clauses
-                    if clause.moe in cone
-                )
-            ).node
-            # Refuted by a witness of antecedent ∧ moe_i ∧ ¬MOE_i; the fused
-            # relational product decides emptiness without the conjunction.
-            refutation = manager.and_(
-                manager.var(moe),
-                manager.not_(derivation.moe_functions[moe].node),
-            )
-            if (
-                manager.and_exists(antecedent, refutation, manager.variable_order())
-                != manager.false()
-            ):
-                return PropertyCheck(
-                    name="maximality-of-most-liberal",
-                    holds=False,
-                    detail=(
-                        f"found a satisfying assignment with {moe} set although MOE clears it"
-                    ),
-                    counterexample=manager.pick_one(
-                        manager.and_(antecedent, refutation)
-                    ),
-                )
-        return PropertyCheck(
-            name="maximality-of-most-liberal",
-            holds=True,
-            detail="every satisfying moe vector is pointwise below the derived MOE",
-        )
+    context = derivation.context
+    manager = context.manager
     for moe in spec.moe_flags():
         cone = _dependency_cone(spec, moe)
-        antecedent = big_and(
-            clause.functional_formula() for clause in spec.clauses if clause.moe in cone
+        antecedent = context.lift(
+            big_and(
+                clause.functional_formula()
+                for clause in spec.clauses
+                if clause.moe in cone
+            )
+        ).node
+        # Refuted by a witness of antecedent ∧ moe_i ∧ ¬MOE_i; the fused
+        # relational product decides emptiness without the conjunction.
+        refutation = manager.and_(
+            manager.var(moe),
+            manager.not_(derivation.moe_functions[moe].node),
         )
-        claim = antecedent.implies(Var(moe).implies(derivation.moe_expressions[moe]))
-        context = ExprBddContext()
-        if not context.is_valid(claim):
+        if (
+            manager.and_exists(antecedent, refutation, manager.variable_order())
+            != manager.false()
+        ):
             return PropertyCheck(
                 name="maximality-of-most-liberal",
                 holds=False,
                 detail=(
                     f"found a satisfying assignment with {moe} set although MOE clears it"
                 ),
-                counterexample=context.counterexample(claim),
+                counterexample=manager.pick_one(manager.and_(antecedent, refutation)),
             )
     return PropertyCheck(
         name="maximality-of-most-liberal",

@@ -1,12 +1,6 @@
 """Synthesis of interlock RTL from functional specifications (the paper's Section 5 goal)."""
 
 from .hdl_ir import Gate, GateKind, Module, Port, PortDirection
-from .optimize import (
-    FlagOptimization,
-    OptimizationError,
-    OptimizationReport,
-    optimize_derivation,
-)
 from .synthesize import NetlistInterlock, SynthesisResult, synthesize_interlock
 from .verilog import behavioural_verilog, module_to_verilog, synthesis_to_verilog
 from .vhdl import behavioural_vhdl, module_to_vhdl, synthesis_to_vhdl
@@ -17,10 +11,6 @@ __all__ = [
     "Module",
     "Port",
     "PortDirection",
-    "FlagOptimization",
-    "OptimizationError",
-    "OptimizationReport",
-    "optimize_derivation",
     "NetlistInterlock",
     "SynthesisResult",
     "synthesize_interlock",

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..expr.ast import And, Const, Expr, Iff, Implies, Ite, Not, Or, Var
-from ..expr.transform import eliminate_derived, simplify
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.signals import to_hdl_identifier
 from ..spec.derivation import DerivationResult, symbolic_most_liberal
@@ -90,11 +88,10 @@ class NetlistInterlock(ClosedFormInterlock):
 
 
 class _NetlistBuilder:
-    """Lowers expressions and ISOP covers to gates with structural sharing."""
+    """Lowers ISOP covers to gates with structural sharing."""
 
     def __init__(self, module: Module):
         self.module = module
-        self.cache: Dict[Expr, str] = {}
         self._net_cache: Dict[tuple, str] = {}
         self.counter = 0
 
@@ -103,12 +100,6 @@ class _NetlistBuilder:
         name = f"n{self.counter}_{hint}"
         self.module.wires.append(name)
         return name
-
-    def lower(self, expr: Expr) -> str:
-        expr = simplify(eliminate_derived(expr))
-        return self._lower(expr)
-
-    # -- cover lowering (the SymbolicFunction path) --------------------------------
 
     def not_net(self, operand: str) -> str:
         """A shared inverter of an existing net."""
@@ -162,32 +153,6 @@ class _NetlistBuilder:
         )
         return net
 
-    def _lower(self, expr: Expr) -> str:
-        if expr in self.cache:
-            return self.cache[expr]
-        if isinstance(expr, Var):
-            net = to_hdl_identifier(expr.name)
-        elif isinstance(expr, Const):
-            net = self.fresh_wire("const")
-            kind = GateKind.CONST1 if expr.value else GateKind.CONST0
-            self.module.gates.append(Gate(kind=kind, output=net))
-        elif isinstance(expr, Not):
-            operand = self._lower(expr.operand)
-            net = self.fresh_wire("not")
-            self.module.gates.append(Gate(kind=GateKind.NOT, output=net, inputs=(operand,)))
-        elif isinstance(expr, And):
-            operands = tuple(self._lower(op) for op in expr.operands)
-            net = self.fresh_wire("and")
-            self.module.gates.append(Gate(kind=GateKind.AND, output=net, inputs=operands))
-        elif isinstance(expr, Or):
-            operands = tuple(self._lower(op) for op in expr.operands)
-            net = self.fresh_wire("or")
-            self.module.gates.append(Gate(kind=GateKind.OR, output=net, inputs=operands))
-        else:
-            raise TypeError(f"cannot lower node {type(expr).__name__}")
-        self.cache[expr] = net
-        return net
-
 
 def synthesize_interlock(
     spec: FunctionalSpec,
@@ -224,23 +189,18 @@ def synthesize_interlock(
 
     builder = _NetlistBuilder(module)
     for moe in spec.moe_flags():
-        if derivation.moe_functions is not None:
-            # The SymbolicFunction path: gates come straight from the
-            # (possibly complemented) minimized ISOP cover of the BDD node —
-            # no expression tree is built or simplified on the way.
-            complemented, cover = derivation.moe_functions[moe].minimized_cover()
-            hdl_cover = [
-                {name_map.get(name, to_hdl_identifier(name)): polarity
-                 for name, polarity in cube.items()}
-                for cube in cover
-            ]
-            net = builder.lower_cover(hdl_cover)
-            if complemented:
-                net = builder.not_net(net)
-        else:
-            expression = derivation.moe_expressions[moe]
-            hdl_expression = _rename_for_hdl(expression, name_map)
-            net = builder.lower(hdl_expression)
+        # Gates come straight from the (possibly complemented) minimized
+        # ISOP cover of the BDD node — no expression tree is built or
+        # simplified on the way.
+        complemented, cover = derivation.moe_functions[moe].minimized_cover()
+        hdl_cover = [
+            {name_map.get(name, to_hdl_identifier(name)): polarity
+             for name, polarity in cube.items()}
+            for cube in cover
+        ]
+        net = builder.lower_cover(hdl_cover)
+        if complemented:
+            net = builder.not_net(net)
         module.gates.append(
             Gate(kind=GateKind.BUF, output=name_map[moe], inputs=(net,))
         )
@@ -250,9 +210,3 @@ def synthesize_interlock(
         spec=spec, derivation=derivation, module=module, name_map=name_map
     )
 
-
-def _rename_for_hdl(expr: Expr, name_map: Mapping[str, str]) -> Expr:
-    from ..expr.transform import rename
-
-    relevant = {name: name_map[name] for name in expr.variables() if name in name_map}
-    return rename(expr, relevant)

@@ -227,12 +227,6 @@ class TestDerivationArtifacts:
         with pytest.raises(ArtifactError):
             DerivationResult.from_artifact_bytes(spec, data[:-5])
 
-    def test_expression_backed_results_cannot_serialize(self):
-        spec, _ = self._derivation()
-        expr_backed = symbolic_most_liberal(spec, backend="expr")
-        with pytest.raises(ValueError):
-            expr_backed.to_artifact_bytes()
-
     def test_inspect_summarizes_without_splicing(self):
         spec, derivation = self._derivation()
         summary = inspect_artifact(derivation.to_artifact_bytes(include_covers=True))

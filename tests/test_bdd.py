@@ -4,7 +4,6 @@ import pytest
 
 from repro.bdd import (
     BddManager,
-    ExprBddContext,
     compile_expr,
     interleaved_order,
     occurrence_order,
@@ -12,6 +11,7 @@ from repro.bdd import (
     stage_major_order,
 )
 from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr, vars_
+from repro.symbolic import SymbolicContext
 
 
 class TestManagerBasics:
@@ -254,30 +254,22 @@ class TestExprCompiler:
         for assignment in all_assignments(["a", "b", "c"]):
             assert manager.evaluate(node, assignment) == eval_expr(expr, assignment)
 
-    def test_context_validity_and_satisfiability(self):
+    def test_lifted_satisfiability(self):
         a, b = vars_("a", "b")
-        context = ExprBddContext()
-        assert context.is_valid(Or(a, Not(a)))
-        assert not context.is_valid(a)
-        assert context.is_satisfiable(And(a, b))
-        assert not context.is_satisfiable(And(a, Not(a)))
+        context = SymbolicContext()
+        assert context.lift(And(a, b)).is_satisfiable()
+        assert not context.lift(And(a, Not(a))).is_satisfiable()
 
-    def test_context_equivalence(self):
-        a, b, c = vars_("a", "b", "c")
-        context = ExprBddContext()
-        assert context.are_equivalent(And(a, Or(b, c)), Or(And(a, b), And(a, c)))
-        assert not context.are_equivalent(a, b)
-
-    def test_counterexample_and_witness(self):
+    def test_lifted_counterexample_and_witness(self):
         a, b = vars_("a", "b")
-        context = ExprBddContext()
-        counterexample = context.counterexample(Implies(a, b))
+        context = SymbolicContext()
+        counterexample = context.lift(Implies(a, b)).counterexample()
         assert counterexample is not None
         assert counterexample["a"] is True and counterexample["b"] is False
-        assert context.counterexample(Or(a, Not(a))) is None
-        witness = context.witness(And(a, Not(b)))
+        assert context.lift(Or(a, Not(a))).counterexample() is None
+        witness = context.lift(And(a, Not(b))).pick_one()
         assert witness == {"a": True, "b": False}
-        assert context.witness(And(a, Not(a))) is None
+        assert context.lift(And(a, Not(a))).pick_one() is None
 
 
 class TestOrdering:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.assertions import AssertionKind, monitor_trace, testbench_assertions
 from repro.checking import (
     BoundedModelChecker,
     CombinationalModel,
@@ -11,9 +12,11 @@ from repro.checking import (
     timed_name,
 )
 from repro.expr import Var
-from repro.pipeline import ClosedFormInterlock
+from repro.faults import FaultInjector
+from repro.pipeline import ClosedFormInterlock, simulate
 from repro.spec import FunctionalSpec, StallClause, symbolic_most_liberal
 from repro.expr import parse_expr
+from repro.workloads import WorkloadGenerator, WorkloadProfile
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +119,35 @@ class TestStuckResetModel:
         checker = BoundedModelChecker(tiny_spec, stop_at_first=False)
         result = checker.check_performance(model, bound=5)
         assert all(violation.cycle < 2 for violation in result.violations)
+
+    def test_example_bad_reset_refuted_exactly_in_window(self, example_arch, example_spec):
+        # The paper's "incorrect initialisation values": a completion flag
+        # held low after reset is refuted formally, and the simulation
+        # testbench route agrees.
+        reset_cycles, target = 3, "long.4.moe"
+        clean = CombinationalModel.from_derivation(symbolic_most_liberal(example_spec))
+        faulty = StuckResetModel(clean, forced_values={target: False}, cycles=reset_cycles)
+        checker = BoundedModelChecker(
+            example_spec, environment=environment_formula(example_arch), stop_at_first=False
+        )
+        assert checker.check_performance(clean, bound=reset_cycles + 2).holds
+        result = checker.check_performance(faulty, bound=reset_cycles + 2)
+        assert {violation.cycle for violation in result.violations} == set(range(reset_cycles))
+        assert {violation.moe for violation in result.violations} == {target}
+
+        fault = FaultInjector(example_spec, seed=5).bad_reset_fault(
+            target, value=False, cycles=reset_cycles
+        )
+        program = WorkloadGenerator(example_arch, seed=5).generate(WorkloadProfile(length=30))
+        trace = simulate(example_arch, fault.interlock, program)
+        report = monitor_trace(trace, testbench_assertions(example_spec))
+        performance = [
+            violation
+            for violation in report.violations
+            if violation.assertion.kind is AssertionKind.PERFORMANCE
+        ]
+        assert performance
+        assert all(violation.cycle < reset_cycles for violation in performance)
 
 
 class TestRegisteredGrantModel:

@@ -34,7 +34,12 @@ from repro.synth import (
     synthesis_to_verilog,
     synthesize_interlock,
 )
-from repro.workloads import WorkloadGenerator, BALANCED, completion_contention_program
+from repro.workloads import (
+    BALANCED,
+    WorkloadGenerator,
+    WorkloadProfile,
+    completion_contention_program,
+)
 
 
 class TestEnvironmentAssumptions:
@@ -163,6 +168,36 @@ class TestSimulationCampaigns:
         assert result.first_failing_program is not None
         assert result.reports
 
+    def test_wait_blind_fault_needs_wait_stimulus_or_property_check(
+        self, example_arch, example_spec
+    ):
+        # Dropping the WAIT term of the long issue stage is invisible to a
+        # testbench without WAIT instructions; the exhaustive property check
+        # refutes it at once, and WAIT-heavy stimulus does fire assertions.
+        condition = example_spec.condition_for("long.1.moe")
+        wait_index = next(
+            index
+            for index, term in enumerate(condition.operands)
+            if "op_is_WAIT" in term.variables()
+        )
+        fault = FaultInjector(example_spec, seed=0).missing_term_fault(
+            "long.1.moe", term_index=wait_index
+        )
+        assertions = testbench_assertions(example_spec)
+        campaign = dict(num_programs=3, seed=0)
+        without_waits = random_simulation_campaign(
+            example_arch, fault.interlock, assertions,
+            profile=WorkloadProfile(length=60, wait_rate=0.0), **campaign,
+        )
+        assert not without_waits.any_violation
+        checker = PropertyChecker(example_spec, architecture=example_arch)
+        assert checker.check_functional(fault.interlock).failing_stages() == ["long.1.moe"]
+        with_waits = random_simulation_campaign(
+            example_arch, fault.interlock, assertions,
+            profile=WorkloadProfile(length=60, wait_rate=0.3), **campaign,
+        )
+        assert with_waits.functional_violations > 0
+
     def test_exhaustive_campaign_enumerates_programs(self, example_arch, example_spec, example_interlock):
         alphabet = {
             "long": [alu("long", dst=0), bubble("long")],
@@ -254,9 +289,10 @@ class TestSynthesis:
         with pytest.raises(KeyError):
             synthesis.module.evaluate({})
 
-    def test_gate_count_positive(self, example_spec):
-        synthesis = synthesize_interlock(example_spec)
-        assert synthesis.gate_count() > len(example_spec.moe_flags())
+    def test_gate_count_positive(self, example_spec, firepath_spec):
+        for spec in (example_spec, firepath_spec):
+            synthesis = synthesize_interlock(spec)
+            assert synthesis.gate_count() > len(spec.moe_flags())
 
 
 class TestFaultInjection:
@@ -342,6 +378,13 @@ class TestFaultInjection:
         assert summary.total() == 3
         assert summary.detected_by_simulation() == 3
         assert summary.correctly_classified() == 3
+        assert summary.detected_by_any() == summary.total()
+        # Initialisation faults lie outside the combinational property
+        # check; the check classifies every fault it applies to.
+        assert summary.property_check_applicable(FaultClass.INITIALISATION) == 0
+        applicable = summary.property_check_applicable()
+        assert summary.detected_by_property_check() == applicable
+        assert summary.property_correctly_classified() == applicable
         rows = summary.rows()
         assert len(rows) == 3
         class_rows = summary.summary_rows()

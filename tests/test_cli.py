@@ -136,10 +136,8 @@ class TestGenerationCommands:
         assert code == 0
         assert "architecture netlist" in output
 
-    def test_optimized_behavioural_vhdl(self, spec_file):
-        code, output = run_cli(
-            "synth", "--spec-file", spec_file, "--language", "vhdl", "--optimize"
-        )
+    def test_behavioural_vhdl(self, spec_file):
+        code, output = run_cli("synth", "--spec-file", spec_file, "--language", "vhdl")
         assert code == 0
         assert "architecture rtl" in output
 

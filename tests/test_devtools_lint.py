@@ -33,6 +33,7 @@ ALL_CODES = (
     "RPL005",
     "RPL006",
     "RPL007",
+    "RPL008",
 )
 
 

@@ -7,7 +7,6 @@ NNF conversion, Tseitin CNF + SAT, and the BDD compiler.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import ExprBddContext
 from repro.expr import (
     And,
     Iff,
@@ -25,6 +24,7 @@ from repro.expr import (
     to_text,
 )
 from repro.sat import solve_clauses
+from repro.symbolic import SymbolicContext
 
 VARIABLE_NAMES = ["a", "b", "c", "d", "e"]
 
@@ -83,8 +83,8 @@ def test_tseitin_equisatisfiable_with_enumeration(expr):
 @settings(max_examples=40, deadline=None)
 @given(expressions(max_leaves=8))
 def test_bdd_agrees_with_enumeration(expr):
-    context = ExprBddContext()
-    node = context.compile(expr)
+    context = SymbolicContext()
+    node = context.lift(expr).node
     for assignment in all_assignments(expr.variables()):
         expected = eval_expr(expr, assignment)
         if context.manager.support(node):

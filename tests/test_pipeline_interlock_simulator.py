@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis import classify_stalls, compare_traces
 from repro.archs import generate_family, load_architecture
 from repro.expr import UnboundVariableError, Var, eval_expr
 from repro.faults import FaultInjector
@@ -101,6 +102,16 @@ class TestInterlockImplementations:
         assert slow.hazard_free()
         assert slow.num_cycles() > fast.num_cycles()
         assert slow.retired_instructions == fast.retired_instructions
+        # The Section 4 completion-logic redesign: the derived interlock
+        # removes completion-stage stalls and raises throughput.
+        assert compare_traces(slow, fast).speedup > 1.0
+        assert fast.instructions_per_cycle() > slow.instructions_per_cycle()
+        completion = ("long.4.moe", "short.2.moe")
+        slow_stalls = classify_stalls(slow, example_spec).per_stage
+        fast_stalls = classify_stalls(fast, example_spec).per_stage
+        assert sum(fast_stalls[flag].stall_cycles for flag in completion) < sum(
+            slow_stalls[flag].stall_cycles for flag in completion
+        )
 
 
 class EvalExprInterlock(ClosedFormInterlock):

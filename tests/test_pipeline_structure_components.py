@@ -147,6 +147,11 @@ class TestStructure:
         assert len(inputs) == len(set(inputs))
         assert example_arch.stage_count() == 6
 
+    def test_default_example_matches_figure_1(self, example_arch_full):
+        assert example_arch_full.stage_count() == 6
+        assert [pipe.num_stages for pipe in example_arch_full.pipes] == [4, 2]
+        assert example_arch_full.scoreboard.num_registers == 8
+
     def test_completion_stages(self, example_arch):
         assert {str(s) for s in example_arch.completion_stages()} == {"long.4", "short.2"}
 

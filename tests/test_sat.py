@@ -159,7 +159,7 @@ class TestExpressionInterface:
         assert check_consistent()
 
     def test_agreement_with_bdd_backend(self):
-        from repro.bdd import ExprBddContext
+        from repro.symbolic import SymbolicContext
 
         a, b, c = vars_("a", "b", "c")
         formulas = [
@@ -168,7 +168,8 @@ class TestExpressionInterface:
             And(a, Not(a)),
             Or(a, b, c),
         ]
-        context = ExprBddContext()
+        context = SymbolicContext()
         for formula in formulas:
-            assert bool(check_valid(formula)) == context.is_valid(formula)
-            assert bool(check_satisfiable(formula)) == context.is_satisfiable(formula)
+            function = context.lift(formula)
+            assert bool(check_valid(formula)) == function.is_true()
+            assert bool(check_satisfiable(formula)) == function.is_satisfiable()

@@ -3,7 +3,9 @@
 The end-to-end tests run a real daemon on an ephemeral localhost port via
 ``start_service`` and talk to it over actual sockets with the stdlib
 client — the same path ``repro submit`` takes.  Everything uses the tiny
-``fam-`` family architectures so a full six-stage job stays around 0.1 s.
+``fam-`` family architectures so jobs stay short.  No test relies on a job
+still running after some delay: a test that needs the single runner busy
+holds its job on a ``threading.Event`` instead.
 """
 
 import asyncio
@@ -17,6 +19,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, JobSpec, ResultStore
 from repro.cli import main as cli_main
+from repro.service import daemon
 from repro.service import (
     JobState,
     ServiceClosing,
@@ -27,7 +30,7 @@ from repro.service import (
     start_service,
 )
 
-#: Small enough that a full six-stage job takes ~0.1 s.
+#: A full six-stage job at the smallest workload and fault budget.
 TINY = dict(workload_length=24, max_faults=2)
 #: A properties+derive-only job on this architecture runs in ~10 ms.
 LIGHT = dict(stages="properties,derive", **TINY)
@@ -162,16 +165,32 @@ class TestEndToEnd:
             [ARCH, ARCH2]
         )
 
-    def test_cancel_queued_job(self, service):
+    def test_cancel_queued_job(self, service, monkeypatch):
+        # Hold the blocker on the single runner until the cancel has been
+        # checked, so the second job is still queued when it arrives.
+        started, release = threading.Event(), threading.Event()
+        real_run_campaign = daemon.run_campaign
+
+        def held_run_campaign(spec, **kwargs):
+            if any(job.arch == ARCH for job in spec.jobs):
+                started.set()
+                release.wait(timeout=60)
+            return real_run_campaign(spec, **kwargs)
+
+        monkeypatch.setattr(daemon, "run_campaign", held_run_campaign)
         client = service.client()
-        blocker = client.submit(arch=ARCH, **TINY)  # full stages, occupies runner
-        queued = submit_light(client, arch=ARCH2)
-        response = client.cancel(queued["job"]["id"])
-        assert response["cancelled"] is True
-        record = client.job(queued["job"]["id"])
-        assert record["state"] == JobState.CANCELLED
-        # Cancelling a terminal job is a no-op, not an error.
-        assert client.cancel(queued["job"]["id"])["cancelled"] is False
+        blocker = client.submit(arch=ARCH, **TINY)
+        try:
+            assert started.wait(timeout=30)
+            queued = submit_light(client, arch=ARCH2)
+            response = client.cancel(queued["job"]["id"])
+            assert response["cancelled"] is True
+            record = client.job(queued["job"]["id"])
+            assert record["state"] == JobState.CANCELLED
+            # Cancelling a terminal job is a no-op, not an error.
+            assert client.cancel(queued["job"]["id"])["cancelled"] is False
+        finally:
+            release.set()
         final = client.wait(blocker["job"]["id"], timeout=120)
         assert final["state"] == JobState.DONE
 

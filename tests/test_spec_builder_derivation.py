@@ -3,7 +3,6 @@
 import pytest
 
 from repro.archs import example_architecture, risc5_architecture, scaled_architecture
-from repro.bdd import ExprBddContext
 from repro.expr import FALSE, Or, TRUE, Var, eval_expr
 from repro.pipeline import signals as sig
 from repro.spec import (
@@ -22,6 +21,7 @@ from repro.spec import (
     unnecessary_stall_condition,
 )
 from repro.spec.functional import SpecificationError
+from repro.symbolic import SymbolicContext
 
 
 class TestSpecBuilder:
@@ -73,16 +73,13 @@ class TestSpecBuilder:
     def test_conservative_variant_stalls_more(self, example_arch):
         normal = build_functional_spec(example_arch)
         conservative = conservative_variant(example_arch)
-        context = ExprBddContext()
+        context = SymbolicContext()
         # The conservative issue condition is implied by... the other way round:
         # the normal condition implies the conservative one (fewer escape hatches).
-        claim = normal.condition_for("long.1.moe").implies(
-            conservative.condition_for("long.1.moe")
-        )
-        assert context.is_valid(claim)
-        assert not context.are_equivalent(
-            normal.condition_for("long.1.moe"), conservative.condition_for("long.1.moe")
-        )
+        normal_stall = context.lift(normal.condition_for("long.1.moe"))
+        conservative_stall = context.lift(conservative.condition_for("long.1.moe"))
+        assert normal_stall.implies(conservative_stall).is_true()
+        assert not normal_stall.equivalent(conservative_stall)
 
     def test_final_stage_without_bus_never_stalls(self):
         from repro.pipeline import Architecture, PipeSpec
@@ -199,10 +196,10 @@ class TestSymbolicDerivation:
         assert eval_expr(expression, {"long.req": False, "long.gnt": False}) is True
 
     def test_stall_expressions_are_negations(self, example_derivation):
-        context = ExprBddContext()
+        context = SymbolicContext()
         stalls = example_derivation.stall_expressions()
         for moe, expression in example_derivation.moe_expressions.items():
-            assert context.are_equivalent(stalls[moe], ~expression)
+            assert context.lift(stalls[moe]).equivalent(context.lift(~expression))
 
     def test_bdd_sizes_reported(self, example_derivation):
         assert set(example_derivation.bdd_sizes) == set(example_derivation.moe_expressions)

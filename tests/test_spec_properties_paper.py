@@ -17,7 +17,6 @@ from repro.archs import (
     paper_performance_formula,
     paper_stall_conditions,
 )
-from repro.bdd import ExprBddContext
 from repro.expr import FALSE, Or, Var, eval_expr
 from repro.spec import (
     FunctionalSpec,
@@ -32,6 +31,7 @@ from repro.spec import (
     derive_performance_spec,
     symbolic_most_liberal,
 )
+from repro.symbolic import SymbolicContext
 from repro.spec.properties import _whole_formula_closure, check_semantic_monotonicity
 
 
@@ -205,44 +205,52 @@ class TestPaperCaseStudy:
         return build_functional_spec(arch)
 
     def test_stall_conditions_match_figure_2_per_stage(self, spec):
-        context = ExprBddContext()
+        context = SymbolicContext()
         for moe, paper_condition in paper_stall_conditions(2).items():
-            assert context.are_equivalent(spec.condition_for(moe), paper_condition), moe
+            assert context.lift(spec.condition_for(moe)).equivalent(
+                context.lift(paper_condition)
+            ), moe
 
     def test_functional_formula_matches_figure_2(self, spec):
-        context = ExprBddContext()
-        assert context.are_equivalent(spec.functional_formula(), paper_functional_formula(2))
+        context = SymbolicContext()
+        assert context.lift(spec.functional_formula()).equivalent(
+            context.lift(paper_functional_formula(2))
+        )
 
     def test_performance_formula_matches_figure_3(self, spec):
-        context = ExprBddContext()
+        context = SymbolicContext()
         performance = derive_performance_spec(spec)
-        assert context.are_equivalent(performance.formula(), paper_performance_formula(2))
+        assert context.lift(performance.formula()).equivalent(
+            context.lift(paper_performance_formula(2))
+        )
 
     def test_combined_formula_matches_section_2_2_3(self, spec):
-        context = ExprBddContext()
-        assert context.are_equivalent(spec.combined_formula(), paper_combined_formula(2))
+        context = SymbolicContext()
+        assert context.lift(spec.combined_formula()).equivalent(
+            context.lift(paper_combined_formula(2))
+        )
 
     def test_full_register_count_also_matches(self, example_spec_full):
-        context = ExprBddContext()
-        assert context.are_equivalent(
-            example_spec_full.functional_formula(), paper_functional_formula(8)
+        context = SymbolicContext()
+        assert context.lift(example_spec_full.functional_formula()).equivalent(
+            context.lift(paper_functional_formula(8))
         )
 
     def test_figure_3_is_the_fixed_point(self, spec):
         """The derived MOE closed forms satisfy exactly the Figure 3 equivalences."""
         derivation = symbolic_most_liberal(spec)
-        context = ExprBddContext()
+        context = SymbolicContext()
         from repro.expr.transform import substitute
 
         combined = paper_combined_formula(2)
         residual = substitute(combined, derivation.moe_expressions)
-        assert context.is_valid(residual)
+        assert context.lift(residual).is_true()
 
     def test_paper_formula_satisfied_by_all_false(self, spec):
         """Property (1) exactly as stated in the paper: f(<False,...,False>)."""
         from repro.expr import FALSE
         from repro.expr.transform import substitute
 
-        context = ExprBddContext()
+        context = SymbolicContext()
         all_false = {moe: FALSE for moe in spec.moe_flags()}
-        assert context.is_valid(substitute(paper_functional_formula(2), all_false))
+        assert context.lift(substitute(paper_functional_formula(2), all_false)).is_true()

@@ -7,9 +7,12 @@ the node it came from, and both must agree pointwise with the original
 expression on every assignment.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.archs import generate_family, load_architecture
 from repro.bdd import register_interleaved_order
 from repro.bdd.manager import BddManager, CoverBudgetExceeded
 from repro.expr import (
@@ -24,7 +27,7 @@ from repro.expr import (
     all_assignments,
     eval_expr,
 )
-from repro.spec import symbolic_most_liberal
+from repro.spec import build_functional_spec, concrete_most_liberal, symbolic_most_liberal
 from repro.symbolic import SymbolicContext, SymbolicFunction
 
 VARIABLE_NAMES = ["a", "b", "c", "d", "e"]
@@ -186,27 +189,29 @@ class TestSymbolicFunctionAlgebra:
         assert f.sat_count() == 1  # over its scope, not the whole manager
 
 
-class TestDerivationBackends:
-    def test_bdd_and_expr_backends_agree(self, example_spec):
-        bdd_result = symbolic_most_liberal(example_spec, backend="bdd")
-        expr_result = symbolic_most_liberal(example_spec, backend="expr")
-        context = SymbolicContext()
-        for moe in example_spec.moe_flags():
-            lhs = context.lift(bdd_result.moe_expressions[moe])
-            rhs = context.lift(expr_result.moe_expressions[moe])
-            assert lhs.node == rhs.node, f"backends disagree on {moe}"
+#: The paper's example at full size plus the default 24-member family grid.
+REFERENCE_ARCHS = ["dac2002-example"] + [config.name for config in generate_family()]
 
-    def test_bdd_backend_carries_functions_expr_backend_does_not(self, example_spec):
-        assert symbolic_most_liberal(example_spec).moe_functions is not None
-        legacy = symbolic_most_liberal(example_spec, backend="expr")
-        assert legacy.moe_functions is None
-        with pytest.raises(KeyError):
-            legacy.moe_function(example_spec.moe_flags()[0])
 
-    def test_unknown_backend_rejected(self, example_spec):
-        with pytest.raises(ValueError):
-            symbolic_most_liberal(example_spec, backend="sat")
+class TestDerivationAgainstConcreteFixedPoint:
+    @pytest.mark.parametrize("arch_name", REFERENCE_ARCHS)
+    def test_closed_forms_match_concrete_fixed_point(self, arch_name):
+        # The reference iterates equation (4) per valuation with eval_expr
+        # and shares no BDD code with the symbolic derivation.
+        spec = build_functional_spec(load_architecture(arch_name))
+        derivation = symbolic_most_liberal(spec)
+        covers = derivation.moe_expressions
+        rng = random.Random(arch_name)
+        for _ in range(64):
+            valuation = {name: rng.random() < 0.5 for name in spec.input_signals()}
+            expected = concrete_most_liberal(spec, valuation)
+            assert derivation.evaluate(valuation) == expected, valuation
+            assert {
+                moe: eval_expr(cover, valuation) for moe, cover in covers.items()
+            } == expected, valuation
 
+
+class TestDerivationResult:
     def test_stall_expressions_are_memoized(self, example_spec):
         derivation = symbolic_most_liberal(example_spec)
         first = derivation.stall_expressions()
