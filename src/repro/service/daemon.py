@@ -39,10 +39,10 @@ import os
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
-from ..archs import load_architecture
+from ..archs import is_family_name, load_architecture
 from ..campaign.orchestrator import (
     CampaignCancelled,
     run_campaign,
@@ -125,6 +125,9 @@ class VerificationService:
         self._closing = False
         self._closed = False
         self._current_job_id: Optional[str] = None
+        # Family names that resolved once: a family member is a pure
+        # function of its name, so it cannot stop resolving later.
+        self._resolved_families: Set[str] = set()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -216,7 +219,13 @@ class VerificationService:
             raise ServiceClosing("service is shutting down; submission refused")
         assert self._loop is not None and self._probe is not None
         spec, priority = parse_submission(payload)
-        await self._loop.run_in_executor(self._probe, _validate_archs, spec)
+        # A cached resubmission of a known family member skips the probe
+        # thread round trip; every other name is resolved off the loop.
+        if not all(job.arch in self._resolved_families for job in spec.jobs):
+            await self._loop.run_in_executor(self._probe, _validate_archs, spec)
+            self._resolved_families.update(
+                job.arch for job in spec.jobs if is_family_name(job.arch)
+            )
         if self.dedup:
             existing_id = self._active_key.get(spec.campaign_key())
             existing = self._jobs.get(existing_id or "")

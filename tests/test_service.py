@@ -467,6 +467,37 @@ class TestLifecycle:
 
         asyncio.run(scenario())
 
+    def test_family_names_resolve_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_validate = daemon._validate_archs
+
+        def counting_validate(spec):
+            calls.append([job.arch for job in spec.jobs])
+            real_validate(spec)
+
+        monkeypatch.setattr(daemon, "_validate_archs", counting_validate)
+
+        async def scenario():
+            service = VerificationService(
+                store=ResultStore(tmp_path / "store"), workers=1
+            )
+            await service.start()
+            try:
+                first, _ = await service.submit({"arch": ARCH, **LIGHT})
+                async for _ in service.stream(first.id):
+                    pass
+                again, _ = await service.submit({"arch": ARCH, **LIGHT})
+                assert again.terminal and again.from_cache
+                # A name that failed to resolve is tried again every time.
+                for _ in range(2):
+                    with pytest.raises(SubmissionError):
+                        await service.submit({"arch": "fam-r0w1d3s1-bypass"})
+            finally:
+                await service.close()
+
+        asyncio.run(scenario())
+        assert calls == [[ARCH], ["fam-r0w1d3s1-bypass"], ["fam-r0w1d3s1-bypass"]]
+
     def test_graceful_stop_drains_running_job(self, tmp_path):
         handle = start_service(store_root=str(tmp_path / "store"), workers=1)
         client = handle.client()
