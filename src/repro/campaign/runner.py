@@ -337,8 +337,9 @@ def _stage_faults(
 ) -> StageResult:
     spec = state["spec"]
     architecture = state["architecture"]
+    derivation, _ = _ensure_derivation(state, job, store)
     profile = WorkloadProfile(length=job.workload_length)
-    injector = FaultInjector(spec, seed=job.workload_seed)
+    injector = FaultInjector(spec, seed=job.workload_seed, derivation=derivation)
     faults = injector.standard_fault_set(limit=job.max_faults)
     if not faults:
         return StageResult(
@@ -351,8 +352,10 @@ def _stage_faults(
         num_programs=job.num_programs,
         seed=job.workload_seed,
         max_cycles=job.workload_length * 8 + 100,
+        derivation=derivation,
     )
     summary = campaign.run(faults)
+    annotate(checker_kernel=campaign.property_checker.kernel_stats())
     missed = summary.effective_total() - sum(
         1 for record in summary.records if not record.vacuous and record.detected_by_any
     )

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
+from ..bdd.ordering import register_interleaved_order
 from ..expr.ast import Expr, Not
 from ..expr.transform import substitute
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.structure import Architecture
 from ..sat.interface import check_valid
-from ..spec.derivation import symbolic_most_liberal
+from ..spec.derivation import DerivationResult, symbolic_most_liberal
 from ..spec.functional import FunctionalSpec
 from ..symbolic import SymbolicContext, SymbolicFunction
 from .environment import environment_formula
@@ -82,7 +83,11 @@ class CheckReport:
 
 
 class PropertyChecker:
-    """Checks closed-form interlock implementations exhaustively."""
+    """Checks closed-form interlock implementations exhaustively.
+
+    ``derivation``, when given, must be the derivation of ``spec``; the
+    equivalence check then reuses it instead of deriving the spec again.
+    """
 
     def __init__(
         self,
@@ -90,6 +95,7 @@ class PropertyChecker:
         architecture: Optional[Architecture] = None,
         use_environment: bool = True,
         backend: str = "bdd",
+        derivation: Optional[DerivationResult] = None,
     ):
         if backend not in ("bdd", "sat"):
             raise ValueError(f"backend must be 'bdd' or 'sat', got {backend!r}")
@@ -103,8 +109,21 @@ class PropertyChecker:
         # One shared BDD context per checker: the environment formula, the
         # specification conditions and the derived moe equations are compiled
         # once and reused across every claim (a campaign may prove hundreds).
-        self._context = SymbolicContext() if backend == "bdd" else None
-        self._derivation = None
+        # Register-interleaved, like the derivation's own manager: in
+        # declaration order the scoreboard terms blow up exponentially in
+        # the register count.
+        self._context = (
+            SymbolicContext(register_interleaved_order(spec.input_signals()))
+            if backend == "bdd"
+            else None
+        )
+        self._derivation = derivation
+
+    def kernel_stats(self) -> Optional[Dict[str, float]]:
+        """Counters of the checker's shared BDD manager (None with SAT)."""
+        if self._context is None:
+            return None
+        return self._context.manager.stats().as_dict()
 
     # -- helpers --------------------------------------------------------------------
 

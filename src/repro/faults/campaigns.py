@@ -21,9 +21,11 @@ from typing import Dict, List, Optional, Sequence
 from ..assertions.generate import AssertionKind, testbench_assertions
 from ..assertions.monitor import AssertionMonitor
 from ..checking.property_check import PropertyChecker
+from ..obs import span
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.simulator import PipelineSimulator, SimulatorConfig
 from ..pipeline.structure import Architecture
+from ..spec.derivation import DerivationResult
 from ..spec.functional import FunctionalSpec
 from ..workloads.generators import WorkloadGenerator, WorkloadProfile
 from .injection import FaultClass, FaultInjector, InjectedFault
@@ -311,6 +313,7 @@ class FaultCampaign:
         seed: int = 0,
         max_cycles: int = 600,
         property_backend: str = "bdd",
+        derivation: Optional[DerivationResult] = None,
     ):
         self.architecture = architecture
         self.spec = spec
@@ -322,33 +325,64 @@ class FaultCampaign:
         # One monitor for every fault in the campaign: the assertion
         # formulas are compiled to bit-parallel evaluators exactly once.
         self.monitor = AssertionMonitor(self.assertions)
+        self.derivation = derivation
         self.property_checker = PropertyChecker(
-            spec, architecture=architecture, backend=property_backend
+            spec,
+            architecture=architecture,
+            backend=property_backend,
+            derivation=derivation,
         )
 
     def run_fault(self, fault: InjectedFault) -> DetectionRecord:
-        """Evaluate one injected fault with both verification routes."""
+        """Evaluate one injected fault with both verification routes.
+
+        Traced runs record a ``fault`` span with ``fault.simulate`` and
+        ``fault.check`` children; with tracing off they cost nothing.
+        """
         record = DetectionRecord(fault=fault)
         monitor = self.monitor
         config = SimulatorConfig(max_cycles=self.max_cycles)
-        for index in range(self.num_programs):
-            generator = WorkloadGenerator(self.architecture, seed=self.seed + index)
-            program = generator.generate(self.profile)
-            simulator = PipelineSimulator(self.architecture, fault.interlock, config)
-            trace = simulator.run(program)
-            report = monitor.check_trace(trace)
-            record.simulation_cycles += trace.num_cycles()
-            record.physical_hazards += trace.hazard_count()
-            record.performance_violations += report.violation_count(AssertionKind.PERFORMANCE)
-            record.functional_violations += report.violation_count(AssertionKind.FUNCTIONAL)
+        with span(
+            "fault", fault_class=fault.fault_class.value, target=fault.target_moe
+        ) as fault_span:
+            with span("fault.simulate", programs=self.num_programs) as simulate_span:
+                for index in range(self.num_programs):
+                    generator = WorkloadGenerator(self.architecture, seed=self.seed + index)
+                    program = generator.generate(self.profile)
+                    simulator = PipelineSimulator(self.architecture, fault.interlock, config)
+                    trace = simulator.run(program)
+                    report = monitor.check_trace(trace)
+                    record.simulation_cycles += trace.num_cycles()
+                    record.physical_hazards += trace.hazard_count()
+                    record.performance_violations += report.violation_count(
+                        AssertionKind.PERFORMANCE
+                    )
+                    record.functional_violations += report.violation_count(
+                        AssertionKind.FUNCTIONAL
+                    )
+                simulate_span.annotate(
+                    cycles=record.simulation_cycles, hazards=record.physical_hazards
+                )
 
-        if isinstance(fault.interlock, ClosedFormInterlock):
-            performance = self.property_checker.check_performance(fault.interlock)
-            functional = self.property_checker.check_functional(fault.interlock)
-            equivalence = self.property_checker.check_equivalence_with_derived(fault.interlock)
-            record.property_check_performance_failed = not performance.all_hold()
-            record.property_check_functional_failed = not functional.all_hold()
-            record.property_check_equivalence_failed = not equivalence.all_hold()
+            if isinstance(fault.interlock, ClosedFormInterlock):
+                with span("fault.check") as check_span:
+                    checker = self.property_checker
+                    performance = checker.check_performance(fault.interlock)
+                    functional = checker.check_functional(fault.interlock)
+                    equivalence = checker.check_equivalence_with_derived(fault.interlock)
+                    record.property_check_performance_failed = not performance.all_hold()
+                    record.property_check_functional_failed = not functional.all_hold()
+                    record.property_check_equivalence_failed = not equivalence.all_hold()
+                    check_span.annotate(
+                        performance_failed=record.property_check_performance_failed,
+                        functional_failed=record.property_check_functional_failed,
+                        equivalence_failed=record.property_check_equivalence_failed,
+                    )
+            fault_span.annotate(
+                cycles=record.simulation_cycles,
+                hazards=record.physical_hazards,
+                detected=record.detected_by_any,
+            )
         return record
 
     def run(self, faults: Sequence[InjectedFault]) -> CampaignSummary:
@@ -360,5 +394,5 @@ class FaultCampaign:
 
     def run_standard_set(self, reset_cycles: int = 4) -> CampaignSummary:
         """Inject the standard per-stage fault set and evaluate it."""
-        injector = FaultInjector(self.spec, seed=self.seed)
+        injector = FaultInjector(self.spec, seed=self.seed, derivation=self.derivation)
         return self.run(injector.standard_fault_set(reset_cycles=reset_cycles))

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional
 from ..expr.ast import And, Expr, FALSE, Not, Or, TRUE, Var
 from ..expr.transform import simplify
 from ..pipeline.interlock import ClosedFormInterlock, Interlock, StuckResetInterlock
-from ..spec.derivation import symbolic_most_liberal
+from ..spec.derivation import DerivationResult, symbolic_most_liberal
 from ..spec.functional import FunctionalSpec, StallClause
 
 
@@ -58,12 +58,24 @@ class InjectedFault:
 
 
 class FaultInjector:
-    """Generates mutated interlocks from a functional specification."""
+    """Generates mutated interlocks from a functional specification.
 
-    def __init__(self, spec: FunctionalSpec, seed: int = 0):
+    ``derivation``, when given, must be the derivation of ``spec`` (a job
+    passes the one its derive stage produced); otherwise the spec is
+    derived here.
+    """
+
+    def __init__(
+        self,
+        spec: FunctionalSpec,
+        seed: int = 0,
+        derivation: Optional[DerivationResult] = None,
+    ):
         self.spec = spec
         self.seed = seed
-        self.derivation = symbolic_most_liberal(spec)
+        self.derivation = (
+            derivation if derivation is not None else symbolic_most_liberal(spec)
+        )
         self.reference = ClosedFormInterlock.from_derivation(self.derivation)
 
     # -- spec mutation plumbing ------------------------------------------------------------

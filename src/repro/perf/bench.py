@@ -17,7 +17,8 @@ Besides the timing, each result carries a ``metrics`` snapshot: whatever
 the scenario's timed region added to the :mod:`repro.obs` registry
 (campaign scenarios fold their workers' kernel/cache counters home), plus
 scenario-specific collectors — the derivation benchmarks report live BDD
-node counts, cache hit rates and GC/reorder activity.  The snapshot is
+node counts, cache hit rates and GC/reorder activity, and the fault
+campaign reports the size of its property checker's manager.  The snapshot is
 informational (the ``--check`` gate compares only seconds); with
 ``--repeat`` the registry counters accumulate over all repetitions.
 """
@@ -42,6 +43,7 @@ from ..checking import (
 )
 from ..expr.evaluate import is_tautology_by_enumeration
 from ..expr.transform import substitute
+from ..faults import FaultCampaign, FaultInjector
 from ..pipeline import ClosedFormInterlock, simulate
 from ..spec import build_functional_spec, conservative_variant, symbolic_most_liberal
 from ..workloads import WorkloadGenerator, WorkloadProfile
@@ -105,6 +107,16 @@ def _kernel_metrics(derivation: Any) -> Dict[str, Any]:
         "kernel_gc_runs": stats["gc_runs"],
         "kernel_gc_reclaimed": stats["gc_reclaimed"],
         "kernel_reorder_runs": stats["reorder_runs"],
+    }
+
+
+def _checker_kernel_metrics(campaign: Any) -> Dict[str, Any]:
+    """Size and cache traffic of a fault campaign's property-checker manager."""
+    stats = campaign.property_checker.kernel_stats()
+    return {
+        "checker_allocated_slots": stats["allocated_slots"],
+        "checker_live_nodes": stats["live_nodes"],
+        "checker_cache_misses": stats["cache_misses"],
     }
 
 
@@ -262,6 +274,35 @@ def _run_property_check(state):
     if performance.all_hold() and equivalence.all_hold():
         raise AssertionError("conservative variant must fail the performance half")
     return functional, performance, equivalence
+
+
+def _setup_faults_dac2002(quick: bool):
+    # The full 8-register paper example in both modes: the property
+    # checker's work does not shrink with the workload length, and a
+    # badly ordered checker manager is what this scenario exists to catch.
+    arch = example_architecture()
+    spec = build_functional_spec(arch)
+    derivation = symbolic_most_liberal(spec)
+    faults = FaultInjector(spec, seed=0, derivation=derivation).standard_fault_set(limit=4)
+    return arch, spec, derivation, faults, 24 if quick else 48
+
+
+def _run_faults_dac2002(state):
+    # What a dac2002-example job's faults stage runs, with the job defaults.
+    arch, spec, derivation, faults, length = state
+    campaign = FaultCampaign(
+        arch,
+        spec,
+        profile=WorkloadProfile(length=length),
+        num_programs=1,
+        seed=0,
+        max_cycles=length * 8 + 100,
+        derivation=derivation,
+    )
+    summary = campaign.run(faults)
+    if summary.detected_by_property_check() != len(faults):
+        raise AssertionError("the property check must detect every injected fault")
+    return campaign
 
 
 def _setup_campaign_sweep(quick: bool):
@@ -444,6 +485,15 @@ _SCENARIOS: List[Scenario] = [
         setup=_setup_property_check,
         run=_run_property_check,
         meta={"kind": "property-check"},
+    ),
+    Scenario(
+        name="faults_dac2002",
+        description="faults stage of a paper-example job: 4 injected faults, each "
+        "simulated with assertions and property checked (8-register scoreboard)",
+        setup=_setup_faults_dac2002,
+        run=_run_faults_dac2002,
+        meta={"kind": "fault-campaign"},
+        collect=_checker_kernel_metrics,
     ),
     Scenario(
         name="campaign_sweep",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from . import signals as sig
 from .structure import ScoreboardSpec
 
 
@@ -24,6 +23,7 @@ class Scoreboard:
     def __init__(self, spec: ScoreboardSpec):
         self.spec = spec
         self._outstanding: List[bool] = [False] * spec.num_registers
+        self._names = tuple(spec.bit_names())
 
     # -- queries ------------------------------------------------------------------
 
@@ -73,10 +73,7 @@ class Scoreboard:
 
     def as_signals(self) -> Dict[str, bool]:
         """Scoreboard bits as a signal valuation (``scb[a]`` names)."""
-        return {
-            sig.scoreboard_name(address, self.spec.prefix): value
-            for address, value in enumerate(self._outstanding)
-        }
+        return dict(zip(self._names, self._outstanding))
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.spec.num_registers:

@@ -21,12 +21,12 @@ violations to their physical consequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import signals as sig
 from .arbitration import Arbiter, make_arbiter
-from .instructions import Instruction, InstructionKind, Program
+from .instructions import Instruction, Program
 from .interlock import Interlock
 from .scoreboard import Scoreboard
 from .structure import Architecture, PipeSpec
@@ -69,6 +69,63 @@ class _Slot:
         self.wait_remaining = 0
 
 
+class _PipePlan:
+    """The names and slots of one pipe the simulator reads every cycle.
+
+    Built once per simulator so the per-cycle loop neither builds
+    :class:`~repro.pipeline.structure.StageRef` lists nor formats signal
+    names.  ``stages`` holds ``(index, slot, rtm name, moe name, "pipe.index"
+    key)`` tuples, issue stage first; ``deepest_first`` is the same tuple
+    reversed.
+    """
+
+    __slots__ = (
+        "name",
+        "num_stages",
+        "completion_bus",
+        "stages",
+        "deepest_first",
+        "issue_slot",
+        "completion_slot",
+        "issue_moe",
+        "req",
+        "src_names",
+        "dst_names",
+        "stall_signals",
+    )
+
+    def __init__(
+        self, pipe: PipeSpec, slots: Mapping[Tuple[str, int], _Slot], architecture: Architecture
+    ):
+        name = pipe.name
+        self.name = name
+        self.num_stages = pipe.num_stages
+        self.completion_bus = pipe.completion_bus
+        self.stages = tuple(
+            (
+                index,
+                slots[(name, index)],
+                sig.rtm_name(name, index),
+                sig.moe_name(name, index),
+                f"{name}.{index}",
+            )
+            for index in range(1, pipe.num_stages + 1)
+        )
+        self.deepest_first = self.stages[::-1]
+        self.issue_slot = slots[(name, 1)]
+        self.completion_slot = slots[(name, pipe.num_stages)]
+        self.issue_moe = sig.moe_name(name, 1)
+        self.req = sig.req_name(name) if pipe.completion_bus is not None else None
+        registers = range(architecture.scoreboard.num_registers) if architecture.scoreboard else ()
+        self.src_names = tuple(sig.stage_regaddr_indicator(name, 1, "src", a) for a in registers)
+        self.dst_names = tuple(sig.stage_regaddr_indicator(name, 1, "dst", a) for a in registers)
+        self.stall_signals = tuple(
+            stall_input.signal
+            for stall_input in architecture.extra_stall_inputs
+            if name in stall_input.applies_to
+        )
+
+
 class PipelineSimulator:
     """Drives a :class:`Program` through an :class:`Architecture` under an interlock."""
 
@@ -94,20 +151,61 @@ class PipelineSimulator:
         self._fetch_index: Dict[str, int] = {pipe.name: 0 for pipe in architecture.pipes}
         # The interlock must drive every moe flag the architecture defines;
         # a partial implementation is rejected at the first step.
-        self._expected_moe = set(architecture.moe_signals())
+        self._expected_moe = frozenset(architecture.moe_signals())
         self._input_signals = tuple(architecture.input_signals())
+
+        # -- the per-cycle plan: every name and slot a cycle touches --------------------
+        self._pipes = tuple(
+            _PipePlan(pipe, self._slots, architecture) for pipe in architecture.pipes
+        )
+        self._completion_slots = {plan.name: plan.completion_slot for plan in self._pipes}
+        registers = range(architecture.scoreboard.num_registers) if architecture.scoreboard else ()
+        # (bus name, arbiter, ((pipe, req name, gnt name), ...), target indicator names)
+        self._buses = tuple(
+            (
+                bus.name,
+                self._arbiters[bus.name],
+                tuple((pipe, sig.req_name(pipe), sig.gnt_name(pipe)) for pipe in bus.priority),
+                tuple(sig.bus_target_indicator(bus.name, address) for address in registers),
+            )
+            for bus in architecture.buses
+        )
+        self._bypass_buses = (
+            architecture.scoreboard.bypass_buses if architecture.scoreboard else ()
+        )
+        # (signal, issue slots of the pipes whose WAIT instructions assert it)
+        self._stall_inputs = tuple(
+            (
+                stall_input.signal,
+                tuple(self._slots[(pipe, 1)] for pipe in stall_input.applies_to),
+            )
+            for stall_input in architecture.extra_stall_inputs
+        )
+        # (((pipe, stage-1 moe name), ...), "a/b" hazard label) per lock-step group
+        self._lockstep = tuple(
+            (tuple((pipe, sig.moe_name(pipe, 1)) for pipe in group), "/".join(group))
+            for group in architecture.lockstep_groups
+        )
+        self._occupancy_keys = tuple(
+            (f"{pipe}.{stage}", slot) for (pipe, stage), slot in self._slots.items()
+        )
+        # Per-program tables, bound when a run starts (see _bind).
+        self._program: Optional[Program] = None
+        self._streams: Dict[str, List[Instruction]] = {}
+        self._asserted: Dict[str, frozenset] = {}
 
     # -- public API -------------------------------------------------------------------
 
     def run(self, program: Program) -> SimulationTrace:
         """Simulate a whole program and return the trace."""
         self.reset()
+        self._bind(program)
         trace = SimulationTrace(
             architecture_name=self.architecture.name,
             interlock_name=self.interlock.name,
         )
         for cycle in range(self.config.max_cycles):
-            if self._finished(program):
+            if self._finished():
                 break
             record = self.step(cycle, program, trace)
             trace.cycles.append(record)
@@ -131,16 +229,18 @@ class PipelineSimulator:
 
     def step(self, cycle: int, program: Program, trace: SimulationTrace) -> CycleRecord:
         """Simulate one cycle; mutates pipeline state and appends hazards to the trace."""
+        if program is not self._program:
+            self._bind(program)
         self.interlock.on_cycle_start(cycle)
 
-        inputs = self._sample_inputs(cycle, program)
+        inputs = self._sample_inputs(cycle)
         grants = self._arbitrate(inputs)
-        inputs.update(self._grant_signals(grants))
-        inputs.update(self._bus_target_signals(grants))
+        self._grant_signals(grants, inputs)
+        self._bus_target_signals(grants, inputs)
 
         moe = dict(self.interlock.compute_moe(inputs))
-        missing = self._expected_moe - set(moe)
-        if missing:
+        if not moe.keys() >= self._expected_moe:
+            missing = self._expected_moe.difference(moe)
             raise RuntimeError(
                 f"interlock {self.interlock.name!r} did not drive moe flags {sorted(missing)}"
             )
@@ -153,40 +253,56 @@ class PipelineSimulator:
         )
 
         self._check_lockstep(cycle, moe, trace)
-        self._advance(cycle, program, moe, grants, record, trace)
+        self._advance(cycle, moe, grants, record, trace)
         return record
+
+    def _bind(self, program: Program) -> None:
+        """Look up the program's streams and external waveforms once per run."""
+        self._program = program
+        self._streams = {plan.name: program.stream_for(plan.name) for plan in self._pipes}
+        self._asserted = {
+            signal: frozenset(program.external_inputs.get(signal, ()))
+            for signal, _ in self._stall_inputs
+        }
 
     # -- input sampling -----------------------------------------------------------------------
 
-    def _sample_inputs(self, cycle: int, program: Program) -> Dict[str, bool]:
-        arch = self.architecture
+    def _sample_inputs(self, cycle: int) -> Dict[str, bool]:
         inputs: Dict[str, bool] = dict.fromkeys(self._input_signals, False)
 
-        for pipe in arch.pipes:
-            for stage in pipe.stages():
-                slot = self._slots[(pipe.name, stage.index)]
-                inputs[stage.rtm] = self._requires_to_move(pipe, stage.index, slot)
-            if pipe.completion_bus is not None:
-                completion_slot = self._slots[(pipe.name, pipe.num_stages)]
-                inputs[sig.req_name(pipe.name)] = self._requests_bus(completion_slot)
+        for plan in self._pipes:
+            last = plan.num_stages
+            for index, slot, rtm, _, _ in plan.stages:
+                instruction = slot.instruction
+                if instruction is None or instruction.is_bubble or instruction.is_wait:
+                    inputs[rtm] = False
+                elif index < last:
+                    inputs[rtm] = True
+                else:
+                    # Final stage: only writeback instructions still require to
+                    # move (onto the completion bus); everything else completes
+                    # in place.
+                    inputs[rtm] = (
+                        instruction.needs_writeback and plan.completion_bus is not None
+                    )
+            if plan.req is not None:
+                instruction = plan.completion_slot.instruction
+                inputs[plan.req] = instruction is not None and instruction.needs_writeback
 
         if self.scoreboard is not None:
             inputs.update(self.scoreboard.as_signals())
-            for pipe in arch.pipes:
-                issue_slot = self._slots[(pipe.name, 1)]
-                instruction = issue_slot.instruction
-                for which, address in (
-                    ("src", instruction.src if instruction else None),
-                    ("dst", instruction.dst if instruction else None),
-                ):
-                    for candidate in range(arch.scoreboard.num_registers):
-                        name = sig.stage_regaddr_indicator(pipe.name, 1, which, candidate)
-                        inputs[name] = address == candidate
+            for plan in self._pipes:
+                instruction = plan.issue_slot.instruction
+                src = instruction.src if instruction else None
+                dst = instruction.dst if instruction else None
+                for candidate, name in enumerate(plan.src_names):
+                    inputs[name] = src == candidate
+                for candidate, name in enumerate(plan.dst_names):
+                    inputs[name] = dst == candidate
 
-        for stall_input in arch.extra_stall_inputs:
-            asserted = program.external_asserted(stall_input.signal, cycle)
-            for pipe_name in stall_input.applies_to:
-                issue_slot = self._slots[(pipe_name, 1)]
+        for signal, issue_slots in self._stall_inputs:
+            asserted = cycle in self._asserted[signal]
+            for issue_slot in issue_slots:
                 instruction = issue_slot.instruction
                 if (
                     instruction is not None
@@ -194,70 +310,49 @@ class PipelineSimulator:
                     and issue_slot.wait_remaining > 0
                 ):
                     asserted = True
-            inputs[stall_input.signal] = asserted
+            inputs[signal] = asserted
         return inputs
-
-    def _requires_to_move(self, pipe: PipeSpec, stage_index: int, slot: _Slot) -> bool:
-        instruction = slot.instruction
-        if instruction is None or instruction.is_bubble:
-            return False
-        if instruction.is_wait:
-            return False
-        if stage_index < pipe.num_stages:
-            return True
-        # Final stage: only writeback instructions still require to move
-        # (onto the completion bus); everything else completes in place.
-        return instruction.needs_writeback and pipe.completion_bus is not None
-
-    def _requests_bus(self, slot: _Slot) -> bool:
-        instruction = slot.instruction
-        return instruction is not None and instruction.needs_writeback
 
     def _arbitrate(self, inputs: Mapping[str, bool]) -> Dict[str, Optional[str]]:
         winners: Dict[str, Optional[str]] = {}
-        for bus in self.architecture.buses:
-            requests = {
-                pipe: inputs.get(sig.req_name(pipe), False) for pipe in bus.priority
-            }
-            winners[bus.name] = self._arbiters[bus.name].grant(requests)
+        for bus_name, arbiter, pipes, _ in self._buses:
+            requests = {pipe: inputs.get(req, False) for pipe, req, _ in pipes}
+            winners[bus_name] = arbiter.grant(requests)
         return winners
 
-    def _grant_signals(self, winners: Mapping[str, Optional[str]]) -> Dict[str, bool]:
-        grants: Dict[str, bool] = {}
-        for bus in self.architecture.buses:
-            winner = winners[bus.name]
-            for pipe in bus.priority:
-                grants[sig.gnt_name(pipe)] = pipe == winner
-        return grants
+    def _grant_signals(
+        self, winners: Mapping[str, Optional[str]], inputs: Dict[str, bool]
+    ) -> None:
+        for bus_name, _, pipes, _ in self._buses:
+            winner = winners[bus_name]
+            for pipe, _, gnt in pipes:
+                inputs[gnt] = pipe == winner
 
-    def _bus_target_signals(self, winners: Mapping[str, Optional[str]]) -> Dict[str, bool]:
-        arch = self.architecture
-        targets: Dict[str, bool] = {}
-        if arch.scoreboard is None:
-            return targets
-        for bus in arch.buses:
-            winner = winners[bus.name]
+    def _bus_target_signals(
+        self, winners: Mapping[str, Optional[str]], inputs: Dict[str, bool]
+    ) -> None:
+        if self.scoreboard is None:
+            return
+        for bus_name, _, _, target_names in self._buses:
+            winner = winners[bus_name]
             target: Optional[int] = None
             if winner is not None:
-                slot = self._slots[(winner, arch.pipe(winner).num_stages)]
-                if slot.instruction is not None:
-                    target = slot.instruction.dst
-            for address in range(arch.scoreboard.num_registers):
-                targets[sig.bus_target_indicator(bus.name, address)] = address == target
-        return targets
+                instruction = self._completion_slots[winner].instruction
+                if instruction is not None:
+                    target = instruction.dst
+            for address, name in enumerate(target_names):
+                inputs[name] = address == target
 
     # -- movement ------------------------------------------------------------------------------
 
     def _advance(
         self,
         cycle: int,
-        program: Program,
         moe: Mapping[str, bool],
         winners: Mapping[str, Optional[str]],
         record: CycleRecord,
         trace: SimulationTrace,
     ) -> None:
-        arch = self.architecture
         granted_targets = self._granted_targets(winners)
         # Hazards are judged against the scoreboard as the interlock saw it at
         # the start of the cycle; same-cycle cross-pipe issue conflicts are a
@@ -266,24 +361,24 @@ class PipelineSimulator:
             set(self.scoreboard.outstanding_registers()) if self.scoreboard else set()
         )
 
-        for pipe in arch.pipes:
+        for plan in self._pipes:
+            last = plan.num_stages
             leaving: Dict[int, Instruction] = {}
-            vacated: Dict[int, bool] = {}
+            # vacated[i] for stage i (1-based); phase 1 fills every stage.
+            vacated = [False] * (last + 1)
 
             # Phase 1: decide, per stage, whether its content departs this cycle.
-            for stage_index in range(pipe.num_stages, 0, -1):
-                slot = self._slots[(pipe.name, stage_index)]
+            for index, slot, _, moe_name, key in plan.deepest_first:
                 instruction = slot.instruction
-                key = f"{pipe.name}.{stage_index}"
                 if instruction is None:
-                    vacated[stage_index] = True
+                    vacated[index] = True
                     continue
-                departs, retires, dropped = self._departure(
-                    pipe, stage_index, slot, moe, winners, cycle
+                departs, retires = self._departure(
+                    plan, index, slot, moe.get(moe_name, False), winners
                 )
-                vacated[stage_index] = departs or retires or dropped
+                vacated[index] = departs or retires
                 if departs:
-                    leaving[stage_index] = instruction
+                    leaving[index] = instruction
                     record.moved.append(key)
                 elif retires:
                     instruction.retire_cycle = cycle
@@ -298,80 +393,64 @@ class PipelineSimulator:
                         # Retirement in place (no completion bus) still releases
                         # the destination register.
                         self.scoreboard.complete(instruction.dst)
-                elif dropped:
-                    trace.dropped_instructions += 1
                 else:
                     record.stalled.append(key)
 
             # Phase 2: apply completion effects and transfers, deepest stage first.
-            for stage_index in range(pipe.num_stages, 0, -1):
-                slot = self._slots[(pipe.name, stage_index)]
-                instruction = leaving.get(stage_index)
-                if vacated.get(stage_index, False):
-                    if instruction is not None and stage_index == pipe.num_stages:
-                        self._complete(cycle, pipe, instruction, record, trace)
+            for index, slot, _, _, _ in plan.deepest_first:
+                instruction = leaving.get(index)
+                if vacated[index]:
+                    if instruction is not None and index == last:
+                        self._complete(cycle, instruction, record, trace)
                     slot.clear()
-                if instruction is not None and stage_index < pipe.num_stages:
-                    self._transfer(
-                        cycle, pipe, stage_index, instruction, vacated, record, trace
-                    )
-                if instruction is not None and stage_index == 1:
+                if instruction is not None and index < last:
+                    self._transfer(cycle, plan, index, instruction, vacated, trace)
+                if instruction is not None and index == 1:
                     self._note_issue_hazards(
                         cycle,
-                        pipe,
+                        plan,
                         instruction,
                         granted_targets,
                         outstanding_at_sample,
-                        program,
                         trace,
                     )
 
             # Phase 3: fetch a new instruction into the (possibly vacated) issue stage.
-            self._fetch(cycle, pipe, program, moe, vacated, record, trace)
+            self._fetch(cycle, plan, moe, vacated, record, trace)
 
     def _departure(
         self,
-        pipe: PipeSpec,
+        plan: _PipePlan,
         stage_index: int,
         slot: _Slot,
-        moe: Mapping[str, bool],
+        moe_value: bool,
         winners: Mapping[str, Optional[str]],
-        cycle: int,
-    ) -> Tuple[bool, bool, bool]:
-        """Classify a stage's occupant this cycle: (moves on, retires in place, dropped)."""
+    ) -> Tuple[bool, bool]:
+        """Classify a stage's occupant this cycle: (moves on, retires in place)."""
         instruction = slot.instruction
         assert instruction is not None
-        moe_value = moe.get(sig.moe_name(pipe.name, stage_index), False)
 
         if instruction.is_wait:
             if slot.wait_remaining > 1:
                 slot.wait_remaining -= 1
-                return False, False, False
-            return False, True, False
+                return False, False
+            return False, True
 
-        is_final = stage_index == pipe.num_stages
-        if is_final:
-            if instruction.needs_writeback and pipe.completion_bus is not None:
-                granted = winners.get(pipe.completion_bus) == pipe.name
-                if granted and moe_value:
-                    return True, False, False
-                if moe_value and not granted:
-                    # The interlock let the stage be overwritten although the
-                    # writeback has not happened: the result is lost as soon as
-                    # a predecessor pushes in; dropping is handled by _transfer.
-                    return False, False, False
-                return False, False, False
+        if stage_index == plan.num_stages:
+            if instruction.needs_writeback and plan.completion_bus is not None:
+                # Without a grant the result stays put: if the interlock
+                # still let the stage be overwritten, _transfer reports the
+                # lost writeback when a predecessor pushes in.
+                granted = winners.get(plan.completion_bus) == plan.name
+                return granted and moe_value, False
             # No writeback needed: the instruction completes in place.
-            return False, True, False
+            return False, True
 
-        if moe_value:
-            return True, False, False
-        return False, False, False
+        return moe_value, False
 
     def _complete(
         self,
         cycle: int,
-        pipe: PipeSpec,
         instruction: Instruction,
         record: CycleRecord,
         trace: SimulationTrace,
@@ -386,46 +465,44 @@ class PipelineSimulator:
     def _transfer(
         self,
         cycle: int,
-        pipe: PipeSpec,
+        plan: _PipePlan,
         stage_index: int,
         instruction: Instruction,
-        vacated: Mapping[int, bool],
-        record: CycleRecord,
+        vacated: List[bool],
         trace: SimulationTrace,
     ) -> None:
         """Move an instruction into the next stage, detecting overwrites."""
-        destination = self._slots[(pipe.name, stage_index + 1)]
-        if not vacated.get(stage_index + 1, False) and destination.occupied:
-            victim = destination.instruction
+        target = stage_index + 1
+        destination = plan.stages[stage_index][1]
+        victim = destination.instruction
+        if not vacated[target] and victim is not None:
             trace.dropped_instructions += 1
             trace.hazards.append(
                 HazardEvent(
                     cycle=cycle,
                     kind=HazardKind.OVERWRITE,
-                    pipe=pipe.name,
-                    stage=stage_index + 1,
-                    instruction_uid=victim.uid if victim else None,
+                    pipe=plan.name,
+                    stage=target,
+                    instruction_uid=victim.uid,
                     detail=f"overwritten by insn#{instruction.uid}",
                 )
             )
         elif (
-            stage_index + 1 == pipe.num_stages
-            and destination.occupied
-            and vacated.get(stage_index + 1, False)
-            and destination.instruction is not None
-            and destination.instruction.needs_writeback
-            and destination.instruction.retire_cycle is None
+            target == plan.num_stages
+            and vacated[target]
+            and victim is not None
+            and victim.needs_writeback
+            and victim.retire_cycle is None
         ):
             # The completion stage was marked vacated without a grant: the old
             # occupant is displaced before writing back.
-            victim = destination.instruction
             trace.dropped_instructions += 1
             trace.hazards.append(
                 HazardEvent(
                     cycle=cycle,
                     kind=HazardKind.LOST_WRITEBACK,
-                    pipe=pipe.name,
-                    stage=stage_index + 1,
+                    pipe=plan.name,
+                    stage=target,
                     instruction_uid=victim.uid,
                     detail="displaced from the completion stage without a bus grant",
                 )
@@ -435,36 +512,30 @@ class PipelineSimulator:
     def _note_issue_hazards(
         self,
         cycle: int,
-        pipe: PipeSpec,
+        plan: _PipePlan,
         instruction: Instruction,
         granted_targets: Dict[str, List[int]],
         outstanding_at_sample: set,
-        program: Program,
         trace: SimulationTrace,
     ) -> None:
         """Physical hazard checks when an instruction leaves the issue stage."""
-        bypass_buses = (
-            self.architecture.scoreboard.bypass_buses
-            if self.architecture.scoreboard is not None
-            else ()
-        )
-        bypassed = {
-            address
-            for bus_name in bypass_buses
-            for address in granted_targets.get(bus_name, [])
-        }
-
-        def hazardous(address: int) -> bool:
-            return address in outstanding_at_sample and address not in bypassed
-
         if self.scoreboard is not None:
+            bypassed = {
+                address
+                for bus_name in self._bypass_buses
+                for address in granted_targets.get(bus_name, [])
+            }
+
+            def hazardous(address: int) -> bool:
+                return address in outstanding_at_sample and address not in bypassed
+
             for address in instruction.source_registers():
                 if hazardous(address):
                     trace.hazards.append(
                         HazardEvent(
                             cycle=cycle,
                             kind=HazardKind.STALE_OPERAND,
-                            pipe=pipe.name,
+                            pipe=plan.name,
                             stage=1,
                             instruction_uid=instruction.uid,
                             detail=f"source r{address} outstanding and not bypassed",
@@ -476,7 +547,7 @@ class PipelineSimulator:
                         HazardEvent(
                             cycle=cycle,
                             kind=HazardKind.WAW_VIOLATION,
-                            pipe=pipe.name,
+                            pipe=plan.name,
                             stage=1,
                             instruction_uid=instruction.uid,
                             detail=f"destination r{address} outstanding and not bypassed",
@@ -485,44 +556,42 @@ class PipelineSimulator:
             for address in instruction.destination_registers():
                 if instruction.needs_writeback:
                     self.scoreboard.mark_outstanding(address)
-        for stall_input in self.architecture.extra_stall_inputs:
-            if pipe.name in stall_input.applies_to and program.external_asserted(
-                stall_input.signal, cycle
-            ):
+        for signal in plan.stall_signals:
+            if cycle in self._asserted[signal]:
                 trace.hazards.append(
                     HazardEvent(
                         cycle=cycle,
                         kind=HazardKind.ISSUED_DURING_WAIT,
-                        pipe=pipe.name,
+                        pipe=plan.name,
                         stage=1,
                         instruction_uid=instruction.uid,
-                        detail=f"issued while {stall_input.signal} was asserted",
+                        detail=f"issued while {signal} was asserted",
                     )
                 )
-        instruction.issue_cycle = instruction.issue_cycle or cycle
+        if instruction.issue_cycle is None:
+            instruction.issue_cycle = cycle
 
     def _fetch(
         self,
         cycle: int,
-        pipe: PipeSpec,
-        program: Program,
+        plan: _PipePlan,
         moe: Mapping[str, bool],
-        vacated: Mapping[int, bool],
+        vacated: List[bool],
         record: CycleRecord,
         trace: SimulationTrace,
     ) -> None:
         """Bring the next instruction of a pipe's stream into its issue stage."""
-        issue_slot = self._slots[(pipe.name, 1)]
-        if issue_slot.occupied and not vacated.get(1, False):
+        issue_slot = plan.issue_slot
+        if issue_slot.occupied and not vacated[1]:
             return
-        if not moe.get(sig.moe_name(pipe.name, 1), False):
+        if not moe.get(plan.issue_moe, False):
             return
-        stream = program.stream_for(pipe.name)
-        index = self._fetch_index[pipe.name]
+        stream = self._streams[plan.name]
+        index = self._fetch_index[plan.name]
         if index >= len(stream):
             return
         instruction = stream[index]
-        self._fetch_index[pipe.name] = index + 1
+        self._fetch_index[plan.name] = index + 1
         if instruction.is_bubble:
             return
         issue_slot.instruction = instruction
@@ -537,26 +606,24 @@ class PipelineSimulator:
         for bus_name, winner in winners.items():
             addresses: List[int] = []
             if winner is not None:
-                slot = self._slots[(winner, self.architecture.pipe(winner).num_stages)]
-                if slot.instruction is not None and slot.instruction.dst is not None:
-                    addresses.append(slot.instruction.dst)
+                instruction = self._completion_slots[winner].instruction
+                if instruction is not None and instruction.dst is not None:
+                    addresses.append(instruction.dst)
             targets[bus_name] = addresses
         return targets
 
     def _check_lockstep(
         self, cycle: int, moe: Mapping[str, bool], trace: SimulationTrace
     ) -> None:
-        for group in self.architecture.lockstep_groups:
-            values = {
-                pipe: moe.get(sig.moe_name(pipe, 1), False) for pipe in group
-            }
+        for members, label in self._lockstep:
+            values = {pipe: moe.get(name, False) for pipe, name in members}
             if len(set(values.values())) > 1:
                 detail = ", ".join(f"{pipe}.1.moe={int(v)}" for pipe, v in values.items())
                 trace.hazards.append(
                     HazardEvent(
                         cycle=cycle,
                         kind=HazardKind.LOCKSTEP_BROKEN,
-                        pipe="/".join(group),
+                        pipe=label,
                         stage=1,
                         detail=detail,
                     )
@@ -566,20 +633,18 @@ class PipelineSimulator:
 
     def _occupancy_snapshot(self) -> Dict[str, Optional[int]]:
         return {
-            f"{pipe}.{stage}": (slot.instruction.uid if slot.instruction else None)
-            for (pipe, stage), slot in self._slots.items()
+            key: (slot.instruction.uid if slot.instruction else None)
+            for key, slot in self._occupancy_keys
         }
 
-    def _finished(self, program: Program) -> bool:
-        streams_done = all(
-            self._fetch_index[pipe.name] >= len(program.stream_for(pipe.name))
-            for pipe in self.architecture.pipes
-        )
-        if not streams_done:
-            return False
+    def _finished(self) -> bool:
+        fetch_index = self._fetch_index
+        for name, stream in self._streams.items():
+            if fetch_index[name] < len(stream):
+                return False
         if not self.config.drain:
             return True
-        return all(not slot.occupied for slot in self._slots.values())
+        return all(slot.instruction is None for _, slot in self._occupancy_keys)
 
 
 def simulate(

@@ -321,6 +321,42 @@ class TestStoreStats:
         assert store.stage_keys() == [] and store.artifact_keys() == []
 
 
+class TestPaperExampleFaults:
+    def test_faults_stage_details_spans_and_checker_size(self):
+        clear_warm_state()
+        result = run_traced_job(
+            JobSpec(arch="dac2002-example", stages=("faults",)), trace={"id": "t-faults"}
+        )
+        assert result.ok, result.error
+        assert result.stage("faults").details == {
+            "injected": 4,
+            "vacuous": 0,
+            "detected_any": 4,
+            "detected_simulation": 4,
+            "detected_property": 4,
+            "missed": 0,
+        }
+        spans = result.trace_spans
+        (stage,) = [s for s in spans if s["name"] == "faults"]
+        # A declaration-order checker allocated about 670k slots on this
+        # stage; the register-interleaved one needs under 20k.  A count,
+        # not a wall time, so the bound holds on any machine.
+        assert stage["attrs"]["checker_kernel"]["allocated_slots"] < 50_000
+        faults = [s for s in spans if s["name"] == "fault"]
+        assert len(faults) == 4
+        assert {s["parent"] for s in faults} == {stage["id"]}
+        fault_ids = {s["id"] for s in faults}
+        for child in ("fault.simulate", "fault.check"):
+            children = [s for s in spans if s["name"] == child]
+            assert len(children) == 4
+            assert {s["parent"] for s in children} == fault_ids
+        simulated = [s for s in spans if s["name"] == "fault.simulate"]
+        assert sum(s["attrs"]["cycles"] for s in simulated) == sum(
+            s["attrs"]["cycles"] for s in faults
+        ) > 0
+        assert all("hazards" in s["attrs"] for s in simulated + faults)
+
+
 class TestIncremental:
     def test_stage_keys_follow_dependencies(self):
         base = tiny_job()
@@ -408,7 +444,8 @@ class TestIncremental:
         stats = report.store_stats
         assert stats.stage_hits == 4 * 4
         assert stats.stage_misses == 2 * 4
-        assert stats.artifact_hits == 4  # analysis reloaded each derivation
+        # The faults stage reloaded each derivation; analysis reused it.
+        assert stats.artifact_hits == 4
 
     def test_family_edit_reruns_only_affected_jobs(self, tmp_path):
         store = ResultStore(tmp_path)

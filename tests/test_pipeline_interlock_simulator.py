@@ -292,6 +292,18 @@ class TestSimulatorBasics:
         second = simulator.run(program)
         assert first.num_cycles() == second.num_cycles()
 
+    def test_issue_cycle_of_an_instruction_fetched_in_cycle_zero(
+        self, example_arch, example_spec
+    ):
+        first, second = alu("long", dst=0), alu("long", dst=1)
+        program = Program.from_streams(long=[first, second], short=[])
+        trace = simulate(example_arch, reference_interlock(example_spec), program)
+        assert trace.cycles[0].issued == [first.uid]
+        # Leaving stage 1 (in cycle 1) must not overwrite the fetch cycle 0.
+        assert first.issue_cycle == 0
+        assert second.issue_cycle == 1
+        assert first.retire_cycle is not None
+
 
 class TestHazardDetectionWithBrokenInterlocks:
     def test_never_stall_completion_causes_hazards(self, example_arch, example_spec):
