@@ -59,6 +59,9 @@ MODULES = [
     "repro.obs",
     "repro.obs.metrics",
     "repro.obs.trace",
+    "repro.pipeline.simulator",
+    "repro.pipeline.trace",
+    "repro.assertions.monitor",
     "repro.service",
     "repro.service.client",
     "repro.service.daemon",

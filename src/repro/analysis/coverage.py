@@ -198,8 +198,8 @@ def coverage_of(
     Args:
         spec: the functional specification whose clauses define the coverage
             model.
-        traces: simulation traces to score (signals are read from each cycle
-            record exactly as the assertion monitor samples them).
+        traces: simulation traces to score (signals are packed from each
+            trace exactly as the assertion monitor samples them).
         report: an existing report to accumulate into, for incremental
             campaigns; a fresh one is created when omitted.
     """
@@ -217,7 +217,7 @@ def coverage_of(
 
     for trace in traces:
         report.traces_merged += 1
-        num_cycles = len(trace.cycles)
+        num_cycles = trace.num_cycles()
         if not num_cycles:
             continue
         columns, moe_columns = _pack_trace(trace, list(strict_names), moe_flags)

@@ -139,7 +139,7 @@ def classify_stalls(
     )
     for clause in spec.clauses:
         breakdown.per_stage[clause.moe] = StageStallStats(moe=clause.moe)
-    num_cycles = len(trace.cycles)
+    num_cycles = trace.num_cycles()
     if num_cycles == 0:
         return breakdown
 
@@ -175,6 +175,6 @@ def classify_stalls(
             stats.unnecessary_stalls += unnecessary.bit_count()
             for bit in iter_set_bits(unnecessary):
                 stats.unnecessary_cycles.append(
-                    trace.cycles[word_index * WORD_BITS + bit].cycle
+                    trace.record(word_index * WORD_BITS + bit).cycle
                 )
     return breakdown

@@ -10,8 +10,8 @@ stalled (functional bug), and in which cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..expr.compile import (
     WORD_BITS,
@@ -41,20 +41,67 @@ class AssertionViolation:
         )
 
 
-@dataclass
 class MonitorReport:
-    """Aggregate result of monitoring one trace."""
+    """Aggregate result of monitoring one trace.
 
-    trace_name: str
-    cycles_checked: int = 0
-    assertions_checked: int = 0
-    violations: List[AssertionViolation] = field(default_factory=list)
+    The report keeps, per armed assertion, its packed failure words (cycle
+    ``k`` of the trace → bit ``k % 64`` of word ``k // 64``).  Counts and
+    :meth:`clean` are population counts over those words;
+    :attr:`violations` builds the :class:`AssertionViolation` list on first
+    access, in cycle-major order (assertion order within a cycle).
+    """
+
+    def __init__(
+        self,
+        trace_name: str,
+        cycles_checked: int = 0,
+        assertions_checked: int = 0,
+        trace: Optional[SimulationTrace] = None,
+        failures: Sequence[Tuple[Assertion, Sequence[int]]] = (),
+    ):
+        self.trace_name = trace_name
+        self.cycles_checked = cycles_checked
+        self.assertions_checked = assertions_checked
+        self.trace = trace
+        self.failures = list(failures)
+        self._violations: Optional[List[AssertionViolation]] = None
+
+    @property
+    def violations(self) -> List[AssertionViolation]:
+        """Every violation, cycle-major (built on first access)."""
+        if self._violations is None:
+            self._violations = self._build_violations()
+        return self._violations
+
+    def _build_violations(self) -> List[AssertionViolation]:
+        violations: List[AssertionViolation] = []
+        num_words = max((len(words) for _, words in self.failures), default=0)
+        for word_index in range(num_words):
+            failed = 0
+            for _, words in self.failures:
+                failed |= words[word_index]
+            for bit in iter_set_bits(failed):
+                record = self.trace.record(word_index * WORD_BITS + bit)
+                signals = record.signals()
+                for assertion, words in self.failures:
+                    if (words[word_index] >> bit) & 1:
+                        violations.append(
+                            AssertionViolation(
+                                cycle=record.cycle,
+                                assertion=assertion,
+                                signals=dict(signals),
+                            )
+                        )
+        return violations
 
     def violation_count(self, kind: Optional[AssertionKind] = None) -> int:
         """Number of violations, optionally restricted to one assertion kind."""
-        if kind is None:
-            return len(self.violations)
-        return sum(1 for v in self.violations if v.assertion.kind is kind)
+        return sum(
+            word.bit_count()
+            for assertion, words in self.failures
+            if kind is None or assertion.kind is kind
+            for word in words
+        )
 
     def violated_assertions(self, kind: Optional[AssertionKind] = None) -> List[str]:
         """Names of the distinct assertions that fired."""
@@ -77,7 +124,7 @@ class MonitorReport:
 
     def clean(self) -> bool:
         """True when no assertion fired."""
-        return not self.violations
+        return not any(any(words) for _, words in self.failures)
 
     def describe(self) -> str:
         """Multi-line summary."""
@@ -85,12 +132,12 @@ class MonitorReport:
             f"Assertion monitor report for {self.trace_name}:",
             f"  cycles checked:      {self.cycles_checked}",
             f"  assertions armed:    {self.assertions_checked}",
-            f"  violations:          {len(self.violations)}",
+            f"  violations:          {self.violation_count()}",
             f"    functional:        {self.violation_count(AssertionKind.FUNCTIONAL)}",
             f"    performance:       {self.violation_count(AssertionKind.PERFORMANCE)}",
             f"    combined:          {self.violation_count(AssertionKind.COMBINED)}",
         ]
-        if self.violations:
+        if not self.clean():
             lines.append("  first violations:")
             for violation in self.violations[:5]:
                 lines.append(f"    {violation.describe()}")
@@ -168,42 +215,34 @@ class AssertionMonitor:
     def check_trace(self, trace: SimulationTrace) -> MonitorReport:
         """Evaluate the assertions on every cycle of a simulation trace.
 
-        Equivalent to :meth:`check_record` per cycle (violations are
-        reported in the same cycle-major order) but evaluated 64 cycles at
-        a time through the bit-parallel compiled formulas.
+        Equivalent to :meth:`check_record` per cycle (the report's
+        violations come in the same cycle-major order) but evaluated 64
+        cycles at a time through the bit-parallel compiled formulas; the
+        report keeps each assertion's failure words and builds violation
+        objects only when they are read.
         """
-        report = MonitorReport(
-            trace_name=f"{trace.architecture_name}/{trace.interlock_name}",
-            assertions_checked=len(self.assertions),
-            cycles_checked=len(trace.cycles),
-        )
-        if not trace.cycles:
-            return report
+        num_cycles = trace.num_cycles()
+        trace_name = f"{trace.architecture_name}/{trace.interlock_name}"
+        if not num_cycles:
+            return MonitorReport(trace_name, 0, len(self.assertions))
         compiled = self._compile()
         columns = self._pack_columns(trace)
-        num_cycles = len(trace.cycles)
-        results = [c.evaluate_packed(columns, num_cycles) for c in compiled]
-        num_words = len(results[0]) if results else 0
-        for word_index in range(num_words):
-            mask = tail_mask(num_cycles, word_index)
-            failed = 0
-            for result in results:
-                failed |= (~result[word_index]) & mask
-            if not failed:
-                continue
-            for bit in iter_set_bits(failed):
-                record = trace.cycles[word_index * WORD_BITS + bit]
-                signals = record.signals()
-                for assertion, result in zip(self.assertions, results):
-                    if not (result[word_index] >> bit) & 1:
-                        report.violations.append(
-                            AssertionViolation(
-                                cycle=record.cycle,
-                                assertion=assertion,
-                                signals=dict(signals),
-                            )
-                        )
-        return report
+        failures = []
+        for assertion, code in zip(self.assertions, compiled):
+            holds = code.evaluate_packed(columns, num_cycles)
+            failures.append(
+                (
+                    assertion,
+                    [~word & tail_mask(num_cycles, index) for index, word in enumerate(holds)],
+                )
+            )
+        return MonitorReport(
+            trace_name,
+            num_cycles,
+            len(self.assertions),
+            trace=trace if any(any(words) for _, words in failures) else None,
+            failures=failures,
+        )
 
 
 def monitor_trace(trace: SimulationTrace, assertions: Iterable[Assertion]) -> MonitorReport:

@@ -386,7 +386,7 @@ def _stage_analysis(
     coverage = coverage_of(spec, [trace])
     details = {
         "cycles": trace.num_cycles(),
-        "assertion_violations": len(monitor.violations),
+        "assertion_violations": monitor.violation_count(),
         "hazards": trace.hazard_count(),
         "stall_cycles": breakdown.total_stalls(),
         "unnecessary_stalls": breakdown.total_unnecessary(),

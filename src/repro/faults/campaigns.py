@@ -22,6 +22,7 @@ from ..assertions.generate import AssertionKind, testbench_assertions
 from ..assertions.monitor import AssertionMonitor
 from ..checking.property_check import PropertyChecker
 from ..obs import span
+from ..pipeline.instructions import Program
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.simulator import PipelineSimulator, SimulatorConfig
 from ..pipeline.structure import Architecture
@@ -326,12 +327,29 @@ class FaultCampaign:
         # formulas are compiled to bit-parallel evaluators exactly once.
         self.monitor = AssertionMonitor(self.assertions)
         self.derivation = derivation
+        self._programs: Optional[List[Program]] = None
         self.property_checker = PropertyChecker(
             spec,
             architecture=architecture,
             backend=property_backend,
             derivation=derivation,
         )
+
+    def programs(self) -> List[Program]:
+        """The campaign's ``num_programs`` workloads, generated on first use.
+
+        They do not depend on the fault, and a simulator run does not
+        depend on earlier runs of the same program, so every fault is
+        simulated on the same program objects.
+        """
+        if self._programs is None:
+            self._programs = [
+                WorkloadGenerator(self.architecture, seed=self.seed + index).generate(
+                    self.profile
+                )
+                for index in range(self.num_programs)
+            ]
+        return self._programs
 
     def run_fault(self, fault: InjectedFault) -> DetectionRecord:
         """Evaluate one injected fault with both verification routes.
@@ -346,10 +364,8 @@ class FaultCampaign:
             "fault", fault_class=fault.fault_class.value, target=fault.target_moe
         ) as fault_span:
             with span("fault.simulate", programs=self.num_programs) as simulate_span:
-                for index in range(self.num_programs):
-                    generator = WorkloadGenerator(self.architecture, seed=self.seed + index)
-                    program = generator.generate(self.profile)
-                    simulator = PipelineSimulator(self.architecture, fault.interlock, config)
+                simulator = PipelineSimulator(self.architecture, fault.interlock, config)
+                for program in self.programs():
                     trace = simulator.run(program)
                     report = monitor.check_trace(trace)
                     record.simulation_cycles += trace.num_cycles()

@@ -44,7 +44,7 @@ from ..checking import (
 from ..expr.evaluate import is_tautology_by_enumeration
 from ..expr.transform import substitute
 from ..faults import FaultCampaign, FaultInjector
-from ..pipeline import ClosedFormInterlock, simulate
+from ..pipeline import ClosedFormInterlock, PipelineSimulator, simulate
 from ..spec import build_functional_spec, conservative_variant, symbolic_most_liberal
 from ..workloads import WorkloadGenerator, WorkloadProfile
 
@@ -252,6 +252,50 @@ def _run_monitor(state):
     for _ in range(reps):
         report = monitor_trace(trace, assertions)
     return report
+
+
+#: Family members for ``simulate_family``: bypass and blocking scoreboards,
+#: one and two issue slots, lock-step with WAIT/interrupt inputs, and the
+#: paper's example architecture.
+_SIMULATED_MEMBERS = (
+    "fam-r4w2d5s1-bypass",
+    "fam-r4w1d5s1-blocking",
+    "fam-r2w2d5s1-blocking-ls-wait",
+    "dac2002-example",
+)
+
+
+def _setup_simulate_family(quick: bool):
+    from ..archs import load_architecture
+
+    length, programs = (48, 2) if quick else (400, 4)
+    profile = WorkloadProfile(
+        length=length, dependency_rate=0.5, wait_rate=0.1, interrupt_rate=0.05
+    )
+    cases = []
+    for name in _SIMULATED_MEMBERS:
+        arch = load_architecture(name)
+        spec = build_functional_spec(arch)
+        interlock = ClosedFormInterlock.from_derivation(symbolic_most_liberal(spec))
+        workloads = [
+            WorkloadGenerator(arch, seed=seed).generate(profile) for seed in range(programs)
+        ]
+        cases.append((arch, interlock, workloads))
+    return cases
+
+
+def _run_simulate_family(cases):
+    # A run depends only on the program, so repetitions simulate the same
+    # cycles; the compiled row functions are cached on the interlocks.
+    cycles = 0
+    for arch, interlock, workloads in cases:
+        simulator = PipelineSimulator(arch, interlock)
+        for program in workloads:
+            trace = simulator.run(program)
+            if not trace.hazard_free():
+                raise AssertionError("a reference interlock must simulate hazard free")
+            cycles += trace.num_cycles()
+    return cycles
 
 
 def _setup_property_check(quick: bool):
@@ -477,6 +521,16 @@ _SCENARIOS: List[Scenario] = [
         setup=_setup_monitor,
         run=_run_monitor,
         meta={"kind": "trace-sweep"},
+    ),
+    Scenario(
+        name="simulate_family",
+        description="cycle simulation of reference interlocks over fixed programs "
+        "on four family members (bypass, blocking, lock-step with waits, paper "
+        "example); 'cycles' counts the simulated cycles",
+        setup=_setup_simulate_family,
+        run=_run_simulate_family,
+        meta={"kind": "simulation"},
+        collect=lambda cycles: {"cycles": cycles},
     ),
     Scenario(
         name="property_check",

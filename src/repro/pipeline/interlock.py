@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from operator import truth
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..expr.ast import Expr, Not, Var
 from ..expr.compile import CompiledOutputs, compile_outputs
@@ -39,6 +39,34 @@ class Interlock(ABC):
     @abstractmethod
     def moe_flags(self) -> list:
         """The moe flag names this interlock drives."""
+
+    def row_function(
+        self, input_names: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], Callable[[Sequence[bool]], List[bool]]]:
+        """The interlock as a function of one input row.
+
+        Returns ``(moe_names, fn)``: ``fn(row)`` takes the cycle's input
+        values in ``input_names`` order and returns the moe values in
+        ``moe_names`` order.  This default evaluates :meth:`compute_moe`
+        on the row's valuation, so every interlock can be simulated; it
+        raises ``RuntimeError`` when ``compute_moe`` leaves one of
+        :meth:`moe_flags` undriven.
+        """
+        input_names = tuple(input_names)
+        moe_names = tuple(self.moe_flags())
+        compute_moe = self.compute_moe
+
+        def evaluate(row: Sequence[bool]) -> List[bool]:
+            moe = compute_moe(dict(zip(input_names, row)))
+            try:
+                return [moe[name] for name in moe_names]
+            except KeyError:
+                missing = sorted(set(moe_names).difference(moe))
+                raise RuntimeError(
+                    f"interlock {self.name!r} did not drive moe flags {missing}"
+                ) from None
+
+        return moe_names, evaluate
 
     def reset(self) -> None:
         """Reset any sequential state (reset/initialisation faults override this)."""
@@ -79,6 +107,8 @@ class ClosedFormInterlock(Interlock):
     The expressions are compiled on first use into one straight-line
     function over all flags (:func:`~repro.expr.compile.compile_outputs`),
     so a simulated cycle costs one call instead of a tree walk per flag.
+    :meth:`row_function` compiles them once more per input order, with
+    the variables bound to row positions, and caches the result.
     """
 
     def __init__(
@@ -89,6 +119,7 @@ class ClosedFormInterlock(Interlock):
     ):
         self._expressions = dict(moe_expressions)
         self._compiled: Optional[CompiledOutputs] = None
+        self._row_functions: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Callable]] = {}
         self.name = name
         self.description = description or "closed-form combinational interlock"
 
@@ -133,6 +164,32 @@ class ClosedFormInterlock(Interlock):
 
     def moe_flags(self) -> list:
         return list(self._expressions)
+
+    def row_function(
+        self, input_names: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], Callable[[Sequence[bool]], List[bool]]]:
+        """The compiled closed forms over row positions (cached per input order).
+
+        A subclass that overrides :meth:`compute_moe` is evaluated through
+        it, and so are expressions over a signal the row does not carry.
+        """
+        input_names = tuple(input_names)
+        cached = self._row_functions.get(input_names)
+        if cached is not None:
+            return cached
+        if type(self).compute_moe is not ClosedFormInterlock.compute_moe:
+            return super().row_function(input_names)
+        try:
+            compiled = compile_outputs(self._expressions, order=input_names)
+        except ValueError:
+            # An expression reads a signal outside the row.
+            return super().row_function(input_names)
+
+        def evaluate(row: Sequence[bool]) -> List[bool]:
+            return list(map(truth, compiled(row, 1)))
+
+        cached = self._row_functions[input_names] = (compiled.outputs, evaluate)
+        return cached
 
     def with_replaced_flag(
         self, moe: str, expression: Expr, name: Optional[str] = None

@@ -1,10 +1,12 @@
-"""Simulation traces: per-cycle records, hazard events and summary statistics."""
+"""Simulation traces: per-cycle rows and records, hazard events and summary statistics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+from ..expr.compile import WORD_BITS
 
 
 class HazardKind(Enum):
@@ -67,17 +69,114 @@ class CycleRecord:
         return merged
 
 
-@dataclass
-class SimulationTrace:
-    """Result of one simulation run."""
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
-    architecture_name: str
-    interlock_name: str
-    cycles: List[CycleRecord] = field(default_factory=list)
-    hazards: List[HazardEvent] = field(default_factory=list)
-    retired_instructions: int = 0
-    issued_instructions: int = 0
-    dropped_instructions: int = 0
+
+def _pack_column(values: Sequence[bool]) -> List[int]:
+    """Pack one signal's per-cycle values into 64-bit words (cycle k → bit k%64).
+
+    The bools become ``"0"``/``"1"`` bytes and each 64-cycle chunk is
+    parsed, reversed, as one base-2 integer, so the per-cycle work runs in C.
+    """
+    digits = bytes(values).translate(_BITS)
+    return [
+        int(digits[start : start + WORD_BITS][::-1], 2)
+        for start in range(0, len(digits), WORD_BITS)
+    ]
+
+
+def _sample(record: CycleRecord, name: str, defaults: Dict[str, bool]) -> bool:
+    """One signal of one hand-built record: moe first, then inputs, then defaults."""
+    if name in record.moe:
+        return bool(record.moe[name])
+    if name in record.inputs:
+        return bool(record.inputs[name])
+    if name in defaults:
+        return bool(defaults[name])
+    raise KeyError(name)
+
+
+class SimulationTrace:
+    """Result of one simulation run.
+
+    A simulated trace is columnar: per cycle it keeps one input row (values
+    in :attr:`input_names` order), one moe row (:attr:`moe_names` order),
+    one occupancy row (:attr:`occupancy_names` order: the occupying
+    instruction uid or None) and the cycle's ``issued``, ``retired``,
+    ``moved`` and ``stalled`` lists.  Bulk readers (the assertion monitor,
+    the stall classifier, the coverage scorer) pack signal columns straight
+    from the rows; :class:`CycleRecord` objects are built only when read,
+    by :meth:`record` or, for the whole run, by :attr:`cycles` — a
+    read-only view of the rows.
+
+    A hand-built trace passes its records as ``cycles=[...]``; they are
+    then the trace's content and :attr:`cycles` returns that list.
+    """
+
+    def __init__(
+        self,
+        architecture_name: str,
+        interlock_name: str,
+        cycles: Optional[List[CycleRecord]] = None,
+        hazards: Optional[List[HazardEvent]] = None,
+        retired_instructions: int = 0,
+        issued_instructions: int = 0,
+        dropped_instructions: int = 0,
+        *,
+        input_names: Sequence[str] = (),
+        moe_names: Sequence[str] = (),
+        occupancy_names: Sequence[str] = (),
+    ):
+        self.architecture_name = architecture_name
+        self.interlock_name = interlock_name
+        self.hazards: List[HazardEvent] = hazards if hazards is not None else []
+        self.retired_instructions = retired_instructions
+        self.issued_instructions = issued_instructions
+        self.dropped_instructions = dropped_instructions
+        self.input_names = tuple(input_names)
+        self.moe_names = tuple(moe_names)
+        self.occupancy_names = tuple(occupancy_names)
+        self.input_rows: List[List[bool]] = []
+        self.moe_rows: List[List[bool]] = []
+        self.occupancy_rows: List[List[Optional[int]]] = []
+        self.issued: List[List[int]] = []
+        self.retired: List[List[int]] = []
+        self.moved: List[List[str]] = []
+        self.stalled: List[List[str]] = []
+        # The records: a hand-built trace's content, or a simulated
+        # trace's view built on first read of ``cycles``.
+        self._columnar = cycles is None
+        self._records: Optional[List[CycleRecord]] = cycles
+
+    def __repr__(self) -> str:
+        return (
+            f"SimulationTrace({self.architecture_name!r}, {self.interlock_name!r}, "
+            f"cycles={self.num_cycles()}, hazards={len(self.hazards)})"
+        )
+
+    # -- records --------------------------------------------------------------------
+
+    @property
+    def cycles(self) -> List[CycleRecord]:
+        """Every cycle's :class:`CycleRecord` (built on first access)."""
+        if self._records is None:
+            self._records = [self.record(index) for index in range(self.num_cycles())]
+        return self._records
+
+    def record(self, index: int) -> CycleRecord:
+        """The record of the ``index``-th simulated cycle."""
+        if not self._columnar:
+            return self._records[index]
+        return CycleRecord(
+            cycle=index,
+            inputs=dict(zip(self.input_names, self.input_rows[index])),
+            moe=dict(zip(self.moe_names, self.moe_rows[index])),
+            occupancy=dict(zip(self.occupancy_names, self.occupancy_rows[index])),
+            issued=list(self.issued[index]),
+            retired=list(self.retired[index]),
+            moved=list(self.moved[index]),
+            stalled=list(self.stalled[index]),
+        )
 
     # -- bulk access ----------------------------------------------------------------
 
@@ -95,39 +194,42 @@ class SimulationTrace:
         first, then its inputs; a signal a cycle does not sample falls back
         to ``defaults`` or raises ``KeyError`` with the signal name.
         """
-        word_bits = 64
         defaults = defaults or {}
-        columns: Dict[str, List[int]] = {name: [] for name in names}
-        current = dict.fromkeys(names, 0)
-        for index, record in enumerate(self.cycles):
-            bit = index % word_bits
-            if bit == 0 and index:
-                for name in names:
-                    columns[name].append(current[name])
-                    current[name] = 0
-            moe = record.moe
-            inputs = record.inputs
-            for name in names:
-                if name in moe:
-                    value = moe[name]
-                elif name in inputs:
-                    value = inputs[name]
-                elif name in defaults:
-                    value = defaults[name]
-                else:
-                    raise KeyError(name)
-                if value:
-                    current[name] |= 1 << bit
-        if self.cycles:
-            for name in names:
-                columns[name].append(current[name])
+        num_cycles = self.num_cycles()
+        if not num_cycles:
+            return {name: [] for name in names}
+        if not self._columnar:
+            return {
+                name: _pack_column([_sample(record, name, defaults) for record in self._records])
+                for name in names
+            }
+        moe_position = {name: index for index, name in enumerate(self.moe_names)}
+        input_position = {name: index for index, name in enumerate(self.input_names)}
+        moe_columns = input_columns = None
+        columns: Dict[str, List[int]] = {}
+        for name in names:
+            if name in moe_position:
+                if moe_columns is None:
+                    moe_columns = list(zip(*self.moe_rows))
+                values = moe_columns[moe_position[name]]
+            elif name in input_position:
+                if input_columns is None:
+                    input_columns = list(zip(*self.input_rows))
+                values = input_columns[input_position[name]]
+            elif name in defaults:
+                values = [bool(defaults[name])] * num_cycles
+            else:
+                raise KeyError(name)
+            columns[name] = _pack_column(values)
         return columns
 
     # -- aggregate statistics -------------------------------------------------------
 
     def num_cycles(self) -> int:
         """Number of simulated cycles."""
-        return len(self.cycles)
+        if self._columnar:
+            return len(self.moe_rows)
+        return len(self._records)
 
     def hazard_count(self, kind: Optional[HazardKind] = None) -> int:
         """Number of hazards observed (optionally of one kind)."""
@@ -141,15 +243,15 @@ class SimulationTrace:
 
     def instructions_per_cycle(self) -> float:
         """Retired instructions per cycle (the throughput measure)."""
-        if not self.cycles:
+        if not self.num_cycles():
             return 0.0
-        return self.retired_instructions / len(self.cycles)
+        return self.retired_instructions / self.num_cycles()
 
     def cycles_per_instruction(self) -> float:
         """Average cycles per retired instruction (lower is better)."""
         if self.retired_instructions == 0:
             return float("inf")
-        return len(self.cycles) / self.retired_instructions
+        return self.num_cycles() / self.retired_instructions
 
     def stall_cycles(self, moe_flag: str) -> int:
         """Number of cycles in which a given moe flag was low."""
