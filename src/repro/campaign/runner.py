@@ -12,8 +12,8 @@ For a single architecture this chains the whole reproduction flow:
     the machine-checked Section 3.2 subsumption theorem;
 ``obligations``
     the derived contract — ``F_i∘MOE ↔ ¬MOE_i`` per stage — discharged
-    through :meth:`~repro.checking.PropertyChecker.check_obligations`
-    under the architecture's environment assumptions;
+    through :meth:`~repro.checking.PropertyChecker.check_combined` on the
+    derived interlock under the architecture's environment assumptions;
 ``faults``
     a fault-injection campaign: every injected bug must be caught by the
     generated assertions or the property checker;
@@ -24,6 +24,9 @@ For a single architecture this chains the whole reproduction flow:
 Every stage is timed individually and reduced to JSON-ready details, so
 results can land in the content-hashed store and cross processes without
 pickling any symbolic state.
+
+A job has one BDD context, its derivation's, and every stage decides in
+it; a stage's kernel work is the difference of two stats snapshots.
 """
 
 from __future__ import annotations
@@ -40,16 +43,17 @@ from ..assertions import monitor_trace, testbench_assertions
 from ..bdd.serialize import ArtifactError
 from ..checking import PropertyChecker
 from ..faults import FaultCampaign, FaultInjector
-from ..obs import Tracer, annotate, get_registry, record_kernel_stats, span
-from ..obs.metrics import KERNEL_COUNTERS
+from ..obs import KernelWatch, Tracer, annotate, get_registry, record_kernel_stats, span
 from ..pipeline import ClosedFormInterlock, simulate
 from ..spec import (
+    DerivationError,
     build_functional_spec,
     check_all_properties,
-    most_liberal_is_maximal,
+    check_maximality,
     symbolic_most_liberal,
 )
 from ..spec.derivation import DerivationResult
+from ..symbolic import SymbolicContext
 from ..workloads import WorkloadGenerator, WorkloadProfile
 from .spec import CANONICAL_STAGES, JobSpec
 
@@ -197,65 +201,68 @@ def clear_warm_state() -> None:
     _WARM_STATE.clear()
 
 
-def _note_store_write_error(kind: str, error: Exception) -> None:
+def _note_store_write_error(kind: str, error: Exception) -> str:
     """Count a store write that failed; the job's verdict does not depend on it.
 
     The store is a cache, so a full disk or an unserializable derivation
     must not fail the verification — but it must not vanish either: the
     failure lands in ``repro_store_write_errors_total{kind}`` and, as
-    ``store_<kind>_write_error``, on the enclosing stage span.
+    ``store_<kind>_write_error`` (returned), on the enclosing stage span.
     """
     get_registry().inc("repro_store_write_errors_total", kind=kind)
-    annotate(**{f"store_{kind}_write_error": f"{type(error).__name__}: {error}"})
+    message = f"{type(error).__name__}: {error}"
+    annotate(**{f"store_{kind}_write_error": message})
+    return message
 
 
 def _ensure_derivation(state: Dict[str, Any], job: JobSpec, store: Optional[Any]):
-    """The derivation later stages depend on, cheapest source first.
+    """The job's derivation and where it came from, cheapest source first.
 
     Order of preference: the warm state (free), a stored binary artifact
     (milliseconds), a fresh fixed-point derivation (which is then dumped
     to the store, keyed by the ``derive`` stage's dependency hash, for
     every future job sharing this architecture).  Returns the derivation
-    and where it came from (``"warm"``/``"artifact"``/``"computed"``).
+    and where it came from (``"warm"``/``"artifact"``/``"computed"``),
+    remembered in the per-job ``state`` for the ``derive`` stage.
     """
-    if "derivation" in state:
-        derivation = state["derivation"]
-        if store is not None:
-            # A warm worker pointed at a fresh store must still populate
-            # it, or cold restarts would re-derive; the existence check
-            # is not a lookup, so it does not skew the hit/miss tally.
-            key = job.stage_key("derive")
-            if not store.artifact_path(key).exists():
-                try:
-                    store.put_artifact(
-                        key, derivation.to_artifact_bytes(include_covers=True)
-                    )
-                except (ValueError, OSError) as error:
-                    _note_store_write_error("artifact", error)
-        return derivation, "warm"
+    if "source" in state:
+        return state["derivation"], state["source"]
+    warm = state["warm"]
     spec = state["spec"]
-    if store is not None:
-        key = job.stage_key("derive")
+    key = job.stage_key("derive")
+    derivation = warm.get("derivation")
+    source = "warm"
+    if derivation is None and store is not None:
         data = store.get_artifact(key)
         if data is not None:
             try:
                 derivation = DerivationResult.from_artifact_bytes(spec, data)
+                source = "artifact"
             except ArtifactError:
                 store.note_corrupt_artifact(key)
-            else:
-                state["derivation"] = derivation
-                return derivation, "artifact"
-    derivation = symbolic_most_liberal(spec)
-    state["derivation"] = derivation
-    if store is not None:
+    if derivation is None:
+        derivation = symbolic_most_liberal(spec)
+        source = "computed"
+    warm["derivation"] = state["derivation"] = derivation
+    state["source"] = source
+    # A warm worker pointed at a fresh store must still populate it, or
+    # cold restarts would re-derive; the existence check is not a lookup,
+    # so it does not skew the hit/miss tally.
+    if store is not None and (
+        source == "computed"
+        or (source == "warm" and not store.artifact_path(key).exists())
+    ):
         try:
-            store.put_artifact(
-                job.stage_key("derive"),
-                derivation.to_artifact_bytes(include_covers=True),
-            )
+            store.put_artifact(key, derivation.to_artifact_bytes(include_covers=True))
         except (ValueError, OSError) as error:
-            _note_store_write_error("artifact", error)
-    return derivation, "computed"
+            state["artifact_write_error"] = _note_store_write_error("artifact", error)
+    return derivation, source
+
+
+def _job_context(state: Dict[str, Any]) -> Optional[SymbolicContext]:
+    """The job's BDD context, once a derivation exists for it."""
+    derivation = state["warm"].get("derivation")
+    return derivation.context if derivation is not None else None
 
 
 # -- stage implementations ---------------------------------------------------------
@@ -264,8 +271,21 @@ def _ensure_derivation(state: Dict[str, Any], job: JobSpec, store: Optional[Any]
 def _stage_properties(
     state: Dict[str, Any], job: JobSpec, store: Optional[Any]
 ) -> StageResult:
-    report = check_all_properties(state["spec"])
-    details = {check.name: check.holds for check in report.checks}
+    try:
+        derivation, _ = _ensure_derivation(state, job, store)
+    except DerivationError:
+        # A spec that cannot be derived still gets its Section 3.1 checks;
+        # the derive stage then fails with the derivation's own error.
+        derivation = None
+    report = check_all_properties(state["spec"], derivation)
+    details: Dict[str, Any] = {check.name: check.holds for check in report.checks}
+    counterexamples = {
+        check.name: check.counterexample
+        for check in report.checks
+        if check.counterexample is not None
+    }
+    if counterexamples:
+        details["counterexamples"] = counterexamples
     return StageResult(
         name="properties", ok=report.all_hold(), seconds=0.0, details=details
     )
@@ -283,23 +303,10 @@ def _stage_derive(
         "bdd_nodes": sum(derivation.bdd_sizes.values()),
         "source": source,
     }
-    # Kernel health of the derivation's manager (JSON-ready), so scale
-    # problems show up in campaign reports instead of only in profiles.
-    stats = derivation.context.manager.stats().as_dict()
-    details["kernel"] = stats
-    # Checkpoint delta against the warm state's previous reading: a
-    # fresh derivation reports its absolute counters, a warm rerun
-    # only what this job added to the long-lived manager.
-    previous = state.get("kernel_checkpoint") or {}
-    delta = {
-        counter: stats[counter] - previous.get(counter, 0)
-        for counter in KERNEL_COUNTERS
-    }
-    delta["live_nodes"] = stats["live_nodes"]
-    delta["load_factor"] = stats["load_factor"]
-    state["kernel_checkpoint"] = stats
-    record_kernel_stats(delta)
-    annotate(kernel=delta, source=source)
+    annotate(source=source)
+    if "artifact_write_error" in state:
+        # Written when the derivation was resolved, maybe by an earlier stage.
+        annotate(store_artifact_write_error=state["artifact_write_error"])
     return StageResult(name="derive", ok=True, seconds=0.0, details=details)
 
 
@@ -307,25 +314,19 @@ def _stage_maximality(
     state: Dict[str, Any], job: JobSpec, store: Optional[Any]
 ) -> StageResult:
     derivation, _ = _ensure_derivation(state, job, store)
-    ok = most_liberal_is_maximal(state["spec"], derivation)
+    ok = check_maximality(state["spec"], derivation).holds
     return StageResult(name="maximality", ok=ok, seconds=0.0, details={})
 
 
 def _stage_obligations(
     state: Dict[str, Any], job: JobSpec, store: Optional[Any]
 ) -> StageResult:
-    spec = state["spec"]
     derivation, _ = _ensure_derivation(state, job, store)
-    context = derivation.context
-    moe_nodes = {moe: fn.node for moe, fn in derivation.moe_functions.items()}
-    obligations = {}
-    for clause in spec.clauses:
-        condition = context.function(
-            context.manager.compose_many(context.lift(clause.condition).node, moe_nodes)
-        )
-        obligations[clause.moe] = condition.iff(~derivation.moe_function(clause.moe))
-    checker = PropertyChecker(spec, architecture=state["architecture"], backend="bdd")
-    report = checker.check_obligations(obligations, name="derived-contract")
+    checker = PropertyChecker(
+        state["spec"], architecture=state["architecture"], derivation=derivation
+    )
+    # The derived contract F_i∘MOE ↔ ¬MOE_i, per stage, under the environment.
+    report = checker.check_combined(ClosedFormInterlock.from_derivation(derivation))
     details = {"obligations": len(report.results), "failing": report.failing_stages()}
     return StageResult(
         name="obligations", ok=report.all_hold(), seconds=0.0, details=details
@@ -436,7 +437,7 @@ def run_verification_job(
     start = time.perf_counter()
     stages: List[StageResult] = []
     try:
-        state = _arch_state(job.arch)
+        warm = _arch_state(job.arch)
     except Exception:
         return JobResult(
             job=job,
@@ -445,6 +446,13 @@ def run_verification_job(
             stages=stages,
             error=traceback.format_exc(),
         )
+    # Per-job state over the warm architecture state: the job's
+    # derivation and its source land here (see _ensure_derivation).
+    state: Dict[str, Any] = {
+        "warm": warm,
+        "architecture": warm["architecture"],
+        "spec": warm["spec"],
+    }
     error: Optional[str] = None
     registry = get_registry()
     for name in CANONICAL_STAGES:
@@ -466,6 +474,8 @@ def run_verification_job(
                     stage_span.annotate(from_store=True)
                     registry.observe("repro_stage_seconds", seconds, stage=name)
                     continue
+            context = _job_context(state)
+            watch = KernelWatch(context.manager) if context is not None else None
             try:
                 result = _STAGE_IMPLS[name](state, job, store)
                 result.seconds = time.perf_counter() - stage_start
@@ -474,6 +484,17 @@ def run_verification_job(
                     name=name, ok=False, seconds=time.perf_counter() - stage_start
                 )
                 error = traceback.format_exc()
+            if watch is None and _job_context(state) is not None:
+                # The stage created the job context: all its work is this stage's.
+                watch = KernelWatch(_job_context(state).manager)
+                watch.rebase({})
+            if watch is not None:
+                kernel = watch.delta()
+                record_kernel_stats(kernel)
+                stage_span.annotate(kernel=kernel)
+                if name == "derive" and result.ok:
+                    # Campaign reports show the derivation's kernel health.
+                    result.details["kernel"] = kernel
             stage_span.annotate(ok=result.ok)
             registry.observe("repro_stage_seconds", result.seconds, stage=name)
             if error is None and result.ok and store is not None:
@@ -484,6 +505,11 @@ def run_verification_job(
         stages.append(result)
         if error is not None:
             break
+    # The warm state keeps the context across jobs, and mutants differ
+    # per workload seed: reclaim everything this job left behind.
+    context = _job_context(state)
+    if context is not None:
+        context.collect()
     ok = error is None and all(stage.ok for stage in stages)
     seconds = time.perf_counter() - start
     registry.observe("repro_job_seconds", seconds)

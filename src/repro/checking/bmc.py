@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..bdd.ordering import register_interleaved_order
 from ..expr.ast import Expr, FALSE, Implies, Not, TRUE, Var
 from ..expr.builders import big_and
 from ..expr.transform import rename, simplify, substitute
@@ -261,8 +262,11 @@ class BoundedModelChecker:
         self.backend = backend
         # One shared context across all cycles and claims: the timed copies
         # of the environment and the model equations recur from claim to
-        # claim, so their compiled BDDs are reused.
-        self._context = SymbolicContext() if backend == "bdd" else None
+        # claim, so their compiled BDDs are reused.  Cycle-major order,
+        # each cycle's signals register-interleaved (declared in check()).
+        self._signal_order = register_interleaved_order([*spec.moe_flags(), *spec.input_signals()])
+        cycle_0 = [timed_name(name, 0) for name in self._signal_order]
+        self._context = SymbolicContext(cycle_0) if backend == "bdd" else None
 
     # -- claim construction -----------------------------------------------------------
 
@@ -334,6 +338,9 @@ class BoundedModelChecker:
             kind=kind,
         )
         for cycle in range(bound):
+            if self._context is not None:
+                for name in self._signal_order:
+                    self._context.manager.declare(timed_name(name, cycle))
             for moe, claim in self._claims_at(model, cycle, kind).items():
                 result.claims_checked += 1
                 assumptions = self._assumptions_for(claim, cycle)

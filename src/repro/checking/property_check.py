@@ -18,10 +18,8 @@ could replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
-from ..bdd.ordering import register_interleaved_order
-from ..expr.ast import Expr, Not
 from ..expr.transform import substitute
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.structure import Architecture
@@ -85,8 +83,14 @@ class CheckReport:
 class PropertyChecker:
     """Checks closed-form interlock implementations exhaustively.
 
+    With BDDs every claim is decided in the interlock's own context, by
+    composition and pointer comparison; the checker owns no manager.  The
+    SAT backend substitutes the materialized closed forms into the clause
+    expressions instead, so it stays an independent oracle.
+
     ``derivation``, when given, must be the derivation of ``spec``; the
-    equivalence check then reuses it instead of deriving the spec again.
+    equivalence check reuses it for interlocks in its context instead of
+    deriving the spec again.
     """
 
     def __init__(
@@ -106,64 +110,61 @@ class PropertyChecker:
             self.environment = environment_formula(self.architecture)
         else:
             self.environment = None
-        # One shared BDD context per checker: the environment formula, the
-        # specification conditions and the derived moe equations are compiled
-        # once and reused across every claim (a campaign may prove hundreds).
-        # Register-interleaved, like the derivation's own manager: in
-        # declaration order the scoreboard terms blow up exponentially in
-        # the register count.
-        self._context = (
-            SymbolicContext(register_interleaved_order(spec.input_signals()))
-            if backend == "bdd"
-            else None
-        )
         self._derivation = derivation
+        self._decided_in: Optional[SymbolicContext] = (
+            derivation.context if derivation is not None and backend == "bdd" else None
+        )
 
     def kernel_stats(self) -> Optional[Dict[str, float]]:
-        """Counters of the checker's shared BDD manager (None with SAT)."""
-        if self._context is None:
+        """Counters of the BDD manager the checker last decided in (or None)."""
+        if self._decided_in is None:
             return None
-        return self._context.manager.stats().as_dict()
+        return self._decided_in.manager.stats().as_dict()
 
     # -- helpers --------------------------------------------------------------------
 
-    def _implementation_map(self, interlock: ClosedFormInterlock) -> Dict[str, Expr]:
-        expressions = interlock.expressions()
-        missing = set(self.spec.moe_flags()) - set(expressions)
+    def _implementation_map(self, interlock: ClosedFormInterlock) -> Dict[str, object]:
+        """The closed forms per flag: SymbolicFunctions with BDDs, Exprs with SAT."""
+        if self.backend == "bdd":
+            implementation = interlock.functions()
+        else:
+            implementation = interlock.expressions()
+        missing = set(self.spec.moe_flags()) - set(implementation)
         if missing:
             raise ValueError(
                 f"implementation {interlock.name!r} drives no expression for "
                 f"{sorted(missing)}"
             )
-        return expressions
+        return implementation
 
-    def _derived_expressions(self) -> Dict[str, Expr]:
-        """The derived maximum-performance moe equations, computed once."""
-        if self._derivation is None:
-            self._derivation = symbolic_most_liberal(self.spec)
-        return self._derivation.moe_expressions
+    def _derived(self, interlock: ClosedFormInterlock) -> Dict[str, object]:
+        """The derived closed forms, from a derivation in the interlock's context."""
+        derivation = self._derivation
+        if derivation is None or (
+            self.backend == "bdd" and derivation.context is not interlock.context
+        ):
+            derivation = self._derivation = symbolic_most_liberal(
+                self.spec, context=interlock.context
+            )
+        if self.backend == "bdd":
+            return derivation.moe_functions
+        return derivation.moe_expressions
 
     def _prove(self, claim) -> (bool, Optional[Dict[str, bool]]):
         """Prove one obligation under the environment assumptions.
 
-        ``claim`` may be an :class:`~repro.expr.ast.Expr`, lifted into the
-        checker's shared context, or a
-        :class:`~repro.symbolic.SymbolicFunction`, decided in *its* context.
-        Either way the environment formula is lifted into that context
-        (cached there across claims); only the SAT backend needs a
-        materialized form.
+        With BDDs ``claim`` is a :class:`~repro.symbolic.SymbolicFunction`,
+        decided in its own context with the environment formula lifted
+        there (cached across claims); the SAT backend decides expressions.
         """
         if self.backend == "bdd":
-            if isinstance(claim, SymbolicFunction):
-                context = claim.context
-            else:
-                context = self._context
-            function = context.lift(claim)
-            if self.environment is not None:
-                function = context.lift(self.environment).implies(function)
-            if function.is_true():
+            context = self._decided_in = claim.context
+            # A claim valid on its own needs no environment: skip lifting it.
+            if self.environment is not None and not claim.is_true():
+                claim = context.lift(self.environment).implies(claim)
+            if claim.is_true():
                 return True, None
-            return False, function.counterexample()
+            return False, claim.counterexample()
         if isinstance(claim, SymbolicFunction):
             claim = claim.to_expr()
         if self.environment is not None:
@@ -173,90 +174,80 @@ class PropertyChecker:
             return True, None
         return False, decision.model
 
-    def _prove_equivalence(self, left: Expr, right: Expr) -> (bool, Optional[Dict[str, bool]]):
+    def _prove_equivalence(self, left, right) -> (bool, Optional[Dict[str, bool]]):
         """Prove ``left ↔ right`` (under the environment) without an iff BDD.
 
         ``env → (left ↔ right)`` is valid exactly when ``env ∧ left`` and
         ``env ∧ right`` are the same function — a pointer comparison after
         two conjunctions, instead of the much larger iff product.  On
         failure a differing assignment is recovered by walking the two
-        conjunction DAGs in lock step.
+        conjunction DAGs in lock step.  The SAT backend decides the iff.
         """
         if self.backend != "bdd":
             return self._prove(left.iff(right))
-        context = self._context
-        left_function = context.lift(left)
-        right_function = context.lift(right)
-        if self.environment is not None:
+        context = self._decided_in = left.context
+        if self.environment is not None and not left.equivalent(right):
             environment = context.lift(self.environment)
-            left_function = environment & left_function
-            right_function = environment & right_function
-        if left_function.equivalent(right_function):
+            left = environment & left
+            right = environment & right
+        if left.equivalent(right):
             return True, None
-        return False, left_function.find_difference(right_function)
+        return False, left.find_difference(right)
+
+    def _check_clauses(
+        self, interlock: ClosedFormInterlock, kind: str, decide: Callable
+    ) -> CheckReport:
+        """Decide ``decide(F_i∘impl, impl_i)`` for every clause."""
+        implementation = self._implementation_map(interlock)
+        if self.backend == "bdd":
+            context = interlock.context
+            nodes = {moe: function.node for moe, function in implementation.items()}
+
+            def substituted(condition):
+                lifted = context.lift(condition).node
+                return context.function(context.manager.compose_many(lifted, nodes))
+
+        else:
+
+            def substituted(condition):
+                return substitute(condition, implementation)
+
+        report = CheckReport(
+            implementation=interlock.name, spec_name=self.spec.name, backend=self.backend
+        )
+        for clause in self.spec.clauses:
+            holds, counterexample = decide(
+                substituted(clause.condition), implementation[clause.moe]
+            )
+            report.results.append(
+                PropertyResult(
+                    name=f"{kind}::{clause.label or clause.moe}",
+                    moe=clause.moe,
+                    holds=holds,
+                    counterexample=counterexample,
+                )
+            )
+        return report
 
     # -- checks ------------------------------------------------------------------------
 
     def check_functional(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove, per stage, that the implementation never misses a required stall."""
-        implementation = self._implementation_map(interlock)
-        report = CheckReport(
-            implementation=interlock.name, spec_name=self.spec.name, backend=self.backend
+        return self._check_clauses(
+            interlock, "functional", lambda condition, moe: self._prove(condition.implies(~moe))
         )
-        for clause in self.spec.clauses:
-            condition = substitute(clause.condition, implementation)
-            claim = condition.implies(Not(implementation[clause.moe]))
-            holds, counterexample = self._prove(claim)
-            report.results.append(
-                PropertyResult(
-                    name=f"functional::{clause.label or clause.moe}",
-                    moe=clause.moe,
-                    holds=holds,
-                    counterexample=counterexample,
-                )
-            )
-        return report
 
     def check_performance(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove, per stage, that the implementation never stalls unnecessarily."""
-        implementation = self._implementation_map(interlock)
-        report = CheckReport(
-            implementation=interlock.name, spec_name=self.spec.name, backend=self.backend
+        return self._check_clauses(
+            interlock, "performance", lambda condition, moe: self._prove((~moe).implies(condition))
         )
-        for clause in self.spec.clauses:
-            condition = substitute(clause.condition, implementation)
-            claim = Not(implementation[clause.moe]).implies(condition)
-            holds, counterexample = self._prove(claim)
-            report.results.append(
-                PropertyResult(
-                    name=f"performance::{clause.label or clause.moe}",
-                    moe=clause.moe,
-                    holds=holds,
-                    counterexample=counterexample,
-                )
-            )
-        return report
 
     def check_combined(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove both halves at once (``condition ↔ ¬moe`` per stage)."""
-        implementation = self._implementation_map(interlock)
-        report = CheckReport(
-            implementation=interlock.name, spec_name=self.spec.name, backend=self.backend
+        return self._check_clauses(
+            interlock, "combined", lambda condition, moe: self._prove_equivalence(condition, ~moe)
         )
-        for clause in self.spec.clauses:
-            condition = substitute(clause.condition, implementation)
-            holds, counterexample = self._prove_equivalence(
-                condition, Not(implementation[clause.moe])
-            )
-            report.results.append(
-                PropertyResult(
-                    name=f"combined::{clause.label or clause.moe}",
-                    moe=clause.moe,
-                    holds=holds,
-                    counterexample=counterexample,
-                )
-            )
-        return report
 
     def check_equivalence_with_derived(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove the implementation equals the derived maximum-performance interlock."""
@@ -266,10 +257,8 @@ class PropertyChecker:
             spec_name=f"derived({self.spec.name})",
             backend=self.backend,
         )
-        for moe, derived_expression in self._derived_expressions().items():
-            holds, counterexample = self._prove_equivalence(
-                implementation[moe], derived_expression
-            )
+        for moe, reference in self._derived(interlock).items():
+            holds, counterexample = self._prove_equivalence(implementation[moe], reference)
             report.results.append(
                 PropertyResult(
                     name=f"equivalence::{moe}", moe=moe, holds=holds, counterexample=counterexample
@@ -287,10 +276,10 @@ class PropertyChecker:
         Layers that already hold canonical BDD artefacts — the derivation's
         per-stage claims, refinement conditions built with
         :class:`~repro.symbolic.SymbolicFunction` arithmetic — pass them
-        directly, keyed by moe flag; plain expressions are accepted too.
-        With the BDD backend a symbolic obligation is decided in its own
-        context under the checker's environment assumptions, without
-        materializing any expression.
+        directly, keyed by moe flag.  With the BDD backend each obligation
+        is decided in its own context under the checker's environment
+        assumptions, without materializing any expression; the SAT backend
+        also accepts plain expressions.
         """
         report = CheckReport(
             implementation=name, spec_name=self.spec.name, backend=self.backend

@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="contract lint: enforce the kernel/campaign/service invariants "
         "the type system can't see",
-        description="AST-based contract lint (rules RPL001-RPL008, see "
+        description="AST-based contract lint (rules RPL001-RPL009, see "
         "docs/contracts.md): raw node ids stored without protect(), "
         "cross-manager node mixing, raw-id loops outside "
         "postpone_reorder(), STAGE_DEPENDENCIES drift, blocking calls in "

@@ -1,4 +1,4 @@
-"""The bundled contract rules (RPL001–RPL008).
+"""The bundled contract rules (RPL001–RPL009).
 
 Each rule encodes one invariant from the kernel/service contracts (see
 ``docs/contracts.md`` for the catalog with rationale and worked
@@ -788,6 +788,48 @@ class BddManagerOutsideKernel(Rule):
                         self,
                         "BddManager(...) constructed outside the kernel — create a "
                         "repro.symbolic.SymbolicContext and use its lift()/manager",
+                    )
+                )
+        return findings
+
+
+@register
+class UnorderedSymbolicContext(Rule):
+    """RPL009: a ``SymbolicContext()`` built without a variable order.
+
+    With no order the manager declares variables as formulas first
+    mention them, which for the register-indexed scoreboard signals is
+    the concatenated order — exponential in the register count.  It has
+    blown up twice (a property checker, then the properties stage on the
+    FirePath-scale spec).  Outside ``repro.symbolic`` every context is
+    built with an order: the job's ``derivation_order(spec)`` or a
+    ``register_interleaved_order(...)`` over the signals involved.
+    """
+
+    code = "RPL009"
+    summary = (
+        "SymbolicContext() constructed without a variable order outside "
+        "repro.symbolic"
+    )
+
+    def applies_to(self, source: SourceFile) -> bool:
+        return "/repro/symbolic/" not in "/" + source.path.replace("\\", "/")
+
+    def check(self, source: SourceFile) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(source.tree):
+            if (
+                isinstance(node, ast.Call)
+                and _receiver_name(node.func) == "SymbolicContext"
+                and not node.args
+                and not any(kw.arg == "variable_order" for kw in node.keywords)
+            ):
+                findings.append(
+                    source.finding(
+                        node,
+                        self,
+                        "SymbolicContext() without a variable order — pass "
+                        "derivation_order(spec) or a register_interleaved_order(...)",
                     )
                 )
         return findings

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, List, Optional
 
-from ..expr.ast import And, Expr, FALSE, Not, Or, TRUE, Var
+from ..expr.ast import Expr, FALSE, Or, TRUE, Var
 from ..expr.transform import simplify
 from ..pipeline.interlock import ClosedFormInterlock, Interlock, StuckResetInterlock
 from ..spec.derivation import DerivationResult, symbolic_most_liberal
@@ -102,7 +102,10 @@ class FaultInjector:
         )
 
     def _interlock_for(self, mutated_spec: FunctionalSpec, name: str) -> ClosedFormInterlock:
-        return ClosedFormInterlock.from_spec(mutated_spec, name=name)
+        """Derive a mutant into the reference's context (shared nodes, pointer checks)."""
+        return ClosedFormInterlock.from_spec(
+            mutated_spec, name=name, context=self.derivation.context
+        )
 
     # -- individual fault models --------------------------------------------------------------
 
@@ -195,7 +198,7 @@ class FaultInjector:
     def bad_reset_fault(self, moe: str, value: bool, cycles: int = 4) -> InjectedFault:
         """Initialisation bug: the flag is forced to a value for the first cycles."""
         interlock = StuckResetInterlock(
-            ClosedFormInterlock.from_derivation(self.derivation),
+            self.reference,
             forced_values={moe: value},
             cycles=cycles,
             name=f"bad-reset({moe}={int(value)})",

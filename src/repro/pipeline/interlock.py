@@ -12,18 +12,19 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from operator import truth
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..expr.ast import Expr, Not, Var
+from ..bdd.ordering import register_interleaved_order
+from ..expr.ast import Expr, variables_of
 from ..expr.compile import CompiledOutputs, compile_outputs
 from ..expr.evaluate import eval_expr
-from ..expr.transform import simplify
 from ..spec.derivation import (
     DerivationResult,
     concrete_most_liberal,
     symbolic_most_liberal,
 )
 from ..spec.functional import FunctionalSpec
+from ..symbolic import SymbolicContext, SymbolicFunction
 
 
 class Interlock(ABC):
@@ -97,27 +98,39 @@ class SpecFixedPointInterlock(Interlock):
 
 
 class ClosedFormInterlock(Interlock):
-    """Interlock defined by closed-form moe expressions over primary inputs.
+    """Interlock defined by closed-form moe functions over primary inputs.
 
     This is what the symbolic derivation, the RTL synthesiser and the fault
-    injector produce.  Expressions may only refer to primary inputs (they
-    are combinational in the inputs); cross-references between moe flags
-    must already have been resolved by the derivation.
+    injector produce: :class:`~repro.symbolic.SymbolicFunction` objects
+    sharing one :attr:`context`, over primary inputs only.  Plain
+    expressions are lifted into ``context`` — by default a register-
+    interleaved one over the variables they mention.
 
-    The expressions are compiled on first use into one straight-line
-    function over all flags (:func:`~repro.expr.compile.compile_outputs`),
-    so a simulated cycle costs one call instead of a tree walk per flag.
-    :meth:`row_function` compiles them once more per input order, with
-    the variables bound to row positions, and caches the result.
+    For evaluation the closed forms are materialized as ISOP covers and
+    compiled on first use into one straight-line function over all flags
+    (:func:`~repro.expr.compile.compile_outputs`), so a simulated cycle
+    costs one call instead of a tree walk per flag.  :meth:`row_function`
+    compiles them once more per input order, with the variables bound to
+    row positions, and caches the result.
     """
 
     def __init__(
         self,
-        moe_expressions: Mapping[str, Expr],
+        moe_functions: Mapping[str, Union[SymbolicFunction, Expr]],
         name: str = "closed-form",
         description: str = "",
+        context: Optional[SymbolicContext] = None,
     ):
-        self._expressions = dict(moe_expressions)
+        lifted = [f for f in moe_functions.values() if isinstance(f, SymbolicFunction)]
+        if context is None and lifted:
+            context = lifted[0].context
+        elif context is None:
+            support = variables_of(moe_functions.values())
+            context = SymbolicContext(register_interleaved_order(sorted(support)))
+        self.context = context
+        self._functions: Dict[str, SymbolicFunction] = {
+            moe: context.lift(value) for moe, value in moe_functions.items()
+        }
         self._compiled: Optional[CompiledOutputs] = None
         self._row_functions: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Callable]] = {}
         self.name = name
@@ -127,30 +140,39 @@ class ClosedFormInterlock(Interlock):
     def from_derivation(
         cls, derivation: DerivationResult, name: Optional[str] = None
     ) -> "ClosedFormInterlock":
-        """Build from a symbolic derivation result."""
+        """Build from a symbolic derivation result (its functions, its context)."""
         return cls(
-            derivation.moe_expressions,
+            derivation.moe_functions,
             name=name or f"derived({derivation.spec.name})",
             description="closed forms from the symbolic fixed-point derivation",
         )
 
     @classmethod
-    def from_spec(cls, spec: FunctionalSpec, name: Optional[str] = None) -> "ClosedFormInterlock":
-        """Derive the closed forms from a functional spec and wrap them."""
-        return cls.from_derivation(symbolic_most_liberal(spec), name=name)
+    def from_spec(
+        cls,
+        spec: FunctionalSpec,
+        name: Optional[str] = None,
+        context: Optional[SymbolicContext] = None,
+    ) -> "ClosedFormInterlock":
+        """Derive the closed forms from a functional spec (into ``context``) and wrap them."""
+        return cls.from_derivation(symbolic_most_liberal(spec, context=context), name=name)
+
+    def functions(self) -> Dict[str, SymbolicFunction]:
+        """All closed forms as SymbolicFunctions in :attr:`context` (copy)."""
+        return dict(self._functions)
 
     def expression_for(self, moe: str) -> Expr:
-        """The closed-form expression driving one moe flag."""
-        return self._expressions[moe]
+        """The closed form driving one moe flag, materialized as an ISOP cover."""
+        return self._functions[moe].to_expr()
 
     def expressions(self) -> Dict[str, Expr]:
-        """All closed-form expressions (copy)."""
-        return dict(self._expressions)
+        """All closed forms materialized as ISOP covers (cached per node)."""
+        return {moe: function.to_expr() for moe, function in self._functions.items()}
 
     def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
         compiled = self._compiled
         if compiled is None:
-            compiled = self._compiled = compile_outputs(self._expressions)
+            compiled = self._compiled = compile_outputs(self.expressions())
         try:
             values = list(map(truth, map(inputs.__getitem__, compiled.names)))
         except KeyError:
@@ -158,12 +180,12 @@ class ClosedFormInterlock(Interlock):
             # variables that cannot matter and raises on the ones that do.
             return {
                 moe: eval_expr(expression, inputs)
-                for moe, expression in self._expressions.items()
+                for moe, expression in self.expressions().items()
             }
         return dict(zip(compiled.outputs, map(truth, compiled(values, 1))))
 
     def moe_flags(self) -> list:
-        return list(self._expressions)
+        return list(self._functions)
 
     def row_function(
         self, input_names: Sequence[str]
@@ -171,7 +193,7 @@ class ClosedFormInterlock(Interlock):
         """The compiled closed forms over row positions (cached per input order).
 
         A subclass that overrides :meth:`compute_moe` is evaluated through
-        it, and so are expressions over a signal the row does not carry.
+        it, and so are closed forms over a signal the row does not carry.
         """
         input_names = tuple(input_names)
         cached = self._row_functions.get(input_names)
@@ -180,9 +202,9 @@ class ClosedFormInterlock(Interlock):
         if type(self).compute_moe is not ClosedFormInterlock.compute_moe:
             return super().row_function(input_names)
         try:
-            compiled = compile_outputs(self._expressions, order=input_names)
+            compiled = compile_outputs(self.expressions(), order=input_names)
         except ValueError:
-            # An expression reads a signal outside the row.
+            # A closed form reads a signal outside the row.
             return super().row_function(input_names)
 
         def evaluate(row: Sequence[bool]) -> List[bool]:
@@ -194,15 +216,16 @@ class ClosedFormInterlock(Interlock):
     def with_replaced_flag(
         self, moe: str, expression: Expr, name: Optional[str] = None
     ) -> "ClosedFormInterlock":
-        """A copy with one flag's expression replaced (fault injection hook)."""
-        expressions = dict(self._expressions)
-        if moe not in expressions:
+        """A copy with one flag's closed form replaced, in this context."""
+        functions = dict(self._functions)
+        if moe not in functions:
             raise KeyError(f"interlock drives no flag named {moe!r}")
-        expressions[moe] = simplify(expression)
+        functions[moe] = self.context.lift(expression)
         return ClosedFormInterlock(
-            expressions,
+            functions,
             name=name or f"{self.name}+mutated({moe})",
             description=self.description,
+            context=self.context,
         )
 
 

@@ -26,7 +26,6 @@ from .derivation import (
     concrete_most_liberal,
     derive_combined_spec,
     derive_performance_spec,
-    most_liberal_is_maximal,
     symbolic_most_liberal,
     unnecessary_stall_condition,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "concrete_most_liberal",
     "derive_combined_spec",
     "derive_performance_spec",
-    "most_liberal_is_maximal",
     "symbolic_most_liberal",
     "unnecessary_stall_condition",
     "EquivalenceReport",

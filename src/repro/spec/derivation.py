@@ -41,7 +41,7 @@ from ..bdd.serialize import ArtifactError
 from ..expr.ast import Expr
 from ..expr.evaluate import eval_expr
 from ..expr.printer import to_text
-from ..obs import KernelWatch, current_trace_id, span
+from ..obs import span
 from ..symbolic import SymbolicContext, SymbolicFunction
 from .functional import FunctionalSpec, SpecificationError
 from .performance import CombinedSpec, PerformanceSpec
@@ -94,7 +94,6 @@ class DerivationResult:
                 moe: function.dag_size() for moe, function in moe_functions.items()
             }
         self.bdd_sizes: Dict[str, int] = dict(bdd_sizes)
-        self._moe_expressions: Optional[Dict[str, Expr]] = None
         self._stall_expressions: Optional[Dict[str, Expr]] = None
 
     # -- the symbolic side -------------------------------------------------------
@@ -119,19 +118,12 @@ class DerivationResult:
 
     @property
     def moe_expressions(self) -> Dict[str, Expr]:
-        """Closed-form ``MOE_i`` per flag, materialized lazily and cached.
+        """Closed-form ``MOE_i`` per flag, materialized lazily (a fresh dict).
 
         Each flag materializes as a minimized irredundant-SOP cover of its
-        BDD node.
+        BDD node, cached per node by the context.
         """
-        if self._moe_expressions is None:
-            self._moe_expressions = {
-                moe: function.to_expr()
-                for moe, function in self.moe_functions.items()
-            }
-        # A copy, like stall_expressions(): callers that rewrite the mapping
-        # must not corrupt the cached closed forms other consumers read.
-        return dict(self._moe_expressions)
+        return {moe: function.to_expr() for moe, function in self.moe_functions.items()}
 
     def moe_expression(self, moe: str) -> Expr:
         """The materialized closed form of one flag."""
@@ -350,9 +342,6 @@ def symbolic_most_liberal(
     # The loop state below is raw node ids (not SymbolicFunction handles),
     # so an automatic reorder mid-iteration could reclaim nodes only this
     # frame references; postpone it until the fixed point converges.
-    # The stats() snapshot is not free, so the kernel checkpoint around
-    # the fixed point is taken only when a trace session is active.
-    watch = KernelWatch(manager) if current_trace_id() is not None else None
     with manager.postpone_reorder():
         with span("derive.compile", clauses=len(spec.clauses)):
             condition_nodes: Dict[str, int] = {
@@ -433,8 +422,6 @@ def symbolic_most_liberal(
             fp_span.annotate(
                 iterations=iterations, evaluations=sum(evaluations.values())
             )
-            if watch is not None:
-                fp_span.annotate(kernel=watch.delta())
 
     # Confirm the fixed point really only mentions primary inputs.
     input_scope = tuple(spec.input_signals())
@@ -460,6 +447,18 @@ def symbolic_most_liberal(
     )
 
 
+def _require_preconditions(spec: FunctionalSpec) -> None:
+    """Raise SpecificationError unless every Section 3 property holds."""
+    from .properties import check_all_properties
+
+    report = check_all_properties(spec)
+    if not report.all_hold():
+        raise SpecificationError(
+            "functional specification violates the Section 3.1 preconditions:\n"
+            + report.describe()
+        )
+
+
 def derive_performance_spec(
     spec: FunctionalSpec, check_preconditions: bool = True
 ) -> PerformanceSpec:
@@ -477,14 +476,7 @@ def derive_performance_spec(
     spec would be unsound.
     """
     if check_preconditions:
-        from .properties import check_all_properties
-
-        report = check_all_properties(spec)
-        if not report.all_hold():
-            raise SpecificationError(
-                "functional specification violates the Section 3.1 preconditions:\n"
-                + report.describe()
-            )
+        _require_preconditions(spec)
     return PerformanceSpec(spec)
 
 
@@ -493,48 +485,8 @@ def derive_combined_spec(
 ) -> CombinedSpec:
     """Derive the combined (functional + performance) specification."""
     if check_preconditions:
-        from .properties import check_all_properties
-
-        report = check_all_properties(spec)
-        if not report.all_hold():
-            raise SpecificationError(
-                "functional specification violates the Section 3.1 preconditions:\n"
-                + report.describe()
-            )
+        _require_preconditions(spec)
     return CombinedSpec(spec)
-
-
-def most_liberal_is_maximal(
-    spec: FunctionalSpec, derivation: Optional[DerivationResult] = None
-) -> bool:
-    """Verify the Section 3.2 subsumption theorem for a specification.
-
-    Checks, with BDDs, that every assignment satisfying the functional
-    specification is pointwise below the derived ``MOE``::
-
-        SPEC_func(moe, inputs)  →  (moe_i → MOE_i(inputs))     for every i
-
-    This is the machine-checked version of the paper's inductive proof.
-    The claim is decided directly on the derivation's BDD nodes — no
-    expressions are materialized.
-    """
-    derivation = derivation or symbolic_most_liberal(spec)
-    context = derivation.context
-    manager = context.manager
-    functional_node = context.lift(spec.functional_formula()).node
-    for moe in spec.moe_flags():
-        # The claim is valid iff SPEC_func ∧ moe_i ∧ ¬MOE_i is
-        # unsatisfiable; the fused relational product decides that in
-        # one sweep without building the conjunction.
-        refutation = manager.and_(
-            manager.var(moe), manager.not_(derivation.moe_functions[moe].node)
-        )
-        witness = manager.and_exists(
-            functional_node, refutation, manager.variable_order()
-        )
-        if witness != manager.false():
-            return False
-    return True
 
 
 def unnecessary_stall_condition(

@@ -28,11 +28,11 @@ This module provides those comparisons at both levels:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..bdd.ordering import register_interleaved_order
-from ..expr.ast import Expr, Iff, Implies
-from ..symbolic import SymbolicContext
+from ..expr.ast import Expr, variables_of
+from ..symbolic import SymbolicContext, SymbolicFunction
 from .derivation import symbolic_most_liberal
 from .functional import FunctionalSpec, SpecificationError
 
@@ -160,31 +160,42 @@ def _shared_flags(spec_a: FunctionalSpec, spec_b: FunctionalSpec) -> List[str]:
     return flags_a
 
 
+def _shared_context(spec_a: FunctionalSpec, spec_b: FunctionalSpec) -> SymbolicContext:
+    """A context over both specs' signals, in :func:`derivation_order` style."""
+    moes = dict.fromkeys([*spec_a.moe_flags(), *spec_b.moe_flags()])
+    inputs = dict.fromkeys([*spec_a.input_signals(), *spec_b.input_signals()])
+    return SymbolicContext(
+        [*moes, *register_interleaved_order(list(inputs))], balanced_reduce=True
+    )
+
+
 def _compare(
     context: SymbolicContext,
     moe: str,
-    expression_a: Expr,
-    expression_b: Expr,
+    function_a: Union[Expr, SymbolicFunction],
+    function_b: Union[Expr, SymbolicFunction],
     assumptions: Optional[Expr],
 ) -> FlagComparison:
-    forward: Expr = Implies(expression_a, expression_b)
-    backward: Expr = Implies(expression_b, expression_a)
-    both: Expr = Iff(expression_a, expression_b)
+    """Compare two functions of one flag under the assumptions, in ``context``.
+
+    ``c → (a → b)`` is valid exactly when ``c ∧ a → c ∧ b`` is, so both
+    directions and the witness come from the two conjunctions.
+    """
+    a = context.lift(function_a)
+    b = context.lift(function_b)
     if assumptions is not None:
-        forward = Implies(assumptions, forward)
-        backward = Implies(assumptions, backward)
-        both = Implies(assumptions, both)
-    forward_holds = context.lift(forward).is_true()
-    backward_holds = context.lift(backward).is_true()
-    counterexample = (
-        None if forward_holds and backward_holds else context.lift(both).counterexample()
-    )
+        care = context.lift(assumptions)
+        a, b = care & a, care & b
+    forward_holds = a.implies(b).is_true()
+    backward_holds = b.implies(a).is_true()
     return FlagComparison(
         moe=moe,
         equivalent=forward_holds and backward_holds,
         forward_holds=forward_holds,
         backward_holds=backward_holds,
-        counterexample=counterexample,
+        counterexample=(
+            None if forward_holds and backward_holds else a.find_difference(b)
+        ),
     )
 
 
@@ -194,7 +205,7 @@ def check_clause_equivalence(
     assumptions: Optional[Expr] = None,
 ) -> EquivalenceReport:
     """Compare the per-stage stall conditions of two specifications."""
-    context = SymbolicContext()
+    context = _shared_context(spec_a, spec_b)
     report = EquivalenceReport(name_a=spec_a.name, name_b=spec_b.name, level="clause-level")
     for moe in _shared_flags(spec_a, spec_b):
         report.flags.append(
@@ -217,56 +228,17 @@ def check_derived_equivalence(
     """Compare the maximum-performance interlocks two specifications induce.
 
     Both specifications are derived into one shared
-    :class:`~repro.symbolic.SymbolicContext`, so per flag the equivalence
-    decision is a pointer comparison between the two closed-form BDD nodes
-    — no expression is materialized, substituted or re-compiled.  A
-    differing pair yields a witness from a lock-step walk of the two DAGs.
+    :class:`~repro.symbolic.SymbolicContext`, so per flag the two closed
+    forms are compared as BDD nodes — no expression is materialized,
+    substituted or re-compiled.
     """
     flags = _shared_flags(spec_a, spec_b)
-    moes: List[str] = list(flags)
-    for moe in spec_b.moe_flags():
-        if moe not in moes:
-            moes.append(moe)
-    inputs = list(spec_a.input_signals())
-    seen = set(inputs)
-    for name in spec_b.input_signals():
-        if name not in seen:
-            seen.add(name)
-            inputs.append(name)
-    context = SymbolicContext(
-        moes + register_interleaved_order(inputs), balanced_reduce=True
-    )
-    manager = context.manager
+    context = _shared_context(spec_a, spec_b)
     derived_a = symbolic_most_liberal(spec_a, context=context).moe_functions
     derived_b = symbolic_most_liberal(spec_b, context=context).moe_functions
-    assumption_node = (
-        context.lift(assumptions).node if assumptions is not None else manager.true()
-    )
     report = EquivalenceReport(name_a=spec_a.name, name_b=spec_b.name, level="derived-interlock")
     for moe in flags:
-        node_a = derived_a[moe].node
-        node_b = derived_b[moe].node
-        forward = manager.implies(
-            assumption_node, manager.implies(node_a, node_b)
-        ) == manager.true()
-        backward = manager.implies(
-            assumption_node, manager.implies(node_b, node_a)
-        ) == manager.true()
-        counterexample = None
-        if not (forward and backward):
-            counterexample = manager.find_difference(
-                manager.and_(assumption_node, node_a),
-                manager.and_(assumption_node, node_b),
-            )
-        report.flags.append(
-            FlagComparison(
-                moe=moe,
-                equivalent=forward and backward,
-                forward_holds=forward,
-                backward_holds=backward,
-                counterexample=counterexample,
-            )
-        )
+        report.flags.append(_compare(context, moe, derived_a[moe], derived_b[moe], assumptions))
     return report
 
 
@@ -283,7 +255,7 @@ def check_refinement(
     (performance: the implementation never adds a stall the reference does
     not justify).
     """
-    context = SymbolicContext()
+    context = _shared_context(implementation, reference)
     report = RefinementReport(implementation=implementation.name, reference=reference.name)
     for moe in _shared_flags(implementation, reference):
         comparison = _compare(
@@ -313,7 +285,11 @@ def interlocks_equivalent(
             "implementations drive different moe flags: "
             f"{sorted(set(expressions_a) ^ set(expressions_b))}"
         )
-    context = SymbolicContext()
+    context = SymbolicContext(
+        register_interleaved_order(
+            sorted(variables_of([*expressions_a.values(), *expressions_b.values()]))
+        )
+    )
     report = EquivalenceReport(name_a="implementation A", name_b="implementation B",
                                level="implementation")
     for moe in expressions_a:

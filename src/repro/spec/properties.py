@@ -9,8 +9,7 @@ the functional specification satisfies:
   disjunction.  The paper derives this from the monotonicity of the stall
   conditions ``F_i`` in the negated moe flags; we check the syntactic
   monotonicity requirement, verify monotonicity *semantically* per clause,
-  and (for specifications with at most ``DIRECT_CLOSURE_LIMIT`` moe flags)
-  also verify the closure property directly with BDDs over two renamed
+  and also verify the closure property directly with BDDs over two renamed
   copies of the moe vector.  The direct check is decided per clause first:
   ``SPEC_func`` is the conjunction of the clauses ``C_i``, and if each
   ``C_i`` is closed under ∨ then so is their conjunction (two vectors
@@ -24,9 +23,11 @@ the functional specification satisfies:
   (the Section 3.2 theorem).
 
 All checks are exhaustive over the interlock's boolean signal space via
-BDDs; no simulation or sampling is involved.  The expensive whole-formula
-checks are decomposed per clause / per control cone so they scale to the
-FirePath-like architecture.
+BDDs in one context (the derivation's, or a fresh one in
+:func:`~repro.spec.derivation.derivation_order`); no simulation or
+sampling is involved.  The expensive whole-formula checks are decomposed
+per clause / per control cone so they scale to the FirePath-like
+architecture.
 """
 
 from __future__ import annotations
@@ -34,23 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..bdd.ordering import register_interleaved_order
-from ..expr.ast import Expr, FALSE, Or, TRUE, Var
+from ..expr.ast import Expr, FALSE, Or, Var
 from ..expr.builders import big_and
 from ..expr.transform import simplify, substitute
 from ..symbolic import SymbolicContext
-from .derivation import DerivationResult, symbolic_most_liberal
+from .derivation import DerivationResult, derivation_order, symbolic_most_liberal
 from .functional import FunctionalSpec
-
-# Above this many moe flags the direct disjunction-closure check is skipped
-# in favour of the per-clause semantic monotonicity argument (the paper's own
-# route).  The direct check is decided clause by clause — sound because a
-# conjunction of ∨-closed clauses is ∨-closed — and only builds the two-copy
-# formula over the whole specification when some clause is not closed on its
-# own.  The per-clause route is cheap on every family member, but it has not
-# been shown to fit in memory on the FirePath-scale specification, so the
-# limit stays at the size of the paper example and the family grid.
-DIRECT_CLOSURE_LIMIT = 10
 
 
 @dataclass
@@ -94,10 +84,17 @@ class PropertyReport:
         return "\n".join(lines)
 
 
-def check_all_false_satisfies(spec: FunctionalSpec) -> PropertyCheck:
+def _spec_context(spec: FunctionalSpec) -> SymbolicContext:
+    """A fresh context in the order the spec's derivation would use."""
+    return SymbolicContext(derivation_order(spec), balanced_reduce=True)
+
+
+def check_all_false_satisfies(
+    spec: FunctionalSpec, context: Optional[SymbolicContext] = None
+) -> PropertyCheck:
     """Property (1): assigning False to every moe flag satisfies SPEC_func."""
     all_false = {moe: FALSE for moe in spec.moe_flags()}
-    context = SymbolicContext()
+    context = context or _spec_context(spec)
     for clause in spec.clauses:
         residual = context.lift(
             simplify(substitute(clause.functional_formula(), all_false))
@@ -134,7 +131,9 @@ def check_monotonicity(spec: FunctionalSpec) -> PropertyCheck:
     )
 
 
-def check_semantic_monotonicity(spec: FunctionalSpec) -> PropertyCheck:
+def check_semantic_monotonicity(
+    spec: FunctionalSpec, context: Optional[SymbolicContext] = None
+) -> PropertyCheck:
     """Per-clause semantic monotonicity of F_i in the negated moe flags.
 
     For every clause and every moe flag ``v`` it uses, checks validity of
@@ -144,13 +143,14 @@ def check_semantic_monotonicity(spec: FunctionalSpec) -> PropertyCheck:
     paper's Section 3.1 proof, entails the disjunction-closure property.
     """
     moe_set = set(spec.moe_flags())
-    context = SymbolicContext()
+    context = context or _spec_context(spec)
     for clause in spec.clauses:
+        condition = context.lift(clause.condition)
         used_moes = [name for name in clause.condition.variables() if name in moe_set]
         for name in used_moes:
-            with_move = substitute(clause.condition, {name: TRUE})
-            with_stall = substitute(clause.condition, {name: FALSE})
-            claim = context.lift(with_move.implies(with_stall))
+            with_move = condition.restrict({name: True})
+            with_stall = condition.restrict({name: False})
+            claim = with_move.implies(with_stall)
             if not claim.is_true():
                 return PropertyCheck(
                     name="semantic-monotonicity",
@@ -181,13 +181,11 @@ def _closure_claim(formula: Expr, moe_flags: List[str]) -> Expr:
     )
 
 
-def _closure_context(spec: FunctionalSpec) -> SymbolicContext:
-    """A manager ordered as the register-interleaved inputs, then each moe
-    flag's two copies kept adjacent."""
-    order = register_interleaved_order(spec.input_signals())
+def _declare_copies(spec: FunctionalSpec, context: SymbolicContext) -> None:
+    """Declare each moe flag's two copies, kept adjacent, below the inputs."""
     for moe in spec.moe_flags():
-        order.extend((_copy_name(1, moe), _copy_name(2, moe)))
-    return SymbolicContext(order)
+        context.manager.declare(_copy_name(1, moe))
+        context.manager.declare(_copy_name(2, moe))
 
 
 def _whole_formula_closure(
@@ -196,7 +194,9 @@ def _whole_formula_closure(
     route: str = "whole formula",
 ) -> PropertyCheck:
     """Property (2) decided on the two-copy formula over the whole spec."""
-    context = context or _closure_context(spec)
+    if context is None:
+        context = _spec_context(spec)
+        _declare_copies(spec, context)
     claim = context.lift(_closure_claim(spec.functional_formula(), spec.moe_flags()))
     if claim.is_true():
         return PropertyCheck(
@@ -218,7 +218,9 @@ def _whole_formula_closure(
     )
 
 
-def check_disjunction_closure(spec: FunctionalSpec) -> PropertyCheck:
+def check_disjunction_closure(
+    spec: FunctionalSpec, context: Optional[SymbolicContext] = None
+) -> PropertyCheck:
     """Property (2): satisfying assignments are closed under bitwise disjunction.
 
     Verified directly: with two renamed copies ``m1``/``m2`` of the moe
@@ -233,9 +235,11 @@ def check_disjunction_closure(spec: FunctionalSpec) -> PropertyCheck:
     (another clause may exclude the offending vectors), so the
     whole-formula claim then decides the verdict and supplies the
     counterexample, in the same manager.  ``detail`` names the route that
-    decided.
+    decided.  The copies ``m1``/``m2`` are declared pairwise below the
+    inputs of ``context``.
     """
-    context = _closure_context(spec)
+    context = context or _spec_context(spec)
+    _declare_copies(spec, context)
     moe_flags = spec.moe_flags()
     for clause in spec.clauses:
         formula = clause.functional_formula()
@@ -358,31 +362,23 @@ def check_maximality(
 
 
 def check_all_properties(
-    spec: FunctionalSpec,
-    derivation: Optional[DerivationResult] = None,
-    direct_closure: Optional[bool] = None,
+    spec: FunctionalSpec, derivation: Optional[DerivationResult] = None
 ) -> PropertyReport:
     """Run every Section 3 check and collect a report.
 
-    Args:
-        spec: the functional specification to examine.
-        derivation: an existing fixed-point derivation to reuse.
-        direct_closure: force (True) or suppress (False) the direct two-copy
-            disjunction-closure check; by default it runs only for
-            specifications with at most ``DIRECT_CLOSURE_LIMIT`` moe flags
-            and the per-clause monotonicity argument is used otherwise.
+    Every BDD check is decided in one context: ``derivation``'s when given,
+    otherwise a fresh one into which the spec is then derived.  A spec that
+    cannot be derived still gets its Section 3.1 checks.
     """
+    context = derivation.context if derivation is not None else _spec_context(spec)
     report = PropertyReport(spec_name=spec.name)
-    report.checks.append(check_all_false_satisfies(spec))
+    report.checks.append(check_all_false_satisfies(spec, context))
     report.checks.append(check_monotonicity(spec))
-    report.checks.append(check_semantic_monotonicity(spec))
-    if direct_closure is None:
-        direct_closure = len(spec.moe_flags()) <= DIRECT_CLOSURE_LIMIT
-    if direct_closure:
-        report.checks.append(check_disjunction_closure(spec))
+    report.checks.append(check_semantic_monotonicity(spec, context))
+    report.checks.append(check_disjunction_closure(spec, context))
     if derivation is None:
         try:
-            derivation = symbolic_most_liberal(spec)
+            derivation = symbolic_most_liberal(spec, context=context)
         except Exception as error:  # noqa: BLE001 - report, don't crash the check
             report.checks.append(
                 PropertyCheck(

@@ -229,12 +229,6 @@ class SymbolicContext:
             products.append(big_and(literals) if literals else TRUE)
         return big_or(products) if products else FALSE
 
-    def cover_of(
-        self, node: int, care: Optional[int] = None
-    ) -> List[Dict[str, bool]]:
-        """An irredundant SOP cover of a node as name-keyed cubes."""
-        return self.manager.isop_cover(node, care=care)
-
 
 class SymbolicFunction:
     """A boolean function held as a BDD node in a shared context.
@@ -428,18 +422,6 @@ class SymbolicFunction:
     def to_expr(self) -> Expr:
         """Materialize as a minimized irredundant-SOP expression (cached)."""
         return self.context.to_expr(self.node)
-
-    def to_cover(
-        self, care: Optional["SymbolicFunction"] = None
-    ) -> List[Dict[str, bool]]:
-        """The direct irredundant SOP cover as name-keyed cubes.
-
-        Beware on mostly-true functions: the direct cover can be
-        exponentially larger than the complement's; HDL backends should
-        prefer :meth:`minimized_cover`, which picks the smaller side.
-        """
-        care_node = self._peer(care).node if care is not None else None
-        return self.context.cover_of(self.node, care=care_node)
 
     def minimized_cover(self) -> Tuple[bool, List[Dict[str, bool]]]:
         """``(complemented, cubes)`` — the smaller-polarity cover, name-keyed.

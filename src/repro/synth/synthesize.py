@@ -56,20 +56,20 @@ class NetlistInterlock(ClosedFormInterlock):
     """Interlock backed by the synthesised netlist's evaluator.
 
     It subclasses :class:`ClosedFormInterlock` so the property checker can
-    reason about the same expressions, but ``compute_moe`` executes the
+    reason about the same closed forms, but ``compute_moe`` executes the
     gate-level netlist — the test-suite uses the pair to show netlist and
     closed forms agree on every input.
     """
 
     def __init__(self, synthesis: SynthesisResult):
         super().__init__(
-            synthesis.derivation.moe_expressions,
+            synthesis.derivation.moe_functions,
             name=f"synthesised({synthesis.spec.name})",
             description="evaluates the synthesised gate-level netlist each cycle",
         )
         self._synthesis = synthesis
-        # Hoisted out of the per-cycle loop: moe_expressions is a copying
-        # property, and the reverse name map never changes.
+        # Hoisted out of the per-cycle loop: neither the flag set nor the
+        # reverse name map ever changes.
         self._moe_set = set(synthesis.spec.moe_flags())
         self._reverse_names = {v: k for k, v in synthesis.name_map.items()}
 

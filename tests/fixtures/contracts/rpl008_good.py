@@ -3,8 +3,8 @@
 from repro.symbolic import SymbolicContext
 
 
-def is_valid(expr):
-    return SymbolicContext().lift(expr).is_true()
+def is_valid(expr, order):
+    return SymbolicContext(order).lift(expr).is_true()
 
 
 def counterexample(expr, order):

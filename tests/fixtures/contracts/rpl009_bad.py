@@ -1,0 +1,14 @@
+"""RPL009 true positive: contexts whose variable order is left to chance."""
+
+from repro import symbolic
+from repro.symbolic import SymbolicContext
+
+
+def is_valid(expr):
+    # Variables are declared as the formula first mentions them: for
+    # scoreboard terms that is the concatenated, exponential order.
+    return SymbolicContext().lift(expr).is_true()
+
+
+def reduced_context():
+    return symbolic.SymbolicContext(balanced_reduce=True)

@@ -34,6 +34,7 @@ ALL_CODES = (
     "RPL006",
     "RPL007",
     "RPL008",
+    "RPL009",
 )
 
 

@@ -12,11 +12,11 @@ from repro.spec import (
     SpecBuilder,
     StallClause,
     build_functional_spec,
+    check_maximality,
     concrete_most_liberal,
     conservative_variant,
     derive_combined_spec,
     derive_performance_spec,
-    most_liberal_is_maximal,
     symbolic_most_liberal,
     unnecessary_stall_condition,
 )
@@ -263,7 +263,7 @@ class TestDerivedSpecs:
         assert len(performance.clauses) == 2
 
     def test_most_liberal_is_maximal(self, example_spec, example_derivation):
-        assert most_liberal_is_maximal(example_spec, example_derivation)
+        assert check_maximality(example_spec, example_derivation).holds
 
     def test_unnecessary_stall_condition_matches_moe(self, example_spec, example_derivation):
         conditions = unnecessary_stall_condition(example_spec, example_derivation)
