@@ -328,6 +328,11 @@ class FaultCampaign:
         self.monitor = AssertionMonitor(self.assertions)
         self.derivation = derivation
         self._programs: Optional[List[Program]] = None
+        # Work counters over every run_fault call: cycles simulated, and
+        # the part of them the simulator stepped (the rest repeated a
+        # settled cycle).
+        self.simulated_cycles = 0
+        self.stepped_cycles = 0
         self.property_checker = PropertyChecker(
             spec,
             architecture=architecture,
@@ -365,10 +370,12 @@ class FaultCampaign:
         ) as fault_span:
             with span("fault.simulate", programs=self.num_programs) as simulate_span:
                 simulator = PipelineSimulator(self.architecture, fault.interlock, config)
+                stepped = 0
                 for program in self.programs():
                     trace = simulator.run(program)
                     report = monitor.check_trace(trace)
                     record.simulation_cycles += trace.num_cycles()
+                    stepped += trace.stepped_cycles
                     record.physical_hazards += trace.hazard_count()
                     record.performance_violations += report.violation_count(
                         AssertionKind.PERFORMANCE
@@ -377,8 +384,12 @@ class FaultCampaign:
                         AssertionKind.FUNCTIONAL
                     )
                 simulate_span.annotate(
-                    cycles=record.simulation_cycles, hazards=record.physical_hazards
+                    cycles=record.simulation_cycles,
+                    stepped=stepped,
+                    hazards=record.physical_hazards,
                 )
+                self.simulated_cycles += record.simulation_cycles
+                self.stepped_cycles += stepped
 
             if isinstance(fault.interlock, ClosedFormInterlock):
                 with span("fault.check") as check_span:

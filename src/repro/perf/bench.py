@@ -110,13 +110,15 @@ def _kernel_metrics(derivation: Any) -> Dict[str, Any]:
     }
 
 
-def _checker_kernel_metrics(campaign: Any) -> Dict[str, Any]:
-    """Size and cache traffic of a fault campaign's property-checker manager."""
+def _faults_metrics(campaign: Any) -> Dict[str, Any]:
+    """A fault campaign's property-checker manager and its simulated and stepped cycles."""
     stats = campaign.property_checker.kernel_stats()
     return {
         "checker_allocated_slots": stats["allocated_slots"],
         "checker_live_nodes": stats["live_nodes"],
         "checker_cache_misses": stats["cache_misses"],
+        "sim_cycles": campaign.simulated_cycles,
+        "sim_stepped_cycles": campaign.stepped_cycles,
     }
 
 
@@ -543,11 +545,13 @@ _SCENARIOS: List[Scenario] = [
     Scenario(
         name="faults_dac2002",
         description="faults stage of a paper-example job: 4 injected faults, each "
-        "simulated with assertions and property checked (8-register scoreboard)",
+        "simulated with assertions and property checked (8-register scoreboard); "
+        "'sim_cycles' counts the simulated cycles, 'sim_stepped_cycles' the ones "
+        "not repeated from a settled cycle",
         setup=_setup_faults_dac2002,
         run=_run_faults_dac2002,
         meta={"kind": "fault-campaign"},
-        collect=_checker_kernel_metrics,
+        collect=_faults_metrics,
     ),
     Scenario(
         name="campaign_sweep",

@@ -10,7 +10,7 @@ test-suite verifies by running both under the same derived interlock.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 from ..expr.ast import Expr, Var
 from ..expr.builders import big_and
@@ -30,6 +30,15 @@ class Arbiter(ABC):
 
     def reset(self) -> None:
         """Reset any internal arbitration state (round-robin pointers etc.)."""
+
+    def state(self) -> Hashable:
+        """The internal arbitration state (None for a stateless arbiter).
+
+        Two grants from equal states with equal requests are equal, so the
+        simulator compares it across a cycle to tell whether the next cycle
+        can differ.
+        """
+        return None
 
     def grants(self, requests: Mapping[str, bool]) -> Dict[str, bool]:
         """Grant signals for every pipe on the bus."""
@@ -56,6 +65,9 @@ class RoundRobinArbiter(Arbiter):
 
     def reset(self) -> None:
         self._next_index = 0
+
+    def state(self) -> Hashable:
+        return self._next_index
 
     def grant(self, requests: Mapping[str, bool]) -> Optional[str]:
         order = list(self.bus.priority)

@@ -32,6 +32,12 @@ class Interlock(ABC):
 
     name: str = "interlock"
     description: str = ""
+    #: True when the moe flags are a function of the current cycle's inputs
+    #: alone: :meth:`reset` and :meth:`on_cycle_start` keep no state that
+    #: changes what :meth:`compute_moe` returns.  The simulator relies on it
+    #: to repeat a settled cycle instead of stepping it; an interlock with
+    #: memory leaves it False and is stepped every cycle.
+    combinational: bool = False
 
     @abstractmethod
     def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
@@ -85,6 +91,8 @@ class SpecFixedPointInterlock(Interlock):
     zero unnecessary stalls.
     """
 
+    combinational = True
+
     def __init__(self, spec: FunctionalSpec, name: Optional[str] = None):
         self.spec = spec
         self.name = name or f"fixed-point({spec.name})"
@@ -113,6 +121,8 @@ class ClosedFormInterlock(Interlock):
     compiles them once more per input order, with the variables bound to
     row positions, and caches the result.
     """
+
+    combinational = True
 
     def __init__(
         self,

@@ -221,6 +221,14 @@ class PipelineSimulator:
         arbiters and a reset interlock, and clears the issue and retire
         cycles of the program's instructions, so a program gives the same
         trace however often it is run.
+
+        A run under a :attr:`~Interlock.combinational` interlock stops
+        stepping at a settled cycle — one in which nothing moved, retired,
+        was fetched or ticked a WAIT counter, no hazard was raised, no
+        arbiter changed state and no external stall is asserted from then
+        on.  Every later cycle would repeat it exactly, so the trace
+        repeats it up to ``max_cycles`` (:meth:`SimulationTrace.repeat_last_cycle`)
+        and :attr:`SimulationTrace.stepped_cycles` counts the cycles stepped.
         """
         interlock = self.interlock
         moe_names, evaluate = interlock.row_function(self._input_names)
@@ -287,11 +295,20 @@ class PipelineSimulator:
         hazards = trace.hazards
         drain = self.config.drain
         stop_on_hazard = self.config.stop_on_hazard
+        max_cycles = self.config.max_cycles
+        combinational = interlock.combinational
+        # A cycle at or before the last asserted external stall never settles.
+        last_asserted = max(
+            (stall_cycle for cycles in asserted.values() for stall_cycle in cycles), default=-1
+        )
 
-        for cycle in range(self.config.max_cycles):
+        for cycle in range(max_cycles):
             if not unfetched and (not drain or occupant_uid.count(None) == num_slots):
                 break
             interlock.on_cycle_start(cycle)
+            unfetched_at_start = unfetched
+            hazards_at_start = len(hazards)
+            ticked = False
 
             # -- sample the interlock inputs ------------------------------------------
             row = [False] * num_inputs
@@ -336,10 +353,14 @@ class PipelineSimulator:
             # -- arbitrate the completion buses ---------------------------------------
             winners: Dict[str, Optional[str]] = {}
             bypassed = set()
+            arbiters_kept_state = True
             for bus_name, arbiter, requesters, targets in buses:
+                arbiter_state = arbiter.state()
                 winner = arbiter.grant(
                     {pipe: row[req] for pipe, req, _, _ in requesters}
                 )
+                if arbiter.state() != arbiter_state:
+                    arbiters_kept_state = False
                 winners[bus_name] = winner
                 for pipe, _, gnt, completion_slot in requesters:
                     if pipe != winner:
@@ -402,6 +423,7 @@ class PipelineSimulator:
                     if kind is _WAIT:
                         if wait_remaining[slot] > 1:
                             wait_remaining[slot] -= 1
+                            ticked = True
                             departs = retires = False
                         else:
                             departs, retires = False, True
@@ -452,10 +474,12 @@ class PipelineSimulator:
                     if instruction is None:
                         continue
                     if index < last:
-                        # Move into the next stage, detecting overwrites.
+                        # Move into the next stage, detecting overwrites.  A
+                        # vacated stage was cleared above (deepest first), so
+                        # an occupant still there was not let go.
                         target = index + 1
                         victim = occupant[slot + 1]
-                        if not vacated[target] and victim is not None:
+                        if victim is not None:
                             trace.dropped_instructions += 1
                             hazards.append(
                                 HazardEvent(
@@ -465,28 +489,6 @@ class PipelineSimulator:
                                     stage=target,
                                     instruction_uid=victim.uid,
                                     detail=f"overwritten by insn#{instruction.uid}",
-                                )
-                            )
-                        elif (
-                            target == last
-                            and vacated[target]
-                            and victim is not None
-                            and victim.needs_writeback
-                            and victim.retire_cycle is None
-                        ):
-                            # The completion stage was marked vacated without a
-                            # grant: the old occupant is displaced before
-                            # writing back.
-                            trace.dropped_instructions += 1
-                            hazards.append(
-                                HazardEvent(
-                                    cycle=cycle,
-                                    kind=HazardKind.LOST_WRITEBACK,
-                                    pipe=plan.name,
-                                    stage=target,
-                                    instruction_uid=victim.uid,
-                                    detail="displaced from the completion stage "
-                                    "without a bus grant",
                                 )
                             )
                         occupant[slot + 1] = instruction
@@ -524,6 +526,21 @@ class PipelineSimulator:
                 issued.append(instruction.uid)
                 trace.issued_instructions += 1
 
+            if (
+                combinational
+                and not moved
+                and unfetched == unfetched_at_start
+                and not ticked
+                and len(hazards) == hazards_at_start
+                and arbiters_kept_state
+                and cycle > last_asserted
+            ):
+                # Settled: nothing changed, so the next cycle starts from
+                # this cycle's state, samples the same row and gets the same
+                # moe flags from a combinational interlock — and so does
+                # every cycle after it, up to the cap.
+                trace.repeat_last_cycle(max_cycles - cycle - 1)
+                break
             if stop_on_hazard and hazards:
                 break
         return trace

@@ -13,7 +13,6 @@ class HazardKind(Enum):
     """Physical failures the simulator can detect independently of the spec."""
 
     OVERWRITE = "overwrite"  # a stage's content was clobbered before it could leave
-    LOST_WRITEBACK = "lost_writeback"  # a completing instruction was dropped without its bus slot
     STALE_OPERAND = "stale_operand"  # issued while a source register was outstanding and not bypassed
     WAW_VIOLATION = "waw_violation"  # issued while its destination register was still outstanding
     ISSUED_DURING_WAIT = "issued_during_wait"  # the issue stage accepted work during an enforced wait
@@ -107,7 +106,9 @@ class SimulationTrace:
     the stall classifier, the coverage scorer) pack signal columns straight
     from the rows; :class:`CycleRecord` objects are built only when read,
     by :meth:`record` or, for the whole run, by :attr:`cycles` — a
-    read-only view of the rows.
+    read-only view of the rows.  The rows are never modified after they
+    are appended: cycles that repeat a settled cycle share its row objects
+    (:meth:`repeat_last_cycle`).
 
     A hand-built trace passes its records as ``cycles=[...]``; they are
     then the trace's content and :attr:`cycles` returns that list.
@@ -147,6 +148,7 @@ class SimulationTrace:
         # trace's view built on first read of ``cycles``.
         self._columnar = cycles is None
         self._records: Optional[List[CycleRecord]] = cycles
+        self._repeated_cycles = 0
 
     def __repr__(self) -> str:
         return (
@@ -177,6 +179,29 @@ class SimulationTrace:
             moved=list(self.moved[index]),
             stalled=list(self.stalled[index]),
         )
+
+    def repeat_last_cycle(self, count: int) -> None:
+        """Append ``count`` copies of the last simulated cycle.
+
+        The copies share the last cycle's row and list objects, so the
+        repetition costs no per-cycle Python work.
+        """
+        for column in (
+            self.input_rows,
+            self.moe_rows,
+            self.occupancy_rows,
+            self.issued,
+            self.retired,
+            self.moved,
+            self.stalled,
+        ):
+            column.extend([column[-1]] * count)
+        self._repeated_cycles += count
+
+    @property
+    def stepped_cycles(self) -> int:
+        """Cycles the simulator actually stepped (:meth:`num_cycles` unless it settled)."""
+        return self.num_cycles() - self._repeated_cycles
 
     # -- bulk access ----------------------------------------------------------------
 

@@ -314,7 +314,7 @@ class TestHazardDetectionWithBrokenInterlocks:
         trace = simulate(example_arch, fault.interlock, program)
         assert not trace.hazard_free()
         kinds = {hazard.kind for hazard in trace.hazards}
-        assert kinds <= {HazardKind.OVERWRITE, HazardKind.LOST_WRITEBACK}
+        assert kinds <= {HazardKind.OVERWRITE}
 
     def test_missing_scoreboard_term_causes_stale_operands(self, example_arch, example_spec):
         # Weaken the long issue stall condition by dropping the register
