@@ -82,6 +82,10 @@ assert re.search(r"^repro_service_submissions_total [1-9]", text, re.M), \
 samples = client.metrics(fmt="json")
 cached = [s for s in samples if s["name"] == "repro_service_cache_answers_total"]
 assert cached and cached[0]["value"] >= 1, "warm resubmission not counted"
+hits = re.search(
+    r'^repro_store_reads_total\{kind="job",outcome="hit"\} (\d+)$', text, re.M
+)
+assert hits and int(hits.group(1)) >= 1, "cached answer's store read not counted"
 print(f"metrics endpoint OK: {match.group(1)} done job(s), "
       f"{len(samples)} samples in the JSON rendering")
 EOF

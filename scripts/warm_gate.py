@@ -72,11 +72,11 @@ def main() -> int:
                 "total": report.total(),
                 "cached": len(report.cached()),
                 "all_ok": report.all_ok(),
-                "stats": report.store_stats.as_dict(),
+                "stats": report.cache,
             }
             print(
                 f"[{name}] {report.total()} jobs, {len(report.cached())} cached, "
-                f"wall {wall:.3f}s, stats {report.store_stats.as_dict()}"
+                f"wall {wall:.3f}s, stats {report.cache}"
             )
             if not report.all_ok():
                 failures.append(f"{name}: campaign did not verify every job")
@@ -108,13 +108,13 @@ def main() -> int:
         inc_report, _ = phase("incremental", seeded, incremental=True)
         if inc_report.cached():
             failures.append("incremental: job keys should have changed with the seed")
-        inc_stats = inc_report.store_stats
-        if inc_stats.artifact_hits == 0:
+        inc_cache = inc_report.cache
+        if inc_cache["artifact_hits"] == 0:
             failures.append("incremental: zero artifact hits (derivations re-derived)")
-        if inc_stats.stage_hits == 0:
+        if inc_cache["stage_hits"] == 0:
             failures.append("incremental: zero stage hits (nothing replayed)")
-        if inc_stats.corrupt:
-            failures.append(f"incremental: {inc_stats.corrupt} corrupt store entries")
+        if inc_cache["corrupt"]:
+            failures.append(f"incremental: {inc_cache['corrupt']} corrupt store entries")
 
         phases["store"] = {
             "artifacts": len(store.artifact_keys()),

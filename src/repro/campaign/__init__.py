@@ -57,7 +57,7 @@ from .spec import (
     JobSpec,
     family_sweep,
 )
-from .store import ResultStore, StoreStats
+from .store import ResultStore
 
 __all__ = [
     "CampaignCancelled",
@@ -70,7 +70,6 @@ __all__ = [
     "ResultStore",
     "STAGE_DEPENDENCIES",
     "StageResult",
-    "StoreStats",
     "clear_warm_state",
     "family_sweep",
     "run_campaign",

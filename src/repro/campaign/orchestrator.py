@@ -14,8 +14,9 @@ imports, architecture loading and the symbolic derivation — the warm-path
 speedup the ``campaign_sweep_warm`` benchmark and the nightly CI gate
 measure.  Workers also read/write the shared result store directly
 (binary derivation artifacts and per-stage results, both content-hashed
-and written atomically), reporting their store-traffic deltas back with
-each result so the campaign report can tally cache effectiveness.
+and written atomically), shipping their metrics-registry deltas — store
+traffic included — back with each result so the campaign report can
+tally cache effectiveness.
 
 With ``workers=1`` (or a single pending job) everything runs in-process,
 which is also the fallback when the platform cannot fork; the result is
@@ -36,9 +37,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..obs import Tracer, get_registry, span, tracing_enabled
 from .report import CampaignReport
-from .runner import JobResult, run_traced_job
+from .runner import JobResult, _note_store_write_error, run_traced_job
 from .spec import CampaignSpec, JobSpec
-from .store import ResultStore, StoreStats
+from .store import ResultStore, store_tally
 
 ProgressFn = Callable[[str], None]
 ResultFn = Callable[[JobResult], None]
@@ -60,28 +61,18 @@ class CampaignCancelled(RuntimeError):
     remain in the store; only the aggregate report is lost.
     """
 
-#: Worker-side cache of store handles by root path, so one worker process
-#: reuses a single ResultStore (and its running stats) across all jobs.
-_WORKER_STORES: Dict[str, ResultStore] = {}
-
 
 def _execute_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: dict in, dict out (must stay module-level picklable).
 
-    The worker opens (and caches) its own handle on the shared store
-    directory, executes the job with artifact/stage caching, and ships
-    its store-traffic delta home inside the result, so the parent can
-    aggregate campaign-wide cache statistics without double counting.
+    The worker opens a handle on the shared store directory, executes
+    the job with artifact/stage caching, and ships what the job added to
+    its registry (store traffic included) home inside the result; the
+    parent folds it, so campaign-wide counts need no second channel.
     """
     job = JobSpec.from_dict(payload["job"])
     store_root = payload.get("store")
-    store: Optional[ResultStore] = None
-    if store_root is not None:
-        store = _WORKER_STORES.get(store_root)
-        if store is None:
-            store = ResultStore(store_root)
-            _WORKER_STORES[store_root] = store
-    before = store.stats.copy() if store is not None else None
+    store = ResultStore(store_root) if store_root is not None else None
     registry = get_registry()
     metrics_before = registry.snapshot()
     result = run_traced_job(
@@ -90,10 +81,7 @@ def _execute_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         incremental=bool(payload.get("incremental", False)),
         trace=payload.get("trace"),
     )
-    if store is not None:
-        result.store_stats = store.stats.diff(before).as_dict()
-    # Ship what this job added to the worker's registry; the parent folds
-    # it exactly like the store delta above (gauges stay worker-local).
+    # Gauges stay worker-local; counters and histograms travel.
     result.metrics = registry.delta_since(metrics_before)
     return result.as_dict()
 
@@ -214,24 +202,6 @@ def _run_pool(
         shutdown_warm_pool()
 
 
-def _fold_store_metrics(registry: Any, stats: StoreStats) -> None:
-    """Mirror a campaign's StoreStats delta into the metrics registry."""
-    reads = (
-        ("job", "hits", "hit"),
-        ("job", "misses", "miss"),
-        ("artifact", "artifact_hits", "hit"),
-        ("artifact", "artifact_misses", "miss"),
-        ("stage", "stage_hits", "hit"),
-        ("stage", "stage_misses", "miss"),
-    )
-    for kind, attr, outcome in reads:
-        value = getattr(stats, attr)
-        if value:
-            registry.inc("repro_store_reads_total", value, kind=kind, outcome=outcome)
-    if stats.corrupt:
-        registry.inc("repro_store_corrupt_total", stats.corrupt)
-
-
 def run_campaign(
     spec: CampaignSpec,
     store: Optional[ResultStore] = None,
@@ -309,9 +279,8 @@ def run_campaign(
         raise ValueError("incremental campaigns need a result store")
     worker_count = spec.workers if workers is None else max(1, workers)
     start = time.perf_counter()
-    stats_before = store.stats.copy() if store is not None else None
-    worker_stats = StoreStats()
     registry = get_registry()
+    metrics_before = registry.snapshot()
     registry.inc("repro_campaign_runs_total")
     tracing = tracing_enabled() if trace is None else bool(trace)
     tracer = Tracer() if tracing else None
@@ -320,13 +289,10 @@ def run_campaign(
 
     def finish(index: int, result: JobResult, fresh: bool) -> None:
         if fresh:
-            # Fold the worker's store-traffic delta into the campaign
-            # tally, then drop it so persisted results stay free of
-            # run-specific counters.  The metrics delta and the job's
-            # trace spans travel — and are stripped — the same way.
-            if result.store_stats is not None:
-                worker_stats.add(StoreStats.from_dict(result.store_stats))
-                result.store_stats = None
+            # Fold the worker's metrics delta into this registry, then
+            # drop it so persisted results stay free of run-specific
+            # counters.  The job's trace spans travel — and are
+            # stripped — the same way.
             if result.metrics:
                 registry.fold(result.metrics)
             result.metrics = None
@@ -334,15 +300,18 @@ def run_campaign(
                 if store is not None:
                     try:
                         store.put_trace(spec.jobs[index].job_key(), result.trace_spans)
-                    except OSError:
-                        pass
+                    except OSError as error:
+                        _note_store_write_error("trace", error)
                 if tracer is not None:
                     tracer.spans.extend(result.trace_spans)
             result.trace_spans = None
             # Only passing results are cached: a failure is something to
             # investigate and re-run, not to replay from disk.
             if store is not None and result.ok:
-                store.put(spec.jobs[index], result)
+                try:
+                    store.put(spec.jobs[index], result)
+                except OSError as error:
+                    _note_store_write_error("job", error)
         else:
             registry.inc("repro_campaign_jobs_total", outcome="cached")
         results[index] = result
@@ -400,18 +369,16 @@ def run_campaign(
         # cancellation, before rolling spans up below.
         session.close()
 
-    store_stats: Optional[StoreStats] = None
+    cache: Optional[Dict[str, int]] = None
     if store is not None:
-        store_stats = store.stats.diff(stats_before)
-        store_stats.add(worker_stats)
-        _fold_store_metrics(registry, store_stats)
+        cache = store_tally(registry.delta_since(metrics_before)["counters"])
     ordered = [results[index] for index in range(len(spec.jobs))]
     report = CampaignReport(
         name=spec.name,
         results=ordered,
         workers=worker_count,
         wall_seconds=time.perf_counter() - start,
-        store_stats=store_stats,
+        cache=cache,
     )
     if tracer is not None:
         report.trace = tracer.summary()

@@ -7,7 +7,6 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis import rate, render_table, summarize_timings
 from .runner import JobResult
-from .store import StoreStats
 
 REPORT_SCHEMA = 1
 
@@ -16,18 +15,22 @@ REPORT_SCHEMA = 1
 class CampaignReport:
     """Everything a campaign run produced, in job order.
 
-    ``store_stats`` is the campaign's aggregate store traffic — the
-    parent store's delta plus every worker's — or None when the campaign
-    ran without a store.  ``trace`` is present only for traced runs: the
-    correlation id plus per-span-name rollups (count, total and max
-    seconds) over every span the campaign and its workers recorded.
+    ``cache`` is the campaign's store traffic as the seven-key tally of
+    :func:`~repro.campaign.store.store_tally` — the metrics-registry
+    delta across the run, worker deltas folded in — or None when the
+    campaign ran without a store.  Being a registry delta, it also
+    counts lookups other threads of the process made meanwhile (the
+    service daemon's probe thread).  ``trace`` is present only for
+    traced runs: the correlation id plus per-span-name rollups (count,
+    total and max seconds) over every span the campaign and its workers
+    recorded.
     """
 
     name: str
     results: List[JobResult] = field(default_factory=list)
     workers: int = 1
     wall_seconds: float = 0.0
-    store_stats: Optional[StoreStats] = None
+    cache: Optional[Dict[str, int]] = None
     trace: Optional[Dict[str, Any]] = None
 
     # -- aggregation -------------------------------------------------------------
@@ -77,21 +80,17 @@ class CampaignReport:
 
     def cache_hits(self) -> int:
         """Store lookups of any kind answered from disk."""
-        if self.store_stats is None:
-            return 0
-        s = self.store_stats
-        return s.hits + s.artifact_hits + s.stage_hits
+        c = self.cache
+        return 0 if c is None else c["hits"] + c["artifact_hits"] + c["stage_hits"]
 
     def cache_misses(self) -> int:
         """Store lookups of any kind that required fresh work."""
-        if self.store_stats is None:
-            return 0
-        s = self.store_stats
-        return s.misses + s.artifact_misses + s.stage_misses
+        c = self.cache
+        return 0 if c is None else c["misses"] + c["artifact_misses"] + c["stage_misses"]
 
     def cache_corrupt(self) -> int:
         """Store entries that existed but failed validation."""
-        return 0 if self.store_stats is None else self.store_stats.corrupt
+        return 0 if self.cache is None else self.cache["corrupt"]
 
     # -- rendering ---------------------------------------------------------------
 
@@ -132,8 +131,8 @@ class CampaignReport:
             "timing": self.timing_summary(),
             "jobs": [result.as_dict() for result in self.results],
         }
-        if self.store_stats is not None:
-            payload["cache"] = self.store_stats.as_dict()
+        if self.cache is not None:
+            payload["cache"] = dict(self.cache)
         if self.trace is not None:
             payload["trace"] = self.trace
         return payload
@@ -152,13 +151,13 @@ class CampaignReport:
                 f"  fresh job seconds: total {timing['total']:.3f}, "
                 f"mean {timing['mean']:.3f}, max {timing['max']:.3f}"
             )
-        if self.store_stats is not None:
-            s = self.store_stats
+        if self.cache is not None:
+            c = self.cache
             lines.append(
-                f"  store: jobs {s.hits}/{s.hits + s.misses} hit, "
-                f"artifacts {s.artifact_hits}/{s.artifact_hits + s.artifact_misses} hit, "
-                f"stages {s.stage_hits}/{s.stage_hits + s.stage_misses} hit, "
-                f"{s.corrupt} corrupt"
+                f"  store: jobs {c['hits']}/{c['hits'] + c['misses']} hit, "
+                f"artifacts {c['artifact_hits']}/{c['artifact_hits'] + c['artifact_misses']} hit, "
+                f"stages {c['stage_hits']}/{c['stage_hits'] + c['stage_misses']} hit, "
+                f"{c['corrupt']} corrupt"
             )
         for stage, stage_rate in sorted(self.stage_pass_rates().items()):
             lines.append(f"  stage {stage}: {stage_rate}")

@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, List, Optional
 from ..analysis import classify_stalls, coverage_of
 from ..archs import load_architecture
 from ..assertions import monitor_trace, testbench_assertions
-from ..bdd.serialize import ArtifactError
 from ..checking import PropertyChecker
 from ..faults import FaultCampaign, FaultInjector
 from ..obs import KernelWatch, Tracer, annotate, get_registry, record_kernel_stats, span
@@ -95,14 +94,11 @@ class StageResult:
 class JobResult:
     """Outcome of one whole verification job.
 
-    ``store_stats`` carries a worker-side :class:`StoreStats` delta as a
-    plain counter dict when the job executed in another process against
-    its own store handle; the orchestrator folds it into the campaign
-    tally.  It stays None for in-process execution, where the parent's
-    store instance counted the traffic directly.  ``trace_spans`` (the
-    job's finished spans, when tracing) and ``metrics`` (the worker's
-    registry delta) travel home the same way and are likewise folded —
-    and nulled — by the orchestrator before the result is stored.
+    ``metrics`` carries a worker process's registry delta for the job
+    (store traffic included) and ``trace_spans`` the job's finished
+    spans when tracing; the orchestrator folds both into the parent —
+    and nulls them — before the result is stored.  Both stay None for
+    in-process execution, where the parent's registry counted directly.
     """
 
     job: JobSpec
@@ -111,7 +107,6 @@ class JobResult:
     stages: List[StageResult] = field(default_factory=list)
     error: Optional[str] = None
     cached: bool = False
-    store_stats: Optional[Dict[str, int]] = None
     trace_spans: Optional[List[Dict[str, Any]]] = None
     metrics: Optional[Dict[str, Any]] = None
 
@@ -136,8 +131,6 @@ class JobResult:
             "stages": [stage.as_dict() for stage in self.stages],
             "error": self.error,
         }
-        if self.store_stats is not None:
-            payload["store"] = dict(self.store_stats)
         if self.trace_spans is not None:
             payload["trace_spans"] = list(self.trace_spans)
         if self.metrics is not None:
@@ -156,7 +149,6 @@ class JobResult:
             seconds=float(payload["seconds"]),
             stages=[StageResult.from_dict(s) for s in payload.get("stages", [])],
             error=payload.get("error"),
-            store_stats=payload.get("store"),
             trace_spans=payload.get("trace_spans"),
             metrics=payload.get("metrics"),
         )
@@ -207,7 +199,9 @@ def _note_store_write_error(kind: str, error: Exception) -> str:
     The store is a cache, so a full disk or an unserializable derivation
     must not fail the verification — but it must not vanish either: the
     failure lands in ``repro_store_write_errors_total{kind}`` and, as
-    ``store_<kind>_write_error`` (returned), on the enclosing stage span.
+    ``store_<kind>_write_error`` (returned), on the enclosing span: the
+    stage for ``artifact``/``stage`` writes, the campaign for ``job`` and
+    ``trace`` writes.
     """
     get_registry().inc("repro_store_write_errors_total", kind=kind)
     message = f"{type(error).__name__}: {error}"
@@ -233,13 +227,10 @@ def _ensure_derivation(state: Dict[str, Any], job: JobSpec, store: Optional[Any]
     derivation = warm.get("derivation")
     source = "warm"
     if derivation is None and store is not None:
-        data = store.get_artifact(key)
-        if data is not None:
-            try:
-                derivation = DerivationResult.from_artifact_bytes(spec, data)
-                source = "artifact"
-            except ArtifactError:
-                store.note_corrupt_artifact(key)
+        derivation = store.get_artifact(
+            key, lambda data: DerivationResult.from_artifact_bytes(spec, data)
+        )
+        source = "artifact"
     if derivation is None:
         derivation = symbolic_most_liberal(spec)
         source = "computed"
@@ -460,44 +451,38 @@ def run_verification_job(
             continue
         stage_start = time.perf_counter()
         with span(name, kind="stage", arch=job.arch) as stage_span:
+            cached = None
             if incremental and store is not None:
                 cached = store.get_stage(name, job.stage_key(name))
-                if cached is not None and cached.ok:
-                    details = dict(cached.details)
-                    details["from_store"] = True
-                    seconds = time.perf_counter() - stage_start
-                    stages.append(
-                        StageResult(
-                            name=name, ok=True, seconds=seconds, details=details
-                        )
-                    )
-                    stage_span.annotate(from_store=True)
-                    registry.observe("repro_stage_seconds", seconds, stage=name)
-                    continue
-            context = _job_context(state)
-            watch = KernelWatch(context.manager) if context is not None else None
-            try:
-                result = _STAGE_IMPLS[name](state, job, store)
-                result.seconds = time.perf_counter() - stage_start
-            except Exception:
-                result = StageResult(
-                    name=name, ok=False, seconds=time.perf_counter() - stage_start
-                )
-                error = traceback.format_exc()
-            if watch is None and _job_context(state) is not None:
-                # The stage created the job context: all its work is this stage's.
-                watch = KernelWatch(_job_context(state).manager)
-                watch.rebase({})
-            if watch is not None:
-                kernel = watch.delta()
-                record_kernel_stats(kernel)
-                stage_span.annotate(kernel=kernel)
-                if name == "derive" and result.ok:
-                    # Campaign reports show the derivation's kernel health.
-                    result.details["kernel"] = kernel
-            stage_span.annotate(ok=result.ok)
+            replayed = cached is not None and cached.ok
+            if replayed:
+                details = dict(cached.details)
+                details["from_store"] = True
+                result = StageResult(name=name, ok=True, seconds=0.0, details=details)
+                stage_span.annotate(from_store=True)
+            else:
+                context = _job_context(state)
+                watch = KernelWatch(context.manager) if context is not None else None
+                try:
+                    result = _STAGE_IMPLS[name](state, job, store)
+                except Exception:
+                    result = StageResult(name=name, ok=False, seconds=0.0)
+                    error = traceback.format_exc()
+                if watch is None and _job_context(state) is not None:
+                    # The stage created the job context: all its work is this stage's.
+                    watch = KernelWatch(_job_context(state).manager)
+                    watch.rebase({})
+                if watch is not None:
+                    kernel = watch.delta()
+                    record_kernel_stats(kernel)
+                    stage_span.annotate(kernel=kernel)
+                    if name == "derive" and result.ok:
+                        # Campaign reports show the derivation's kernel health.
+                        result.details["kernel"] = kernel
+                stage_span.annotate(ok=result.ok)
+            result.seconds = time.perf_counter() - stage_start
             registry.observe("repro_stage_seconds", result.seconds, stage=name)
-            if error is None and result.ok and store is not None:
+            if not replayed and error is None and result.ok and store is not None:
                 try:
                     store.put_stage(job.stage_key(name), result)
                 except OSError as write_error:

@@ -24,10 +24,15 @@ Beyond whole-job JSON verdicts the store also holds *derived artifacts*:
     (``REPRO_TRACE=1`` / ``--trace``; see :mod:`repro.obs`) — telemetry
     sitting next to the result it explains, rendered by ``repro trace``.
 
-Every read and write is tallied in :class:`StoreStats` so campaign
-reports can surface exactly how much work the cache absorbed, including
-corrupt entries (checksum or schema mismatches), which are counted and
-then treated as plain misses.
+Every lookup is counted in the process metrics registry
+(``repro_store_reads_total{kind,outcome}``, ``repro_store_corrupt_total``)
+so campaign reports can surface exactly how much work the cache absorbed,
+including corrupt entries (checksum or schema mismatches), which are
+counted and then treated as plain misses.  Worker processes count into
+their own registry and ship the delta home with each result
+(:meth:`~repro.obs.MetricsRegistry.fold`), so the parent's registry is
+the one source of store traffic; :func:`store_tally` reads it back as the
+seven-key cache tally.
 """
 
 from __future__ import annotations
@@ -35,12 +40,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
-from ..obs import dump_ndjson, load_ndjson
+from ..bdd.serialize import ArtifactError
+from ..obs import dump_ndjson, get_registry, load_ndjson
 from .runner import JobResult, StageResult
 from .spec import JobSpec
 
@@ -48,50 +52,45 @@ _ARTIFACT_PREFIX = "artifact-"
 _STAGE_PREFIX = "stage-"
 _TRACE_PREFIX = "trace-"
 
+T = TypeVar("T")
 
-@dataclass
-class StoreStats:
-    """Running tally of store traffic, one counter pair per entry kind.
+#: Tally key for each (kind, outcome) label pair of ``repro_store_reads_total``.
+_READ_KEYS = {
+    ("job", "hit"): "hits",
+    ("job", "miss"): "misses",
+    ("artifact", "hit"): "artifact_hits",
+    ("artifact", "miss"): "artifact_misses",
+    ("stage", "hit"): "stage_hits",
+    ("stage", "miss"): "stage_misses",
+}
+
+
+def store_tally(counters: Dict[str, List[Any]]) -> Dict[str, int]:
+    """The seven-key cache tally in a registry snapshot's or delta's counters.
 
     ``corrupt`` counts entries of any kind that existed but failed
     validation (bad JSON, checksum mismatch, schema drift, key
     collision); every corrupt read is *also* a miss for its kind, so
     hits + misses always equals the number of lookups.
     """
+    tally = dict.fromkeys(
+        ("hits", "misses", "corrupt", "artifact_hits", "artifact_misses",
+         "stage_hits", "stage_misses"),
+        0,
+    )
+    for name, labels, value in counters.values():
+        if name == "repro_store_reads_total":
+            tally[_READ_KEYS[labels["kind"], labels["outcome"]]] += int(value)
+        elif name == "repro_store_corrupt_total":
+            tally["corrupt"] += int(value)
+    return tally
 
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    stage_hits: int = 0
-    stage_misses: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        """JSON-ready counter snapshot."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def diff(self, before: "StoreStats") -> "StoreStats":
-        """Counter deltas since an earlier snapshot."""
-        return StoreStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(before, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def add(self, other: "StoreStats") -> None:
-        """Accumulate another tally (e.g. a worker's delta) in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def copy(self) -> "StoreStats":
-        return StoreStats(**self.as_dict())
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "StoreStats":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in payload.items() if k in known})
+def _count_read(kind: str, hit: bool, corrupt: bool = False) -> None:
+    registry = get_registry()
+    registry.inc("repro_store_reads_total", kind=kind, outcome="hit" if hit else "miss")
+    if corrupt:
+        registry.inc("repro_store_corrupt_total")
 
 
 class ResultStore:
@@ -100,11 +99,10 @@ class ResultStore:
     Concurrency: writes are atomic (``mkstemp`` + ``os.replace``) and
     entries are immutable once written, so any number of processes and
     threads may read while others write — a reader sees either the
-    complete entry or a miss, never a torn file.  The in-memory
-    :class:`StoreStats` tally is guarded by a lock so one handle can be
-    shared across threads (the service daemon's probe/runner threads do
-    exactly that); separate *handles* on the same directory keep separate
-    tallies, which is why workers ship their deltas home explicitly.
+    complete entry or a miss, never a torn file.  A handle holds no
+    mutable state, so one handle can be shared across threads (the
+    service daemon's probe/runner threads do exactly that); lookups are
+    counted in the thread-safe process metrics registry.
 
     Example — the cache as seen by a campaign::
 
@@ -121,10 +119,6 @@ class ResultStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = StoreStats()
-        #: Guards ``stats`` mutations; file operations need no lock (see
-        #: the class docstring's concurrency contract).
-        self._stats_lock = threading.Lock()
 
     # -- whole-job results -------------------------------------------------------
 
@@ -140,34 +134,28 @@ class ResultStore:
         """
         path = self.path_for(job)
         if not path.exists():
-            with self._stats_lock:
-                self.stats.misses += 1
+            _count_read("job", hit=False)
             return None
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             result = JobResult.from_dict(payload)
         except (OSError, ValueError, KeyError, TypeError):
-            with self._stats_lock:
-                self.stats.corrupt += 1
-                self.stats.misses += 1
+            _count_read("job", hit=False, corrupt=True)
             return None
         # Hash collisions aside, the stored job must equal the requested
         # one; a mismatch means the file was tampered with or the hashing
         # scheme changed, and either way the cache must not answer.
         if result.job.to_dict() != job.to_dict():
-            with self._stats_lock:
-                self.stats.corrupt += 1
-                self.stats.misses += 1
+            _count_read("job", hit=False, corrupt=True)
             return None
-        with self._stats_lock:
-            self.stats.hits += 1
+        _count_read("job", hit=True)
         return result
 
     def put(self, job: JobSpec, result: JobResult) -> Path:
         """Persist a job result atomically; returns the file path."""
         path = self.path_for(job)
-        self._write_json(path, result.as_dict())
+        _write_json(path, result.as_dict())
         return path
 
     # -- binary BDD artifacts ----------------------------------------------------
@@ -176,57 +164,38 @@ class ResultStore:
         """Where the artifact for a stage key lives."""
         return self.root / f"{_ARTIFACT_PREFIX}{key}.bdd"
 
-    def get_artifact(self, key: str) -> Optional[bytes]:
-        """Raw artifact bytes for a stage key, or None when absent.
+    def get_artifact(self, key: str, load: Callable[[bytes], T]) -> Optional[T]:
+        """The artifact for a stage key parsed by ``load``, or None when
+        absent or corrupt.
 
-        Integrity is the *artifact format's* job (its trailing SHA-256);
-        callers that hit :class:`~repro.bdd.serialize.ArtifactError`
-        while parsing should report it via :meth:`note_corrupt_artifact`
-        so the tally stays honest.
+        Integrity is the *artifact format's* job (its trailing SHA-256):
+        when ``load`` raises :class:`~repro.bdd.serialize.ArtifactError`
+        the entry is counted as a corrupt miss and deleted, so the next
+        run rebuilds it cleanly.
         """
         path = self.artifact_path(key)
         try:
             data = path.read_bytes()
         except OSError:
-            with self._stats_lock:
-                self.stats.artifact_misses += 1
+            _count_read("artifact", hit=False)
             return None
-        with self._stats_lock:
-            self.stats.artifact_hits += 1
-        return data
+        try:
+            value = load(data)
+        except ArtifactError:
+            _count_read("artifact", hit=False, corrupt=True)
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
+        _count_read("artifact", hit=True)
+        return value
 
     def put_artifact(self, key: str, data: bytes) -> Path:
         """Persist artifact bytes atomically; returns the file path."""
         path = self.artifact_path(key)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.root), prefix=".tmp-", suffix=".part"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(data)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, data)
         return path
-
-    def note_corrupt_artifact(self, key: str) -> None:
-        """Record that a previously-hit artifact failed to parse.
-
-        Converts the optimistic hit into a corrupt miss and deletes the
-        bad file so the next run rebuilds it cleanly.
-        """
-        with self._stats_lock:
-            self.stats.artifact_hits = max(0, self.stats.artifact_hits - 1)
-            self.stats.artifact_misses += 1
-            self.stats.corrupt += 1
-        try:
-            self.artifact_path(key).unlink()
-        except OSError:
-            pass
 
     def artifact_keys(self) -> List[str]:
         """Stage keys of every stored binary artifact."""
@@ -245,31 +214,25 @@ class ResultStore:
         """A cached stage result, or None when absent/corrupt/mismatched."""
         path = self.stage_path(key)
         if not path.exists():
-            with self._stats_lock:
-                self.stats.stage_misses += 1
+            _count_read("stage", hit=False)
             return None
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             result = StageResult.from_dict(payload)
         except (OSError, ValueError, KeyError, TypeError):
-            with self._stats_lock:
-                self.stats.corrupt += 1
-                self.stats.stage_misses += 1
+            _count_read("stage", hit=False, corrupt=True)
             return None
         if result.name != stage:
-            with self._stats_lock:
-                self.stats.corrupt += 1
-                self.stats.stage_misses += 1
+            _count_read("stage", hit=False, corrupt=True)
             return None
-        with self._stats_lock:
-            self.stats.stage_hits += 1
+        _count_read("stage", hit=True)
         return result
 
     def put_stage(self, key: str, result: StageResult) -> Path:
         """Persist one stage's result atomically; returns the file path."""
         path = self.stage_path(key)
-        self._write_json(path, result.as_dict())
+        _write_json(path, result.as_dict())
         return path
 
     def stage_keys(self) -> List[str]:
@@ -292,19 +255,7 @@ class ResultStore:
         when answering jobs and do not participate in the hit/miss tally.
         """
         path = self.trace_path(key)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.root), prefix=".tmp-", suffix=".part"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(dump_ndjson(spans))
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, dump_ndjson(spans).encode("utf-8"))
         return path
 
     def get_trace(self, key: str) -> Optional[List[Dict[str, Any]]]:
@@ -338,11 +289,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self.keys())
-
-    def stats_snapshot(self) -> StoreStats:
-        """A consistent copy of the traffic tally (safe across threads)."""
-        with self._stats_lock:
-            return self.stats.copy()
 
     def disk_usage(self) -> Dict[str, int]:
         """On-disk byte totals per entry kind (plus the grand ``total``).
@@ -379,8 +325,10 @@ class ResultStore:
 
         This is what the service daemon's ``GET /v1/store`` endpoint
         returns; entry counts and byte totals are re-scanned on every
-        call so they reflect writes made by worker processes too, while
-        the ``stats`` tally covers only this handle's own traffic.
+        call so they reflect writes made by worker processes too.  The
+        ``stats`` tally is read from the process metrics registry, so it
+        covers every store lookup this process made or folded in from
+        its campaign workers, on any handle.
         """
         return {
             "root": str(self.root),
@@ -391,7 +339,7 @@ class ResultStore:
                 "traces": len(self.trace_keys()),
             },
             "bytes": self.disk_usage(),
-            "stats": self.stats_snapshot().as_dict(),
+            "stats": store_tally(get_registry().snapshot()["counters"]),
         }
 
     def clear(self) -> int:
@@ -408,20 +356,28 @@ class ResultStore:
                 removed += 1
         return removed
 
-    def _write_json(self, path: Path, payload: Dict[str, Any]) -> None:
-        # The ".part" suffix keeps a leaked temp file (worker SIGKILLed
-        # between mkstemp and replace) out of keys()/len()'s "*.json" glob.
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.root), prefix=".tmp-", suffix=".part"
-        )
+
+def _write_json(path: Path, payload: Dict[str, Any]) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, text.encode("utf-8"))
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file in the same directory.
+
+    The ".part" suffix keeps a leaked temp file (worker SIGKILLed between
+    mkstemp and replace) out of keys()/len()'s "*.json" glob.
+    """
+    handle, temp_name = tempfile.mkstemp(
+        dir=str(path.parent), prefix=".tmp-", suffix=".part"
+    )
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            stream.write(data)
+        os.replace(temp_name, path)
+    except BaseException:
         try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, indent=2, sort_keys=True)
-                stream.write("\n")
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise

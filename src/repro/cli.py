@@ -480,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--cancel", metavar="JOB_ID", help="cancel this job")
     jobs.add_argument(
         "--store-stats",
+        dest="store_summary",
         action="store_true",
         help="print the shared result store's telemetry as JSON",
     )
@@ -958,7 +959,7 @@ def _cmd_jobs(args: argparse.Namespace, out: TextIO) -> int:
             json.dump(client.job(args.job_id), out, indent=2, sort_keys=True)
             out.write("\n")
             return 0
-        if args.store_stats:
+        if args.store_summary:
             json.dump(client.store(), out, indent=2, sort_keys=True)
             out.write("\n")
             return 0

@@ -1,7 +1,7 @@
 """Observability: structured span tracing and a process-local metrics registry.
 
 The package unifies the stack's previously scattered telemetry —
-``BddManager.stats()`` kernel counters, ``StoreStats`` cache tallies,
+``BddManager.stats()`` kernel counters, result-store cache tallies,
 per-stage wall-clock dicts — behind two zero-dependency primitives:
 
 * :func:`span` — a context manager producing nested, monotonic-timed
@@ -16,8 +16,8 @@ per-stage wall-clock dicts — behind two zero-dependency primitives:
 
 * :func:`get_registry` — the process-global :class:`MetricsRegistry`
   (counters, gauges, fixed-bucket histograms).  Metrics are always on:
-  increments are dict operations, and worker-process deltas are folded
-  into the parent registry the same way ``StoreStats`` already is.
+  increments are dict operations, and campaign workers' deltas travel
+  home with each job result and are folded into the parent registry.
   The service daemon serves the registry at ``GET /v1/metrics`` as
   Prometheus text or JSON.
 

@@ -4,9 +4,9 @@ Metrics are *always on* — an increment is a couple of dict operations
 under a lock — so the service's ``GET /v1/metrics`` endpoint has data
 even when span tracing is disabled.  Campaign workers run in forked
 processes with their own registry; :meth:`MetricsRegistry.delta_since`
-captures what a job added and the parent folds the delta back with
-:meth:`MetricsRegistry.fold`, mirroring how ``StoreStats`` diffs travel
-home in ``JobResult``.
+captures what a job added, the delta travels home in ``JobResult``, and
+the parent folds it back with :meth:`MetricsRegistry.fold` — so the
+parent's registry counts its workers' store traffic too.
 
 Rendering targets both machine shapes the service exposes:
 :meth:`MetricsRegistry.samples` (JSON) and

@@ -3,6 +3,8 @@
 import errno
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -12,7 +14,6 @@ from repro.campaign import (
     CampaignSpecError,
     JobSpec,
     ResultStore,
-    StoreStats,
     clear_warm_state,
     family_sweep,
     run_campaign,
@@ -21,6 +22,7 @@ from repro.campaign import (
 )
 from repro.campaign.runner import JobResult, StageResult
 from repro.campaign.runner import run_traced_job
+from repro.campaign.store import store_tally
 from repro.cli import main as cli_main
 from repro.obs import get_registry
 
@@ -32,6 +34,17 @@ def tiny_job(arch="fam-r2w1d3s1-bypass", **overrides):
     params = dict(TINY)
     params.update(overrides)
     return JobSpec(arch=arch, **params)
+
+
+def counters_since(before):
+    """Registry counters gained since a snapshot, keyed as in Prometheus."""
+    delta = get_registry().delta_since(before)
+    return {key: entry[2] for key, entry in delta["counters"].items()}
+
+
+def store_traffic_since(before):
+    """The seven-key store tally of what the registry gained since a snapshot."""
+    return store_tally(get_registry().delta_since(before)["counters"])
 
 
 class TestSpecs:
@@ -123,10 +136,16 @@ class TestRunner:
 class FullDiskStore(ResultStore):
     """A store whose every write fails as on a full disk."""
 
+    def put(self, job, result):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
     def put_artifact(self, key, data):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     def put_stage(self, key, result):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def put_trace(self, key, spans):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
@@ -139,8 +158,7 @@ class TestStoreWriteErrors:
             tiny_job(), store=FullDiskStore(tmp_path), trace={"id": "full-disk"}
         )
         assert result.ok, result.error
-        delta = registry.delta_since(before)
-        counters = {key: entry[2] for key, entry in delta["counters"].items()}
+        counters = counters_since(before)
         assert counters['repro_store_write_errors_total{kind="artifact"}'] >= 1
         assert counters['repro_store_write_errors_total{kind="stage"}'] == len(
             result.stages
@@ -154,6 +172,20 @@ class TestStoreWriteErrors:
         for attrs in stage_spans.values():
             assert attrs["store_stage_write_error"].startswith("OSError")
         assert stage_spans["derive"]["store_artifact_write_error"].startswith("OSError")
+
+    def test_failed_result_and_trace_writes_keep_the_campaign(self, tmp_path):
+        clear_warm_state()
+        before = get_registry().snapshot()
+        spec = CampaignSpec(
+            name="full-disk",
+            jobs=(tiny_job(), tiny_job(arch="fam-r2w1d3s1-blocking")),
+            workers=1,
+        )
+        report = run_campaign(spec, store=FullDiskStore(tmp_path), trace=True)
+        assert report.total() == 2 and report.all_ok()
+        counters = counters_since(before)
+        assert counters['repro_store_write_errors_total{kind="job"}'] == 2
+        assert counters['repro_store_write_errors_total{kind="trace"}'] == 2
 
 
 class TestStore:
@@ -273,42 +305,70 @@ class TestOrchestrator:
         assert "fam-r2w2d3s1-blocking" in text
 
 
-class TestStoreStats:
-    def test_diff_add_round_trip(self):
-        a = StoreStats(hits=3, misses=1, stage_hits=4)
-        b = StoreStats(hits=5, misses=2, stage_hits=4, corrupt=1)
-        delta = b.diff(a)
-        assert delta == StoreStats(hits=2, misses=1, corrupt=1)
-        a.add(delta)
-        assert a == b
-        assert StoreStats.from_dict(b.as_dict()) == b
-
+class TestStoreTraffic:
     def test_job_lookups_are_counted(self, tmp_path):
         store = ResultStore(tmp_path)
         job = tiny_job(stages=("properties",))
+        result = run_verification_job(job)
+        before = get_registry().snapshot()
         assert store.get(job) is None
-        store.put(job, run_verification_job(job))
+        store.put(job, result)
         assert store.get(job) is not None
         store.path_for(job).write_text("{not json", encoding="utf-8")
         assert store.get(job) is None
-        assert store.stats.hits == 1
-        assert store.stats.misses == 2
-        assert store.stats.corrupt == 1
+        s = store_traffic_since(before)
+        assert s["hits"] == 1
+        assert s["misses"] == 2
+        assert s["corrupt"] == 1
 
     def test_artifact_and_stage_lookups_are_counted(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.get_artifact("deadbeef") is None
+        before = get_registry().snapshot()
+        assert store.get_artifact("deadbeef", bytes) is None
         store.put_artifact("deadbeef", b"RBDD-not-checked-here")
-        assert store.get_artifact("deadbeef") == b"RBDD-not-checked-here"
+        assert store.get_artifact("deadbeef", bytes) == b"RBDD-not-checked-here"
         assert store.get_stage("derive", "cafe") is None
         store.put_stage("cafe", StageResult(name="derive", ok=True, seconds=0.1))
         assert store.get_stage("derive", "cafe") is not None
         # A stored stage answered under the wrong stage name is corrupt.
         assert store.get_stage("faults", "cafe") is None
-        s = store.stats
-        assert (s.artifact_hits, s.artifact_misses) == (1, 1)
-        assert (s.stage_hits, s.stage_misses) == (1, 2)
-        assert s.corrupt == 1
+        s = store_traffic_since(before)
+        assert (s["artifact_hits"], s["artifact_misses"]) == (1, 1)
+        assert (s["stage_hits"], s["stage_misses"]) == (1, 2)
+        assert s["corrupt"] == 1
+        # summary() reads the process-wide tally from the same registry.
+        counters = get_registry().snapshot()["counters"]
+        assert store.summary()["stats"] == store_tally(counters)
+
+    def test_concurrent_lookups_are_all_counted(self, tmp_path):
+        store = ResultStore(tmp_path)
+        threads, lookups = 16, 200
+        before = get_registry().snapshot()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [store.get_stage("derive", "cafe") for _ in range(lookups)]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert store_traffic_since(before)["stage_misses"] == threads * lookups
+
+    def test_stored_files_are_indented_sorted_json(self, tmp_path):
+        store = ResultStore(tmp_path)
+        stage = StageResult(name="derive", ok=True, seconds=0.1, details={"b": 1, "a": 2})
+        path = store.put_stage("cafe", stage)
+        expected = json.dumps(stage.as_dict(), indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        assert not list(tmp_path.glob(".tmp-*"))
 
     def test_stage_files_do_not_pollute_job_keys(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -379,8 +439,8 @@ class TestIncremental:
         # distinct (stage, dependency-hash) pair.
         assert len(store.artifact_keys()) == 4
         assert len(store.stage_keys()) == 4 * len(CANONICAL_STAGES)
-        assert report.store_stats is not None
-        assert report.store_stats.misses == 4  # job-level cold misses
+        assert report.cache is not None
+        assert report.cache["misses"] == 4  # job-level cold misses
         assert report.cache_misses() > 0 and report.cache_corrupt() == 0
 
     def test_warm_state_serves_derivation(self):
@@ -413,11 +473,13 @@ class TestIncremental:
         good = store.artifact_path(key).read_bytes()
         store.artifact_path(key).write_bytes(good[:-7] + b"garbage")
         clear_warm_state()
-        before = store.stats.copy()
+        before = get_registry().snapshot()
         result = run_verification_job(job, store=store)
         assert result.ok
         assert result.stage("derive").details["source"] == "computed"
-        assert store.stats.diff(before).corrupt == 1
+        traffic = store_traffic_since(before)
+        assert traffic["corrupt"] == 1
+        assert (traffic["artifact_hits"], traffic["artifact_misses"]) == (0, 1)
         # The bad file was dropped and replaced by a valid artifact.
         inspect_artifact(store.artifact_path(key).read_bytes())
 
@@ -441,11 +503,28 @@ class TestIncremental:
             ]
             assert replayed == ["properties", "derive", "maximality", "obligations"]
             assert executed == ["faults", "analysis"]
-        stats = report.store_stats
-        assert stats.stage_hits == 4 * 4
-        assert stats.stage_misses == 2 * 4
+        cache = report.cache
+        assert cache["stage_hits"] == 4 * 4
+        assert cache["stage_misses"] == 2 * 4
         # The faults stage reloaded each derivation; analysis reused it.
-        assert stats.artifact_hits == 4
+        assert cache["artifact_hits"] == 4
+
+    def test_each_stage_is_timed_once(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = tiny_job()
+        registry = get_registry()
+        for incremental in (False, True):
+            before = registry.snapshot()
+            result = run_verification_job(job, store=store, incremental=incremental)
+            assert result.ok, result.error
+            observed = sum(
+                state["count"]
+                for name, _, state in registry.delta_since(before)["histograms"].values()
+                if name == "repro_stage_seconds"
+            )
+            assert observed == len(job.stages)
+        # The second run replayed every stage from the store.
+        assert all(stage.details.get("from_store") for stage in result.stages)
 
     def test_family_edit_reruns_only_affected_jobs(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -484,7 +563,7 @@ class TestWarmPool:
         shutdown_warm_pool()
         assert orchestrator._WARM_POOL is None
 
-    def test_worker_store_stats_are_aggregated(self, tmp_path):
+    def test_worker_store_traffic_is_aggregated(self, tmp_path):
         # Fresh pool AND no inherited warmth: forked workers copy the
         # parent's warm state, which would satisfy the derivation without
         # touching the store.
@@ -493,13 +572,15 @@ class TestWarmPool:
         store = ResultStore(tmp_path)
         report = run_campaign(small_campaign(workers=2), store=store)
         assert report.all_ok()
-        stats = report.store_stats
+        cache = report.cache
         # The workers wrote 4 artifacts (one per arch) and reported the
         # misses home; the parent only saw the job-level misses.
-        assert stats.misses == 4
-        assert stats.artifact_misses == 4
+        assert cache["misses"] == 4
+        assert cache["artifact_misses"] == 4
         # Persisted results must not leak run-specific counters.
-        assert all(r.store_stats is None for r in report.results)
+        assert all(r.metrics is None for r in report.results)
+        for result in report.results:
+            assert "metrics" not in json.loads(store.path_for(result.job).read_text())
         shutdown_warm_pool()
 
     def test_on_result_streams_every_job(self, tmp_path):

@@ -53,6 +53,35 @@ def submit_light(client, arch=ARCH, **extra):
     return client.submit(arch=arch, **{**LIGHT, **extra})
 
 
+#: ``/v1/store`` stats key for each (kind, outcome) of repro_store_reads_total.
+STORE_READ_STATS = {
+    ("job", "hit"): "hits",
+    ("job", "miss"): "misses",
+    ("artifact", "hit"): "artifact_hits",
+    ("artifact", "miss"): "artifact_misses",
+    ("stage", "hit"): "stage_hits",
+    ("stage", "miss"): "stage_misses",
+}
+
+
+def assert_store_channels_agree(client):
+    """``/v1/metrics`` store-read samples equal ``/v1/store`` stats."""
+    samples = client.metrics(fmt="json")
+    stats = client.store()["store"]["stats"]
+    reads = {
+        (sample["labels"]["kind"], sample["labels"]["outcome"]): sample["value"]
+        for sample in samples
+        if sample["name"] == "repro_store_reads_total"
+    }
+    corrupt = sum(
+        sample["value"] for sample in samples if sample["name"] == "repro_store_corrupt_total"
+    )
+    for labels, key in STORE_READ_STATS.items():
+        assert reads.get(labels, 0) == stats[key], (labels, reads, stats)
+    assert corrupt == stats["corrupt"]
+    return stats
+
+
 # -- submission parsing (no daemon needed) -----------------------------------------------
 
 
@@ -292,7 +321,7 @@ class TestEndpoints:
         assert archs and all(isinstance(name, str) for name in archs)
         assert "dac2002-example" in archs
 
-    def test_store_telemetry(self, service):
+    def test_store_telemetry(self, service, tmp_path):
         client = service.client()
         before = client.store()
         assert before["configured"] is True
@@ -305,6 +334,23 @@ class TestEndpoints:
         after = client.store()["store"]
         assert after["entries"]["jobs"] == 1
         assert after["stats"]["hits"] >= 1
+        # The probe thread's cached answer reaches the registry too.
+        assert_store_channels_agree(client)
+
+        # Pool workers' store traffic reaches both channels alike.
+        with start_service(store_root=str(tmp_path / "pool-store"), workers=2) as pool:
+            pool_client = pool.client()
+            misses_before = assert_store_channels_agree(pool_client)["misses"]
+            campaign = CampaignSpec(
+                name="pool-pair",
+                jobs=(JobSpec(arch=ARCH2, **TINY), JobSpec(arch=ARCH3, **TINY)),
+            )
+            submitted = pool_client.submit(campaign=campaign.to_dict())
+            final = pool_client.wait(submitted["job"]["id"], timeout=120)
+            assert final["state"] == JobState.DONE and final["ok"] is True
+            assert final["report"]["cache"]["misses"] == 2
+            stats = assert_store_channels_agree(pool_client)
+            assert stats["misses"] == misses_before + 2
 
     def test_store_disabled(self, tmp_path):
         with start_service(store_root=None, workers=1) as handle:
