@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..expr.ast import Expr, Or
-from ..expr.compile import WORD_BITS, compile_bitparallel
+from ..expr.compile import compile_outputs
 from ..expr.evaluate import UnboundVariableError
 from ..expr.printer import to_text
 from ..pipeline.trace import SimulationTrace
@@ -190,10 +190,11 @@ def coverage_of(
 ) -> CoverageReport:
     """Accumulate specification coverage of the given traces.
 
-    Each disjunct is compiled once to bit-parallel word operations and
-    scored 64 cycles at a time; the per-cycle hit counts, sole-justification
-    counts and stall/move observations are recovered from the packed result
-    columns with population counts.
+    The disjuncts of every clause are compiled together into one
+    bit-parallel word function and scored 64 cycles per call; the
+    per-cycle hit counts, sole-justification counts and stall/move
+    observations are recovered from the packed result columns with
+    population counts.
 
     Args:
         spec: the functional specification whose clauses define the coverage
@@ -204,15 +205,13 @@ def coverage_of(
             campaigns; a fresh one is created when omitted.
     """
     report = report or _new_report(spec)
-    compiled = {
-        (clause.moe, index): compile_bitparallel(disjunct)
-        for clause in spec.clauses
-        for index, disjunct in enumerate(_disjuncts_of(clause.condition))
-    }
-    strict_names: Dict[str, None] = {}
-    for compiled_disjunct in compiled.values():
-        for name in compiled_disjunct.names:
-            strict_names.setdefault(name, None)
+    compiled = compile_outputs(
+        {
+            (clause.moe, index): disjunct
+            for clause in spec.clauses
+            for index, disjunct in enumerate(_disjuncts_of(clause.condition))
+        }
+    )
     moe_flags = [clause.moe for clause in spec.clauses]
 
     for trace in traces:
@@ -220,67 +219,42 @@ def coverage_of(
         num_cycles = trace.num_cycles()
         if not num_cycles:
             continue
-        columns, moe_columns = _pack_trace(trace, list(strict_names), moe_flags)
-        num_words = (num_cycles + WORD_BITS - 1) // WORD_BITS
-        full = (1 << WORD_BITS) - 1
-        masks = [
-            full
-            if (num_cycles - w * WORD_BITS) >= WORD_BITS
-            else (1 << (num_cycles - w * WORD_BITS)) - 1
-            for w in range(num_words)
-        ]
+        # A disjunct's variables must be sampled by the trace (matching
+        # eval_expr, which raises on unbound variables); a moe flag the
+        # trace does not drive is observed as moving.
+        try:
+            columns = trace.pack_signal_columns(list(compiled.names))
+        except KeyError as exc:
+            raise UnboundVariableError(exc.args[0]) from exc
+        moe_columns = trace.pack_signal_columns(
+            moe_flags, defaults=dict.fromkeys(moe_flags, True)
+        )
+        # Packed columns carry no bits beyond the last cycle, so the
+        # population counts below need no tail mask.
+        hits_of = dict(zip(compiled.outputs, compiled.evaluate_packed(columns, num_cycles)))
         for clause in spec.clauses:
             stage = report.stages[clause.moe]
             stage.cycles_observed += num_cycles
-            moving = sum(
-                (word & mask).bit_count()
-                for word, mask in zip(moe_columns[clause.moe], masks)
-            )
+            moving = sum(word.bit_count() for word in moe_columns[clause.moe])
             stage.cycles_moving += moving
             stage.cycles_stalled += num_cycles - moving
             hit_columns = [
-                compiled[(clause.moe, disjunct.index)].evaluate_packed(
-                    columns, num_cycles
-                )
-                for disjunct in stage.disjuncts
+                hits_of[(clause.moe, disjunct.index)] for disjunct in stage.disjuncts
             ]
             for disjunct, hits in zip(stage.disjuncts, hit_columns):
                 disjunct.hit_cycles += sum(word.bit_count() for word in hits)
-            for word_index in range(num_words):
-                union = 0
-                for hits in hit_columns:
-                    union |= hits[word_index]
+            for words in zip(*hit_columns):
+                # ``shared``: the cycles two or more disjuncts justify.
+                union = shared = 0
+                for word in words:
+                    shared |= union & word
+                    union |= word
                 if not union:
                     continue
                 stage.cycles_condition_true += union.bit_count()
-                for disjunct, hits in zip(stage.disjuncts, hit_columns):
-                    others = 0
-                    for other in hit_columns:
-                        if other is not hits:
-                            others |= other[word_index]
-                    sole = hits[word_index] & ~others & masks[word_index]
-                    disjunct.sole_justification_cycles += sole.bit_count()
+                for disjunct, word in zip(stage.disjuncts, words):
+                    disjunct.sole_justification_cycles += (word & ~shared).bit_count()
     return report
-
-
-def _pack_trace(
-    trace: SimulationTrace, strict_names: Sequence[str], moe_flags: Sequence[str]
-):
-    """Pack the signal columns a coverage pass needs into 64-cycle words.
-
-    Variables appearing in a stall-condition disjunct must be sampled by
-    the trace (matching :func:`~repro.expr.evaluate.eval_expr`, which raises
-    on unbound variables); the per-stage moe observation defaults to True
-    when the trace does not drive the flag, as before.
-    """
-    try:
-        columns = trace.pack_signal_columns(list(strict_names))
-    except KeyError as exc:
-        raise UnboundVariableError(exc.args[0]) from exc
-    moe_columns = trace.pack_signal_columns(
-        list(moe_flags), defaults={moe: True for moe in moe_flags}
-    )
-    return columns, moe_columns
 
 
 def merge_coverage(reports: Sequence[CoverageReport]) -> CoverageReport:

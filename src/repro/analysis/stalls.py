@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..expr.compile import WORD_BITS, compile_bitparallel, iter_set_bits, tail_mask
+from ..expr.compile import WORD_BITS, compile_outputs, iter_set_bits, tail_mask
 from ..pipeline.trace import SimulationTrace
 from ..spec.functional import FunctionalSpec
 
@@ -116,8 +116,9 @@ def classify_stalls(
 ) -> StallBreakdown:
     """Classify every stall cycle in a trace against the functional spec.
 
-    The justification formulas are compiled once to bit-parallel word code
-    (:mod:`repro.expr.compile`) and evaluated 64 cycles per operation over
+    The justification formulas are compiled together into one bit-parallel
+    word function (:mod:`repro.expr.compile`) and evaluated 64 cycles per
+    call over
     the trace's packed signal columns — the same bulk path the assertion
     monitor and the coverage scorer use — instead of one expression-tree
     walk per stage per cycle.
@@ -147,22 +148,16 @@ def classify_stalls(
         stall_formulas = derivation.stall_expressions()
     else:
         stall_formulas = {clause.moe: clause.condition for clause in spec.clauses}
-    compiled = {
-        moe: compile_bitparallel(formula) for moe, formula in stall_formulas.items()
-    }
-    needed: Dict[str, None] = {moe: None for moe in stall_formulas}
-    for code in compiled.values():
-        for name in code.names:
-            needed.setdefault(name, None)
+    compiled = compile_outputs(stall_formulas)
     # A moe flag the trace never sampled counts as "moving or empty".
     columns = trace.pack_signal_columns(
-        list(needed), defaults={moe: True for moe in stall_formulas}
+        list(dict.fromkeys([*stall_formulas, *compiled.names])),
+        defaults={moe: True for moe in stall_formulas},
     )
 
-    for moe, code in compiled.items():
+    for moe, justified in zip(compiled.outputs, compiled.evaluate_packed(columns, num_cycles)):
         stats = breakdown.per_stage[moe]
         stats.total_cycles = num_cycles
-        justified = code.evaluate_packed(columns, num_cycles)
         moe_column = columns[moe]
         for word_index, justified_word in enumerate(justified):
             mask = tail_mask(num_cycles, word_index)

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..expr.compile import (
-    WORD_BITS,
-    CompiledExpr,
-    compile_bitparallel,
-    iter_set_bits,
-    tail_mask,
-)
+from ..expr.compile import WORD_BITS, CompiledOutputs, compile_outputs, iter_set_bits, tail_mask
 from ..expr.evaluate import UnboundVariableError
 from ..pipeline.trace import CycleRecord, SimulationTrace
 from .generate import Assertion, AssertionKind
@@ -147,10 +141,10 @@ class MonitorReport:
 class AssertionMonitor:
     """Evaluates a set of assertions cycle by cycle.
 
-    Whole traces are checked bit-parallel: every assertion formula is
-    compiled once (per monitor) to machine-word bitwise operations, the
-    trace's signal columns are packed into 64-cycle words, and each
-    assertion is then decided for 64 cycles per operation.  Per-cycle
+    Whole traces are checked bit-parallel: all assertion formulas are
+    compiled once (per monitor) into one machine-word bitwise function,
+    the trace's signal columns are packed into 64-cycle words, and every
+    assertion is then decided for 64 cycles per call.  Per-cycle
     evaluation (:meth:`check_cycle`) remains available for streaming use.
     """
 
@@ -158,31 +152,25 @@ class AssertionMonitor:
         self.assertions = list(assertions)
         if not self.assertions:
             raise ValueError("an assertion monitor needs at least one assertion")
-        self._compiled: Optional[List[CompiledExpr]] = None
-        self._needed: Optional[List[str]] = None
+        self._compiled: Optional[CompiledOutputs] = None
 
-    def _compile(self) -> List[CompiledExpr]:
+    def _compile(self) -> CompiledOutputs:
         if self._compiled is None:
-            self._compiled = [
-                compile_bitparallel(assertion.formula) for assertion in self.assertions
-            ]
-            needed: Dict[str, None] = {}
-            for compiled in self._compiled:
-                for name in compiled.names:
-                    needed.setdefault(name, None)
-            self._needed = list(needed)
+            self._compiled = compile_outputs(
+                {index: assertion.formula for index, assertion in enumerate(self.assertions)}
+            )
         return self._compiled
 
     def _pack_columns(self, trace: SimulationTrace) -> Dict[str, List[int]]:
         """Pack every referenced signal's per-cycle values into 64-bit words."""
         try:
-            return trace.pack_signal_columns(self._needed)
+            return trace.pack_signal_columns(list(self._compiled.names))
         except KeyError as exc:
             name = exc.args[0]
             offender = next(
                 assertion
-                for assertion, compiled in zip(self.assertions, self._compiled)
-                if name in compiled.names
+                for assertion in self.assertions
+                if name in assertion.formula.variables()
             )
             raise KeyError(
                 f"assertion {offender.name} references signal {name!r} "
@@ -227,15 +215,15 @@ class AssertionMonitor:
             return MonitorReport(trace_name, 0, len(self.assertions))
         compiled = self._compile()
         columns = self._pack_columns(trace)
-        failures = []
-        for assertion, code in zip(self.assertions, compiled):
-            holds = code.evaluate_packed(columns, num_cycles)
-            failures.append(
-                (
-                    assertion,
-                    [~word & tail_mask(num_cycles, index) for index, word in enumerate(holds)],
-                )
+        failures = [
+            (
+                assertion,
+                [~word & tail_mask(num_cycles, index) for index, word in enumerate(holds)],
             )
+            for assertion, holds in zip(
+                self.assertions, compiled.evaluate_packed(columns, num_cycles)
+            )
+        ]
         return MonitorReport(
             trace_name,
             num_cycles,

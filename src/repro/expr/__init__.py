@@ -49,12 +49,12 @@ from .domains import (
     scoreboard_bit,
 )
 from .compile import (
-    CompiledExpr,
+    CompiledOutputs,
     bitparallel_count,
     bitparallel_find_falsifying,
     bitparallel_satisfiable,
     bitparallel_tautology,
-    compile_bitparallel,
+    compile_outputs,
     pack_bools,
 )
 from .evaluate import (
@@ -66,14 +66,6 @@ from .evaluate import (
     partial_eval,
 )
 from .parser import ParseError, parse_expr
-from .minimize import (
-    Implicant,
-    MinimizationResult,
-    literal_count,
-    minimize_expr,
-    minimize_with_care_set,
-    term_count,
-)
 from .printer import to_text, to_unicode, to_verilog, to_vhdl
 from .transform import (
     eliminate_derived,
@@ -121,12 +113,12 @@ __all__ = [
     "forall_many",
     "register_address_domain",
     "scoreboard_bit",
-    "CompiledExpr",
+    "CompiledOutputs",
     "bitparallel_count",
     "bitparallel_find_falsifying",
     "bitparallel_satisfiable",
     "bitparallel_tautology",
-    "compile_bitparallel",
+    "compile_outputs",
     "pack_bools",
     "UnboundVariableError",
     "all_assignments",
@@ -134,12 +126,6 @@ __all__ = [
     "is_satisfiable_by_enumeration",
     "is_tautology_by_enumeration",
     "partial_eval",
-    "Implicant",
-    "MinimizationResult",
-    "literal_count",
-    "minimize_expr",
-    "minimize_with_care_set",
-    "term_count",
     "ParseError",
     "parse_expr",
     "to_text",

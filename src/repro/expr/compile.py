@@ -6,22 +6,22 @@ expression under many assignments.  Doing that one assignment at a time
 with :func:`repro.expr.evaluate.eval_expr` costs a full tree walk plus a
 dictionary lookup per variable per row.
 
-This module compiles an :class:`~repro.expr.ast.Expr` once into a flat
-sequence of Python integer bitwise operations (one temporary per distinct
-sub-expression, shared sub-expressions evaluated once) and then evaluates
-**64 assignments per operation**: assignment *k* lives in bit *k* of every
-word, ``&``/``|``/``^`` act on all 64 lanes at once, and negation is an XOR
-with the lane mask.  Python's arbitrary-precision integers would allow even
-wider words, but 64 keeps every operand in CPython's fast small-big-int
-path.
+This module compiles a set of :class:`~repro.expr.ast.Expr` roots once
+into one flat sequence of Python integer bitwise operations (one temporary
+per distinct sub-expression, shared sub-expressions evaluated once across
+all roots) and then evaluates **64 assignments per operation**: assignment
+*k* lives in bit *k* of every word, ``&``/``|``/``^`` act on all 64 lanes
+at once, and negation is an XOR with the lane mask.  Python's
+arbitrary-precision integers would allow even wider words, but 64 keeps
+every operand in CPython's fast small-big-int path.
 
 Three layers of API:
 
-* :func:`compile_bitparallel` — the compiler; returns a callable
-  :class:`CompiledExpr`.  :func:`compile_outputs` compiles several named
-  expressions into one function sharing their common sub-expressions.
-* :func:`pack_bools` / :meth:`CompiledExpr.evaluate_packed` — bulk
-  evaluation over externally supplied rows (simulation traces).
+* :func:`compile_outputs` — the compiler; returns a callable
+  :class:`CompiledOutputs` with one result word per root.
+* :func:`pack_bools` / :meth:`CompiledOutputs.evaluate_packed` — bulk
+  evaluation over externally supplied rows (simulation traces), one
+  packed column per root.
 * :func:`bitparallel_tautology` / :func:`bitparallel_satisfiable` /
   :func:`bitparallel_count` / :func:`bitparallel_find_falsifying` —
   exhaustive sweeps over all ``2**n`` assignments of the expression's
@@ -30,9 +30,11 @@ Three layers of API:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -74,67 +76,21 @@ _PATTERNS = [
 ]
 
 
-class CompiledExpr:
-    """An expression compiled to a word-level bitwise function.
+class CompiledOutputs:
+    """Keyed expressions compiled into one word-level bitwise function.
 
     Calling the object evaluates one word: ``compiled(values, mask)`` takes
-    one integer per variable (in :attr:`names` order), each holding up to 64
-    assignments in its bits, plus the mask of populated lanes, and returns
-    the result word (bits outside the mask are unspecified).
-    """
-
-    __slots__ = ("expr", "names", "_func", "source")
-
-    def __init__(self, expr: Expr, names: Tuple[str, ...], func: Callable, source: str):
-        self.expr = expr
-        self.names = names
-        self._func = func
-        self.source = source
-
-    def __call__(self, values: Sequence[int], mask: int = FULL_MASK) -> int:
-        return self._func(values, mask)
-
-    def evaluate_one(self, assignment: Mapping[str, bool]) -> bool:
-        """Evaluate a single assignment (mainly for tests and spot checks)."""
-        values = [1 if assignment[name] else 0 for name in self.names]
-        return bool(self._func(values, 1) & 1)
-
-    def evaluate_packed(
-        self, columns: Mapping[str, Sequence[int]], num_rows: int
-    ) -> List[int]:
-        """Evaluate ``num_rows`` externally packed rows (see :func:`pack_bools`).
-
-        ``columns`` maps each variable to its packed value words; the result
-        is the packed output column.  Bits at and beyond ``num_rows`` in the
-        final word are zero.
-        """
-        func = self._func
-        try:
-            series = [columns[name] for name in self.names]
-        except KeyError as exc:
-            raise KeyError(f"no packed column for variable {exc.args[0]!r}") from exc
-        num_words = (num_rows + WORD_BITS - 1) // WORD_BITS
-        out: List[int] = []
-        for word_index in range(num_words):
-            mask = tail_mask(num_rows, word_index)
-            values = [column[word_index] for column in series]
-            out.append(func(values, mask) & mask)
-        return out
-
-
-class CompiledOutputs:
-    """Several named expressions compiled into one word-level function.
-
-    ``compiled(values, mask)`` takes the variable words in :attr:`names`
-    order, like :class:`CompiledExpr`, and returns one result word per
-    entry of :attr:`outputs`, in that order.  Sub-expressions shared
+    one integer per variable (in :attr:`names` order), each holding up to
+    64 assignments in its bits, plus the mask of populated lanes, and
+    returns one result word per entry of :attr:`outputs`, in that order
+    (bits outside the mask are unspecified).  Sub-expressions shared
     between outputs are evaluated once per call.
     """
 
     __slots__ = ("outputs", "names", "_func", "source")
 
     def __init__(
-        self, outputs: Tuple[str, ...], names: Tuple[str, ...], func: Callable, source: str
+        self, outputs: Tuple[Hashable, ...], names: Tuple[str, ...], func: Callable, source: str
     ):
         self.outputs = outputs
         self.names = names
@@ -143,6 +99,33 @@ class CompiledOutputs:
 
     def __call__(self, values: Sequence[int], mask: int = FULL_MASK) -> Tuple[int, ...]:
         return self._func(values, mask)
+
+    def evaluate_packed(
+        self, columns: Mapping[str, Sequence[int]], num_rows: int
+    ) -> List[List[int]]:
+        """Evaluate ``num_rows`` externally packed rows (see :func:`pack_bools`).
+
+        ``columns`` maps each variable to its packed value words; the
+        result holds one packed column per output, in :attr:`outputs`
+        order.  Bits at and beyond ``num_rows`` in the final word are zero.
+        """
+        try:
+            series = [columns[name] for name in self.names]
+        except KeyError as exc:
+            raise KeyError(f"no packed column for variable {exc.args[0]!r}") from exc
+        num_words = (num_rows + WORD_BITS - 1) // WORD_BITS
+        if not num_words:
+            return [[] for _ in self.outputs]
+        func = self._func
+        if series:
+            words = [func(values, FULL_MASK) for values in islice(zip(*series), num_words)]
+        else:
+            words = [func((), FULL_MASK)] * num_words
+        packed = [list(column) for column in zip(*words)]
+        tail = tail_mask(num_rows, num_words - 1)
+        for column in packed:
+            column[-1] &= tail
+        return packed
 
 
 def _variable_names(exprs: Iterable[Expr], order: Optional[Sequence[str]]) -> Tuple[str, ...]:
@@ -158,14 +141,11 @@ def _variable_names(exprs: Iterable[Expr], order: Optional[Sequence[str]]) -> Tu
     return names
 
 
-def _generate(
-    roots: Sequence[Expr], names: Tuple[str, ...], as_tuple: bool
-) -> Tuple[Callable, str]:
+def _generate(roots: Sequence[Expr], names: Tuple[str, ...]) -> Tuple[Callable, str]:
     """Emit and compile ``def _bitwise(values, M)`` returning the roots' words.
 
-    One temporary per distinct sub-expression across all roots.  With
-    ``as_tuple`` the function returns a tuple in root order, otherwise the
-    word of the single root.
+    One temporary per distinct sub-expression across all roots; the
+    function returns a tuple of words in root order.
     """
     index_of = {name: position for position, name in enumerate(names)}
 
@@ -211,7 +191,7 @@ def _generate(
         return ref
 
     refs = [rec(root) for root in roots]
-    result = "(" + "".join(f"{ref}, " for ref in refs) + ")" if as_tuple else refs[0]
+    result = "(" + "".join(f"{ref}, " for ref in refs) + ")"
     header = ["def _bitwise(values, M):"]
     header.extend(
         f"    v{position} = values[{position}]"
@@ -224,32 +204,21 @@ def _generate(
     return namespace["_bitwise"], source
 
 
-def compile_bitparallel(expr: Expr, order: Optional[Sequence[str]] = None) -> CompiledExpr:
-    """Compile ``expr`` into a :class:`CompiledExpr`.
+def compile_outputs(
+    exprs: Mapping[Hashable, Expr], order: Optional[Sequence[str]] = None
+) -> CompiledOutputs:
+    """Compile keyed expressions into one :class:`CompiledOutputs` function.
 
     ``order`` fixes the variable-to-argument mapping; it must cover every
-    variable of the expression.  By default the expression's variables are
-    used in sorted order.
-    """
-    names = _variable_names([expr], order)
-    func, source = _generate([expr], names, as_tuple=False)
-    return CompiledExpr(expr, names, func, source)
-
-
-def compile_outputs(
-    exprs: Mapping[str, Expr], order: Optional[Sequence[str]] = None
-) -> CompiledOutputs:
-    """Compile named expressions into one :class:`CompiledOutputs` function.
-
-    ``order`` works as for :func:`compile_bitparallel`, over the union of
-    the expressions' variables.  Used where one input row feeds many
-    outputs — a closed-form interlock computes every moe flag from the
-    same cycle's inputs.
+    variable of the expressions.  By default the union of their variables
+    is used in sorted order.  A consumer compiles its whole formula set at
+    once: every moe flag of a closed-form interlock, every assertion of a
+    monitor, every stall condition or coverage disjunct of a spec.
     """
     outputs = tuple(exprs)
-    roots = [exprs[name] for name in outputs]
+    roots = [exprs[key] for key in outputs]
     names = _variable_names(roots, order)
-    func, source = _generate(roots, names, as_tuple=True)
+    func, source = _generate(roots, names)
     return CompiledOutputs(outputs, names, func, source)
 
 
@@ -293,43 +262,52 @@ def _enumeration_values(names: Tuple[str, ...], word_index: int) -> List[int]:
     return values
 
 
-def _sweep(expr: Expr) -> Iterable[Tuple[int, int, int]]:
-    """Yield ``(word_index, result_word, mask)`` over all assignments."""
-    compiled = compile_bitparallel(expr)
+def _sweep(compiled: CompiledOutputs) -> Iterable[Tuple[int, int, int]]:
+    """Yield ``(word_index, result_word, mask)`` over all assignments.
+
+    ``compiled`` has one output; its :attr:`~CompiledOutputs.names` are the
+    enumerated variables.
+    """
     names = compiled.names
     count = len(names)
     if count <= 6:
         mask = (1 << (1 << count)) - 1
-        yield 0, compiled(_enumeration_values(names, 0), mask), mask
+        (word,) = compiled(_enumeration_values(names, 0), mask)
+        yield 0, word, mask
         return
     for word_index in range(1 << (count - 6)):
-        yield word_index, compiled(_enumeration_values(names, word_index), FULL_MASK), FULL_MASK
+        (word,) = compiled(_enumeration_values(names, word_index), FULL_MASK)
+        yield word_index, word, FULL_MASK
+
+
+def _compile_one(expr: Expr) -> CompiledOutputs:
+    return compile_outputs({"value": expr})
 
 
 def bitparallel_tautology(expr: Expr) -> bool:
     """Is ``expr`` true under every assignment of its variables?"""
-    return all((result & mask) == mask for _, result, mask in _sweep(expr))
+    return all((result & mask) == mask for _, result, mask in _sweep(_compile_one(expr)))
 
 
 def bitparallel_satisfiable(expr: Expr) -> bool:
     """Is ``expr`` true under at least one assignment of its variables?"""
-    return any(result & mask for _, result, mask in _sweep(expr))
+    return any(result & mask for _, result, mask in _sweep(_compile_one(expr)))
 
 
 def bitparallel_count(expr: Expr) -> int:
     """Number of satisfying assignments over the expression's variables."""
-    return sum((result & mask).bit_count() for _, result, mask in _sweep(expr))
+    return sum((result & mask).bit_count() for _, result, mask in _sweep(_compile_one(expr)))
 
 
 def bitparallel_find_falsifying(expr: Expr) -> Optional[Dict[str, bool]]:
     """An assignment falsifying ``expr``, or None when it is a tautology."""
-    compiled_names = tuple(sorted(expr.variables()))
-    for word_index, result, mask in _sweep(expr):
+    compiled = _compile_one(expr)
+    for word_index, result, mask in _sweep(compiled):
         failing = (~result) & mask
         if failing:
             bit = next(iter_set_bits(failing))
             index = word_index * WORD_BITS + bit
             return {
-                name: bool((index >> i) & 1) for i, name in enumerate(compiled_names)
+                name: bool((index >> i) & 1) for i, name in enumerate(compiled.names)
             }
     return None

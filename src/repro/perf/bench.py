@@ -671,11 +671,9 @@ def write_results(results: Dict[str, BenchResult], path: str) -> None:
 
 
 def _baseline_scenarios(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Extract scenario timings from either a run file or a PR trajectory file."""
+    """Extract scenario timings from a run file (or a PR file in its schema)."""
     if "scenarios" in payload:
         return payload["scenarios"]
-    if "current" in payload and "scenarios" in payload["current"]:
-        return payload["current"]["scenarios"]
     raise ValueError("baseline file has no 'scenarios' section")
 
 

@@ -24,7 +24,6 @@ from .interlock import (
     StuckResetInterlock,
     reference_interlock,
 )
-from .scoreboard import Scoreboard
 from .simulator import PipelineSimulator, SimulatorConfig, simulate
 from .structure import (
     Architecture,
@@ -57,7 +56,6 @@ __all__ = [
     "SpecFixedPointInterlock",
     "StuckResetInterlock",
     "reference_interlock",
-    "Scoreboard",
     "PipelineSimulator",
     "SimulatorConfig",
     "simulate",

@@ -11,12 +11,13 @@ mutant — can all be plugged into the same datapath and compared.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 from operator import truth
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bdd.ordering import register_interleaved_order
 from ..expr.ast import Expr, variables_of
-from ..expr.compile import CompiledOutputs, compile_outputs
+from ..expr.compile import compile_outputs
 from ..expr.evaluate import eval_expr
 from ..spec.derivation import (
     DerivationResult,
@@ -115,11 +116,12 @@ class ClosedFormInterlock(Interlock):
     interleaved one over the variables they mention.
 
     For evaluation the closed forms are materialized as ISOP covers and
-    compiled on first use into one straight-line function over all flags
+    compiled into one straight-line function over all flags
     (:func:`~repro.expr.compile.compile_outputs`), so a simulated cycle
     costs one call instead of a tree walk per flag.  :meth:`row_function`
-    compiles them once more per input order, with the variables bound to
-    row positions, and caches the result.
+    compiles them once per input order, with the variables bound to row
+    positions, and caches the result; :meth:`compute_moe` evaluates the
+    row function over the closed forms' sorted support.
     """
 
     combinational = True
@@ -141,7 +143,6 @@ class ClosedFormInterlock(Interlock):
         self._functions: Dict[str, SymbolicFunction] = {
             moe: context.lift(value) for moe, value in moe_functions.items()
         }
-        self._compiled: Optional[CompiledOutputs] = None
         self._row_functions: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Callable]] = {}
         self.name = name
         self.description = description or "closed-form combinational interlock"
@@ -179,12 +180,14 @@ class ClosedFormInterlock(Interlock):
         """All closed forms materialized as ISOP covers (cached per node)."""
         return {moe: function.to_expr() for moe, function in self._functions.items()}
 
+    @cached_property
+    def _support(self) -> Tuple[str, ...]:
+        return tuple(sorted(variables_of(self.expressions().values())))
+
     def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        compiled = self._compiled
-        if compiled is None:
-            compiled = self._compiled = compile_outputs(self.expressions())
+        support = self._support
         try:
-            values = list(map(truth, map(inputs.__getitem__, compiled.names)))
+            row = list(map(truth, map(inputs.__getitem__, support)))
         except KeyError:
             # A partial valuation: eval_expr short-circuits past unbound
             # variables that cannot matter and raises on the ones that do.
@@ -192,7 +195,8 @@ class ClosedFormInterlock(Interlock):
                 moe: eval_expr(expression, inputs)
                 for moe, expression in self.expressions().items()
             }
-        return dict(zip(compiled.outputs, map(truth, compiled(values, 1))))
+        moe_names, evaluate = self._cached_row_function(support)
+        return dict(zip(moe_names, evaluate(row)))
 
     def moe_flags(self) -> list:
         return list(self._functions)
@@ -206,16 +210,26 @@ class ClosedFormInterlock(Interlock):
         it, and so are closed forms over a signal the row does not carry.
         """
         input_names = tuple(input_names)
-        cached = self._row_functions.get(input_names)
-        if cached is not None:
-            return cached
         if type(self).compute_moe is not ClosedFormInterlock.compute_moe:
             return super().row_function(input_names)
         try:
-            compiled = compile_outputs(self.expressions(), order=input_names)
+            return self._cached_row_function(input_names)
         except ValueError:
             # A closed form reads a signal outside the row.
             return super().row_function(input_names)
+
+    def _cached_row_function(
+        self, input_names: Tuple[str, ...]
+    ) -> Tuple[Tuple[str, ...], Callable[[Sequence[bool]], List[bool]]]:
+        """The closed forms compiled over ``input_names`` (cached per order).
+
+        Raises ``ValueError`` when a closed form reads a name outside
+        ``input_names``.
+        """
+        cached = self._row_functions.get(input_names)
+        if cached is not None:
+            return cached
+        compiled = compile_outputs(self.expressions(), order=input_names)
 
         def evaluate(row: Sequence[bool]) -> List[bool]:
             return list(map(truth, compiled(row, 1)))

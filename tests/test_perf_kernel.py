@@ -7,13 +7,22 @@ runnable as a CI smoke test.
 """
 
 import json
+import random
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.expr.compile as compile_module
+from repro.assertions import AssertionMonitor
 from repro.bdd import BddManager, compile_expr
+from repro.campaign import CANONICAL_STAGES, JobSpec, clear_warm_state, run_verification_job
+from repro.campaign import runner
 from repro.expr import (
+    FALSE,
+    TRUE,
     And,
     Iff,
     Implies,
@@ -26,10 +35,11 @@ from repro.expr import (
     bitparallel_find_falsifying,
     bitparallel_satisfiable,
     bitparallel_tautology,
-    compile_bitparallel,
+    compile_outputs,
     eval_expr,
     pack_bools,
 )
+from repro.pipeline import ClosedFormInterlock
 
 VARIABLE_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h"]
 
@@ -51,32 +61,65 @@ def expressions(max_leaves: int = 14):
     )
 
 
+def shared_roots(expr, other):
+    """Three roots over ``expr`` and ``other`` that share sub-expressions."""
+    return {
+        "expr": expr,
+        "both": And(expr, other),
+        "either": Or(Not(expr), other),
+    }
+
+
 class TestBitParallelEvaluator:
     @settings(max_examples=80, deadline=None)
-    @given(expressions())
-    def test_agrees_with_eval_expr_on_every_assignment(self, expr):
+    @given(expressions(), expressions(6))
+    def test_agrees_with_eval_expr_on_every_assignment(self, expr, other):
         names = sorted(expr.variables())
-        compiled = compile_bitparallel(expr)
         brute = [eval_expr(expr, a) for a in all_assignments(names)]
         assert bitparallel_tautology(expr) == all(brute)
         assert bitparallel_satisfiable(expr) == any(brute)
         assert bitparallel_count(expr) == sum(brute)
-        for assignment in all_assignments(names):
-            assert compiled.evaluate_one(assignment) == eval_expr(expr, assignment)
+        roots = shared_roots(expr, other)
+        compiled = compile_outputs(roots)
+        assert compiled.outputs == tuple(roots)
+        assert compiled.names == tuple(sorted(expr.variables() | other.variables()))
+        for assignment in all_assignments(compiled.names):
+            values = [int(assignment[name]) for name in compiled.names]
+            words = compiled(values, 1)
+            assert [bool(word & 1) for word in words] == [
+                eval_expr(root, assignment) for root in roots.values()
+            ]
 
     @settings(max_examples=40, deadline=None)
-    @given(expressions(), st.integers(min_value=1, max_value=150), st.randoms())
-    def test_packed_evaluation_matches_rows(self, expr, num_rows, rng):
-        names = sorted(expr.variables())
+    @given(
+        expressions(),
+        expressions(6),
+        st.integers(min_value=0, max_value=150),
+        st.randoms(),
+    )
+    def test_packed_evaluation_matches_rows(self, expr, other, num_rows, rng):
+        roots = shared_roots(expr, other)
+        names = sorted(expr.variables() | other.variables())
         rows = [
             {name: bool(rng.getrandbits(1)) for name in names} for _ in range(num_rows)
         ]
-        compiled = compile_bitparallel(expr)
+        compiled = compile_outputs(roots)
         columns = {name: pack_bools(row[name] for row in rows) for name in names}
         packed = compiled.evaluate_packed(columns, num_rows)
-        for index, row in enumerate(rows):
-            bit = (packed[index // 64] >> (index % 64)) & 1
-            assert bool(bit) == eval_expr(expr, row)
+        assert len(packed) == len(roots)
+        for root, column in zip(roots.values(), packed):
+            assert len(column) == (num_rows + 63) // 64
+            # No bits beyond the last row, even for negated roots.
+            assert column == [] or column[-1] >> (num_rows - 64 * (len(column) - 1)) == 0
+            for index, row in enumerate(rows):
+                bit = (column[index // 64] >> (index % 64)) & 1
+                assert bool(bit) == eval_expr(root, row)
+        # Roots without variables read no column.
+        constants = compile_outputs({"true": TRUE, "false": FALSE})
+        assert constants.evaluate_packed({}, num_rows) == [
+            pack_bools([True] * num_rows),
+            pack_bools([False] * num_rows),
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(expressions())
@@ -95,6 +138,103 @@ class TestBitParallelEvaluator:
         assert bitparallel_find_falsifying(expr) == {
             name: False for name in VARIABLE_NAMES[:7]
         }
+
+
+class TestCompiledOutputs:
+    @pytest.mark.parametrize("num_rows", [1, 63, 64, 65, 127, 128, 129])
+    def test_packed_columns_at_word_boundaries(self, num_rows):
+        rng = random.Random(num_rows)
+        a, b, c = Var("a"), Var("b"), Var("c")
+        roots = {"not_a": Not(a), "implies": Implies(And(a, b), c), "true": TRUE}
+        rows = [{name: rng.random() < 0.5 for name in "abc"} for _ in range(num_rows)]
+        columns = {name: pack_bools(row[name] for row in rows) for name in "abc"}
+        packed = compile_outputs(roots).evaluate_packed(columns, num_rows)
+        expected = [
+            pack_bools(eval_expr(root, row) for row in rows) for root in roots.values()
+        ]
+        assert packed == expected
+        assert all(len(column) == (num_rows + 63) // 64 for column in packed)
+
+    def test_shared_subexpressions_are_evaluated_once(self):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        shared = And(a, b)
+        compiled = compile_outputs({"x": Or(shared, c), "y": Not(shared), "z": shared})
+        assert compiled.source.count("v0 & v1") == 1
+        assert compiled.names == ("a", "b", "c")
+        words = compiled([0b1100, 0b1010, 0b0001], 0b1111)
+        assert [word & 0b1111 for word in words] == [0b1001, 0b0111, 0b1000]
+
+    def test_order_fixes_argument_positions(self):
+        compiled = compile_outputs({"f": And(Var("a"), Not(Var("b")))}, order=["b", "x", "a"])
+        assert compiled.names == ("b", "x", "a")
+        assert compiled([0b01, 0b11, 0b11], 0b11) == (0b10,)
+        with pytest.raises(ValueError, match=r"order is missing variables \['a'\]"):
+            compile_outputs({"f": Var("a")}, order=["b"])
+
+    def test_outputs_keep_their_keys_and_order(self):
+        roots = {("p", 1): Var("b"), ("p", 0): Var("a"), 7: FALSE}
+        compiled = compile_outputs(roots)
+        assert compiled.outputs == (("p", 1), ("p", 0), 7)
+        assert compiled([0b01, 0b10], 0b11) == (0b10, 0b01, 0)
+        assert compile_outputs({}).evaluate_packed({}, 100) == []
+
+    def test_missing_packed_column_is_named(self):
+        compiled = compile_outputs({"f": Or(Var("a"), Var("b"))})
+        with pytest.raises(KeyError, match="no packed column for variable 'b'"):
+            compiled.evaluate_packed({"a": [1]}, 1)
+
+
+class TestCompileReuse:
+    def test_job_compiles_each_formula_set_once(self, monkeypatch):
+        # One word function per formula set: per closed-form interlock
+        # input order, per assertion monitor, per stall classification
+        # and per coverage call -- never one per formula.
+        clear_warm_state()
+        generated = []
+        real_generate = compile_module._generate
+
+        def counting_generate(*args, **kwargs):
+            generated.append(args)
+            return real_generate(*args, **kwargs)
+
+        monkeypatch.setattr(compile_module, "_generate", counting_generate)
+        built = {ClosedFormInterlock: [], AssertionMonitor: []}
+        for cls, instances in built.items():
+            monkeypatch.setattr(cls, "__init__", _recording_init(cls.__init__, instances))
+        analysis_calls = []
+        for name in ("classify_stalls", "coverage_of"):
+            monkeypatch.setattr(
+                runner, name, _recording_call(getattr(runner, name), analysis_calls)
+            )
+        try:
+            result = run_verification_job(JobSpec(arch="dac2002-example"))
+        finally:
+            clear_warm_state()
+        assert result.ok, result.error
+        assert [stage.name for stage in result.stages] == list(CANONICAL_STAGES)
+        assert sorted(analysis_calls) == ["classify_stalls", "coverage_of"]
+        input_orders = sum(
+            len(interlock._row_functions) for interlock in built[ClosedFormInterlock]
+        )
+        assert input_orders > 1
+        assert len(built[AssertionMonitor]) == 2  # the faults and analysis stages
+        assert len(generated) == input_orders + len(built[AssertionMonitor]) + 2
+
+
+def _recording_init(init, instances):
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        instances.append(self)
+
+    return recording_init
+
+
+def _recording_call(function, calls):
+    def recording_call(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+
+    return recording_call
 
 
 class TestFusedQuantification:
@@ -196,6 +336,48 @@ class TestBenchRunner:
         # With the default absolute slack the same millisecond-scale excess
         # is noise, not a regression.
         assert check_against_baseline(results, str(baseline), tolerance=1e-9) == []
+
+    @pytest.mark.parametrize(
+        "baseline",
+        [
+            "BENCH_PR1.json",
+            "BENCH_PR2.json",
+            "BENCH_PR6.json",
+            "BENCH_PR10.json",
+            "BENCH_QUICK.json",
+        ],
+    )
+    def test_committed_baselines_load(self, baseline):
+        from repro.perf import check_against_baseline
+        from repro.perf.bench import SCHEMA_VERSION, BenchResult
+
+        path = Path(__file__).resolve().parents[1] / baseline
+        payload = json.loads(path.read_text())
+        assert payload["schema"] == SCHEMA_VERSION
+        assert payload["scenarios"]
+        own = {
+            name: BenchResult(
+                name=name,
+                seconds=entry["seconds"],
+                repeat=entry["repeat"],
+                quick=bool(entry.get("quick")),
+            )
+            for name, entry in payload["scenarios"].items()
+        }
+        assert check_against_baseline(own, str(path), tolerance=1.0, slack=0.0) == []
+        slower = {
+            name: replace(result, seconds=2 * result.seconds + 1) for name, result in own.items()
+        }
+        failures = check_against_baseline(slower, str(path), tolerance=1.5, slack=0.0)
+        assert len(failures) == len(own)
+
+    def test_baseline_without_top_level_scenarios_is_rejected(self, tmp_path):
+        from repro.perf import check_against_baseline
+
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps({"current": {"scenarios": {}}}))
+        with pytest.raises(ValueError, match="no 'scenarios' section"):
+            check_against_baseline({}, str(nested))
 
     def test_unknown_scenario_rejected(self):
         from repro.perf import run_benchmarks

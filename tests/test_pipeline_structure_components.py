@@ -1,4 +1,4 @@
-"""Tests for the architecture description, signals, instructions, scoreboard, arbitration."""
+"""Tests for the architecture description, signals, instructions, arbitration."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.pipeline import (
     PipeSpec,
     Program,
     RoundRobinArbiter,
-    Scoreboard,
     ScoreboardSpec,
     StageRef,
     StallInput,
@@ -209,41 +208,6 @@ class TestInstructions:
         program.external_inputs["interrupt"] = [3, 5]
         assert program.external_asserted("interrupt", 3)
         assert not program.external_asserted("interrupt", 4)
-
-
-class TestScoreboard:
-    def test_mark_and_complete(self):
-        board = Scoreboard(ScoreboardSpec(num_registers=4))
-        assert board.mark_outstanding(2)
-        assert not board.mark_outstanding(2)  # already pending
-        assert board.is_outstanding(2)
-        assert board.outstanding_registers() == [2]
-        assert board.outstanding_count() == 1
-        assert board.complete(2)
-        assert not board.complete(2)
-        assert not board.is_outstanding(2)
-
-    def test_hazard_with_bypass(self):
-        board = Scoreboard(ScoreboardSpec(num_registers=4))
-        board.mark_outstanding(1)
-        assert board.is_hazard(1, bypass_addresses=[])
-        assert not board.is_hazard(1, bypass_addresses=[1])
-        assert not board.is_hazard(0, bypass_addresses=[])
-        assert not board.is_hazard(None, bypass_addresses=[])
-
-    def test_reset_and_signals(self):
-        board = Scoreboard(ScoreboardSpec(num_registers=2))
-        board.mark_outstanding(0)
-        assert board.as_signals() == {"scb[0]": True, "scb[1]": False}
-        board.reset()
-        assert board.as_signals() == {"scb[0]": False, "scb[1]": False}
-
-    def test_address_bounds(self):
-        board = Scoreboard(ScoreboardSpec(num_registers=2))
-        with pytest.raises(IndexError):
-            board.mark_outstanding(2)
-        with pytest.raises(IndexError):
-            board.is_outstanding(-1)
 
 
 class TestArbitration:

@@ -8,11 +8,15 @@ they are read.  These tests pin that every bulk reader sees the same thing
 on the rows as on the records, that every interlock's row function agrees
 with its ``compute_moe``, that a program's trace does not depend on
 earlier runs of it, and that the faults stage builds no records at all.
+The word-parallel consumers (stall classification, coverage, the
+closed-form interlock, the assertion monitor) are also checked against
+one :func:`~repro.expr.evaluate.eval_expr` call per formula per cycle.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from test_pipeline_interlock_simulator import EvalExprInterlock
@@ -22,7 +26,10 @@ from repro.analysis import classify_stalls, coverage_of
 from repro.archs import load_architecture
 from repro.assertions import AssertionKind, AssertionMonitor, testbench_assertions
 from repro.assertions.monitor import AssertionViolation
+import repro.expr.compile as compile_module
 from repro.campaign import JobSpec, clear_warm_state, run_verification_job
+from repro.expr import Or, Var, eval_expr
+from repro.expr.evaluate import UnboundVariableError
 from repro.faults import FaultInjector
 from repro.pipeline import (
     ClosedFormInterlock,
@@ -35,6 +42,7 @@ from repro.pipeline import (
 from repro.pipeline.interlock import Interlock
 from repro.pipeline.trace import CycleRecord, SimulationTrace
 from repro.spec import build_functional_spec
+from repro.spec.derivation import symbolic_most_liberal
 from repro.synth.synthesize import NetlistInterlock, synthesize_interlock
 from repro.workloads import WorkloadGenerator, WorkloadProfile
 
@@ -130,6 +138,132 @@ class TestColumnarMatchesRecords:
             assert columnar.total_unnecessary() > 0
         assert coverage_of(spec, [trace]).rows() == coverage_of(spec, [records]).rows()
         assert trace.stall_cycles_by_flag() == records.stall_cycles_by_flag()
+
+
+# -- bulk evaluators against eval_expr --------------------------------------------------
+
+
+def _scalar_stalls(trace, stall_formulas):
+    """Per flag: (stall cycles, necessary, unnecessary cycle numbers), one eval per cycle."""
+    result = {}
+    for moe, formula in stall_formulas.items():
+        stalls = necessary = 0
+        unnecessary = []
+        for record in trace.cycles:
+            signals = {**dict.fromkeys(stall_formulas, True), **record.signals()}
+            if signals[moe]:
+                continue
+            stalls += 1
+            if eval_expr(formula, signals):
+                necessary += 1
+            else:
+                unnecessary.append(record.cycle)
+        result[moe] = (stalls, necessary, unnecessary)
+    return result
+
+
+def _breakdown_of(breakdown):
+    return {
+        moe: (stats.stall_cycles, stats.necessary_stalls, stats.unnecessary_cycles)
+        for moe, stats in breakdown.per_stage.items()
+    }
+
+
+@pytest.mark.parametrize("name, spec, trace", CASES, ids=[case[0] for case in CASES])
+class TestBulkEvaluatorsMatchEvalExpr:
+    def test_stalls_against_spec_conditions(self, name, spec, trace):
+        breakdown = classify_stalls(trace, spec)
+        conditions = {clause.moe: clause.condition for clause in spec.clauses}
+        assert _breakdown_of(breakdown) == _scalar_stalls(trace, conditions)
+        for stats in breakdown.per_stage.values():
+            assert stats.total_cycles == trace.num_cycles()
+            assert stats.necessary_stalls + stats.unnecessary_stalls == stats.stall_cycles
+
+    def test_stalls_against_derived_closed_forms(self, name, spec, trace):
+        derivation = symbolic_most_liberal(spec)
+        breakdown = classify_stalls(trace, spec, derivation=derivation)
+        expected = _scalar_stalls(trace, derivation.stall_expressions())
+        assert _breakdown_of(breakdown) == expected
+
+    def test_coverage_counts(self, name, spec, trace):
+        report = coverage_of(spec, [trace])
+        assert report.traces_merged == 1
+        for clause in spec.clauses:
+            stage = report.stages[clause.moe]
+            disjuncts = [disjunct.condition for disjunct in stage.disjuncts]
+            hits = [0] * len(disjuncts)
+            sole = [0] * len(disjuncts)
+            moving = condition_true = 0
+            for record in trace.cycles:
+                signals = record.signals()
+                moving += record.moe.get(clause.moe, True)
+                values = [eval_expr(disjunct, signals) for disjunct in disjuncts]
+                condition_true += any(values)
+                for index, value in enumerate(values):
+                    hits[index] += value
+                    sole[index] += value and sum(values) == 1
+            assert stage.cycles_observed == trace.num_cycles()
+            assert (stage.cycles_moving, stage.cycles_stalled) == (
+                moving,
+                trace.num_cycles() - moving,
+            )
+            assert stage.cycles_condition_true == condition_true
+            assert [d.hit_cycles for d in stage.disjuncts] == hits
+            assert [d.sole_justification_cycles for d in stage.disjuncts] == sole
+
+
+@pytest.mark.parametrize("arch", ["dac2002-example", "firepath-like", "risc5"])
+def test_closed_form_compute_moe_matches_eval_expr(arch):
+    architecture = load_architecture(arch)
+    interlock = ClosedFormInterlock.from_spec(build_functional_spec(architecture))
+    expressions = interlock.expressions()
+    input_names = architecture.input_signals()
+    rng = random.Random(20)
+    for _ in range(64):
+        inputs = {name: rng.random() < 0.5 for name in input_names}
+        inputs["not.an.input"] = True
+        expected = {moe: eval_expr(expr, inputs) for moe, expr in expressions.items()}
+        assert interlock.compute_moe(inputs) == expected
+    # compute_moe reuses the row function of the closed forms' sorted support.
+    assert len(interlock._row_functions) == 1
+
+
+def test_closed_form_compute_moe_on_a_partial_valuation():
+    interlock = ClosedFormInterlock({"s.moe": Or(Var("a"), Var("b"))})
+    assert interlock.compute_moe({"a": True}) == {"s.moe": True}
+    assert interlock.compute_moe({"a": False, "b": True}) == {"s.moe": True}
+    with pytest.raises(UnboundVariableError):
+        interlock.compute_moe({"a": False})
+
+
+def test_monitor_compiles_once_for_all_traces(monkeypatch):
+    generated = []
+    real_generate = compile_module._generate
+
+    def counting_generate(roots, names):
+        generated.append(len(roots))
+        return real_generate(roots, names)
+
+    monkeypatch.setattr(compile_module, "_generate", counting_generate)
+    golden = [case for case in CASES if case[0] in GOLDEN]
+    name, spec, trace = golden[0]
+    same_spec = [case[2] for case in golden if case[1].name == spec.name]
+    assertions = testbench_assertions(spec)
+    monitor = AssertionMonitor(assertions)
+    reports = [monitor.check_trace(other) for other in same_spec + [trace]]
+    assert generated == [len(assertions)]
+    assert all(report.assertions_checked == len(assertions) for report in reports)
+
+
+def test_monitor_names_the_assertion_reading_an_unsampled_signal():
+    _, spec, trace = CASES[0]
+    assertions = testbench_assertions(spec)
+    assert len(assertions) > 1
+    target = assertions[-1]
+    unsampled = replace(target, formula=Or(target.formula, Var("never.sampled")))
+    monitor = AssertionMonitor(assertions[:-1] + [unsampled])
+    with pytest.raises(KeyError, match=f"assertion {target.name} references signal"):
+        monitor.check_trace(trace)
 
 
 # -- row functions ---------------------------------------------------------------------

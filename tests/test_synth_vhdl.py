@@ -1,11 +1,11 @@
 """Tests for the minimality of derived covers and VHDL emission (repro.synth.vhdl)."""
 
+from itertools import combinations, product
+
 import pytest
 
-from repro.expr import parse_expr
-from repro.expr.minimize import literal_count, minimize_expr
+from repro.expr import Var, eval_expr, parse_expr
 from repro.spec import FunctionalSpec, StallClause, symbolic_most_liberal
-from repro.symbolic import SymbolicContext
 from repro.synth import (
     behavioural_vhdl,
     module_to_vhdl,
@@ -30,17 +30,51 @@ def redundant_spec():
     )
 
 
+def literal_count(expr):
+    """Variable occurrences in an expression."""
+    return sum(isinstance(node, Var) for node in expr.walk())
+
+
+def minimum_cover_literals(expr):
+    """Fewest literals of any sum-of-products cover of ``expr``, by brute force.
+
+    A cube is a tuple of ``None`` (variable absent) or the literal's value
+    per variable.  Only prime implicants need trying: widening a cube of a
+    cover to a prime that contains it never adds literals.
+    """
+    names = sorted(expr.variables())
+    points = list(product((False, True), repeat=len(names)))
+    onset = {point for point in points if eval_expr(expr, dict(zip(names, point)))}
+    implicants = {}
+    for cube in product((None, False, True), repeat=len(names)):
+        covered = frozenset(
+            point
+            for point in points
+            if all(value is None or value == bit for value, bit in zip(cube, point))
+        )
+        if covered <= onset:
+            implicants[cube] = covered
+    primes = [
+        cube
+        for cube, covered in implicants.items()
+        if not any(covered < other for other in implicants.values())
+    ]
+    return min(
+        sum(value is not None for cube in chosen for value in cube)
+        for size in range(len(primes) + 1)
+        for chosen in combinations(primes, size)
+        if set().union(*(implicants[cube] for cube in chosen)) == onset
+    )
+
+
 class TestDerivedCovers:
     def test_derived_covers_need_no_further_minimisation(self, redundant_spec):
         # The stall conditions carry duplicated and absorbed terms; the
         # materialized ISOP covers must already be as small as an exact
         # two-level minimisation of the same functions.
         derivation = symbolic_most_liberal(redundant_spec)
-        context = SymbolicContext()
         for moe, cover in derivation.moe_expressions.items():
-            minimum = minimize_expr(cover)
-            assert literal_count(cover) <= literal_count(minimum), moe
-            assert context.lift(cover).equivalent(context.lift(minimum)), moe
+            assert literal_count(cover) <= minimum_cover_literals(cover), moe
 
 
 class TestVhdlEmission:
