@@ -52,7 +52,7 @@ def _out_of_fence_lines(text: str):
 def _slugify(heading: str) -> str:
     """GitHub's anchor slug for a heading line (close enough for ours)."""
     # Strip inline emphasis markers but keep word-internal underscores
-    # (GitHub keeps them: `REPRO_PURE_ARRAY` -> repro_pure_array).
+    # (GitHub keeps them: `REPRO_SANITIZE` -> repro_sanitize).
     text = re.sub(r"[*`]", "", heading)
     text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", text)  # links: keep the text
     text = _SLUG_STRIP.sub("", text.lower())

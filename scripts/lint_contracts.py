@@ -7,7 +7,7 @@ the package being installed: it prepends ``src/`` to ``sys.path``, lints
 exits non-zero when any finding survives ``# repro: noqa[...]``
 suppression.
 
-Usage: python scripts/lint_contracts.py [--json] [--rules RPL003,...] [paths...]
+Usage: python scripts/lint_contracts.py [--json] [--rules RPL001,...] [paths...]
 """
 
 from __future__ import annotations

@@ -25,11 +25,6 @@ def compile_expr(
     if cache is None:
         cache = {}
 
-    # The local cache holds raw node ids across many public operations, so
-    # an automatic reorder in the middle could reclaim nodes only these
-    # locals reference; postpone it until the compile finishes.
-    postpone = manager.postpone_reorder
-
     def rec(node: Expr) -> int:
         if node in cache:
             return cache[node]
@@ -54,6 +49,5 @@ def compile_expr(
         cache[node] = result
         return result
 
-    with postpone():
-        return rec(expr)
+    return rec(expr)
 

@@ -18,20 +18,18 @@ Storage layout (the array kernel)
 The node store is struct-of-arrays: three parallel flat vectors ``_var``
 / ``_lo`` / ``_hi`` hold the level and the two children of every node
 (plain lists — on CPython an indexed list read is measurably faster than
-``array('q')``, which re-boxes every element), and ``_ref`` is an
-``array('q')`` of external protection counts for garbage collection (a
-contiguous buffer numpy can view zero-copy when marking roots).  A freed
-slot has ``_var[i] == -1`` and sits on the free list; allocation reuses
-freed slots before growing the vectors, so node ids are stable across
+``array('q')``, which re-boxes every element), and a fourth list ``_ref``
+holds external protection counts for garbage collection.  A freed slot
+has ``_var[i] == -1`` and sits on the free list; allocation reuses freed
+slots before growing the vectors, so node ids are stable across
 collections.
 
 The unique table is split per level: each level owns a dict mapping the
 packed ``(lo << 26) | hi`` key to the node id.  CPython dicts *are*
 open-addressed tables implemented in C — a hand-rolled linear-probe
 loop in bytecode is ~3x slower per probe — so the dict is the fastest
-available open-addressed backing.  GC and sifting rebuild the per-level
-tables from the surviving nodes; splitting by level is what makes an
-adjacent-level swap O(size of the two levels) instead of O(all nodes).
+available open-addressed backing.  GC rebuilds the per-level tables
+from the surviving nodes.
 
 All memo tables are flat dictionaries keyed on packed machine integers:
 an operation key packs its operands into one int with a 3-bit operation
@@ -50,8 +48,14 @@ same memo entry.  Quantification is a single multi-variable pass, and
 the fused ``and_exists`` relational product conjoins and quantifies in
 one sweep without building the intermediate conjunction.
 
-Garbage collection and reordering
----------------------------------
+Variable order and garbage collection
+-------------------------------------
+
+The variable order is static: variables take levels in declaration
+order (normally the ``variable_order`` given at construction), and the
+context's owner chooses that order — the register-interleaved
+derivation order for the paper's fixed point.  Nothing in the kernel
+moves a variable, so a raw node id stays valid until a :meth:`gc`.
 
 :meth:`BddManager.gc` is a mark-and-sweep over the flat arrays: roots
 are the nodes with a positive ``_ref`` count (see :meth:`protect` /
@@ -61,38 +65,15 @@ and ISOP memo tables, filters the negation cache down to live pairs,
 rebuilds the per-level unique tables and invokes registered sweep hooks
 so higher layers can drop entries for reclaimed ids (crucial: ids are
 reused, so a stale cache entry would silently alias a new function).
-When numpy is available the mark phase runs vectorised over views of the
-node arrays; set ``REPRO_PURE_ARRAY=1`` (or pass ``use_numpy=False``) to
-force the pure-``array`` fallback.
-
-:meth:`BddManager.reorder` is Rudell-style sifting built on in-place
-adjacent-level swaps: a swap relabels and rewrites nodes *in place*, so
-node ids keep denoting the same functions and caller-held handles stay
-valid.  Nodes orphaned by a swap are reclaimed immediately through an
-in-degree cascade, which is what gives sifting a size signal to descend.
-Because of that reclamation, every externally held node must be
-protected (or held through a ``SymbolicFunction``) before calling
-``reorder`` — the same contract as ``gc``.  An automatic trigger on
-unique-table growth is available via ``auto_reorder_threshold`` and is
-off by default: it is only safe for workloads that protect every raw
-node id they hold across public operations.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - exercised via the REPRO_PURE_ARRAY CI leg
-    if os.environ.get("REPRO_PURE_ARRAY"):
-        raise ImportError("pure-array mode forced by REPRO_PURE_ARRAY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 FALSE_NODE = 0
 TRUE_NODE = 1
@@ -143,8 +124,6 @@ class BddStats:
     hit_rate: float
     gc_runs: int
     gc_reclaimed: int
-    reorder_runs: int
-    reorder_swaps: int
 
     def as_dict(self) -> Dict[str, float]:
         """The counters as a plain JSON-friendly dict."""
@@ -164,8 +143,6 @@ class BddStats:
             "hit_rate": round(self.hit_rate, 4),
             "gc_runs": self.gc_runs,
             "gc_reclaimed": self.gc_reclaimed,
-            "reorder_runs": self.reorder_runs,
-            "reorder_swaps": self.reorder_swaps,
         }
 
     def describe(self) -> str:
@@ -179,8 +156,7 @@ class BddStats:
             f" isop {self.isop_cache_entries};"
             f" hit rate {self.hit_rate:.1%}"
             f" ({self.cache_hits} hits / {self.cache_misses} misses)\n"
-            f"gc: {self.gc_runs} runs, {self.gc_reclaimed} nodes reclaimed;"
-            f" reorder: {self.reorder_runs} runs, {self.reorder_swaps} swaps"
+            f"gc: {self.gc_runs} runs, {self.gc_reclaimed} nodes reclaimed"
         )
 
 
@@ -189,11 +165,10 @@ class BddManager:
 
     def __new__(cls, *args, **kwargs):
         # REPRO_SANITIZE=1 transparently swaps every manager for the
-        # contract-enforcing subclass (checked at construction time, like
-        # REPRO_PURE_ARRAY): use-after-free and cross-manager node mixing
-        # raise instead of silently aliasing, memo tables are validated
-        # after every sweep, and unreleased protections are tracked by
-        # call site.  Zero cost when the variable is unset — this branch
+        # contract-enforcing subclass (checked at construction time):
+        # use-after-free and cross-manager node mixing raise instead of
+        # silently aliasing, memo tables are validated after every sweep,
+        # and unreleased protections are tracked by call site.  Zero cost when the variable is unset — this branch
         # is the only hook and the devtools package is never imported.
         if cls is BddManager and os.environ.get("REPRO_SANITIZE"):
             from ..devtools.sanitizer import SanitizedBddManager
@@ -205,8 +180,6 @@ class BddManager:
         self,
         variable_order: Optional[Sequence[str]] = None,
         *,
-        auto_reorder_threshold: Optional[int] = None,
-        use_numpy: Optional[bool] = None,
         balanced_reduce: bool = False,
     ):
         # Struct-of-arrays node store; terminals occupy ids 0 and 1 with a
@@ -214,7 +187,7 @@ class BddManager:
         self._var: List[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._lo: List[int] = [FALSE_NODE, TRUE_NODE]
         self._hi: List[int] = [FALSE_NODE, TRUE_NODE]
-        self._ref = array("q", (0, 0))
+        self._ref: List[int] = [0, 0]
         self._free: List[int] = []
         # Per-level unique tables: packed (lo << 26) | hi key -> node id.
         self._utables: List[Dict[int, int]] = []
@@ -227,7 +200,6 @@ class BddManager:
         # Interned quantification variable sets: frozenset of levels -> key.
         self._quant_sets: Dict[frozenset, int] = {}
         self._quant_levels: List[Tuple[frozenset, int]] = []
-        self._quant_names: List[frozenset] = []
         # ISOP memo: packed (lower << 26) | upper -> (node, cubes).
         # key -> (node, cube_count, spine); see isop() for the spine encoding.
         self._isop_cache: Dict[int, tuple] = {}
@@ -235,20 +207,13 @@ class BddManager:
         self._level_vars: List[str] = []
         # How and_all/or_all combine their operands; see _reduce_connective.
         self._balanced_reduce = balanced_reduce
-        # GC / reorder machinery.
+        # Callbacks run after every GC sweep; see add_sweep_hook.
         self._sweep_hooks: List[Callable[[Callable[[int], bool]], None]] = []
-        self._reorder_inhibit = 0
-        self._auto_reorder_threshold = auto_reorder_threshold
-        if use_numpy is None:
-            use_numpy = _np is not None
-        self._numpy = _np if (use_numpy and _np is not None) else None
         # Health counters.
         self._hits = 0
         self._misses = 0
         self._gc_runs = 0
         self._gc_reclaimed = 0
-        self._reorder_runs = 0
-        self._reorder_swaps = 0
         if variable_order is not None:
             for name in variable_order:
                 self.declare(name)
@@ -282,27 +247,13 @@ class BddManager:
         """Number of live (allocated, not freed) nodes including terminals."""
         return self._entries + 2
 
-    # -- unique tables ---------------------------------------------------------
+    # -- node construction -----------------------------------------------------
     #
     # Each level's table maps the packed ``(lo << 26) | hi`` key to the node
     # id.  The mapping is a plain dict: CPython dicts are open-addressed
     # hash tables implemented in C, and a packed-int-keyed dict probe beats
-    # any probe sequence interpreted in bytecode by ~3x.  The per-level
-    # split (rather than one global table) is what keeps an adjacent-level
-    # swap proportional to the two levels involved.
+    # any probe sequence interpreted in bytecode by ~3x.
 
-    def _table_insert(self, level: int, node: int) -> None:
-        """Insert an existing node into its level table (swap/rebuild path)."""
-        self._utables[level][(self._lo[node] << _NODE_BITS) | self._hi[node]] = node
-
-    def _table_remove(self, level: int, node: int) -> None:
-        """Remove a node from its level table."""
-        del self._utables[level][(self._lo[node] << _NODE_BITS) | self._hi[node]]
-
-    def _table_nodes(self, level: int) -> List[int]:
-        return list(self._utables[level].values())
-
-    # -- node construction -----------------------------------------------------
 
     def _alloc(self, level: int, low: int, high: int) -> int:
         if self._free:
@@ -789,7 +740,6 @@ class BddManager:
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: the function ``f ? g : h``; all boolean ops reduce to it."""
-        self._maybe_reorder(f, g, h)
         key = self._norm_ite(f, g, h)
         if key < _NODE_LIMIT:
             return key
@@ -863,12 +813,10 @@ class BddManager:
 
     def and_(self, f: int, g: int) -> int:
         """Conjunction."""
-        self._maybe_reorder(f, g)
         return self._binary(_TAG_AND, f, g)
 
     def or_(self, f: int, g: int) -> int:
         """Disjunction."""
-        self._maybe_reorder(f, g)
         return self._binary(_TAG_OR, f, g)
 
     def xor(self, f: int, g: int) -> int:
@@ -899,7 +847,6 @@ class BddManager:
         cube = self._literal_cube(items)
         if cube is not None:
             return cube
-        self._maybe_reorder(*items)
         return self._reduce_connective(_TAG_AND, items, FALSE_NODE)
 
     def _reduce_connective(self, tag: int, items: List[int], absorbing: int) -> int:
@@ -988,7 +935,6 @@ class BddManager:
         clause = self._literal_clause(items)
         if clause is not None:
             return clause
-        self._maybe_reorder(*items)
         return self._reduce_connective(_TAG_OR, items, TRUE_NODE)
 
     def _literal_clause(self, items: List[int]) -> Optional[int]:
@@ -1080,7 +1026,6 @@ class BddManager:
         """
         if not mapping:
             return f
-        self._maybe_reorder(f, *mapping.values())
         subst = {self.declare(name): g for name, g in mapping.items()}
         max_level = max(subst)
         var = self._var
@@ -1089,48 +1034,44 @@ class BddManager:
         if f <= TRUE_NODE or var[f] > max_level:
             return f
         cache: Dict[int, int] = {}
-        self._reorder_inhibit += 1
-        try:
-            stack = [f]
-            push = stack.append
-            while stack:
-                node = stack[-1]
-                if node in cache:
-                    stack.pop()
-                    continue
-                c0 = lows[node]
-                if c0 <= TRUE_NODE or var[c0] > max_level:
-                    low = c0
-                else:
-                    low = cache.get(c0)
-                    if low is None:
-                        push(c0)
-                        continue
-                c1 = highs[node]
-                if c1 <= TRUE_NODE or var[c1] > max_level:
-                    high = c1
-                else:
-                    high = cache.get(c1)
-                    if high is None:
-                        push(c1)
-                        continue
-                level = var[node]
-                g = subst.get(level)
-                if g is not None:
-                    result = self.ite(g, high, low)
-                elif var[low] > level and var[high] > level:
-                    result = self._make_node(level, low, high)
-                else:
-                    # Substitution below pulled in variables at or above
-                    # this level; rebuild through ite to restore the order.
-                    result = self.ite(
-                        self._make_node(level, FALSE_NODE, TRUE_NODE), high, low
-                    )
-                cache[node] = result
+        stack = [f]
+        push = stack.append
+        while stack:
+            node = stack[-1]
+            if node in cache:
                 stack.pop()
-            return cache[f]
-        finally:
-            self._reorder_inhibit -= 1
+                continue
+            c0 = lows[node]
+            if c0 <= TRUE_NODE or var[c0] > max_level:
+                low = c0
+            else:
+                low = cache.get(c0)
+                if low is None:
+                    push(c0)
+                    continue
+            c1 = highs[node]
+            if c1 <= TRUE_NODE or var[c1] > max_level:
+                high = c1
+            else:
+                high = cache.get(c1)
+                if high is None:
+                    push(c1)
+                    continue
+            level = var[node]
+            g = subst.get(level)
+            if g is not None:
+                result = self.ite(g, high, low)
+            elif var[low] > level and var[high] > level:
+                result = self._make_node(level, low, high)
+            else:
+                # Substitution below pulled in variables at or above
+                # this level; rebuild through ite to restore the order.
+                result = self.ite(
+                    self._make_node(level, FALSE_NODE, TRUE_NODE), high, low
+                )
+            cache[node] = result
+            stack.pop()
+        return cache[f]
 
     # -- generalized cofactors and covers ----------------------------------------
 
@@ -1179,7 +1120,6 @@ class BddManager:
         """
         if care == FALSE_NODE:
             raise ValueError("constrain against an empty care set is undefined")
-        self._maybe_reorder(f, care)
         cache = self._op_cache
 
         def rec(f: int, c: int) -> int:
@@ -1205,12 +1145,8 @@ class BddManager:
             cache[key] = result
             return result
 
-        self._reorder_inhibit += 1
-        try:
-            with self._level_bounded_recursion():
-                return rec(f, care)
-        finally:
-            self._reorder_inhibit -= 1
+        with self._level_bounded_recursion():
+            return rec(f, care)
 
     def restrict_with(self, f: int, care: int) -> int:
         """The Coudert–Madre *restrict* operator: simplify ``f`` on the care set.
@@ -1224,7 +1160,6 @@ class BddManager:
         """
         if care == FALSE_NODE:
             raise ValueError("restrict against an empty care set is undefined")
-        self._maybe_reorder(f, care)
         cache = self._op_cache
 
         def rec(f: int, c: int) -> int:
@@ -1256,12 +1191,8 @@ class BddManager:
             cache[key] = result
             return result
 
-        self._reorder_inhibit += 1
-        try:
-            with self._level_bounded_recursion():
-                return rec(f, care)
-        finally:
-            self._reorder_inhibit -= 1
+        with self._level_bounded_recursion():
+            return rec(f, care)
 
     def isop(
         self, lower: int, upper: int, max_cubes: Optional[int] = None
@@ -1285,7 +1216,6 @@ class BddManager:
         an abort stay cached, so a retry (or the other polarity) reuses
         them.
         """
-        self._maybe_reorder(lower, upper)
         cache = self._isop_cache
         binary = self._binary
         not_ = self.not_
@@ -1400,14 +1330,10 @@ class BddManager:
             prefix.pop()
             flatten(sd)
 
-        self._reorder_inhibit += 1
-        try:
-            with self._level_bounded_recursion():
-                node, _, spine = rec(lower, upper)
-                flatten(spine)
-                return node, tuple(cubes_out)
-        finally:
-            self._reorder_inhibit -= 1
+        with self._level_bounded_recursion():
+            node, _, spine = rec(lower, upper)
+            flatten(spine)
+            return node, tuple(cubes_out)
 
     def isop_cover(self, f: int, care: Optional[int] = None) -> List[Dict[str, bool]]:
         """An irredundant SOP cover of ``f`` as name-keyed cubes.
@@ -1429,8 +1355,7 @@ class BddManager:
         ]
 
     def _quant_key(self, names: Iterable[str]) -> Optional[int]:
-        name_list = list(names)
-        levels = frozenset(self.declare(name) for name in name_list)
+        levels = frozenset(self.declare(name) for name in names)
         if not levels:
             return None
         key = self._quant_sets.get(levels)
@@ -1438,11 +1363,9 @@ class BddManager:
             key = len(self._quant_levels)
             self._quant_sets[levels] = key
             self._quant_levels.append((levels, max(levels)))
-            self._quant_names.append(frozenset(name_list))
         return key
 
     def _quantify(self, tag: int, f: int, names: Iterable[str]) -> int:
-        self._maybe_reorder(f)
         quant_key = self._quant_key(names)
         if quant_key is None:
             return f
@@ -1476,7 +1399,6 @@ class BddManager:
         the conjunction: quantified levels turn into disjunctions on the
         way back up, and a TRUE low branch short-circuits the high branch.
         """
-        self._maybe_reorder(f, g)
         quant_key = self._quant_key(names)
         if quant_key is None:
             return self._binary(_TAG_AND, f, g)
@@ -1503,7 +1425,7 @@ class BddManager:
 
         Every externally held raw node id must be protected — or held
         through a ``SymbolicFunction``, which protects automatically — for
-        ``gc``/``reorder`` to be safe.  Returns the node for chaining.
+        ``gc`` to be safe.  Returns the node for chaining.
         """
         if node > TRUE_NODE:
             self._ref[node] += 1
@@ -1534,43 +1456,22 @@ class BddManager:
         lows = self._lo
         highs = self._hi
         size = len(var)
-        np = self._numpy
-        if np is not None:
-            refs = np.frombuffer(self._ref, dtype=np.int64, count=size)
-            roots = np.nonzero(refs)[0].tolist()
-        else:
-            ref = self._ref
-            roots = [i for i in range(2, size) if ref[i]]
-        roots.extend(node for node in extra_roots if node > TRUE_NODE)
-        if np is not None:
-            lo_view = np.fromiter(lows, dtype=np.int64, count=size)
-            hi_view = np.fromiter(highs, dtype=np.int64, count=size)
-            marked_np = np.zeros(size, dtype=bool)
-            marked_np[0] = marked_np[1] = True
-            frontier = np.array(roots, dtype=np.int64)
-            while frontier.size:
-                frontier = frontier[~marked_np[frontier]]
-                if not frontier.size:
-                    break
-                marked_np[frontier] = True
-                children = np.concatenate((lo_view[frontier], hi_view[frontier]))
-                frontier = np.unique(children[children > TRUE_NODE])
-            marked = memoryview(marked_np)  # zero-copy bool indexing
-        else:
-            marked = bytearray(size)
-            marked[0] = marked[1] = 1
-            stack = roots[:]
-            while stack:
-                node = stack.pop()
-                if marked[node]:
-                    continue
-                marked[node] = 1
-                child = lows[node]
-                if child > TRUE_NODE and not marked[child]:
-                    stack.append(child)
-                child = highs[node]
-                if child > TRUE_NODE and not marked[child]:
-                    stack.append(child)
+        ref = self._ref
+        stack = [i for i in range(2, size) if ref[i]]
+        stack.extend(node for node in extra_roots if node > TRUE_NODE)
+        marked = bytearray(size)
+        marked[0] = marked[1] = 1
+        while stack:
+            node = stack.pop()
+            if marked[node]:
+                continue
+            marked[node] = 1
+            child = lows[node]
+            if child > TRUE_NODE and not marked[child]:
+                stack.append(child)
+            child = highs[node]
+            if child > TRUE_NODE and not marked[child]:
+                stack.append(child)
         # Sweep dead nodes onto the free list.
         free = self._free
         reclaimed = 0
@@ -1609,301 +1510,10 @@ class BddManager:
         self._utables = tables
         self._entries = total
 
-    # -- dynamic variable reordering ---------------------------------------------
-
-    def _maybe_reorder(self, *roots: int) -> None:
-        threshold = self._auto_reorder_threshold
-        if (
-            threshold is None
-            or self._entries < threshold
-            or self._reorder_inhibit
-        ):
-            return
-        # Double the threshold so a workload that genuinely needs the
-        # nodes does not thrash in back-to-back reorders.
-        self._auto_reorder_threshold = max(threshold * 2, self._entries + 1)
-        for node in roots:
-            self.protect(node)
-        try:
-            self.reorder()
-        finally:
-            for node in roots:
-                self.release(node)
-
-    @contextmanager
-    def postpone_reorder(self):
-        """Inhibit automatic reordering for the duration of the block.
-
-        Used by code that holds raw node ids in local caches across many
-        public operations (e.g. expression compilation): a reorder in the
-        middle could reclaim nodes only those locals reference.
-        """
-        self._reorder_inhibit += 1
-        try:
-            yield
-        finally:
-            self._reorder_inhibit -= 1
-
-    def reorder(
-        self,
-        max_vars: int = 32,
-        max_growth: float = 1.2,
-        max_swap_size: Optional[int] = None,
-    ) -> int:
-        """Sifting-based dynamic variable reordering; returns the swap count.
-
-        Sifts the ``max_vars`` largest levels one at a time: each variable
-        is moved through the order by adjacent-level swaps, the total node
-        count is tracked at every position, and the variable settles at
-        its best position (aborting a direction when the table grows past
-        ``max_growth`` times the best size seen).  Swaps rewrite nodes in
-        place, so ids keep denoting the same functions and all caller
-        handles stay valid; nodes orphaned by a swap are reclaimed
-        immediately, which is what gives sifting its size signal.
-
-        Contract (same as :meth:`gc`): every externally held raw node id
-        must be protected or held via a ``SymbolicFunction``; unprotected
-        ids may be reclaimed.  Function-shaped memo entries (and/or/ite,
-        negation, quantification) stay valid — ids are stable — but the
-        ISOP cache embeds levels and is cleared.
-        """
-        if self._reorder_inhibit or len(self._level_vars) < 2:
-            return 0
-        self._reorder_inhibit += 1
-        try:
-            # Sifting deletes orphans, so memo entries could go stale; the
-            # level-keyed ISOP cache additionally encodes the order itself.
-            self._op_cache.clear()
-            self._isop_cache.clear()
-            indeg = self._in_degrees()
-            deleted: set = set()
-            candidates = sorted(
-                range(len(self._level_vars)),
-                key=lambda level: len(self._utables[level]),
-                reverse=True,
-            )[:max_vars]
-            names = [self._level_vars[level] for level in candidates]
-            swaps = 0
-            for name in names:
-                swaps += self._sift_one(name, max_growth, indeg, deleted, max_swap_size)
-            self._not_cache = {
-                a: b
-                for a, b in self._not_cache.items()
-                if a not in deleted and b not in deleted
-            }
-            if deleted:
-                alive = lambda node: node not in deleted  # noqa: E731
-                for hook in self._sweep_hooks:
-                    hook(alive)
-            # Quantification sets are interned by level; remap them onto the
-            # new positions of their variables.
-            self._quant_sets = {}
-            for key, name_set in enumerate(self._quant_names):
-                levels = frozenset(self._var_levels[n] for n in name_set)
-                self._quant_levels[key] = (levels, max(levels))
-                self._quant_sets.setdefault(levels, key)
-            self._reorder_runs += 1
-            self._reorder_swaps += swaps
-            return swaps
-        finally:
-            self._reorder_inhibit -= 1
-
-    def _in_degrees(self) -> array:
-        """Parent counts for every node (DAG edges only, not external refs)."""
-        var = self._var
-        lows = self._lo
-        highs = self._hi
-        size = len(var)
-        indeg = array("q", bytes(8 * size))
-        for i in range(2, size):
-            if var[i] >= 0:
-                indeg[lows[i]] += 1
-                indeg[highs[i]] += 1
-        return indeg
-
-    def _sift_one(
-        self,
-        name: str,
-        max_growth: float,
-        indeg: array,
-        deleted: set,
-        max_swap_size: Optional[int],
-    ) -> int:
-        last = len(self._level_vars) - 1
-        start = self._var_levels[name]
-        best_pos = start
-        best_size = self._entries
-        limit = int(best_size * max_growth) + 2
-        swaps = 0
-        pos = start
-        # Walk to the nearer end first, then across to the other end,
-        # recording the best position seen; abort a direction on blow-up.
-        if start * 2 >= last:
-            targets = (last, 0)
-        else:
-            targets = (0, last)
-        for target in targets:
-            step = 1 if target > pos else -1
-            while pos != target:
-                if max_swap_size is not None:
-                    x = pos if step > 0 else pos - 1
-                    if (
-                        len(self._utables[x]) + len(self._utables[x + 1])
-                        > max_swap_size
-                    ):
-                        break
-                if step > 0:
-                    self._swap_levels(pos, indeg, deleted)
-                    pos += 1
-                else:
-                    self._swap_levels(pos - 1, indeg, deleted)
-                    pos -= 1
-                swaps += 1
-                size = self._entries
-                if size < best_size:
-                    best_size = size
-                    best_pos = pos
-                    limit = int(best_size * max_growth) + 2
-                elif size > limit:
-                    break
-        while pos < best_pos:
-            self._swap_levels(pos, indeg, deleted)
-            pos += 1
-            swaps += 1
-        while pos > best_pos:
-            self._swap_levels(pos - 1, indeg, deleted)
-            pos -= 1
-            swaps += 1
-        return swaps
-
-    def _swap_levels(self, x: int, indeg: array, deleted: set) -> None:
-        """Swap the variables at adjacent positions ``x`` and ``x + 1`` in place.
-
-        Let u be the variable at x and v at x + 1.  Nodes labelled v only
-        move up (relabel).  A u-node whose children do not test v keeps
-        its structure and moves down.  A u-node with a v-child is rewritten
-        in place to test v first: its id continues to denote the same
-        function, so no external handle or function-shaped memo entry is
-        invalidated.  Children orphaned by the rewrite are reclaimed via
-        the in-degree cascade.
-        """
-        y = x + 1
-        var = self._var
-        lows = self._lo
-        highs = self._hi
-        u_nodes = self._table_nodes(x)
-        v_nodes = self._table_nodes(y)
-        u_name = self._level_vars[x]
-        v_name = self._level_vars[y]
-        self._level_vars[x] = v_name
-        self._level_vars[y] = u_name
-        self._var_levels[v_name] = x
-        self._var_levels[u_name] = y
-        self._utables[x] = {}
-        self._utables[y] = {}
-        # v-nodes move up to position x unchanged.
-        for m in v_nodes:
-            var[m] = x
-            self._table_insert(x, m)
-        # u-nodes without a v-child move down to y unchanged; the rest are
-        # rewritten after all solid nodes are in place so probe lookups
-        # during the rewrite can reuse them.
-        interacting = []
-        for n in u_nodes:
-            if var[lows[n]] == x or var[highs[n]] == x:
-                interacting.append(n)
-            else:
-                var[n] = y
-                self._table_insert(y, n)
-        orphan_candidates = []
-        for n in interacting:
-            f0 = lows[n]
-            f1 = highs[n]
-            if var[f0] == x:
-                f00, f01 = lows[f0], highs[f0]
-            else:
-                f00 = f01 = f0
-            if var[f1] == x:
-                f10, f11 = lows[f1], highs[f1]
-            else:
-                f10 = f11 = f1
-            if f00 == f10:
-                a = f00
-            else:
-                a = self._make_at(y, f00, f10, indeg)
-            if f01 == f11:
-                b = f01
-            else:
-                b = self._make_at(y, f01, f11, indeg)
-            lows[n] = a
-            highs[n] = b
-            self._table_insert(x, n)
-            if a > TRUE_NODE:
-                indeg[a] += 1
-            if b > TRUE_NODE:
-                indeg[b] += 1
-            if f0 > TRUE_NODE:
-                indeg[f0] -= 1
-                orphan_candidates.append(f0)
-            if f1 > TRUE_NODE:
-                indeg[f1] -= 1
-                orphan_candidates.append(f1)
-        if orphan_candidates:
-            self._cascade_delete(orphan_candidates, indeg, deleted)
-
-    def _make_at(self, level: int, low: int, high: int, indeg: array) -> int:
-        """Find-or-create a node at ``level`` during a swap, tracking degrees."""
-        table = self._utables[level]
-        k = (low << _NODE_BITS) | high
-        node = table.get(k)
-        if node is not None:
-            return node
-        node = self._alloc(level, low, high)
-        table[k] = node
-        self._entries += 1
-        while len(indeg) <= node:
-            indeg.append(0)
-        indeg[node] = 0
-        if low > TRUE_NODE:
-            indeg[low] += 1
-        if high > TRUE_NODE:
-            indeg[high] += 1
-        return node
-
-    def _cascade_delete(self, candidates: List[int], indeg: array, deleted: set) -> None:
-        """Reclaim nodes whose last DAG parent disappeared (unless protected)."""
-        var = self._var
-        lows = self._lo
-        highs = self._hi
-        ref = self._ref
-        free = self._free
-        stack = candidates
-        while stack:
-            node = stack.pop()
-            if node <= TRUE_NODE or indeg[node] != 0 or ref[node] != 0:
-                continue
-            if var[node] < 0:
-                continue
-            self._table_remove(var[node], node)
-            child = lows[node]
-            if child > TRUE_NODE:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    stack.append(child)
-            child = highs[node]
-            if child > TRUE_NODE:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    stack.append(child)
-            var[node] = -1
-            free.append(node)
-            self._entries -= 1
-            deleted.add(node)
-
     # -- health counters -----------------------------------------------------------
 
     def stats(self) -> BddStats:
-        """A snapshot of node-store, cache and GC/reorder health counters."""
+        """A snapshot of node-store, cache and GC health counters."""
         # Slot-count estimate of the interpreter's open-addressed tables:
         # a CPython dict resizes at 2/3 load to the next power of two.
         capacity = 0
@@ -1931,8 +1541,6 @@ class BddManager:
             hit_rate=(hits / total) if total else 0.0,
             gc_runs=self._gc_runs,
             gc_reclaimed=self._gc_reclaimed,
-            reorder_runs=self._reorder_runs,
-            reorder_swaps=self._reorder_swaps,
         )
 
     # -- queries -----------------------------------------------------------------

@@ -53,17 +53,14 @@ into the manager it was dumped from — or into any manager that already
 holds an equal function — deduplicates onto the existing node: pointer
 equality keeps deciding equivalence across a dump/load round trip.
 
-Both the dump and the load path have a numpy fast lane (bulk int32
-encode/decode) and a pure-``array`` fallback, selected the same way as
-the manager's GC mark phase (``REPRO_PURE_ARRAY=1`` forces the
-fallback).
+The int32 arrays are encoded and decoded in bulk through the standard
+library's :mod:`array` module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import sys
 from array import array
@@ -71,13 +68,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from .manager import BddManager, FALSE_NODE, TRUE_NODE
-
-try:  # pragma: no cover - exercised via the REPRO_PURE_ARRAY CI leg
-    if os.environ.get("REPRO_PURE_ARRAY"):
-        raise ImportError("pure-array mode forced by REPRO_PURE_ARRAY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 MAGIC = b"RBDD"
 FORMAT_VERSION = 1
@@ -95,25 +85,19 @@ class ArtifactError(ValueError):
     """Raised for truncated, corrupt or incompatible serialized artifacts."""
 
 
-def _encode_i32(values: Sequence[int], use_numpy: Optional[bool]) -> bytes:
-    np = _np if (use_numpy or use_numpy is None) else None
-    if np is not None:
-        return np.asarray(values, dtype="<i4").tobytes()
+def _encode_i32(values: Sequence[int]) -> bytes:
     data = array(_I4, values)
     if sys.byteorder != "little":  # pragma: no cover - big-endian only
         data.byteswap()
     return data.tobytes()
 
 
-def _decode_i32(data: bytes, use_numpy: Optional[bool]) -> Sequence[int]:
-    np = _np if (use_numpy or use_numpy is None) else None
-    if np is not None:
-        return np.frombuffer(data, dtype="<i4").tolist()
+def _decode_i32(data: bytes) -> List[int]:
     out = array(_I4)
     out.frombytes(data)
     if sys.byteorder != "little":  # pragma: no cover - big-endian only
         out.byteswap()
-    return out
+    return out.tolist()
 
 
 @dataclass
@@ -143,7 +127,6 @@ def dump_nodes(
     scopes: Optional[Mapping[str, Optional[Sequence[str]]]] = None,
     covers: Optional[Mapping[str, Any]] = None,
     payload: Optional[Dict[str, Any]] = None,
-    use_numpy: Optional[bool] = None,
 ) -> bytes:
     """Serialize the named root nodes (and everything they reach) to bytes.
 
@@ -157,31 +140,25 @@ def dump_nodes(
             indexes into the manifest order*, which at dump time equal
             the source manager's levels.
         payload: arbitrary JSON-serializable metadata for the caller.
-        use_numpy: force (True) or forbid (False) the numpy fast lane;
-            None picks automatically.  Both lanes emit identical bytes.
     """
     var_of = manager._var
     lo_of = manager._lo
     hi_of = manager._hi
     # Deterministic reachability: DFS from the roots in name order, then a
     # stable sort deepest-level-first so references always point backwards.
-    # The whole raw-id region sits inside postpone_reorder(): the ids in
-    # `discovery`/`order` are unprotected, and a reorder would relabel the
-    # levels the sort is about to read (contract lint RPL003).
     discovery: Dict[int, int] = {}
     order: List[int] = []
-    with manager.postpone_reorder():
-        for name in sorted(roots):
-            stack = [roots[name]]
-            while stack:
-                node = stack.pop()
-                if node <= TRUE_NODE or node in discovery:
-                    continue
-                discovery[node] = len(order)
-                order.append(node)
-                stack.append(hi_of[node])
-                stack.append(lo_of[node])
-        order.sort(key=lambda node: (-var_of[node], discovery[node]))
+    for name in sorted(roots):
+        stack = [roots[name]]
+        while stack:
+            node = stack.pop()
+            if node <= TRUE_NODE or node in discovery:
+                continue
+            discovery[node] = len(order)
+            order.append(node)
+            stack.append(hi_of[node])
+            stack.append(lo_of[node])
+    order.sort(key=lambda node: (-var_of[node], discovery[node]))
     ref = {FALSE_NODE: 0, TRUE_NODE: 1}
     for position, node in enumerate(order):
         ref[node] = position + 2
@@ -217,15 +194,15 @@ def dump_nodes(
     parts = [
         _HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest_bytes)),
         manifest_bytes,
-        _encode_i32([var_of[node] for node in order], use_numpy),
-        _encode_i32([ref[lo_of[node]] for node in order], use_numpy),
-        _encode_i32([ref[hi_of[node]] for node in order], use_numpy),
+        _encode_i32([var_of[node] for node in order]),
+        _encode_i32([ref[lo_of[node]] for node in order]),
+        _encode_i32([ref[hi_of[node]] for node in order]),
     ]
     body = b"".join(parts)
     return body + hashlib.sha256(body).digest()
 
 
-def parse_artifact(data: bytes, use_numpy: Optional[bool] = None) -> ParsedArtifact:
+def parse_artifact(data: bytes) -> ParsedArtifact:
     """Verify and decode an artifact without splicing it into a manager.
 
     Raises :class:`ArtifactError` for anything that is not a byte-exact,
@@ -266,11 +243,11 @@ def parse_artifact(data: bytes, use_numpy: Optional[bool] = None) -> ParsedArtif
         raise ArtifactError(
             "artifact truncated or padded: node arrays do not match num_nodes"
         )
-    var_indexes = _decode_i32(body[offset : offset + array_bytes], use_numpy)
+    var_indexes = _decode_i32(body[offset : offset + array_bytes])
     offset += array_bytes
-    lo_refs = _decode_i32(body[offset : offset + array_bytes], use_numpy)
+    lo_refs = _decode_i32(body[offset : offset + array_bytes])
     offset += array_bytes
-    hi_refs = _decode_i32(body[offset : offset + array_bytes], use_numpy)
+    hi_refs = _decode_i32(body[offset : offset + array_bytes])
     limit = num_nodes + 2
     for name, root in roots.items():
         if not isinstance(root, int) or not (0 <= root < limit):
@@ -317,30 +294,23 @@ def splice_nodes(manager: BddManager, parsed: ParsedArtifact) -> Dict[str, int]:
     make_node = manager._make_node
     node_of: List[int] = [FALSE_NODE, TRUE_NODE] + [0] * parsed.num_nodes
     var_arr = manager._var
-    # `node_of` holds raw unprotected ids across every _make_node call; an
-    # auto-reorder triggered by one of those allocations would reclaim the
-    # nodes only this list references (contract lint RPL003), so the whole
-    # replay loop inhibits reordering.
-    with manager.postpone_reorder():
-        for index in range(parsed.num_nodes):
-            level = levels[var_indexes[index]]
-            low = node_of[lo_refs[index]]
-            high = node_of[hi_refs[index]]
-            # Children must sit strictly deeper (terminals carry a sentinel
-            # level far below everything); a violation means the var array
-            # was corrupted in a way that preserved the checksum-verified
-            # ranges.
-            if var_arr[low] <= level or var_arr[high] <= level:
-                raise ArtifactError("artifact violates the BDD level ordering")
-            node_of[index + 2] = make_node(level, low, high)
+    for index in range(parsed.num_nodes):
+        level = levels[var_indexes[index]]
+        low = node_of[lo_refs[index]]
+        high = node_of[hi_refs[index]]
+        # Children must sit strictly deeper (terminals carry a sentinel
+        # level far below everything); a violation means the var array
+        # was corrupted in a way that preserved the checksum-verified
+        # ranges.
+        if var_arr[low] <= level or var_arr[high] <= level:
+            raise ArtifactError("artifact violates the BDD level ordering")
+        node_of[index + 2] = make_node(level, low, high)
     return {name: node_of[root] for name, root in parsed.manifest["roots"].items()}
 
 
-def load_nodes(
-    manager: BddManager, data: bytes, use_numpy: Optional[bool] = None
-) -> Dict[str, int]:
+def load_nodes(manager: BddManager, data: bytes) -> Dict[str, int]:
     """Parse an artifact and splice it into ``manager`` in one call."""
-    return splice_nodes(manager, parse_artifact(data, use_numpy=use_numpy))
+    return splice_nodes(manager, parse_artifact(data))
 
 
 def inspect_artifact(data: bytes) -> Dict[str, Any]:

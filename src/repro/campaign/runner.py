@@ -491,10 +491,18 @@ def run_verification_job(
         if error is not None:
             break
     # The warm state keeps the context across jobs, and mutants differ
-    # per workload seed: reclaim everything this job left behind.
+    # per workload seed: reclaim everything this job left behind.  If the
+    # collection itself fails (a context that outgrew memory), the warm
+    # derivation is dropped so the next job re-derives, and the job fails
+    # with the traceback instead of raising.
     context = _job_context(state)
     if context is not None:
-        context.collect()
+        try:
+            context.collect()
+        except Exception:
+            warm.pop("derivation", None)
+            if error is None:
+                error = traceback.format_exc()
     ok = error is None and all(stage.ok for stage in stages)
     seconds = time.perf_counter() - start
     registry.observe("repro_job_seconds", seconds)

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="store_true",
         help="also print BDD kernel statistics (node counts, cache hit rates, "
-             "GC and reorder activity) after the closed forms",
+             "GC activity) after the closed forms",
     )
 
     props = subparsers.add_parser(
@@ -517,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the type system can't see",
         description="AST-based contract lint (rules RPL001-RPL009, see "
         "docs/contracts.md): raw node ids stored without protect(), "
-        "cross-manager node mixing, raw-id loops outside "
-        "postpone_reorder(), STAGE_DEPENDENCIES drift, blocking calls in "
+        "cross-manager node mixing, STAGE_DEPENDENCIES drift, blocking calls in "
         "coroutines, off-thread service mutation, raw stage timing instead "
         "of the repro.obs span API.  Exits 1 when findings remain after "
         "'# repro: noqa[RPLnnn]' suppressions.",
@@ -537,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--rules",
-        help="comma-separated rule codes to run (e.g. RPL001,RPL003); "
+        help="comma-separated rule codes to run (e.g. RPL001,RPL002); "
         "default: all",
     )
 

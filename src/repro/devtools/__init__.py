@@ -1,15 +1,14 @@
 """Correctness tooling: the contract lint and the runtime sanitizer.
 
 The codebase rests on a stack of correctness contracts the type system
-cannot see — raw BDD node ids must be protected before GC, raw-id
-regions must inhibit reordering, nodes must never cross
-:class:`~repro.bdd.manager.BddManager` instances, ``STAGE_DEPENDENCIES``
+cannot see — raw BDD node ids must be protected before GC, nodes must
+never cross :class:`~repro.bdd.manager.BddManager` instances, ``STAGE_DEPENDENCIES``
 must cover exactly the spec fields each campaign stage reads, and the
 asyncio daemon must never block its event loop.  This package enforces
 them twice over:
 
 * **statically** — :mod:`repro.devtools.lint` is an AST-based contract
-  linter (``repro lint``; rules RPL001–RPL008 in
+  linter (``repro lint``; rules RPL001–RPL009 in
   :mod:`repro.devtools.rules`) that flags violations at review time,
   with ``# repro: noqa[RPLnnn]`` suppression and JSON output for CI;
 * **dynamically** — :mod:`repro.devtools.sanitizer` turns the silent

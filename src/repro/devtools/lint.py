@@ -2,9 +2,8 @@
 
 This is ``ruff`` for the contracts ruff cannot know about: each rule in
 :mod:`repro.devtools.rules` encodes one repo-specific invariant (node
-protection before GC, reorder inhibition around raw-id regions,
-``STAGE_DEPENDENCIES`` coverage, non-blocking coroutines, ...) as a
-static check over the AST.  The framework here is rule-agnostic:
+protection before GC, ``STAGE_DEPENDENCIES`` coverage, non-blocking
+coroutines, ...) as a static check over the AST.  The framework here is rule-agnostic:
 
 * :class:`Rule` — subclass, set ``code``/``summary``, implement
   :meth:`Rule.check`, decorate with :func:`register`;
@@ -171,7 +170,7 @@ def all_rules() -> Dict[str, Type[Rule]]:
 
 
 def resolve_codes(spec: Optional[str]) -> List[str]:
-    """Parse a ``--rules`` filter ("RPL001,RPL003") into known codes."""
+    """Parse a ``--rules`` filter ("RPL001,RPL002") into known codes."""
     registry = all_rules()
     if not spec:
         return sorted(registry)

@@ -1,4 +1,4 @@
-"""The bundled contract rules (RPL001–RPL009).
+"""The bundled contract rules (RPL001–RPL009; RPL003 is retired).
 
 Each rule encodes one invariant from the kernel/service contracts (see
 ``docs/contracts.md`` for the catalog with rationale and worked
@@ -10,7 +10,7 @@ deliberate exception is silenced in place with ``# repro: noqa[RPLnnn]``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .lint import Finding, Rule, SourceFile, register
 
@@ -64,10 +64,6 @@ NODE_COMBINING_METHODS = frozenset(
         "find_difference",
     }
 )
-
-#: Manager internals whose raw contents (node ids, free slots, table
-#: entries) go stale across a GC or an automatic reorder.
-MANAGER_INTERNALS = frozenset({"_var", "_lo", "_hi", "_ref", "_free", "_utables"})
 
 #: JobSpec fields a campaign stage may read — the universe RPL004 checks
 #: ``STAGE_DEPENDENCIES`` coverage against.  Kept in sync with
@@ -136,7 +132,7 @@ class UnprotectedNodeStore(Rule):
     """RPL001: a raw node id parked on ``self`` or at module scope.
 
     ``self.x = manager.and_(f, g)`` outlives the statement, but the GC
-    only sees protected nodes — the next ``gc()``/``reorder()`` reclaims
+    only sees protected nodes — the next ``gc()`` reclaims
     the id and ``self.x`` silently aliases whatever reuses the slot.
     The fix is ``manager.protect(...)`` around the call (paired with a
     ``release``) or wrapping in a ``SymbolicFunction``/``context.function``.
@@ -196,7 +192,7 @@ class UnprotectedNodeStore(Rule):
                             self,
                             f"raw node id from .{called[1]}() stored on {where} "
                             "without protect()/SymbolicFunction — the next "
-                            "gc()/reorder() can reclaim it",
+                            "gc() can reclaim it",
                         )
                     )
         return findings
@@ -242,171 +238,6 @@ class CrossManagerMix(Rule):
                         )
                     )
         return findings
-
-
-@register
-class RawLoopWithoutPostpone(Rule):
-    """RPL003: a loop over manager internals outside ``postpone_reorder()``.
-
-    Code that walks ``_var``/``_lo``/``_hi`` (or replays nodes through
-    ``_make_node``) holds raw ids in locals across many operations; an
-    auto-reorder triggered mid-loop reclaims nodes only those locals
-    reference.  Wrap the loop in ``with manager.postpone_reorder():``.
-    """
-
-    code = "RPL003"
-    summary = (
-        "raw-id loop over manager internals outside a postpone_reorder() block"
-    )
-    exempt_path_suffixes = ("repro/bdd/manager.py", "bdd/manager.py")
-
-    def _aliases(self, scope: ast.AST) -> Set[str]:
-        """Names bound (in this scope) to manager internals or _make_node."""
-        aliases: Set[str] = set()
-        stack: List[ast.AST] = list(getattr(scope, "body", []))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue  # nested scopes collect their own aliases
-            if isinstance(node, ast.Assign):
-                value = node.value
-                if (
-                    isinstance(value, ast.Attribute)
-                    and _is_managerish(value.value)
-                    and (value.attr in MANAGER_INTERNALS or value.attr == "_make_node")
-                ):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            aliases.add(target.id)
-            stack.extend(ast.iter_child_nodes(node))
-        return aliases
-
-    def _is_postponed_with(self, node: ast.AST) -> bool:
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            return False
-        for item in node.items:
-            ctx = item.context_expr
-            if (
-                isinstance(ctx, ast.Call)
-                and isinstance(ctx.func, ast.Attribute)
-                and ctx.func.attr == "postpone_reorder"
-            ):
-                return True
-        return False
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        scopes: List[ast.AST] = [source.tree]
-        scopes.extend(_function_defs(source.tree))
-
-        for scope in scopes:
-            aliases = self._aliases(scope)
-            body = scope.body if hasattr(scope, "body") else []
-            self._walk(source, body, aliases, False, False, findings, scope)
-        return findings
-
-    def _walk(
-        self,
-        source: SourceFile,
-        body: Sequence[ast.stmt],
-        aliases: Set[str],
-        in_loop: bool,
-        postponed: bool,
-        findings: List[Finding],
-        scope: ast.AST,
-    ) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # nested scopes are visited on their own
-            stmt_postponed = postponed or self._is_postponed_with(stmt)
-            stmt_in_loop = in_loop or isinstance(stmt, (ast.For, ast.While))
-            if stmt_in_loop and not stmt_postponed:
-                self._flag_expressions(source, stmt, aliases, in_loop, findings)
-            for child_body in self._child_bodies(stmt):
-                self._walk(
-                    source,
-                    child_body,
-                    aliases,
-                    stmt_in_loop,
-                    stmt_postponed,
-                    findings,
-                    scope,
-                )
-
-    @staticmethod
-    def _child_bodies(stmt: ast.stmt) -> Iterator[Sequence[ast.stmt]]:
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, field, None)
-            if block:
-                yield block
-        for handler in getattr(stmt, "handlers", []) or []:
-            yield handler.body
-
-    def _flag_expressions(
-        self,
-        source: SourceFile,
-        stmt: ast.stmt,
-        aliases: Set[str],
-        already_in_loop: bool,
-        findings: List[Finding],
-    ) -> None:
-        """Flag internal accesses in the *header and inline expressions* of
-        ``stmt`` (loop bodies recurse through :meth:`_walk`)."""
-        inline: List[ast.expr] = []
-        if isinstance(stmt, ast.For):
-            inline.append(stmt.iter)
-            if already_in_loop:
-                inline.append(stmt.target)
-        elif isinstance(stmt, ast.While):
-            inline.append(stmt.test)
-        elif not isinstance(stmt, (ast.With, ast.AsyncWith, ast.Try, ast.If)):
-            inline.extend(
-                node for node in ast.iter_child_nodes(stmt)
-                if isinstance(node, ast.expr)
-            )
-        elif isinstance(stmt, ast.If):
-            inline.append(stmt.test)
-        for expr in inline:
-            for node in ast.walk(expr):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr in MANAGER_INTERNALS
-                    and _is_managerish(node.value)
-                ):
-                    findings.append(
-                        source.finding(
-                            node,
-                            self,
-                            f"loop reads manager internal ._{node.attr.lstrip('_')} "
-                            "outside postpone_reorder() — an auto-reorder here "
-                            "reclaims unprotected ids",
-                        )
-                    )
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "_make_node"
-                    and _is_managerish(node.func.value)
-                ):
-                    findings.append(
-                        source.finding(
-                            node,
-                            self,
-                            "loop replays nodes through ._make_node() outside "
-                            "postpone_reorder()",
-                        )
-                    )
-                elif isinstance(node, ast.Name) and node.id in aliases and isinstance(
-                    node.ctx, ast.Load
-                ):
-                    findings.append(
-                        source.finding(
-                            node,
-                            self,
-                            f"loop uses {node.id!r} (bound to a manager internal) "
-                            "outside postpone_reorder()",
-                        )
-                    )
 
 
 @register

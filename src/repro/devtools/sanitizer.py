@@ -2,18 +2,17 @@
 
 ``REPRO_SANITIZE=1`` turns the kernel's silent-wrong-answer bug classes
 into immediate, diagnosable exceptions.  The env var is read when a
-:class:`~repro.bdd.manager.BddManager` is *constructed* (the same
-late-binding pattern as ``REPRO_PURE_ARRAY``): construction transparently
-yields a :class:`SanitizedBddManager`, so every layer above — symbolic
-contexts, campaign workers, the service — runs sanitized without a line
-of code changing.  When the variable is unset nothing here is imported
+:class:`~repro.bdd.manager.BddManager` is *constructed*: construction
+transparently yields a :class:`SanitizedBddManager`, so every layer
+above — symbolic contexts, campaign workers, the service — runs
+sanitized without a line of code changing.  When the variable is unset nothing here is imported
 and the kernel pays zero cost.
 
 What the sanitizer adds:
 
 * **Use-after-free detection.**  Freed slots are *quarantined* instead
   of recycled and each carries a generation counter, so a raw node id
-  that survives the GC or a sifting pass keeps pointing at a tombstone
+  that survives the GC keeps pointing at a tombstone
   forever — any public operation fed a stale id raises
   :class:`UseAfterFreeError` (with the slot's free generation and the
   sweep epoch) instead of returning whichever function reused the slot.
@@ -25,7 +24,7 @@ What the sanitizer adds:
   :class:`CrossManagerError`, naming the live manager that does own the
   id when one can be found.
 * **Sweep-epoch memo validation.**  :meth:`SanitizedBddManager.check_integrity`
-  runs after every ``gc()``/``reorder()`` and raises
+  runs after every ``gc()`` and raises
   :class:`MemoLeakError` if a unique-table, negation-cache or op-cache
   entry references a node that sweep should have evicted.
 * **Protection leak accounting.**  ``protect()`` records its call site
@@ -163,7 +162,7 @@ class SanitizedBddManager(BddManager):
                 continue
             # Deliberate peek at a *foreign* manager's store to name the
             # true owner in the diagnostic; read-only, no id is held.
-            if 0 <= node < len(manager._var) and manager._var[node] >= 0:  # repro: noqa[RPL003]
+            if 0 <= node < len(manager._var) and manager._var[node] >= 0:
                 return f"SanitizedBddManager #{manager._sanitize_seq}"
         return None
 
@@ -197,7 +196,7 @@ class SanitizedBddManager(BddManager):
             raise UseAfterFreeError(
                 f"{operation}() got node {node}, freed in sweep epoch "
                 f"{self._sweep_epoch} (slot generation {generation}) — the "
-                "id was held across a gc()/reorder() without protect() or a "
+                "id was held across a gc() without protect() or a "
                 "SymbolicFunction wrap"
             )
 
@@ -226,13 +225,6 @@ class SanitizedBddManager(BddManager):
         self._quarantine_freed()
         self.check_integrity()
         return reclaimed
-
-    def reorder(self, *args, **kwargs) -> int:
-        swaps = super().reorder(*args, **kwargs)
-        self._sweep_epoch += 1
-        self._quarantine_freed()
-        self.check_integrity()
-        return swaps
 
     # -- sweep-epoch memo validation -------------------------------------------
 
@@ -362,7 +354,7 @@ def _validated(name: str, positions: Tuple[int, ...]) -> Callable:
 
 
 # Public operations taking node ids at fixed positions (0-based, after
-# self).  protect/release/gc/reorder have bespoke overrides above;
+# self).  protect/release/gc have bespoke overrides above;
 # and_all/or_all/compose_many take collections and are overridden below.
 _VALIDATED_OPERATIONS = {
     "ite": (0, 1, 2),

@@ -41,8 +41,6 @@ HELP: Dict[str, str] = {
     "repro_kernel_cache_misses_total": "BDD apply/compose/ISOP cache misses",
     "repro_kernel_gc_runs_total": "BDD garbage-collection sweeps",
     "repro_kernel_gc_reclaimed_total": "BDD nodes reclaimed by garbage collection",
-    "repro_kernel_reorder_runs_total": "BDD variable-reordering (sifting) passes",
-    "repro_kernel_reorder_swaps_total": "adjacent-level swaps performed while sifting",
     "repro_kernel_live_nodes": "live BDD nodes at the last kernel checkpoint",
     "repro_kernel_load_factor": "unique-table load factor at the last kernel checkpoint",
     "repro_store_reads_total": "result-store reads by entry kind and hit/miss outcome",
@@ -318,8 +316,6 @@ KERNEL_COUNTERS = (
     "cache_misses",
     "gc_runs",
     "gc_reclaimed",
-    "reorder_runs",
-    "reorder_swaps",
 )
 
 
@@ -327,11 +323,10 @@ class KernelWatch:
     """Stats-delta hook over a ``BddManager``.
 
     Snapshots ``manager.stats()`` at construction; :meth:`delta` reports
-    what the monotone counters (cache traffic, GC sweeps, reorder
-    passes) gained since, plus the current live-node count and
-    unique-table load factor.  Used at pipeline checkpoints to annotate
-    the open span and feed the kernel metrics without the manager
-    knowing about either.
+    what the monotone counters (cache traffic, GC sweeps) gained since,
+    plus the current live-node count and unique-table load factor.  Used
+    at pipeline checkpoints to annotate the open span and feed the kernel
+    metrics without the manager knowing about either.
     """
 
     def __init__(self, manager: Any):

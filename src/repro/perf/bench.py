@@ -17,7 +17,7 @@ Besides the timing, each result carries a ``metrics`` snapshot: whatever
 the scenario's timed region added to the :mod:`repro.obs` registry
 (campaign scenarios fold their workers' kernel/cache counters home), plus
 scenario-specific collectors — the derivation benchmarks report live BDD
-node counts, cache hit rates and GC/reorder activity, and the fault
+node counts, cache hit rates and GC activity, and the fault
 campaign reports the size of its property checker's manager.  The snapshot is
 informational (the ``--check`` gate compares only seconds); with
 ``--repeat`` the registry counters accumulate over all repetitions.
@@ -106,7 +106,6 @@ def _kernel_metrics(derivation: Any) -> Dict[str, Any]:
         ),
         "kernel_gc_runs": stats["gc_runs"],
         "kernel_gc_reclaimed": stats["gc_reclaimed"],
-        "kernel_reorder_runs": stats["reorder_runs"],
     }
 
 

@@ -339,89 +339,85 @@ def symbolic_most_liberal(
     if context is None:
         context = SymbolicContext(derivation_order(spec), balanced_reduce=True)
     manager = context.manager
-    # The loop state below is raw node ids (not SymbolicFunction handles),
-    # so an automatic reorder mid-iteration could reclaim nodes only this
-    # frame references; postpone it until the fixed point converges.
-    with manager.postpone_reorder():
-        with span("derive.compile", clauses=len(spec.clauses)):
-            condition_nodes: Dict[str, int] = {
-                clause.moe: context.lift(clause.condition).node
-                for clause in spec.clauses
-            }
-        current: Dict[str, int] = {moe: manager.true() for moe in moe_flags}
+    with span("derive.compile", clauses=len(spec.clauses)):
+        condition_nodes: Dict[str, int] = {
+            clause.moe: context.lift(clause.condition).node
+            for clause in spec.clauses
+        }
+    current: Dict[str, int] = {moe: manager.true() for moe in moe_flags}
 
-        # The descending Kleene iteration from all-true reaches the greatest
-        # fixed point in any fair update order (chaotic iteration), so the
-        # flags are processed as a worklist in dependency order: a flag is
-        # only re-evaluated after the flags its stall condition reads have
-        # settled, which for a feed-forward pipeline means exactly one
-        # evaluation per flag instead of a full Jacobi sweep per pipeline
-        # depth.  Cyclic dependencies simply re-enqueue until stable.
-        # Dependencies are kept in clause order, not set order: the kernel
-        # assigns node ids in creation order, so hash-randomised iteration
-        # over support sets would permute the composition schedule (and the
-        # resulting node layout) from process to process.  The fixed point
-        # is the same either way, but the run would not be reproducible.
-        moe_set = set(moe_flags)
-        deps: Dict[str, List[str]] = {}
-        for clause in spec.clauses:
-            read_set = manager.support(condition_nodes[clause.moe]) & moe_set
-            deps[clause.moe] = [moe for moe in moe_flags if moe in read_set]
-        # Chaotic iteration reaches the greatest fixed point only for a
-        # monotone map, and unlike the Jacobi sweep it can settle on a
-        # spurious fixed point of a non-monotone one instead of visibly
-        # oscillating — so monotonicity (F_i[v:=1] → F_i[v:=0] for every
-        # flag v the condition reads) is checked explicitly up front.
-        with span("derive.monotonicity"):
-            for moe, reads in deps.items():
-                condition = condition_nodes[moe]
-                for name in reads:
-                    with_move = manager.restrict(condition, name, True)
-                    with_stall = manager.restrict(condition, name, False)
-                    if (
-                        manager.or_(with_stall, manager.not_(with_move))
-                        != manager.true()
-                    ):
-                        raise DerivationError(
-                            f"stall condition for {moe} is not monotone in the "
-                            f"negated moe flag {name}; the Section 3.1 "
-                            "preconditions are violated"
-                        )
-        dependents: Dict[str, List[str]] = {moe: [] for moe in moe_flags}
+    # The descending Kleene iteration from all-true reaches the greatest
+    # fixed point in any fair update order (chaotic iteration), so the
+    # flags are processed as a worklist in dependency order: a flag is
+    # only re-evaluated after the flags its stall condition reads have
+    # settled, which for a feed-forward pipeline means exactly one
+    # evaluation per flag instead of a full Jacobi sweep per pipeline
+    # depth.  Cyclic dependencies simply re-enqueue until stable.
+    # Dependencies are kept in clause order, not set order: the kernel
+    # assigns node ids in creation order, so hash-randomised iteration
+    # over support sets would permute the composition schedule (and the
+    # resulting node layout) from process to process.  The fixed point
+    # is the same either way, but the run would not be reproducible.
+    moe_set = set(moe_flags)
+    deps: Dict[str, List[str]] = {}
+    for clause in spec.clauses:
+        read_set = manager.support(condition_nodes[clause.moe]) & moe_set
+        deps[clause.moe] = [moe for moe in moe_flags if moe in read_set]
+    # Chaotic iteration reaches the greatest fixed point only for a
+    # monotone map, and unlike the Jacobi sweep it can settle on a
+    # spurious fixed point of a non-monotone one instead of visibly
+    # oscillating — so monotonicity (F_i[v:=1] → F_i[v:=0] for every
+    # flag v the condition reads) is checked explicitly up front.
+    with span("derive.monotonicity"):
         for moe, reads in deps.items():
-            for read in reads:
-                dependents[read].append(moe)
-        clause_of = {clause.moe: clause for clause in spec.clauses}
-        order = _dependency_order(list(clause_of), deps)
-
-        with span("derive.fixed_point", flags=len(moe_flags)) as fp_span:
-            evaluations: Dict[str, int] = {moe: 0 for moe in moe_flags}
-            queue = list(order)
-            queued = set(queue)
-            head = 0
-            while head < len(queue):
-                moe = queue[head]
-                head += 1
-                queued.discard(moe)
-                evaluations[moe] += 1
-                if evaluations[moe] > limit:
+            condition = condition_nodes[moe]
+            for name in reads:
+                with_move = manager.restrict(condition, name, True)
+                with_stall = manager.restrict(condition, name, False)
+                if (
+                    manager.or_(with_stall, manager.not_(with_move))
+                    != manager.true()
+                ):
                     raise DerivationError(
-                        f"symbolic fixed-point iteration did not converge within "
-                        f"{limit} iterations"
+                        f"stall condition for {moe} is not monotone in the "
+                        f"negated moe flag {name}; the Section 3.1 "
+                        "preconditions are violated"
                     )
-                node = manager.not_(
-                    manager.compose_many(condition_nodes[moe], current)
+    dependents: Dict[str, List[str]] = {moe: [] for moe in moe_flags}
+    for moe, reads in deps.items():
+        for read in reads:
+            dependents[read].append(moe)
+    clause_of = {clause.moe: clause for clause in spec.clauses}
+    order = _dependency_order(list(clause_of), deps)
+
+    with span("derive.fixed_point", flags=len(moe_flags)) as fp_span:
+        evaluations: Dict[str, int] = {moe: 0 for moe in moe_flags}
+        queue = list(order)
+        queued = set(queue)
+        head = 0
+        while head < len(queue):
+            moe = queue[head]
+            head += 1
+            queued.discard(moe)
+            evaluations[moe] += 1
+            if evaluations[moe] > limit:
+                raise DerivationError(
+                    f"symbolic fixed-point iteration did not converge within "
+                    f"{limit} iterations"
                 )
-                if node != current[moe]:
-                    current[moe] = node
-                    for dependent in dependents[moe]:
-                        if dependent not in queued:
-                            queue.append(dependent)
-                            queued.add(dependent)
-            iterations = max(evaluations.values(), default=1)
-            fp_span.annotate(
-                iterations=iterations, evaluations=sum(evaluations.values())
+            node = manager.not_(
+                manager.compose_many(condition_nodes[moe], current)
             )
+            if node != current[moe]:
+                current[moe] = node
+                for dependent in dependents[moe]:
+                    if dependent not in queued:
+                        queue.append(dependent)
+                        queued.add(dependent)
+        iterations = max(evaluations.values(), default=1)
+        fp_span.annotate(
+            iterations=iterations, evaluations=sum(evaluations.values())
+        )
 
     # Confirm the fixed point really only mentions primary inputs.
     input_scope = tuple(spec.input_signals())

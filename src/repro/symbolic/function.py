@@ -255,7 +255,7 @@ class SymbolicFunction:
         self.node = node
         self.scope = tuple(scope) if scope is not None else None
         # Pin the node for the lifetime of this handle: the manager's GC
-        # and reorder passes treat protected nodes as roots, so holding a
+        # treats protected nodes as roots, so holding a
         # SymbolicFunction is all a caller needs to do to stay safe.
         manager = context.manager
         manager.protect(node)

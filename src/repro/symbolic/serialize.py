@@ -50,7 +50,6 @@ def dump_functions(
     functions: Mapping[str, SymbolicFunction],
     payload: Optional[Dict[str, Any]] = None,
     include_covers: bool = False,
-    use_numpy: Optional[bool] = None,
 ) -> bytes:
     """Serialize named functions (one shared context) to artifact bytes.
 
@@ -60,7 +59,6 @@ def dump_functions(
         include_covers: also store each function's minimized ISOP cover
             (materializing it now if needed), so loaders get cached
             expressions for free.
-        use_numpy: forwarded to the binary encoder (None = automatic).
     """
     if not functions:
         raise ValueError("cannot serialize an empty function set")
@@ -83,14 +81,12 @@ def dump_functions(
         scopes={name: fn.scope for name, fn in functions.items()},
         covers=covers,
         payload=payload,
-        use_numpy=use_numpy,
     )
 
 
 def load_functions(
     data: bytes,
     context: Optional[SymbolicContext] = None,
-    use_numpy: Optional[bool] = None,
     balanced_reduce: bool = False,
 ) -> LoadedFunctions:
     """Load an artifact into a context (a fresh one by default).
@@ -104,22 +100,18 @@ def load_functions(
 
     ``balanced_reduce`` only applies when a fresh context is created.
     """
-    parsed = parse_artifact(data, use_numpy=use_numpy)
+    parsed = parse_artifact(data)
     if context is None:
         context = SymbolicContext(
             parsed.variables, balanced_reduce=balanced_reduce
         )
-    # The raw root ids are unprotected until each is wrapped in a
-    # SymbolicFunction below; inhibit reordering across that window so a
-    # growth-triggered reorder cannot reclaim a root before its wrap.
-    with context.manager.postpone_reorder():
-        roots = splice_nodes(context.manager, parsed)
-        manifest = parsed.manifest
-        scopes = manifest.get("scopes", {})
-        functions = {
-            name: context.function(node, scope=scopes.get(name))
-            for name, node in roots.items()
-        }
+    roots = splice_nodes(context.manager, parsed)
+    manifest = parsed.manifest
+    scopes = manifest.get("scopes", {})
+    functions = {
+        name: context.function(node, scope=scopes.get(name))
+        for name, node in roots.items()
+    }
     for name, cover in (manifest.get("covers") or {}).items():
         fn = functions.get(name)
         if fn is None:

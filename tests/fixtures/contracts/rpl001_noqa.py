@@ -3,6 +3,6 @@
 
 class Checker:
     def __init__(self, manager, f, g):
-        # Lifetime is bounded by the enclosing postpone_reorder() in the
-        # caller; deliberate and audited.
+        # The caller never collects while this object lives; deliberate
+        # and audited.
         self.cached = manager.or_(f, g)  # repro: noqa[RPL001]

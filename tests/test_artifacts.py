@@ -4,27 +4,23 @@ The load contract is exact: an artifact spliced back into its *source*
 context must deduplicate into pointer-equal nodes, a fresh context must
 reproduce semantically identical functions, and any mutation of the
 bytes (truncation, bit flips) must be rejected by the checksum — never
-silently produce a different BDD.  Both the numpy fast lane and the
-pure-``array`` fallback (the ``REPRO_PURE_ARRAY`` CI leg) are exercised.
+silently produce a different BDD.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.archs import load_architecture
+from repro.archs.firepath_like import firepath_like_architecture
 from repro.bdd import ArtifactError, dump_nodes, inspect_artifact, load_nodes
 from repro.bdd.manager import BddManager
+from repro.bdd.serialize import _decode_i32, _encode_i32, parse_artifact
 from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr
 from repro.spec import build_functional_spec, symbolic_most_liberal
 from repro.spec.derivation import DerivationResult
 from repro.symbolic import SymbolicContext, dump_functions, load_functions
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-
-NUMPY_MODES = [False] + ([True] if _np is not None else [])
 
 VARIABLE_NAMES = ["a", "b", "c", "d", "e"]
 
@@ -45,29 +41,24 @@ def expressions(max_leaves: int = 12):
     )
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
 class TestNodeRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(expressions())
-    def test_same_manager_splice_is_pointer_equal(self, use_numpy, expr):
+    def test_same_manager_splice_is_pointer_equal(self, expr):
         context = SymbolicContext(VARIABLE_NAMES)
         function = context.lift(expr)
-        data = dump_nodes(
-            context.manager, roots={"f": function.node}, use_numpy=use_numpy
-        )
-        roots = load_nodes(context.manager, data, use_numpy=use_numpy)
+        data = dump_nodes(context.manager, roots={"f": function.node})
+        roots = load_nodes(context.manager, data)
         assert roots["f"] == function.node
 
     @settings(max_examples=60, deadline=None)
     @given(expressions())
-    def test_fresh_manager_load_is_semantically_equal(self, use_numpy, expr):
+    def test_fresh_manager_load_is_semantically_equal(self, expr):
         context = SymbolicContext(VARIABLE_NAMES)
         function = context.lift(expr)
-        data = dump_nodes(
-            context.manager, roots={"f": function.node}, use_numpy=use_numpy
-        )
-        manager = BddManager(VARIABLE_NAMES, use_numpy=use_numpy)
-        node = load_nodes(manager, data, use_numpy=use_numpy)["f"]
+        data = dump_nodes(context.manager, roots={"f": function.node})
+        manager = BddManager(VARIABLE_NAMES)
+        node = load_nodes(manager, data)["f"]
         for assignment in all_assignments(VARIABLE_NAMES):
             expected = eval_expr(expr, assignment)
             if manager.support(node):
@@ -75,25 +66,21 @@ class TestNodeRoundTrip:
             else:
                 assert manager.is_true(node) == expected
 
-    def test_terminal_roots_round_trip(self, use_numpy):
-        manager = BddManager(["x"], use_numpy=use_numpy)
+    def test_terminal_roots_round_trip(self):
+        manager = BddManager(["x"])
         data = dump_nodes(
-            manager,
-            roots={"t": manager.true(), "f": manager.false()},
-            use_numpy=use_numpy,
+            manager, roots={"t": manager.true(), "f": manager.false()}
         )
-        fresh = BddManager(use_numpy=use_numpy)
-        roots = load_nodes(fresh, data, use_numpy=use_numpy)
+        fresh = BddManager()
+        roots = load_nodes(fresh, data)
         assert fresh.is_true(roots["t"]) and fresh.is_false(roots["f"])
 
     @settings(max_examples=30, deadline=None)
     @given(expressions(), st.data())
-    def test_mutated_bytes_are_rejected(self, use_numpy, expr, data_strategy):
+    def test_mutated_bytes_are_rejected(self, expr, data_strategy):
         context = SymbolicContext(VARIABLE_NAMES)
         function = context.lift(expr)
-        data = dump_nodes(
-            context.manager, roots={"f": function.node}, use_numpy=use_numpy
-        )
+        data = dump_nodes(context.manager, roots={"f": function.node})
         position = data_strategy.draw(
             st.integers(min_value=0, max_value=len(data) - 1)
         )
@@ -101,37 +88,31 @@ class TestNodeRoundTrip:
         corrupt = bytearray(data)
         corrupt[position] ^= 1 << bit
         with pytest.raises(ArtifactError):
-            load_nodes(BddManager(use_numpy=use_numpy), bytes(corrupt))
+            load_nodes(BddManager(), bytes(corrupt))
 
-    def test_truncated_bytes_are_rejected(self, use_numpy):
+    def test_truncated_bytes_are_rejected(self):
         context = SymbolicContext(VARIABLE_NAMES)
         function = context.lift(Var("a") & ~Var("b") | Var("c"))
-        data = dump_nodes(
-            context.manager, roots={"f": function.node}, use_numpy=use_numpy
-        )
+        data = dump_nodes(context.manager, roots={"f": function.node})
         for cut in (0, 3, len(data) // 2, len(data) - 5):
             with pytest.raises(ArtifactError):
-                load_nodes(BddManager(use_numpy=use_numpy), data[:cut])
+                load_nodes(BddManager(), data[:cut])
 
-    def test_incompatible_variable_order_is_rejected(self, use_numpy):
+    def test_incompatible_variable_order_is_rejected(self):
         context = SymbolicContext(["a", "b", "c"])
         function = context.lift(Var("a") & Var("b") | Var("c"))
-        data = dump_nodes(
-            context.manager, roots={"f": function.node}, use_numpy=use_numpy
-        )
-        reversed_manager = BddManager(["c", "b", "a"], use_numpy=use_numpy)
+        data = dump_nodes(context.manager, roots={"f": function.node})
+        reversed_manager = BddManager(["c", "b", "a"])
         with pytest.raises(ArtifactError):
-            load_nodes(reversed_manager, data, use_numpy=use_numpy)
+            load_nodes(reversed_manager, data)
 
-    def test_interleaved_target_order_still_splices(self, use_numpy):
+    def test_interleaved_target_order_still_splices(self):
         context = SymbolicContext(["a", "b", "c"])
         function = context.lift(Var("a") & Var("b") | Var("c"))
-        data = dump_nodes(
-            context.manager, roots={"f": function.node}, use_numpy=use_numpy
-        )
+        data = dump_nodes(context.manager, roots={"f": function.node})
         # Extra variables between the artifact's (relative order kept).
-        target = BddManager(["a", "x", "b", "y", "c"], use_numpy=use_numpy)
-        node = load_nodes(target, data, use_numpy=use_numpy)["f"]
+        target = BddManager(["a", "x", "b", "y", "c"])
+        node = load_nodes(target, data)["f"]
         for assignment in all_assignments(["a", "b", "c"]):
             full = dict(assignment, x=False, y=True)
             assert target.evaluate(node, full) == eval_expr(
@@ -235,3 +216,48 @@ class TestDerivationArtifacts:
         assert summary["roots"] == sorted(spec.moe_flags())
         assert summary["has_covers"] is True
         assert summary["num_nodes"] > 0
+
+
+class TestCodecAndStability:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=-(2**31), max_value=2**31 - 1)))
+    def test_int32_codec_round_trips_to_a_list(self, values):
+        data = _encode_i32(values)
+        assert len(data) == 4 * len(values)
+        decoded = _decode_i32(data)
+        assert type(decoded) is list
+        assert decoded == values
+
+    def test_parsed_node_arrays_are_plain_lists(self):
+        context = SymbolicContext(VARIABLE_NAMES)
+        function = context.lift(Var("a") & ~Var("b") | Var("c"))
+        parsed = parse_artifact(dump_nodes(context.manager, roots={"f": function.node}))
+        for column in (parsed.var_indexes, parsed.lo_refs, parsed.hi_refs):
+            assert type(column) is list
+            assert len(column) == parsed.num_nodes
+
+    # SHA-256 of the firepath-like MOE closed forms with their covers.  The
+    # artifact format and the derivation order are both deterministic, so a
+    # change here means the kernel builds different nodes or the codec
+    # writes different bytes.
+    @pytest.mark.parametrize(
+        "num_registers, digest",
+        [
+            (16, "83074b9e64dcdbbeab2fa60f6b10d9b94b6f14127141bebbb6e85491f63aef8f"),
+            (64, "a5d83e350ee8da3fb1f310e0b6d6336549c26f2b70013c43595ecc6ef676cdaa"),
+        ],
+    )
+    def test_firepath_artifact_bytes_are_pinned(self, num_registers, digest):
+        spec = build_functional_spec(
+            firepath_like_architecture(num_registers=num_registers)
+        )
+        derivation = symbolic_most_liberal(spec)
+        data = dump_functions(derivation.moe_functions, include_covers=True)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("arch_name", ["dac2002-example", "firepath-like", "risc5"])
+    def test_reloaded_derivation_dumps_the_same_bytes(self, arch_name):
+        spec = build_functional_spec(load_architecture(arch_name))
+        data = symbolic_most_liberal(spec).to_artifact_bytes(include_covers=True)
+        loaded = DerivationResult.from_artifact_bytes(spec, data)
+        assert loaded.to_artifact_bytes(include_covers=True) == data

@@ -1,5 +1,7 @@
 """Tests for the ROBDD manager, the expression compiler and the ordering helpers."""
 
+import inspect
+
 import pytest
 
 from repro.bdd import (
@@ -202,10 +204,10 @@ class TestManagerOperations:
 
 
 class TestKernelLifecycle:
-    """Public-API smoke tests for GC, reordering and the health counters.
+    """Public-API smoke tests for GC and the health counters.
 
-    The heavier invariants (sweep hooks, sifting quality, the reference
-    cross-check) live in ``test_bdd_array_kernel.py``.
+    The heavier invariants (sweep hooks, the reference cross-check) live
+    in ``test_bdd_array_kernel.py``.
     """
 
     def test_gc_keeps_protected_functions(self):
@@ -218,31 +220,39 @@ class TestKernelLifecycle:
         assert manager.evaluate(kept, {"x": True, "y": False})
         assert not manager.evaluate(kept, {"x": True, "y": True})
 
-    def test_reorder_preserves_semantics(self):
-        manager = BddManager(["a", "b", "c", "d"])
-        f = manager.protect(
-            manager.or_(
-                manager.and_(manager.var("a"), manager.var("c")),
-                manager.and_(manager.var("b"), manager.var("d")),
-            )
-        )
-        before = manager.num_nodes()
-        manager.reorder()
-        assert manager.num_nodes() <= before
-        for assignment in all_assignments(["a", "b", "c", "d"]):
-            expected = (assignment["a"] and assignment["c"]) or (
-                assignment["b"] and assignment["d"]
-            )
-            assert manager.evaluate(f, assignment) == expected
-
     def test_stats_snapshot(self):
         manager = BddManager()
         manager.and_(manager.var("a"), manager.var("b"))
         stats = manager.stats()
         assert stats.live_nodes == manager.num_nodes()
         assert stats.num_vars == 2
-        assert stats.gc_runs == 0 and stats.reorder_runs == 0
+        assert stats.gc_runs == 0
         assert "unique table:" in stats.describe()
+
+    def test_constructor_takes_only_an_order_and_the_reduce_shape(self):
+        parameters = inspect.signature(BddManager.__init__).parameters
+        assert list(parameters) == ["self", "variable_order", "balanced_reduce"]
+        assert parameters["balanced_reduce"].kind is inspect.Parameter.KEYWORD_ONLY
+        for retired in ("use_numpy", "auto_reorder_threshold"):
+            with pytest.raises(TypeError):
+                BddManager(["a"], **{retired: True})
+
+    @pytest.mark.parametrize("connective", ["and_all", "or_all"])
+    def test_balanced_and_sequential_reduce_agree(self, connective):
+        names = [f"x{i}" for i in range(6)]
+        results = []
+        for balanced in (False, True):
+            manager = BddManager(names, balanced_reduce=balanced)
+            operands = [
+                manager.xor(manager.var(names[i]), manager.var(names[(i + 2) % 6]))
+                for i in range(4)
+            ]
+            node = getattr(manager, connective)(operands)
+            results.append(
+                [manager.evaluate(node, a) for a in all_assignments(names)]
+            )
+        assert results[0] == results[1]
+        assert any(results[0]) and not all(results[0])
 
 
 class TestExprCompiler:

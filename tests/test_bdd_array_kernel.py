@@ -1,8 +1,8 @@
-"""Array-kernel tests: GC, sifting, stats and a cross-check against a reference engine.
+"""Array-kernel tests: GC, stats and a cross-check against a reference engine.
 
 The manager in ``repro.bdd.manager`` is a flat struct-of-arrays kernel with
-packed-integer cache keys, mark-and-sweep garbage collection and sifting
-reordering.  These tests pin down the properties that make it safe to use
+packed-integer cache keys, a static variable order and mark-and-sweep
+garbage collection.  These tests pin down the properties that make it safe to use
 underneath :class:`~repro.symbolic.SymbolicFunction`:
 
 * semantic agreement with an independent dictionary-based ROBDD (the shape
@@ -11,23 +11,25 @@ underneath :class:`~repro.symbolic.SymbolicFunction`:
 * garbage collection never disturbs live (protected) functions and the
   memo tables never serve stale entries after a sweep;
 * a full derive → sweep → re-derive cycle reproduces identical node ids;
-* sifting never increases the node count and keeps handles valid;
 * the health counters exposed by :meth:`BddManager.stats`.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.archs import load_architecture
-from repro.bdd import BddManager, FALSE_NODE, TRUE_NODE, compile_expr
-from repro.bdd.manager import _np
+from repro.bdd import (
+    BddManager,
+    FALSE_NODE,
+    TRUE_NODE,
+    compile_expr,
+    dump_nodes,
+    load_nodes,
+)
 from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr
 from repro.spec import build_functional_spec, symbolic_most_liberal
 from repro.symbolic import SymbolicContext
 
 VARIABLE_NAMES = [f"v{i:02d}" for i in range(12)]
-
-NUMPY_MODES = [False] + ([True] if _np is not None else [])
 
 
 # -- a minimal reference engine ----------------------------------------------------
@@ -195,7 +197,6 @@ class TestReferenceCrossCheck:
                 assert manager.is_true(node) == expected
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
 class TestGarbageCollection:
     def _junk(self, manager, rounds=6):
         """Build and abandon a pile of intermediate nodes."""
@@ -206,8 +207,8 @@ class TestGarbageCollection:
                 acc = manager.xor(acc, manager.and_(x, xs[(i + offset) % len(xs)]))
         return acc
 
-    def test_gc_reclaims_dead_nodes_and_keeps_roots(self, use_numpy):
-        manager = BddManager(use_numpy=use_numpy)
+    def test_gc_reclaims_dead_nodes_and_keeps_roots(self):
+        manager = BddManager()
         root = manager.protect(self._junk(manager))
         expected = {
             tuple(sorted(a.items())): manager.evaluate(root, a)
@@ -222,8 +223,8 @@ class TestGarbageCollection:
         for assignment, value in expected.items():
             assert manager.evaluate(root, dict(assignment)) == value
 
-    def test_release_makes_nodes_collectable(self, use_numpy):
-        manager = BddManager(use_numpy=use_numpy)
+    def test_release_makes_nodes_collectable(self):
+        manager = BddManager()
         root = manager.protect(self._junk(manager))
         manager.gc()
         survivors = manager.num_nodes()
@@ -232,15 +233,15 @@ class TestGarbageCollection:
         assert manager.num_nodes() < survivors
         assert manager.num_nodes() == 2  # only terminals remain
 
-    def test_extra_roots_pin_without_protection(self, use_numpy):
-        manager = BddManager(use_numpy=use_numpy)
+    def test_extra_roots_pin_without_protection(self):
+        manager = BddManager()
         f = manager.and_(manager.var("a"), manager.var("b"))
         manager.gc(extra_roots=[f])
         assert manager.evaluate(f, {"a": True, "b": True})
         assert not manager.evaluate(f, {"a": True, "b": False})
 
-    def test_unique_table_stays_canonical_after_sweep(self, use_numpy):
-        manager = BddManager(use_numpy=use_numpy)
+    def test_unique_table_stays_canonical_after_sweep(self):
+        manager = BddManager()
         a, b = manager.var("a"), manager.var("b")
         f = manager.protect(manager.and_(a, b))
         self._junk(manager)
@@ -249,8 +250,8 @@ class TestGarbageCollection:
         assert manager.and_(manager.var("a"), manager.var("b")) == f
         assert manager.not_(manager.not_(f)) == f
 
-    def test_memo_tables_never_serve_stale_entries(self, use_numpy):
-        manager = BddManager(use_numpy=use_numpy)
+    def test_memo_tables_never_serve_stale_entries(self):
+        manager = BddManager()
         a, b, c = manager.var("a"), manager.var("b"), manager.var("c")
         g = manager.protect(manager.or_(manager.and_(a, b), c))
         ng = manager.not_(g)  # populates the negation cache; not protected
@@ -262,8 +263,8 @@ class TestGarbageCollection:
         assert manager.equivalent(manager.or_(g, ng2), manager.true())
         del ng
 
-    def test_sweep_hooks_see_alive_predicate(self, use_numpy):
-        manager = BddManager(use_numpy=use_numpy)
+    def test_sweep_hooks_see_alive_predicate(self):
+        manager = BddManager()
         observed = {}
         live = manager.protect(manager.and_(manager.var("a"), manager.var("b")))
         dead = manager.or_(manager.var("a"), manager.var("c"))
@@ -272,6 +273,39 @@ class TestGarbageCollection:
         )
         manager.gc()
         assert observed == {"live": True, "dead": False}
+
+    def test_gc_accounting_matches_the_live_count(self):
+        manager = BddManager()
+        root = manager.protect(self._junk(manager))
+        before = manager.num_nodes()
+        first = manager.gc()
+        assert first > 0
+        assert first == before - manager.num_nodes()
+        manager.release(root)
+        survivors = manager.num_nodes()
+        second = manager.gc()
+        assert second == survivors - 2  # everything but the terminals
+        stats = manager.stats()
+        assert stats.gc_runs == 2
+        assert stats.gc_reclaimed == first + second
+        assert stats.allocated_slots == stats.live_nodes + stats.free_slots
+
+    def test_spliced_artifact_survives_a_sweep(self):
+        source = BddManager(VARIABLE_NAMES)
+        f = source.and_(
+            source.var("v00"), source.xor(source.var("v03"), source.var("v07"))
+        )
+        data = dump_nodes(source, roots={"f": f})
+        manager = BddManager(VARIABLE_NAMES)
+        node = manager.protect(load_nodes(manager, data)["f"])
+        self._junk(manager)
+        manager.gc()
+        # The rebuilt unique table still deduplicates a second splice.
+        assert load_nodes(manager, data)["f"] == node
+        for assignment in all_assignments(["v00", "v03", "v07"]):
+            full = dict.fromkeys(VARIABLE_NAMES, False)
+            full.update(assignment)
+            assert manager.evaluate(node, full) == source.evaluate(f, full)
 
 
 class TestDeriveSweepRederive:
@@ -303,53 +337,6 @@ class TestDeriveSweepRederive:
         assert second.feed_forward == first.feed_forward
 
 
-class TestReordering:
-    def _interleaving_victim(self, manager, pairs=6):
-        """A function whose size is exponential in a bad (blocked) order."""
-        terms = [
-            manager.and_(manager.var(f"x{i}"), manager.var(f"y{i}"))
-            for i in range(pairs)
-        ]
-        return manager.or_all(terms)
-
-    def test_sifting_never_increases_node_count(self, pairs=6):
-        order = [f"x{i}" for i in range(pairs)] + [f"y{i}" for i in range(pairs)]
-        manager = BddManager(order)
-        root = manager.protect(self._interleaving_victim(manager, pairs))
-        before = manager.num_nodes()
-        swaps = manager.reorder()
-        assert manager.num_nodes() <= before
-        assert swaps > 0
-        # The blocked order is exponential (2**pairs-ish); the interleaved
-        # optimum is linear.  Sifting must find a dramatic improvement.
-        assert manager.dag_size(root) <= 3 * pairs
-        for i in range(pairs):
-            assignment = {name: False for name in order}
-            assignment[f"x{i}"] = assignment[f"y{i}"] = True
-            assert manager.evaluate(root, assignment)
-        assert not manager.evaluate(root, {name: False for name in order})
-
-    def test_reorder_keeps_unprotected_results_of_protected_roots(self):
-        manager = BddManager(["x0", "x1", "y0", "y1"])
-        f = manager.protect(self._interleaving_victim(manager, 2))
-        g = manager.protect(manager.xor(manager.var("x0"), manager.var("y1")))
-        manager.reorder()
-        # Ids are stable across swaps: both handles still denote their functions.
-        assert manager.evaluate(f, {"x0": True, "y0": True, "x1": False, "y1": False})
-        assert manager.evaluate(g, {"x0": True, "y1": False, "x1": False, "y0": False})
-        assert manager.equivalent(manager.xor(f, f), manager.false())
-
-    def test_auto_reorder_triggers_and_postpone_inhibits(self):
-        order = [f"x{i}" for i in range(7)] + [f"y{i}" for i in range(7)]
-        manager = BddManager(order, auto_reorder_threshold=40)
-        with manager.postpone_reorder():
-            self._interleaving_victim(manager, 7)
-            assert manager.stats().reorder_runs == 0
-        root = manager.protect(self._interleaving_victim(manager, 7))
-        assert manager.stats().reorder_runs >= 1
-        assert manager.dag_size(root) <= 21
-
-
 class TestStatsAndHeuristics:
     def test_stats_counters_are_consistent(self):
         manager = BddManager()
@@ -369,7 +356,6 @@ class TestStatsAndHeuristics:
             "load_factor",
             "hit_rate",
             "gc_runs",
-            "reorder_runs",
         }
         text = stats.describe()
         assert "nodes:" in text and "gc:" in text

@@ -28,7 +28,6 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "contracts"
 ALL_CODES = (
     "RPL001",
     "RPL002",
-    "RPL003",
     "RPL004",
     "RPL005",
     "RPL006",
@@ -85,14 +84,22 @@ def test_noqa_fixture_is_suppressed(code):
 
 
 def test_rule_filter_restricts_findings():
-    findings = lint_paths([str(FIXTURES)], resolve_codes("RPL003"))
+    findings = lint_paths([str(FIXTURES)], resolve_codes("RPL001"))
     assert findings
-    assert {f.rule for f in findings} == {"RPL003"}
+    assert {f.rule for f in findings} == {"RPL001"}
 
 
 def test_unknown_rule_code_rejected():
     with pytest.raises(LintError):
         resolve_codes("RPL999")
+
+
+def test_retired_rpl003_stays_unassigned():
+    # RPL003 guarded raw-id loops against automatic reordering, which the
+    # kernel no longer has; the code is retired, not reused.
+    assert "RPL003" not in all_rules()
+    with pytest.raises(LintError):
+        resolve_codes("RPL003")
 
 
 def test_syntax_error_reported_not_raised(tmp_path):

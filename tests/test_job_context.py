@@ -74,6 +74,48 @@ def test_warm_jobs_leave_the_context_the_same_size():
     assert warm_context(FAMILY_ARCH).collect() == 0
 
 
+def test_failed_end_of_job_collect_fails_the_job_not_the_caller(monkeypatch):
+    from repro.symbolic import SymbolicContext
+
+    original = SymbolicContext.collect
+
+    def exhausted(self):
+        raise MemoryError("simulated exhaustion while collecting")
+
+    monkeypatch.setattr(SymbolicContext, "collect", exhausted)
+    failed = run_verification_job(JobSpec(arch="dac2002-example"))
+    assert not failed.ok
+    assert "MemoryError" in failed.error
+    # The stages themselves passed; only the cleanup failed.
+    assert all(stage.ok for stage in failed.stages)
+    # The context that could not be collected is not reused.
+    assert "derivation" not in runner._arch_state("dac2002-example")
+
+    monkeypatch.setattr(SymbolicContext, "collect", original)
+    second = run_verification_job(JobSpec(arch="dac2002-example"))
+    assert second.ok, second.error
+    assert second.stage("derive").details["source"] == "computed"
+
+
+def test_failed_collect_keeps_the_first_stage_error(monkeypatch):
+    from repro.symbolic import SymbolicContext
+
+    def broken_stage(state, job, store):
+        raise ValueError("simulated stage failure")
+
+    def exhausted(self):
+        raise MemoryError("simulated exhaustion while collecting")
+
+    monkeypatch.setitem(runner._STAGE_IMPLS, "maximality", broken_stage)
+    monkeypatch.setattr(SymbolicContext, "collect", exhausted)
+    failed = run_verification_job(JobSpec(arch="dac2002-example"))
+    assert not failed.ok
+    assert "ValueError: simulated stage failure" in failed.error
+    assert "MemoryError" not in failed.error
+    assert failed.stages[-1].name == "maximality" and not failed.stages[-1].ok
+    assert "derivation" not in runner._arch_state("dac2002-example")
+
+
 def test_firepath_stages_before_faults_stay_small():
     stages = ("properties", "derive", "maximality", "obligations")
     result = run_verification_job(JobSpec(arch="firepath-like", stages=stages))

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -550,3 +551,25 @@ class TestBenchMetrics:
         assert 0.0 <= metrics["kernel_cache_hit_rate"] <= 1.0
         assert "kernel_gc_runs" in metrics
         assert result.as_dict()["metrics"] == metrics
+
+
+# -- the metric catalogue -----------------------------------------------------------
+
+
+def test_help_keys_match_the_documented_catalogue():
+    from repro.obs.metrics import HELP
+
+    doc = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+    rows = re.findall(r"^\| `(repro_[^`]*)`", doc.read_text(), re.MULTILINE)
+    documented = {re.sub(r"\{[^}]*\}", "", row) for row in rows}
+    assert set(HELP) == documented
+
+
+def test_every_kernel_counter_is_a_stats_field_with_help():
+    from repro.bdd.manager import BddStats
+    from repro.obs.metrics import HELP, KERNEL_COUNTERS
+
+    fields = set(BddStats.__dataclass_fields__)
+    for counter in KERNEL_COUNTERS:
+        assert counter in fields
+        assert f"repro_kernel_{counter}_total" in HELP

@@ -58,12 +58,11 @@ def test_use_after_free_survives_slot_reuse_forever():
         manager.sat_count(f)
 
 
-def test_protected_node_survives_gc_and_reorder():
+def test_protected_node_survives_gc():
     manager = SanitizedBddManager(VARS)
     f = manager.protect(build_xor_chain(manager))
     expected = manager.sat_count(f)
     manager.gc()
-    manager.reorder()
     assert manager.sat_count(f) == expected
     manager.release(f)
 
@@ -135,7 +134,6 @@ def test_clean_sweeps_pass_integrity():
     manager = SanitizedBddManager(VARS)
     f = manager.protect(build_xor_chain(manager))
     manager.gc()
-    manager.reorder()
     manager.check_integrity()  # must not raise
     manager.release(f)
 
@@ -180,7 +178,6 @@ def test_sanitized_results_match_plain_manager():
         f = manager.protect(build_xor_chain(manager))
         g = manager.protect(manager.ite(manager.var("d"), f, manager.not_(f)))
         manager.gc()
-        manager.reorder()
         manager._results = [
             manager.sat_count(f),
             manager.sat_count(g),
