@@ -21,9 +21,8 @@ throughput difference is reported per workload.
 Run with ``python examples/completion_bus_tuning.py``.
 """
 
-from repro.analysis import classify_stalls, compare_traces, stats_table
+from repro.analysis import classify_stalls, compare_traces, render_table, stats_table
 from repro.archs import example_architecture
-from repro.assertions import format_table
 from repro.pipeline import ConservativeCompletionInterlock, reference_interlock, simulate
 from repro.spec import build_functional_spec
 from repro.workloads import (
@@ -70,7 +69,7 @@ def main() -> None:
         )
 
     print("=== Completion-logic redesign across workloads ===")
-    print(format_table(rows))
+    print(render_table(rows))
     print()
 
     # Zoom in on the workload the redesign was motivated by: back-to-back
@@ -81,7 +80,7 @@ def main() -> None:
     )
     redesigned = simulate(architecture, reference_interlock(functional), program)
     print("=== Contention microbenchmark: per-design throughput ===")
-    print(format_table(stats_table([conservative, redesigned])))
+    print(render_table(stats_table([conservative, redesigned])))
     print()
 
     breakdown = classify_stalls(conservative, functional)

@@ -17,8 +17,8 @@ FirePath-like architecture model:
 Run with ``python examples/firepath_verification.py``.
 """
 
+from repro.analysis import render_table
 from repro.archs import firepath_like_architecture
-from repro.assertions import format_table
 from repro.checking import PropertyChecker
 from repro.faults import FaultCampaign
 from repro.pipeline import ClosedFormInterlock
@@ -81,10 +81,10 @@ def main(
     )
     summary = campaign.run_standard_set(reset_cycles=4)
     print("=== Fault-injection campaign (per fault class) ===")
-    print(format_table(summary.summary_rows()))
+    print(render_table(summary.summary_rows()))
     print()
     print("=== Fault-injection campaign (per fault) ===")
-    print(format_table(summary.rows()))
+    print(render_table(summary.rows()))
     print()
 
     sim_detected = summary.detected_by_simulation()

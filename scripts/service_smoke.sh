@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the verification service over a real socket:
 # start `repro serve`, verify an architecture through the HTTP API,
-# prove the warm-cache fast path on resubmission, then SIGTERM the
-# daemon and require a clean graceful exit.
+# prove the warm-cache fast path on resubmission and stage replay on a
+# reseeded resubmission, then SIGTERM the daemon and require a clean
+# graceful exit.
 #
 #   scripts/service_smoke.sh [port]
 #
@@ -64,6 +65,23 @@ stats = client.store()["store"]["stats"]
 assert stats["hits"] >= 1, stats
 print(f"cached resubmission answered in {elapsed * 1000:.1f} ms "
       f"(store hits: {stats['hits']})")
+EOF
+
+echo "== a reseeded resubmission must replay the stored stage results =="
+python - "$PORT" "$ARCH" <<'EOF'
+import sys
+from repro.service import ServiceClient
+
+port, arch = int(sys.argv[1]), sys.argv[2]
+client = ServiceClient(port=port)
+job = client.submit(arch=arch, stages="properties,derive", workload_seed=1)["job"]
+assert not job["from_cache"], "a new workload seed is a new job key"
+final = client.wait(job["id"], timeout=300)
+assert final["state"] == "done" and final["ok"], final
+stats = client.store()["store"]["stats"]
+assert stats["stage_hits"] >= 2, stats
+print(f"reseeded resubmission replayed stored stages "
+      f"(stage hits: {stats['stage_hits']})")
 EOF
 
 echo "== /v1/metrics must expose nonzero job counters =="

@@ -2,7 +2,7 @@
 """CI gate for the artifact-backed warm campaign path.
 
 Runs the quick 24-config family sweep three times against one result
-store and enforces the incremental-campaign contract end to end:
+store and enforces the stage-replay contract end to end:
 
 1. **cold** — empty store, persistent workers started fresh: every job
    verifies from scratch and populates the store (job results, per-stage
@@ -10,8 +10,8 @@ store and enforces the incremental-campaign contract end to end:
 2. **warm** — same campaign again: every job must answer from the
    content-hashed store, at least ``--speedup`` times faster than cold,
    with nonzero cache hits;
-3. **incremental** — the same sweep with a different workload seed under
-   ``--incremental``: every job key changes, yet the structural stages
+3. **reseeded** — the same sweep with a different workload seed: every
+   job key changes, yet the structural stages
    (properties/derive/maximality/obligations) must replay from the store
    and the derivations must load from binary artifacts (nonzero artifact
    hits), re-executing only the workload-dependent stages.
@@ -61,11 +61,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="warm-gate-") as root:
         store = ResultStore(root)
 
-        def phase(name, campaign, incremental=False):
+        def phase(name, campaign):
             start = time.perf_counter()
-            report = run_campaign(
-                campaign, store=store, workers=args.workers, incremental=incremental
-            )
+            report = run_campaign(campaign, store=store, workers=args.workers)
             wall = time.perf_counter() - start
             phases[name] = {
                 "wall_seconds": round(wall, 6),
@@ -105,16 +103,16 @@ def main() -> int:
         # New seed -> new job keys; fresh worker state so the artifact
         # files (not pool warmth) must carry the structural stages.
         shutdown_warm_pool()
-        inc_report, _ = phase("incremental", seeded, incremental=True)
+        inc_report, _ = phase("reseeded", seeded)
         if inc_report.cached():
-            failures.append("incremental: job keys should have changed with the seed")
+            failures.append("reseeded: job keys should have changed with the seed")
         inc_cache = inc_report.cache
         if inc_cache["artifact_hits"] == 0:
-            failures.append("incremental: zero artifact hits (derivations re-derived)")
+            failures.append("reseeded: zero artifact hits (derivations re-derived)")
         if inc_cache["stage_hits"] == 0:
-            failures.append("incremental: zero stage hits (nothing replayed)")
+            failures.append("reseeded: zero stage hits (nothing replayed)")
         if inc_cache["corrupt"]:
-            failures.append(f"incremental: {inc_cache['corrupt']} corrupt store entries")
+            failures.append(f"reseeded: {inc_cache['corrupt']} corrupt store entries")
 
         phases["store"] = {
             "artifacts": len(store.artifact_keys()),

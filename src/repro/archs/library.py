@@ -26,15 +26,12 @@ for _config in SHOWCASE_CONFIGS:
     _REGISTRY[_config.name] = _config.build
 
 
-def register_architecture(
-    name: str,
-    factory: Callable[[], Architecture],
-    overwrite: bool = False,
-) -> None:
+def register_architecture(name: str, factory: Callable[[], Architecture]) -> None:
     """Register an architecture factory under a name.
 
-    Raises ValueError when the name is already taken, unless ``overwrite``
-    is given (family names resolved dynamically cannot be shadowed).
+    Raises ValueError when the name is already taken (unregister it first)
+    or is a family name, which is resolved dynamically and cannot be
+    shadowed.
     """
     if not name:
         raise ValueError("architecture name must be non-empty")
@@ -43,7 +40,7 @@ def register_architecture(
             f"the {name!r} prefix is reserved for the parametric family; "
             "family members are resolved from their canonical names"
         )
-    if name in _REGISTRY and not overwrite:
+    if name in _REGISTRY:
         raise ValueError(f"architecture {name!r} is already registered")
     _REGISTRY[name] = factory
 

@@ -12,7 +12,7 @@ from .generate import (
 )
 from .monitor import AssertionMonitor, AssertionViolation, MonitorReport, monitor_trace
 from .psl import psl_vunit
-from .report import VerificationSummary, format_table, violations_by_stage
+from .report import VerificationSummary, violations_by_stage
 from .sva import sva_bind_directive, sva_module
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "monitor_trace",
     "psl_vunit",
     "VerificationSummary",
-    "format_table",
     "violations_by_stage",
     "sva_bind_directive",
     "sva_module",

@@ -125,22 +125,16 @@ def combined_assertions(spec: CombinedSpec) -> List[Assertion]:
     return out
 
 
-def testbench_assertions(
-    functional: FunctionalSpec,
-    include_functional: bool = True,
-    include_performance: bool = True,
-) -> List[Assertion]:
+def testbench_assertions(functional: FunctionalSpec) -> List[Assertion]:
     """The assertion set the paper adds to the FirePath testbench.
 
     The project described in the paper focused on the performance half; both
-    halves are generated here and callers choose which to arm.
+    halves are generated here.  A caller that wants one half calls
+    :func:`functional_assertions` or :func:`performance_assertions`.
     """
-    out: List[Assertion] = []
-    if include_functional:
-        out.extend(functional_assertions(functional))
-    if include_performance:
-        out.extend(performance_assertions(PerformanceSpec(functional)))
-    return out
+    return functional_assertions(functional) + performance_assertions(
+        PerformanceSpec(functional)
+    )
 
 
 # The name starts with "test", so pytest would otherwise collect this helper
@@ -148,11 +142,7 @@ def testbench_assertions(
 testbench_assertions.__test__ = False
 
 
-def derived_assertions(
-    derivation,
-    include_functional: bool = True,
-    include_performance: bool = True,
-) -> List[Assertion]:
+def derived_assertions(derivation) -> List[Assertion]:
     """Assertions over the *derived* closed forms, from extracted covers.
 
     Where :func:`testbench_assertions` arms the raw specification clauses
@@ -172,40 +162,36 @@ def derived_assertions(
 
     Args:
         derivation: a :class:`~repro.spec.derivation.DerivationResult`.
-        include_functional: emit the hazard half.
-        include_performance: emit the unnecessary-stall half.
     """
     out: List[Assertion] = []
     moe_covers = derivation.moe_expressions
     stall_covers = derivation.stall_expressions()
     for moe in moe_covers:
         tag = _sanitise(moe)
-        if include_performance:
-            out.append(
-                Assertion(
-                    name=f"perf_closed_{tag}",
-                    kind=AssertionKind.PERFORMANCE,
-                    moe=moe,
-                    formula=moe_covers[moe].implies(Var(moe)),
-                    description=(
-                        f"{moe}: the stage must move whenever the derived most "
-                        "liberal assignment lets it move"
-                    ),
-                )
+        out.append(
+            Assertion(
+                name=f"perf_closed_{tag}",
+                kind=AssertionKind.PERFORMANCE,
+                moe=moe,
+                formula=moe_covers[moe].implies(Var(moe)),
+                description=(
+                    f"{moe}: the stage must move whenever the derived most "
+                    "liberal assignment lets it move"
+                ),
             )
-        if include_functional:
-            out.append(
-                Assertion(
-                    name=f"func_closed_{tag}",
-                    kind=AssertionKind.FUNCTIONAL,
-                    moe=moe,
-                    formula=stall_covers[moe].implies(Not(Var(moe))),
-                    description=(
-                        f"{moe}: the stage must stall whenever the derived most "
-                        "liberal assignment requires a stall"
-                    ),
-                )
+        )
+        out.append(
+            Assertion(
+                name=f"func_closed_{tag}",
+                kind=AssertionKind.FUNCTIONAL,
+                moe=moe,
+                formula=stall_covers[moe].implies(Not(Var(moe))),
+                description=(
+                    f"{moe}: the stage must stall whenever the derived most "
+                    "liberal assignment requires a stall"
+                ),
             )
+        )
     return out
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..pipeline.trace import SimulationTrace
 from .generate import AssertionKind
@@ -80,25 +80,3 @@ def violations_by_stage(report: MonitorReport) -> Dict[str, int]:
         counts[violation.assertion.moe] = counts.get(violation.assertion.moe, 0) + 1
     return counts
 
-
-def format_table(rows: List[Dict[str, object]], columns: Optional[List[str]] = None) -> str:
-    """Render a list of dict rows as a fixed-width text table.
-
-    Shared by the benchmark harnesses so every experiment prints its results
-    in the same shape as the paper reports them.
-    """
-    if not rows:
-        return "(no rows)"
-    columns = columns or list(rows[0].keys())
-    widths = {
-        column: max(len(str(column)), *(len(str(row.get(column, ""))) for row in rows))
-        for column in columns
-    }
-    header = " | ".join(str(column).ljust(widths[column]) for column in columns)
-    separator = "-+-".join("-" * widths[column] for column in columns)
-    lines = [header, separator]
-    for row in rows:
-        lines.append(
-            " | ".join(str(row.get(column, "")).ljust(widths[column]) for column in columns)
-        )
-    return "\n".join(lines)

@@ -866,11 +866,15 @@ class BddManager:
         rebuilds the whole accumulated result per operand (quadratic).
 
         ``balanced_reduce=False`` (default) — a sequential fold in the
-        order the operands arrive.  Right for non-localized workloads
-        (the property checker's default-order contexts): there the
-        balanced tree builds large intermediate combinations only to
-        throw them away — measured 5-10x slower — while the sequential
-        small × accumulated-result fold stays near-linear.
+        order the operands arrive.  Right for non-localized workloads:
+        there the balanced tree builds large intermediate combinations
+        only to throw them away — measured 5-10x slower — while the
+        sequential small × accumulated-result fold stays near-linear.
+        The contexts that fold sequentially are BMC's cycle-0 context,
+        a :class:`~repro.pipeline.interlock.ClosedFormInterlock` built
+        from plain expressions, :func:`~repro.spec.equivalence.interlocks_equivalent`,
+        and a fresh :func:`~repro.symbolic.serialize.load_functions`
+        context.
         """
         binary = self._binary
         if self._balanced_reduce:

@@ -12,7 +12,7 @@ campaigns and stall/coverage analysis — into a batch engine:
 * :mod:`repro.campaign.store` — a content-hashed store of per-job JSON
   results, binary BDD derivation artifacts and per-stage results keyed
   by dependency hashes, so re-running a campaign skips already-verified
-  configurations and incremental runs skip unchanged *stages*;
+  configurations and replays every unchanged *stage*;
 * :mod:`repro.campaign.orchestrator` — shards pending jobs across a
   persistent warm process pool (live symbolic state per worker) and
   streams the results into an aggregate report;
@@ -32,13 +32,14 @@ Quickstart::
     report = run_campaign(spec, store=ResultStore(".campaign-results"))
     print(report.describe())      # per-stage pass rates, cache tally
 
-The incremental-campaign contract lives in
+The stage-replay contract lives in
 :data:`~repro.campaign.spec.STAGE_DEPENDENCIES`: each stage's store key
 hashes only the :class:`JobSpec` fields that stage reads, so editing a
-workload knob re-runs only the stages that depend on it.  See
-``docs/architecture.md`` for the layer map and ``help(run_campaign)``
+workload knob re-runs only the stages that depend on it.  Any campaign
+with a store replays them; ``use_cache=False`` re-executes every stage.
+See ``docs/architecture.md`` for the layer map and ``help(run_campaign)``
 for the orchestration knobs (streaming ``on_result``, cooperative
-``should_stop`` cancellation, ``incremental`` stage replay).
+``should_stop`` cancellation).
 """
 
 from .orchestrator import CampaignCancelled, run_campaign, shutdown_warm_pool

@@ -78,7 +78,7 @@ def _execute_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     result = run_traced_job(
         job,
         store=store,
-        incremental=bool(payload.get("incremental", False)),
+        use_cache=payload["use_cache"],
         trace=payload.get("trace"),
     )
     # Gauges stay worker-local; counters and histograms travel.
@@ -137,7 +137,7 @@ def _run_pool(
     workers: int,
     progress: Optional[ProgressFn],
     store_root: Optional[str],
-    incremental: bool,
+    use_cache: bool,
     consume: Callable[[int, JobResult], None],
     should_stop: Optional[StopFn] = None,
     trace: Optional[Dict[str, Any]] = None,
@@ -151,7 +151,7 @@ def _run_pool(
             {
                 "job": job.to_dict(),
                 "store": store_root,
-                "incremental": incremental,
+                "use_cache": use_cache,
                 "trace": trace,
             },
         ): index
@@ -208,7 +208,6 @@ def run_campaign(
     use_cache: bool = True,
     progress: Optional[ProgressFn] = None,
     workers: Optional[int] = None,
-    incremental: bool = False,
     on_result: Optional[ResultFn] = None,
     should_stop: Optional[StopFn] = None,
     trace: Optional[bool] = None,
@@ -223,14 +222,13 @@ def run_campaign(
         spec: the declarative campaign to run.
         store: result store for content-hashed caching; None disables
             persistence entirely.
-        use_cache: look up previously verified configurations in the
-            store before scheduling work (writes happen regardless).
+        use_cache: reuse stored verdicts: answer a job from its stored
+            result, and replay each stage whose dependency hash has a
+            passing stored result instead of re-executing it (see
+            :data:`~repro.campaign.spec.STAGE_DEPENDENCIES`).  False
+            re-executes every stage; writes happen regardless.
         progress: optional line-oriented progress callback.
         workers: override the campaign's worker count (e.g. from the CLI).
-        incremental: replay stored per-stage results whose dependency
-            hashes are unchanged instead of re-executing those stages
-            (requires ``store``); see
-            :data:`~repro.campaign.spec.STAGE_DEPENDENCIES`.
         on_result: streaming callback invoked once per job *as results
             arrive* (cached jobs first, then fresh ones in completion
             order) — unlike the returned report, which is in job order.
@@ -275,8 +273,6 @@ def run_campaign(
         # A second identical run answers from the store in milliseconds:
         assert run_campaign(spec, store=store).cached()
     """
-    if incremental and store is None:
-        raise ValueError("incremental campaigns need a result store")
     worker_count = spec.workers if workers is None else max(1, workers)
     start = time.perf_counter()
     registry = get_registry()
@@ -345,7 +341,7 @@ def run_campaign(
                     worker_count,
                     progress,
                     store_root=None if store is None else str(store.root),
-                    incremental=incremental,
+                    use_cache=use_cache,
                     consume=lambda i, result: finish(pending[i], result, fresh=True),
                     should_stop=should_stop,
                     trace=job_trace,
@@ -358,7 +354,7 @@ def run_campaign(
                         )
                     job = spec.jobs[index]
                     result = run_traced_job(
-                        job, store=store, incremental=incremental, trace=job_trace
+                        job, store=store, use_cache=use_cache, trace=job_trace
                     )
                     finish(index, result, fresh=True)
                     if progress is not None:

@@ -407,7 +407,7 @@ _STAGE_IMPLS: Dict[
 def run_verification_job(
     job: JobSpec,
     store: Optional[Any] = None,
-    incremental: bool = False,
+    use_cache: bool = True,
 ) -> JobResult:
     """Run one job's stages in canonical order and collect the outcome.
 
@@ -418,12 +418,11 @@ def run_verification_job(
     With a ``store`` (any object with the :class:`ResultStore` artifact
     and stage methods), derivations are loaded from / dumped to binary
     artifacts keyed by dependency hash, and every passing stage's result
-    is recorded under its own :meth:`JobSpec.stage_key`.  With
-    ``incremental`` additionally set, stages whose dependency hash
-    already has a passing stored result are *not* re-executed — their
-    stored result is replayed with ``details["from_store"] = True`` —
-    which is what makes editing one workload knob re-run only the stages
-    that read it.
+    is recorded under its own :meth:`JobSpec.stage_key`.  Unless
+    ``use_cache`` is False, stages whose dependency hash already has a
+    passing stored result are *not* re-executed — their stored result is
+    replayed with ``details["from_store"] = True`` — which is what makes
+    editing one workload knob re-run only the stages that read it.
     """
     start = time.perf_counter()
     stages: List[StageResult] = []
@@ -452,7 +451,7 @@ def run_verification_job(
         stage_start = time.perf_counter()
         with span(name, kind="stage", arch=job.arch) as stage_span:
             cached = None
-            if incremental and store is not None:
+            if use_cache and store is not None:
                 cached = store.get_stage(name, job.stage_key(name))
             replayed = cached is not None and cached.ok
             if replayed:
@@ -519,7 +518,7 @@ def run_verification_job(
 def run_traced_job(
     job: JobSpec,
     store: Optional[Any] = None,
-    incremental: bool = False,
+    use_cache: bool = True,
     trace: Optional[Dict[str, Any]] = None,
 ) -> JobResult:
     """Run one job, optionally under a trace session.
@@ -532,11 +531,11 @@ def run_traced_job(
     export and merge.
     """
     if not trace:
-        return run_verification_job(job, store=store, incremental=incremental)
+        return run_verification_job(job, store=store, use_cache=use_cache)
     tracer = Tracer(trace_id=trace.get("id"), root_parent=trace.get("parent"))
     with tracer.activate():
         with span("job", arch=job.arch, stages=list(job.stages)) as job_span:
-            result = run_verification_job(job, store=store, incremental=incremental)
+            result = run_verification_job(job, store=store, use_cache=use_cache)
             job_span.annotate(ok=result.ok)
     get_registry().inc("repro_trace_spans_total", len(tracer.spans))
     result.trace_spans = tracer.spans

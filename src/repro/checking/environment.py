@@ -26,13 +26,12 @@ from ..pipeline.arbitration import (
 from ..pipeline.structure import Architecture
 
 
-def grant_assumptions(architecture: Architecture, work_conserving: bool = True) -> List[Expr]:
-    """Arbitration sanity: grants answer requests, one grant per bus."""
+def grant_assumptions(architecture: Architecture) -> List[Expr]:
+    """Arbitration sanity: grants answer requests, one per bus, and a requested bus is granted."""
     assumptions: List[Expr] = []
     for bus in architecture.buses:
         assumptions.extend(arbitration_environment_assumptions(bus))
-        if work_conserving:
-            assumptions.append(work_conserving_assumption(bus))
+        assumptions.append(work_conserving_assumption(bus))
     return assumptions
 
 
@@ -90,27 +89,16 @@ def request_assumptions(architecture: Architecture) -> List[Expr]:
     return assumptions
 
 
-def environment_assumptions(
-    architecture: Architecture,
-    work_conserving: bool = True,
-    include_requests: bool = True,
-) -> List[Expr]:
+def environment_assumptions(architecture: Architecture) -> List[Expr]:
     """All environment assumptions for an architecture."""
-    assumptions: List[Expr] = []
-    assumptions.extend(grant_assumptions(architecture, work_conserving))
-    assumptions.extend(bus_target_assumptions(architecture))
-    assumptions.extend(issue_register_assumptions(architecture))
-    if include_requests:
-        assumptions.extend(request_assumptions(architecture))
-    return assumptions
-
-
-def environment_formula(
-    architecture: Architecture,
-    work_conserving: bool = True,
-    include_requests: bool = True,
-) -> Expr:
-    """The conjunction of every environment assumption."""
-    return big_and(
-        environment_assumptions(architecture, work_conserving, include_requests)
+    return (
+        grant_assumptions(architecture)
+        + bus_target_assumptions(architecture)
+        + issue_register_assumptions(architecture)
+        + request_assumptions(architecture)
     )
+
+
+def environment_formula(architecture: Architecture) -> Expr:
+    """The conjunction of every environment assumption."""
+    return big_and(environment_assumptions(architecture))

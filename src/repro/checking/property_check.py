@@ -97,7 +97,6 @@ class PropertyChecker:
         self,
         spec: FunctionalSpec,
         architecture: Optional[Architecture] = None,
-        use_environment: bool = True,
         backend: str = "bdd",
         derivation: Optional[DerivationResult] = None,
     ):
@@ -106,7 +105,7 @@ class PropertyChecker:
         self.spec = spec
         self.backend = backend
         self.architecture = architecture or spec.metadata.get("architecture")
-        if use_environment and self.architecture is not None:
+        if self.architecture is not None:
             self.environment = environment_formula(self.architecture)
         else:
             self.environment = None

@@ -28,7 +28,7 @@ Sub-commands
                           architectures (a parametric family sweep and/or
                           named designs) across persistent worker processes,
                           with content-hashed result, stage and BDD-artifact
-                          caching (``--incremental`` replays unchanged stages)
+                          caching (stored stage results replay by default)
 ``artifact``              inspect the binary BDD artifacts in a result store
                           (variable order, node counts, payload metadata)
 ``serve``                 run the verification service daemon: a persistent
@@ -330,15 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--no-cache",
         action="store_true",
-        help="re-verify every configuration even when a cached result exists",
-    )
-    campaign.add_argument(
-        "--incremental",
-        action="store_true",
-        help="replay stored per-stage results whose dependency hashes are "
-        "unchanged instead of re-executing those stages (requires --store); "
+        help="re-execute every stage even when the store holds a result for "
+        "the job or for the stage (by default a job answers from its stored "
+        "result, and a stage whose dependency hash is unchanged replays; "
         "e.g. after changing only the workload seed, the structural stages "
-        "answer from the store and only faults/analysis re-run",
+        "answer from the store and only faults/analysis re-run)",
     )
     campaign.add_argument(
         "--report", help="write the aggregate report (JSON) to this file"
@@ -401,11 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="worker processes per campaign run (default: 2)",
-    )
-    serve.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="do not coalesce concurrent identical submissions onto one job",
     )
     serve.add_argument(
         "--trace",
@@ -792,15 +783,12 @@ def _cmd_campaign(args: argparse.Namespace, out: TextIO) -> int:
             out.write(f"  {job.arch}  stages={','.join(job.stages)}\n")
         return 0
     store = ResultStore(args.store) if args.store else None
-    if args.incremental and store is None:
-        raise CliError("--incremental requires a result store (--store)")
     report = run_campaign(
         spec,
         store=store,
         use_cache=not args.no_cache,
         progress=lambda line: out.write(line + "\n"),
         workers=args.workers,
-        incremental=args.incremental,
         trace=True if args.trace else None,
     )
     out.write(report.describe() + "\n")
@@ -864,7 +852,6 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
         port=args.port,
         store_root=args.store or None,
         workers=args.workers,
-        dedup=not args.no_dedup,
         trace=args.trace,
         out=out,
     )

@@ -16,7 +16,7 @@ it (performance vs functional), compared against the injected ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..assertions.generate import AssertionKind, testbench_assertions
 from ..assertions.monitor import AssertionMonitor
@@ -184,58 +184,48 @@ class CampaignSummary:
 
     records: List[DetectionRecord] = field(default_factory=list)
 
+    def _select(
+        self,
+        fault_class: Optional[FaultClass],
+        test: Callable[[DetectionRecord], object],
+    ) -> List[DetectionRecord]:
+        """The records of one fault class (all for None) that pass ``test``."""
+        return [
+            record
+            for record in self.records
+            if (fault_class is None or record.fault.fault_class is fault_class)
+            and test(record)
+        ]
+
     def total(self, fault_class: Optional[FaultClass] = None) -> int:
         """Number of injected faults (of one class)."""
-        return sum(
-            1
-            for record in self.records
-            if fault_class is None or record.fault.fault_class is fault_class
-        )
+        return len(self._select(fault_class, lambda record: True))
 
     def detected_by_simulation(self, fault_class: Optional[FaultClass] = None) -> int:
         """Faults detected by at least one assertion during simulation."""
-        return sum(
-            1
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and record.detected_by_simulation
-        )
+        return len(self._select(fault_class, lambda record: record.detected_by_simulation))
 
     def detected_by_property_check(self, fault_class: Optional[FaultClass] = None) -> int:
         """Faults refuted by the property checker (where applicable)."""
-        return sum(
-            1
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and record.detected_by_property_check
+        return len(
+            self._select(fault_class, lambda record: record.detected_by_property_check)
         )
 
     def property_check_applicable(self, fault_class: Optional[FaultClass] = None) -> int:
         """Faults for which property checking was applicable."""
-        return sum(
-            1
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and record.detected_by_property_check is not None
+        return len(
+            self._select(
+                fault_class, lambda record: record.detected_by_property_check is not None
+            )
         )
 
     def detected_by_any(self, fault_class: Optional[FaultClass] = None) -> int:
         """Faults detected by at least one of the two verification routes."""
-        return sum(
-            1
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and record.detected_by_any
-        )
+        return len(self._select(fault_class, lambda record: record.detected_by_any))
 
     def vacuous(self, fault_class: Optional[FaultClass] = None) -> int:
         """Injected mutations that provably did not change the interlock."""
-        return sum(
-            1
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and record.vacuous
-        )
+        return len(self._select(fault_class, lambda record: record.vacuous))
 
     def effective_total(self, fault_class: Optional[FaultClass] = None) -> int:
         """Injected faults that actually changed behaviour (non-vacuous)."""
@@ -243,30 +233,17 @@ class CampaignSummary:
 
     def correctly_classified(self, fault_class: Optional[FaultClass] = None) -> int:
         """Faults whose assertion-based classification matches the ground truth."""
-        return sum(
-            1
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and record.classified_correctly
-        )
+        return len(self._select(fault_class, lambda record: record.classified_correctly))
 
     def property_correctly_classified(self, fault_class: Optional[FaultClass] = None) -> int:
         """Faults whose property-check classification matches the ground truth."""
-        return sum(
-            1
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and record.property_classified_correctly
+        return len(
+            self._select(fault_class, lambda record: record.property_classified_correctly)
         )
 
     def simulation_misses(self, fault_class: Optional[FaultClass] = None) -> List[DetectionRecord]:
         """Faults the simulation testbench did not flag (the exhaustiveness gap)."""
-        return [
-            record
-            for record in self.records
-            if (fault_class is None or record.fault.fault_class is fault_class)
-            and not record.detected_by_simulation
-        ]
+        return self._select(fault_class, lambda record: not record.detected_by_simulation)
 
     def rows(self) -> List[Dict[str, object]]:
         """Per-fault table rows."""
@@ -313,7 +290,6 @@ class FaultCampaign:
         num_programs: int = 3,
         seed: int = 0,
         max_cycles: int = 600,
-        property_backend: str = "bdd",
         derivation: Optional[DerivationResult] = None,
     ):
         self.architecture = architecture
@@ -334,10 +310,7 @@ class FaultCampaign:
         self.simulated_cycles = 0
         self.stepped_cycles = 0
         self.property_checker = PropertyChecker(
-            spec,
-            architecture=architecture,
-            backend=property_backend,
-            derivation=derivation,
+            spec, architecture=architecture, derivation=derivation
         )
 
     def programs(self) -> List[Program]:

@@ -104,21 +104,15 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[key] = [name, labels, value]
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> None:
-        """Record ``value`` into a fixed-bucket histogram."""
+    def observe(self, name: str, value: float, **labels: Any) -> None:
+        """Record ``value`` into a histogram over :data:`DEFAULT_BUCKETS`."""
         key = self._key(name, labels)
         with self._lock:
             entry = self._histograms.get(key)
             if entry is None:
                 state = {
-                    "buckets": list(buckets),
-                    "counts": [0] * (len(buckets) + 1),
+                    "buckets": list(DEFAULT_BUCKETS),
+                    "counts": [0] * (len(DEFAULT_BUCKETS) + 1),
                     "sum": 0.0,
                     "count": 0,
                 }

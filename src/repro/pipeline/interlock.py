@@ -355,14 +355,12 @@ class StuckResetInterlock(Interlock):
         return self.inner.moe_flags()
 
 
-def reference_interlock(spec: FunctionalSpec, symbolic: bool = True) -> Interlock:
+def reference_interlock(spec: FunctionalSpec) -> ClosedFormInterlock:
     """The maximum-performance reference interlock for a functional spec.
 
-    ``symbolic=True`` derives closed forms once and evaluates them each
-    cycle; ``symbolic=False`` recomputes the concrete fixed point every
-    cycle.  Both produce identical moe values (a property the test-suite
-    checks); the benchmark suite compares their speed.
+    Its closed forms are derived once and evaluated each cycle.
+    :class:`SpecFixedPointInterlock` recomputes the concrete fixed point
+    every cycle instead; both produce identical moe values, which the
+    test-suite checks.
     """
-    if symbolic:
-        return ClosedFormInterlock.from_spec(spec)
-    return SpecFixedPointInterlock(spec)
+    return ClosedFormInterlock.from_spec(spec)

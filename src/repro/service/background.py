@@ -27,11 +27,9 @@ from .http import ServiceHTTPServer
 __all__ = ["ServiceHandle", "serve_blocking", "start_service"]
 
 
-def _build(
-    store_root: Optional[str], workers: int, dedup: bool, trace: bool
-) -> VerificationService:
+def _build(store_root: Optional[str], workers: int, trace: bool) -> VerificationService:
     store = ResultStore(store_root) if store_root else None
-    return VerificationService(store=store, workers=workers, dedup=dedup, trace=trace)
+    return VerificationService(store=store, workers=workers, trace=trace)
 
 
 class ServiceHandle:
@@ -82,7 +80,6 @@ def start_service(
     workers: int = 1,
     host: str = "127.0.0.1",
     port: int = 0,
-    dedup: bool = True,
     trace: bool = False,
 ) -> ServiceHandle:
     """Start daemon + HTTP server on a fresh thread; returns once listening.
@@ -95,7 +92,7 @@ def start_service(
     holder: dict = {}
 
     async def _main() -> None:
-        service = _build(store_root, workers, dedup, trace)
+        service = _build(store_root, workers, trace)
         await service.start()
         server = ServiceHTTPServer(service, host=host, port=port)
         try:
@@ -139,7 +136,6 @@ def serve_blocking(
     port: int = 8765,
     store_root: Optional[str] = ".campaign-results",
     workers: int = 2,
-    dedup: bool = True,
     trace: bool = False,
     out: Optional[TextIO] = None,
 ) -> int:
@@ -156,7 +152,7 @@ def serve_blocking(
             out.flush()
 
     async def _main() -> int:
-        service = _build(store_root, workers, dedup, trace)
+        service = _build(store_root, workers, trace)
         await service.start()
         server = ServiceHTTPServer(service, host=host, port=port)
         try:

@@ -86,9 +86,6 @@ class VerificationService:
         workers: worker-process count for each campaign run; submissions
             cannot raise it (the pool is a shared resource), their
             spec's own ``workers`` field is ignored.
-        dedup: coalesce concurrent identical submissions (same
-            :meth:`~repro.campaign.spec.CampaignSpec.campaign_key`) onto
-            one queued/running job.
         trace: run every campaign with span tracing forced on (job
             traces land in the store as NDJSON); the default False still
             honors a ``REPRO_TRACE=1`` environment.
@@ -103,12 +100,10 @@ class VerificationService:
         self,
         store: Optional[ResultStore] = None,
         workers: int = 2,
-        dedup: bool = True,
         trace: bool = False,
     ) -> None:
         self.store = store
         self.workers = max(1, int(workers))
-        self.dedup = dedup
         self.trace = bool(trace)
         self.started_at = time.time()
         self._jobs: Dict[str, JobRecord] = {}
@@ -226,12 +221,11 @@ class VerificationService:
             self._resolved_families.update(
                 job.arch for job in spec.jobs if is_family_name(job.arch)
             )
-        if self.dedup:
-            existing_id = self._active_key.get(spec.campaign_key())
-            existing = self._jobs.get(existing_id or "")
-            if existing is not None and not existing.terminal:
-                get_registry().inc("repro_service_coalesced_total")
-                return existing, True
+        existing_id = self._active_key.get(spec.campaign_key())
+        existing = self._jobs.get(existing_id or "")
+        if existing is not None and not existing.terminal:
+            get_registry().inc("repro_service_coalesced_total")
+            return existing, True
         get_registry().inc("repro_service_submissions_total")
         record = JobRecord(
             f"job-{next(self._ids):06d}", spec, priority, time.time()
@@ -334,7 +328,6 @@ class VerificationService:
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "workers": self.workers,
             "store": None if self.store is None else str(self.store.root),
-            "dedup": self.dedup,
             "jobs": self.state_counts(),
             "running": self._current_job_id,
         }

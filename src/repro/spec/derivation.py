@@ -369,20 +369,13 @@ def symbolic_most_liberal(
     # oscillating — so monotonicity (F_i[v:=1] → F_i[v:=0] for every
     # flag v the condition reads) is checked explicitly up front.
     with span("derive.monotonicity"):
-        for moe, reads in deps.items():
-            condition = condition_nodes[moe]
-            for name in reads:
-                with_move = manager.restrict(condition, name, True)
-                with_stall = manager.restrict(condition, name, False)
-                if (
-                    manager.or_(with_stall, manager.not_(with_move))
-                    != manager.true()
-                ):
-                    raise DerivationError(
-                        f"stall condition for {moe} is not monotone in the "
-                        f"negated moe flag {name}; the Section 3.1 "
-                        "preconditions are violated"
-                    )
+        from .properties import check_semantic_monotonicity
+
+        monotone = check_semantic_monotonicity(spec, context)
+        if not monotone.holds:
+            raise DerivationError(
+                f"{monotone.detail}; the Section 3.1 preconditions are violated"
+            )
     dependents: Dict[str, List[str]] = {moe: [] for moe in moe_flags}
     for moe, reads in deps.items():
         for read in reads:
@@ -455,9 +448,7 @@ def _require_preconditions(spec: FunctionalSpec) -> None:
         )
 
 
-def derive_performance_spec(
-    spec: FunctionalSpec, check_preconditions: bool = True
-) -> PerformanceSpec:
+def derive_performance_spec(spec: FunctionalSpec) -> PerformanceSpec:
     """Derive the maximum performance specification from a functional spec.
 
     This is the operation the paper performs manually in Section 2.2.2 and
@@ -465,23 +456,23 @@ def derive_performance_spec(
     properties (1) and (2), the optimal implementation is ``¬moe_i ↔ F_i``,
     so the performance half is obtained by flipping every implication.
 
-    When ``check_preconditions`` is true the Section 3.1 properties are
-    verified first (see :mod:`repro.spec.properties`) and a
+    The Section 3.1 properties are verified first (see
+    :mod:`repro.spec.properties`) and a
     :class:`~repro.spec.functional.SpecificationError` is raised if they fail
     — deriving a "maximum performance" spec from a non-monotone functional
     spec would be unsound.
     """
-    if check_preconditions:
-        _require_preconditions(spec)
+    _require_preconditions(spec)
     return PerformanceSpec(spec)
 
 
-def derive_combined_spec(
-    spec: FunctionalSpec, check_preconditions: bool = True
-) -> CombinedSpec:
-    """Derive the combined (functional + performance) specification."""
-    if check_preconditions:
-        _require_preconditions(spec)
+def derive_combined_spec(spec: FunctionalSpec) -> CombinedSpec:
+    """Derive the combined (functional + performance) specification.
+
+    Checks the Section 3.1 preconditions first, as
+    :func:`derive_performance_spec` does.
+    """
+    _require_preconditions(spec)
     return CombinedSpec(spec)
 
 

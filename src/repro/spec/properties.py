@@ -142,12 +142,15 @@ def check_semantic_monotonicity(
     is the semantic content of the Section 3.1 requirement and, by the
     paper's Section 3.1 proof, entails the disjunction-closure property.
     """
-    moe_set = set(spec.moe_flags())
+    moe_flags = spec.moe_flags()
     context = context or _spec_context(spec)
     for clause in spec.clauses:
         condition = context.lift(clause.condition)
-        used_moes = [name for name in clause.condition.variables() if name in moe_set]
-        for name in used_moes:
+        # A flag outside the support cofactors to the condition itself, so
+        # only the support is checked, in flag order: set order would
+        # permute the restricts' node ids from process to process.
+        support = condition.support()
+        for name in [moe for moe in moe_flags if moe in support]:
             with_move = condition.restrict({name: True})
             with_stall = condition.restrict({name: False})
             claim = with_move.implies(with_stall)

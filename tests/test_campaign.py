@@ -269,6 +269,13 @@ class TestOrchestrator:
         run_campaign(spec, store=store)
         report = run_campaign(spec, store=store, use_cache=False)
         assert not report.cached()
+        # The warm store holds every stage result, yet none is replayed.
+        assert not any(
+            stage.details.get("from_store")
+            for result in report.results
+            for stage in result.stages
+        )
+        assert report.cache["stage_hits"] == 0
 
     def test_process_pool_campaign(self, tmp_path):
         spec = small_campaign(workers=2)
@@ -458,7 +465,7 @@ class TestIncremental:
         first = run_verification_job(job, store=store)
         assert first.stage("derive").details["source"] == "computed"
         clear_warm_state()  # simulate a fresh worker process
-        second = run_verification_job(job, store=store)
+        second = run_verification_job(job, store=store, use_cache=False)
         assert second.ok
         assert second.stage("derive").details["source"] == "artifact"
 
@@ -474,7 +481,7 @@ class TestIncremental:
         store.artifact_path(key).write_bytes(good[:-7] + b"garbage")
         clear_warm_state()
         before = get_registry().snapshot()
-        result = run_verification_job(job, store=store)
+        result = run_verification_job(job, store=store, use_cache=False)
         assert result.ok
         assert result.stage("derive").details["source"] == "computed"
         traffic = store_traffic_since(before)
@@ -489,9 +496,7 @@ class TestIncremental:
         cold = run_campaign(small_campaign(workers=1), store=store)
         assert cold.all_ok()
         clear_warm_state()  # reuse must come from the store, not warmth
-        report = run_campaign(
-            small_campaign(workers=1, workload_seed=9), store=store, incremental=True
-        )
+        report = run_campaign(small_campaign(workers=1, workload_seed=9), store=store)
         assert report.all_ok()
         assert not report.cached()  # every job key changed with the seed
         for result in report.results:
@@ -513,9 +518,9 @@ class TestIncremental:
         store = ResultStore(tmp_path)
         job = tiny_job()
         registry = get_registry()
-        for incremental in (False, True):
+        for use_cache in (False, True):
             before = registry.snapshot()
-            result = run_verification_job(job, store=store, incremental=incremental)
+            result = run_verification_job(job, store=store, use_cache=use_cache)
             assert result.ok, result.error
             observed = sum(
                 state["count"]
@@ -537,16 +542,33 @@ class TestIncremental:
             name="widened", registers=(2,), widths=(1,), depths=(3, 4),
             styles=("bypass", "blocking"), workers=1, **TINY,
         )
-        report = run_campaign(widened, store=store, incremental=True)
+        report = run_campaign(widened, store=store)
         assert report.all_ok()
         cached = {r.job.arch for r in report.results if r.cached}
         fresh = {r.job.arch for r in report.results if not r.cached}
         assert cached == {"fam-r2w1d3s1-bypass", "fam-r2w1d3s1-blocking"}
         assert fresh == {"fam-r2w1d4s1-bypass", "fam-r2w1d4s1-blocking"}
 
-    def test_incremental_without_store_is_rejected(self):
-        with pytest.raises(ValueError):
-            run_campaign(small_campaign(workers=1), store=None, incremental=True)
+    def test_no_cache_on_warm_store_executes_every_stage(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert run_verification_job(tiny_job(), store=store).ok
+        clear_warm_state()
+        reseeded = tiny_job(workload_seed=9)
+        result = run_verification_job(reseeded, store=store, use_cache=False)
+        assert result.ok, result.error
+        assert [stage.name for stage in result.stages] == list(CANONICAL_STAGES)
+        assert not any(stage.details.get("from_store") for stage in result.stages)
+
+    def test_campaign_without_store_executes_every_stage(self):
+        report = run_campaign(small_campaign(workers=1), store=None)
+        assert report.all_ok()
+        assert not report.cached()
+        assert report.cache is None  # no store, no tally
+        assert not any(
+            stage.details.get("from_store")
+            for result in report.results
+            for stage in result.stages
+        )
 
 
 class TestWarmPool:
@@ -670,12 +692,14 @@ class TestCampaignCli:
         code, _ = run_cli("show-arch", "--arch", "fam-unparseable")
         assert code == 2
 
-    def test_incremental_requires_store(self):
-        code, _ = run_cli(
+    def test_campaign_without_store_runs(self):
+        code, output = run_cli(
             "campaign", "--registers", "2", "--widths", "1", "--depths", "3",
-            "--styles", "bypass", "--store", "", "--incremental", "--workers", "1",
+            "--styles", "bypass", "--store", "", "--workers", "1",
+            "--length", "24", "--max-faults", "1",
         )
-        assert code == 2
+        assert code == 0
+        assert "store:" not in output  # no store, no cache tally
 
     def test_incremental_sweep_and_cache_tally(self, tmp_path):
         store = str(tmp_path / "store")
@@ -688,7 +712,7 @@ class TestCampaignCli:
         assert code == 0
         assert "store:" in output  # the cache tally is surfaced
         clear_warm_state()
-        code, output = run_cli(*base, "--seed", "9", "--incremental")
+        code, output = run_cli(*base, "--seed", "9")
         assert code == 0
         assert "stages 4/6 hit" in output
 

@@ -56,9 +56,6 @@ class TestInterlockImplementations:
 
     def test_reference_interlock_factory(self, example_spec):
         assert isinstance(reference_interlock(example_spec), ClosedFormInterlock)
-        assert isinstance(
-            reference_interlock(example_spec, symbolic=False), SpecFixedPointInterlock
-        )
 
     def test_expression_access_and_mutation(self, example_interlock):
         from repro.expr import FALSE

@@ -180,6 +180,21 @@ class TestEndToEnd:
         assert job["from_cache"] is True and job["ok"] is True
         assert elapsed < 1.0  # measured ~3 ms; generous bound for CI noise
 
+    def test_reseeded_resubmit_replays_structural_stages(self, service):
+        client = service.client()
+        first = client.submit(arch=ARCH, **TINY)
+        client.wait(first["job"]["id"], timeout=120)
+
+        again = client.submit(arch=ARCH, workload_seed=5, **TINY)
+        assert again["job"]["from_cache"] is False  # a new job key
+        final = client.wait(again["job"]["id"], timeout=120)
+        assert final["state"] == JobState.DONE and final["ok"] is True
+        stages = final["report"]["jobs"][0]["stages"]
+        replayed = [s["name"] for s in stages if s["details"].get("from_store")]
+        executed = [s["name"] for s in stages if not s["details"].get("from_store")]
+        assert replayed == ["properties", "derive", "maximality", "obligations"]
+        assert executed == ["faults", "analysis"]
+
     def test_campaign_submission(self, service):
         client = service.client()
         campaign = CampaignSpec(

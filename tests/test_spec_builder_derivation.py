@@ -250,7 +250,7 @@ class TestDerivedSpecs:
         with pytest.raises(SpecificationError):
             derive_performance_spec(spec)
 
-    def test_skip_precondition_check(self):
+    def test_combined_derivation_rejects_non_monotone_spec(self):
         spec = FunctionalSpec(
             name="broken",
             clauses=[
@@ -259,8 +259,8 @@ class TestDerivedSpecs:
             ],
             inputs=["x"],
         )
-        performance = derive_performance_spec(spec, check_preconditions=False)
-        assert len(performance.clauses) == 2
+        with pytest.raises(SpecificationError):
+            derive_combined_spec(spec)
 
     def test_most_liberal_is_maximal(self, example_spec, example_derivation):
         assert check_maximality(example_spec, example_derivation).holds

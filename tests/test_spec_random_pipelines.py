@@ -165,7 +165,7 @@ class TestRandomPipelineTheory:
     @given(random_pipeline_specs())
     def test_derived_interlock_passes_every_property_check(self, spec):
         interlock = ClosedFormInterlock.from_derivation(symbolic_most_liberal(spec))
-        checker = PropertyChecker(spec, architecture=None, use_environment=False)
+        checker = PropertyChecker(spec, architecture=None)
         assert checker.check_functional(interlock).all_hold()
         assert checker.check_performance(interlock).all_hold()
         assert checker.check_combined(interlock).all_hold()
