@@ -65,6 +65,13 @@ MODULES = [
     "repro.service",
     "repro.service.client",
     "repro.service.daemon",
+    "repro.bdd",
+    "repro.bdd.manager",
+    "repro.bdd.ordering",
+    "repro.symbolic",
+    "repro.checking.bmc",
+    "repro.spec.equivalence",
+    "repro.expr",
 ]
 for name in MODULES:
     text = pydoc.render_doc(name, renderer=pydoc.plaintext)

@@ -2,14 +2,7 @@
 
 from .expr_to_bdd import compile_expr
 from .manager import FALSE_NODE, TRUE_NODE, BddManager, BddStats, CoverBudgetExceeded
-from .ordering import (
-    interleaved_order,
-    occurrence_order,
-    order_from_exprs,
-    register_index_of,
-    register_interleaved_order,
-    stage_major_order,
-)
+from .ordering import register_index_of, register_interleaved_order
 from .serialize import (
     ArtifactError,
     dump_nodes,
@@ -28,10 +21,6 @@ __all__ = [
     "inspect_artifact",
     "load_nodes",
     "compile_expr",
-    "interleaved_order",
-    "occurrence_order",
-    "order_from_exprs",
     "register_index_of",
     "register_interleaved_order",
-    "stage_major_order",
 ]

@@ -15,7 +15,7 @@ def compile_expr(
 
     Variables are declared on first use in the manager's current order; for
     reproducible node counts declare an explicit order first (see
-    :func:`repro.bdd.ordering.interleaved_order`).
+    :func:`repro.bdd.ordering.register_interleaved_order`).
 
     A ``cache`` dictionary may be supplied to share compiled sub-expressions
     across calls against the same manager (the property checker does this so

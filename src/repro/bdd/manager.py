@@ -73,7 +73,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 FALSE_NODE = 0
 TRUE_NODE = 1
@@ -94,8 +94,6 @@ _TAG_ITE = 2
 _TAG_E = 3
 _TAG_A = 4
 _TAG_EA = 5
-_TAG_CONSTRAIN = 6
-_TAG_RESTRICT = 7
 
 class CoverBudgetExceeded(RuntimeError):
     """Raised by :meth:`BddManager.isop` when a cover outgrows ``max_cubes``.
@@ -176,12 +174,7 @@ class BddManager:
             return super().__new__(SanitizedBddManager)
         return super().__new__(cls)
 
-    def __init__(
-        self,
-        variable_order: Optional[Sequence[str]] = None,
-        *,
-        balanced_reduce: bool = False,
-    ):
+    def __init__(self, variable_order: Optional[Sequence[str]] = None):
         # Struct-of-arrays node store; terminals occupy ids 0 and 1 with a
         # sentinel level.  A freed slot has _var[i] == -1.
         self._var: List[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
@@ -205,8 +198,6 @@ class BddManager:
         self._isop_cache: Dict[int, tuple] = {}
         self._var_levels: Dict[str, int] = {}
         self._level_vars: List[str] = []
-        # How and_all/or_all combine their operands; see _reduce_connective.
-        self._balanced_reduce = balanced_reduce
         # Callbacks run after every GC sweep; see add_sweep_hook.
         self._sweep_hooks: List[Callable[[Callable[[int], bool]], None]] = []
         # Health counters.
@@ -287,11 +278,6 @@ class BddManager:
         """BDD for a single variable."""
         level = self.declare(name)
         return self._make_node(level, FALSE_NODE, TRUE_NODE)
-
-    def nvar(self, name: str) -> int:
-        """BDD for the negation of a single variable."""
-        level = self.declare(name)
-        return self._make_node(level, TRUE_NODE, FALSE_NODE)
 
     def true(self) -> int:
         """The TRUE terminal."""
@@ -836,8 +822,8 @@ class BddManager:
 
         A product of single-variable literals (every scoreboard stall cube
         is one) takes the zero-apply literal-chain fast path; anything
-        else goes through :meth:`_reduce_connective`, which picks the
-        combination shape by operand size.
+        else goes through :meth:`_reduce_connective`, a balanced pairwise
+        tree.
         """
         items = [node for node in nodes if node != TRUE_NODE]
         if FALSE_NODE in items:
@@ -852,50 +838,26 @@ class BddManager:
     def _reduce_connective(self, tag: int, items: List[int], absorbing: int) -> int:
         """Combine many operands under one commutative connective.
 
-        The profitable shape depends on how operand supports relate to
-        the variable order, which only the *owner* of the order knows —
-        hence the ``balanced_reduce`` construction knob rather than a
-        local heuristic (operand sizes do not discriminate: the same
-        cube lists occur in both regimes).
-
-        ``balanced_reduce=True`` — a balanced pairwise tree.  Right when
-        operand supports are localized bands of the order, e.g.
-        per-register stall cubes under the register-interleaved
-        derivation order: intermediates combine neighbouring bands and
-        stay proportional to their own span, where a sequential fold
-        rebuilds the whole accumulated result per operand (quadratic).
-
-        ``balanced_reduce=False`` (default) — a sequential fold in the
-        order the operands arrive.  Right for non-localized workloads:
-        there the balanced tree builds large intermediate combinations
-        only to throw them away — measured 5-10x slower — while the
-        sequential small × accumulated-result fold stays near-linear.
-        The contexts that fold sequentially are BMC's cycle-0 context,
-        a :class:`~repro.pipeline.interlock.ClosedFormInterlock` built
-        from plain expressions, :func:`~repro.spec.equivalence.interlocks_equivalent`,
-        and a fresh :func:`~repro.symbolic.serialize.load_functions`
-        context.
+        The operands combine as a balanced pairwise tree.  The verification
+        flow orders every context register-interleaved, so operand supports
+        are localized bands of the order (e.g. per-register stall cubes): a
+        tree's intermediates combine neighbouring bands and stay
+        proportional to their own span, where a sequential fold would
+        rebuild the whole accumulated result once per operand (quadratic).
         """
         binary = self._binary
-        if self._balanced_reduce:
-            while len(items) > 1:
-                paired: List[int] = []
-                append = paired.append
-                for i in range(1, len(items), 2):
-                    result = binary(tag, items[i - 1], items[i])
-                    if result == absorbing:
-                        return absorbing
-                    append(result)
-                if len(items) & 1:
-                    append(items[-1])
-                items = paired
-            return items[0]
-        out = items[0]
-        for node in items[1:]:
-            out = binary(tag, out, node)
-            if out == absorbing:
-                return absorbing
-        return out
+        while len(items) > 1:
+            paired: List[int] = []
+            append = paired.append
+            for i in range(1, len(items), 2):
+                result = binary(tag, items[i - 1], items[i])
+                if result == absorbing:
+                    return absorbing
+                append(result)
+            if len(items) & 1:
+                append(items[-1])
+            items = paired
+        return items[0]
 
     def _literal_cube(self, items: List[int]) -> Optional[int]:
         """Direct unique-table chain for a conjunction of literals.
@@ -1077,7 +1039,7 @@ class BddManager:
             stack.pop()
         return cache[f]
 
-    # -- generalized cofactors and covers ----------------------------------------
+    # -- covers ------------------------------------------------------------------
 
     @contextmanager
     def _level_bounded_recursion(self):
@@ -1106,97 +1068,6 @@ class BddManager:
             yield
         finally:
             sys.setrecursionlimit(previous)
-
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        """The (low, high) cofactors of ``node`` with respect to ``level``."""
-        if self._var[node] == level:
-            return self._lo[node], self._hi[node]
-        return node, node
-
-    def constrain(self, f: int, care: int) -> int:
-        """The Coudert–Madre generalized cofactor ``f ↓ care`` (*constrain*).
-
-        The result agrees with ``f`` everywhere ``care`` holds; outside the
-        care set its value is chosen so the result is canonical in ``(f,
-        care)``.  Useful as a caching-friendly image operator; for pure
-        size reduction prefer :meth:`restrict_with`, which never pulls
-        variables of ``care`` into the result that ``f`` does not mention.
-        """
-        if care == FALSE_NODE:
-            raise ValueError("constrain against an empty care set is undefined")
-        cache = self._op_cache
-
-        def rec(f: int, c: int) -> int:
-            if c == TRUE_NODE or f <= TRUE_NODE:
-                return f
-            if f == c:
-                return TRUE_NODE
-            if self._not_cache.get(f) == c:
-                return FALSE_NODE
-            key = (((f << _NODE_BITS) | c) << 3) | _TAG_CONSTRAIN
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            level = min(self._var[f], self._var[c])
-            c0, c1 = self._cofactors(c, level)
-            f0, f1 = self._cofactors(f, level)
-            if c1 == FALSE_NODE:
-                result = rec(f0, c0)
-            elif c0 == FALSE_NODE:
-                result = rec(f1, c1)
-            else:
-                result = self._make_node(level, rec(f0, c0), rec(f1, c1))
-            cache[key] = result
-            return result
-
-        with self._level_bounded_recursion():
-            return rec(f, care)
-
-    def restrict_with(self, f: int, care: int) -> int:
-        """The Coudert–Madre *restrict* operator: simplify ``f`` on the care set.
-
-        Like :meth:`constrain` the result agrees with ``f`` wherever
-        ``care`` holds, but care-set variables that ``f`` does not depend on
-        are quantified away instead of copied into the result, so the
-        output never grows support beyond ``f``'s.  The printers use it to
-        shrink a function against environment assumptions before
-        materializing a cover.
-        """
-        if care == FALSE_NODE:
-            raise ValueError("restrict against an empty care set is undefined")
-        cache = self._op_cache
-
-        def rec(f: int, c: int) -> int:
-            if c == TRUE_NODE or f <= TRUE_NODE:
-                return f
-            if f == c:
-                return TRUE_NODE
-            if self._not_cache.get(f) == c:
-                return FALSE_NODE
-            key = (((f << _NODE_BITS) | c) << 3) | _TAG_RESTRICT
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            level_f = self._var[f]
-            level_c = self._var[c]
-            if level_c < level_f:
-                # f does not test this care variable: drop it existentially.
-                result = rec(f, self._binary(_TAG_OR, self._lo[c], self._hi[c]))
-            else:
-                c0, c1 = self._cofactors(c, level_f)
-                if c1 == FALSE_NODE:
-                    result = rec(self._lo[f], c0)
-                elif c0 == FALSE_NODE:
-                    result = rec(self._hi[f], c1)
-                else:
-                    result = self._make_node(
-                        level_f, rec(self._lo[f], c0), rec(self._hi[f], c1)
-                    )
-            cache[key] = result
-            return result
-
-        with self._level_bounded_recursion():
-            return rec(f, care)
 
     def isop(
         self, lower: int, upper: int, max_cubes: Optional[int] = None
@@ -1338,25 +1209,6 @@ class BddManager:
             node, _, spine = rec(lower, upper)
             flatten(spine)
             return node, tuple(cubes_out)
-
-    def isop_cover(self, f: int, care: Optional[int] = None) -> List[Dict[str, bool]]:
-        """An irredundant SOP cover of ``f`` as name-keyed cubes.
-
-        With a ``care`` set the cover only needs to match ``f`` on the care
-        set (assignments outside it are don't-cares), which typically gives
-        a smaller cover; the bounds are then ``f ∧ care ≤ cover ≤ f ∨
-        ¬care``.
-        """
-        if care is None:
-            lower = upper = f
-        else:
-            lower = self._binary(_TAG_AND, f, care)
-            upper = self._binary(_TAG_OR, f, self.not_(care))
-        _, cubes = self.isop(lower, upper)
-        return [
-            {self._level_vars[level]: polarity for level, polarity in cube}
-            for cube in cubes
-        ]
 
     def _quant_key(self, names: Iterable[str]) -> Optional[int]:
         levels = frozenset(self.declare(name) for name in names)
@@ -1722,44 +1574,6 @@ class BddManager:
         for name in self.support(f):
             assignment.setdefault(name, False)
         return assignment
-
-    def all_sat(self, f: int, over: Optional[Sequence[str]] = None) -> Iterator[Dict[str, bool]]:
-        """Enumerate all satisfying assignments over ``over`` (default: support).
-
-        Enumeration follows the manager's variable order: the BDD is walked
-        top-down, so ``over`` is traversed from the outermost declared level
-        inward regardless of the order (or names) the caller supplied.
-        """
-        pool = sorted(set(over)) if over is not None else sorted(self.support(f))
-        for name in pool:
-            self.declare(name)
-        names = sorted(pool, key=self._var_levels.__getitem__)
-        missing = self.support(f) - set(names)
-        if missing:
-            raise ValueError(f"enumeration variables {sorted(missing)} are not in 'over'")
-        name_levels = [self._var_levels[name] for name in names]
-
-        def rec(node: int, index: int, partial: Dict[str, bool]) -> Iterator[Dict[str, bool]]:
-            if node == FALSE_NODE:
-                return
-            if index == len(names):
-                if node == TRUE_NODE:
-                    yield dict(partial)
-                return
-            name = names[index]
-            level = name_levels[index]
-            for value in (False, True):
-                if node <= TRUE_NODE:
-                    child = node
-                elif self._var[node] == level:
-                    child = self._hi[node] if value else self._lo[node]
-                else:
-                    child = node
-                partial[name] = value
-                yield from rec(child, index + 1, partial)
-            del partial[name]
-
-        yield from rec(f, 0, {})
 
     def dag_size(self, f: int) -> int:
         """Number of distinct nodes reachable from ``f`` (excluding terminals)."""

@@ -1,17 +1,17 @@
-"""Static variable ordering heuristics for the BDD manager.
+"""The static variable order of every verification BDD context.
 
 A good order keeps related signals adjacent.  For pipeline interlock
-formulas the natural order is "by stage, back to front", which mirrors how
-control flows backwards from the completion stages and keeps the moe/rtm
-flags of each stage together.
+formulas the signals that must sit together are each register's
+selector, scoreboard and bypass indicators:
+:func:`register_interleaved_order` groups them by register index.
+:func:`repro.spec.derivation.derivation_order` builds every job's order
+on it, and the equivalence checks order their shared contexts with it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence
-
-from ..expr.ast import Expr, variables_of
+from typing import List, Optional, Sequence
 
 _REGISTER_INDEX_RE = re.compile(r"(?:\[(\d+)\]|=(\d+))$")
 
@@ -56,70 +56,3 @@ def register_interleaved_order(names: Sequence[str]) -> List[str]:
     for index in sorted(grouped):
         order.extend(grouped[index])
     return order
-
-
-def order_from_exprs(exprs: Iterable[Expr]) -> List[str]:
-    """Deterministic (sorted) order over all variables of the expressions."""
-    return sorted(variables_of(list(exprs)))
-
-
-def occurrence_order(exprs: Sequence[Expr]) -> List[str]:
-    """Order variables by first occurrence in a pre-order walk.
-
-    Keeps variables that appear together in a sub-formula close in the
-    order, which is a cheap approximation of the classic fan-in heuristic.
-    """
-    seen = []
-    seen_set = set()
-    for expr in exprs:
-        for node in _preorder(expr):
-            name = getattr(node, "name", None)
-            if name is not None and name not in seen_set:
-                seen_set.add(name)
-                seen.append(name)
-    return seen
-
-
-def interleaved_order(groups: Sequence[Sequence[str]]) -> List[str]:
-    """Round-robin interleave several signal groups.
-
-    Useful when comparing an implementation against a specification that
-    uses renamed copies of the same signals: keeping each signal next to its
-    copy avoids the exponential blow-up of a concatenated order.
-    """
-    order: List[str] = []
-    seen = set()
-    longest = max((len(g) for g in groups), default=0)
-    for index in range(longest):
-        for group in groups:
-            if index < len(group):
-                name = group[index]
-                if name not in seen:
-                    seen.add(name)
-                    order.append(name)
-    return order
-
-
-def stage_major_order(stage_signal_names: Sequence[Sequence[str]]) -> List[str]:
-    """Concatenate per-stage signal groups, deepest pipeline stage first.
-
-    This follows the paper's observation that control flows backwards from
-    the completion stages: placing a stage's moe flag right after the
-    signals that feed it keeps the interlock BDDs small.
-    """
-    order: List[str] = []
-    seen = set()
-    for group in stage_signal_names:
-        for name in group:
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-    return order
-
-
-def _preorder(expr: Expr):
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children()))

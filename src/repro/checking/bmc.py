@@ -33,14 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..bdd.ordering import register_interleaved_order
 from ..expr.ast import Expr, FALSE, Implies, Not, TRUE, Var
 from ..expr.builders import big_and
 from ..expr.transform import rename, simplify, substitute
 from ..pipeline.structure import Architecture
 from ..sat.interface import check_valid
 from ..spec.functional import FunctionalSpec
-from ..symbolic import SymbolicContext
 
 __all__ = [
     "timed_name",
@@ -239,34 +237,26 @@ class BmcResult:
 
 
 class BoundedModelChecker:
-    """Unrolls an interlock model and checks the per-cycle claims with SAT."""
+    """Unrolls an interlock model and checks the per-cycle claims with SAT.
+
+    Every cycle's claim ranges over fresh timed variables, so a BDD
+    context could not reuse compiled nodes from one cycle to the next;
+    each claim is one small SAT query over the cycles it mentions, and a
+    refutation comes with the solver's model as a cycle-stamped witness.
+    The BDD property checker
+    (:class:`~repro.checking.property_check.PropertyChecker`) is the
+    independent engine the per-cycle verdicts are cross-checked against.
+    """
 
     def __init__(
         self,
         spec: FunctionalSpec,
         environment: Optional[Expr] = None,
         stop_at_first: bool = True,
-        backend: str = "sat",
     ):
-        # SAT is the default: every cycle's claim ranges over fresh timed
-        # variables, so the BDD route cannot amortise compilation across
-        # cycles and measures several times slower cold.  The "bdd" backend
-        # (one fused and_exists sweep per claim, counterexamples from the
-        # conjunction BDD) remains available for cache-heavy callers that
-        # re-check many models against one specification.
-        if backend not in ("bdd", "sat"):
-            raise ValueError(f"backend must be 'bdd' or 'sat', got {backend!r}")
         self.spec = spec
         self.environment = _as_expr(environment) if environment is not None else None
         self.stop_at_first = stop_at_first
-        self.backend = backend
-        # One shared context across all cycles and claims: the timed copies
-        # of the environment and the model equations recur from claim to
-        # claim, so their compiled BDDs are reused.  Cycle-major order,
-        # each cycle's signals register-interleaved (declared in check()).
-        self._signal_order = register_interleaved_order([*spec.moe_flags(), *spec.input_signals()])
-        cycle_0 = [timed_name(name, 0) for name in self._signal_order]
-        self._context = SymbolicContext(cycle_0) if backend == "bdd" else None
 
     # -- claim construction -----------------------------------------------------------
 
@@ -309,19 +299,6 @@ class BoundedModelChecker:
 
     def _decide(self, assumptions: Expr, claim: Expr) -> Tuple[bool, Optional[Dict[str, bool]]]:
         """Decide validity of ``assumptions → claim``; a witness refutes it."""
-        if self.backend == "bdd":
-            context = self._context
-            manager = context.manager
-            assumption_node = context.lift(assumptions).node
-            refutation = manager.not_(context.lift(claim).node)
-            # Valid iff assumptions ∧ ¬claim is unsatisfiable — one fused
-            # relational-product sweep over every declared variable.
-            witness = manager.and_exists(
-                assumption_node, refutation, manager.variable_order()
-            )
-            if witness == manager.false():
-                return True, None
-            return False, manager.pick_one(manager.and_(assumption_node, refutation))
         decision = check_valid(simplify(Implies(assumptions, claim)))
         if decision.answer:
             return True, None
@@ -338,9 +315,6 @@ class BoundedModelChecker:
             kind=kind,
         )
         for cycle in range(bound):
-            if self._context is not None:
-                for name in self._signal_order:
-                    self._context.manager.declare(timed_name(name, cycle))
             for moe, claim in self._claims_at(model, cycle, kind).items():
                 result.claims_checked += 1
                 assumptions = self._assumptions_for(claim, cycle)

@@ -20,7 +20,6 @@ from .lint import Finding, Rule, SourceFile, register
 NODE_RETURNING_METHODS = frozenset(
     {
         "var",
-        "nvar",
         "ite",
         "not_",
         "and_",
@@ -33,8 +32,6 @@ NODE_RETURNING_METHODS = frozenset(
         "restrict",
         "compose",
         "compose_many",
-        "constrain",
-        "restrict_with",
         "exists",
         "forall",
         "and_exists",
@@ -57,8 +54,6 @@ NODE_COMBINING_METHODS = frozenset(
         "or_all",
         "compose",
         "compose_many",
-        "constrain",
-        "restrict_with",
         "and_exists",
         "equivalent",
         "find_difference",

@@ -366,13 +366,10 @@ _VALIDATED_OPERATIONS = {
     "iff": (0, 1),
     "restrict": (0,),
     "compose": (0, 2),
-    "constrain": (0, 1),
-    "restrict_with": (0, 1),
     "exists": (0,),
     "forall": (0,),
     "and_exists": (0, 1),
     "isop": (0,),
-    "isop_cover": (0,),
     "is_true": (0,),
     "is_false": (0,),
     "equivalent": (0, 1),
@@ -382,7 +379,6 @@ _VALIDATED_OPERATIONS = {
     "sat_count": (0,),
     "find_difference": (0, 1),
     "pick_one": (0,),
-    "all_sat": (0,),
     "dag_size": (0,),
 }
 

@@ -1,11 +1,10 @@
-"""Boolean and finite-domain expression substrate.
+"""Boolean expression substrate.
 
 This package provides the specification language of the reproduction: an
 immutable expression AST (:mod:`repro.expr.ast`), constructors
 (:mod:`repro.expr.builders`), evaluation (:mod:`repro.expr.evaluate`),
 structural transformations (:mod:`repro.expr.transform`), CNF conversion
-(:mod:`repro.expr.cnf`), finite-domain quantification
-(:mod:`repro.expr.domains`), a parser (:mod:`repro.expr.parser`) and
+(:mod:`repro.expr.cnf`), a parser (:mod:`repro.expr.parser`) and
 printers (:mod:`repro.expr.printer`).
 """
 
@@ -36,18 +35,6 @@ from .builders import (
     vars_,
 )
 from .cnf import CnfResult, distribute_to_cnf, to_cnf_clauses
-from .domains import (
-    EnumVar,
-    FiniteDomain,
-    SDREG,
-    encode_enum_assignment,
-    exists,
-    exists_many,
-    forall,
-    forall_many,
-    register_address_domain,
-    scoreboard_bit,
-)
 from .compile import (
     CompiledOutputs,
     bitparallel_count,
@@ -103,16 +90,6 @@ __all__ = [
     "CnfResult",
     "distribute_to_cnf",
     "to_cnf_clauses",
-    "EnumVar",
-    "FiniteDomain",
-    "SDREG",
-    "encode_enum_assignment",
-    "exists",
-    "exists_many",
-    "forall",
-    "forall_many",
-    "register_address_domain",
-    "scoreboard_bit",
     "CompiledOutputs",
     "bitparallel_count",
     "bitparallel_find_falsifying",

@@ -3,9 +3,9 @@
 This module defines the small expression language used throughout the
 library to write pipeline flow-control specifications in the style of the
 DAC 2002 paper.  Expressions are immutable, hashable trees over boolean
-variables with the connectives NOT / AND / OR / IMPLIES / IFF / ITE, plus
-finite-domain equality atoms which are lowered to booleans before any
-symbolic reasoning (see :mod:`repro.expr.domains`).
+variables with the connectives NOT / AND / OR / IMPLIES / IFF / ITE.
+Register addresses appear as one-hot indicator booleans (see
+:mod:`repro.pipeline.signals`).
 
 The classes here are deliberately plain data carriers; algorithms that walk
 the tree (evaluation, substitution, conversion to normal forms, printing)

@@ -6,8 +6,9 @@ simulator, assertion generator, property checker, RTL synthesiser) refers
 to signals by these dotted string names, so the conventions are centralised
 here.
 
-Enumerated signals (register addresses) are lowered to one-hot indicator
-booleans named ``<signal>=<value>`` by :mod:`repro.expr.domains`.
+Enumerated signals (register addresses) are one-hot indicator booleans
+named ``<signal>=<value>``; the spec builder expands the paper's
+quantifiers over them into finite disjunctions.
 """
 
 from __future__ import annotations

@@ -180,16 +180,15 @@ class DerivationResult:
     ) -> "DerivationResult":
         """Rebuild a derivation from artifact bytes for a known spec.
 
-        Loads into a fresh context mirroring the source's variable order
-        (balanced-reduce on, matching :func:`symbolic_most_liberal`), or
-        splices into ``context`` when given.  Raises
+        Loads into a fresh context mirroring the source's variable order,
+        or splices into ``context`` when given.  Raises
         :class:`~repro.bdd.serialize.ArtifactError` when the bytes are
         corrupt, truncated, or do not belong to ``spec`` — callers treat
         that exactly like a cache miss and re-derive.
         """
         from ..symbolic.serialize import load_functions
 
-        loaded = load_functions(data, context=context, balanced_reduce=True)
+        loaded = load_functions(data, context=context)
         payload = loaded.payload
         if payload.get("kind") != "derivation":
             raise ArtifactError("artifact does not hold a derivation result")
@@ -337,7 +336,7 @@ def symbolic_most_liberal(
     moe_flags = spec.moe_flags()
     limit = max_iterations if max_iterations is not None else len(moe_flags) + 2
     if context is None:
-        context = SymbolicContext(derivation_order(spec), balanced_reduce=True)
+        context = SymbolicContext(derivation_order(spec))
     manager = context.manager
     with span("derive.compile", clauses=len(spec.clauses)):
         condition_nodes: Dict[str, int] = {

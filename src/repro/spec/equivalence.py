@@ -10,7 +10,7 @@ This module provides those comparisons at both levels:
 
 * **clause level** — are two functional specifications the same
   specification, i.e. is every per-stage stall condition logically
-  equivalent (optionally modulo environment assumptions)?
+  equivalent?
 * **derived level** — do two functional specifications induce the same
   maximum-performance interlock, i.e. are the closed forms of their most
   liberal moe assignments equivalent?  Two textually different
@@ -164,9 +164,7 @@ def _shared_context(spec_a: FunctionalSpec, spec_b: FunctionalSpec) -> SymbolicC
     """A context over both specs' signals, in :func:`derivation_order` style."""
     moes = dict.fromkeys([*spec_a.moe_flags(), *spec_b.moe_flags()])
     inputs = dict.fromkeys([*spec_a.input_signals(), *spec_b.input_signals()])
-    return SymbolicContext(
-        [*moes, *register_interleaved_order(list(inputs))], balanced_reduce=True
-    )
+    return SymbolicContext([*moes, *register_interleaved_order(list(inputs))])
 
 
 def _compare(
@@ -174,18 +172,10 @@ def _compare(
     moe: str,
     function_a: Union[Expr, SymbolicFunction],
     function_b: Union[Expr, SymbolicFunction],
-    assumptions: Optional[Expr],
 ) -> FlagComparison:
-    """Compare two functions of one flag under the assumptions, in ``context``.
-
-    ``c → (a → b)`` is valid exactly when ``c ∧ a → c ∧ b`` is, so both
-    directions and the witness come from the two conjunctions.
-    """
+    """Compare two functions of one flag in ``context``, both directions."""
     a = context.lift(function_a)
     b = context.lift(function_b)
-    if assumptions is not None:
-        care = context.lift(assumptions)
-        a, b = care & a, care & b
     forward_holds = a.implies(b).is_true()
     backward_holds = b.implies(a).is_true()
     return FlagComparison(
@@ -200,30 +190,20 @@ def _compare(
 
 
 def check_clause_equivalence(
-    spec_a: FunctionalSpec,
-    spec_b: FunctionalSpec,
-    assumptions: Optional[Expr] = None,
+    spec_a: FunctionalSpec, spec_b: FunctionalSpec
 ) -> EquivalenceReport:
     """Compare the per-stage stall conditions of two specifications."""
     context = _shared_context(spec_a, spec_b)
     report = EquivalenceReport(name_a=spec_a.name, name_b=spec_b.name, level="clause-level")
     for moe in _shared_flags(spec_a, spec_b):
         report.flags.append(
-            _compare(
-                context,
-                moe,
-                spec_a.condition_for(moe),
-                spec_b.condition_for(moe),
-                assumptions,
-            )
+            _compare(context, moe, spec_a.condition_for(moe), spec_b.condition_for(moe))
         )
     return report
 
 
 def check_derived_equivalence(
-    spec_a: FunctionalSpec,
-    spec_b: FunctionalSpec,
-    assumptions: Optional[Expr] = None,
+    spec_a: FunctionalSpec, spec_b: FunctionalSpec
 ) -> EquivalenceReport:
     """Compare the maximum-performance interlocks two specifications induce.
 
@@ -238,14 +218,12 @@ def check_derived_equivalence(
     derived_b = symbolic_most_liberal(spec_b, context=context).moe_functions
     report = EquivalenceReport(name_a=spec_a.name, name_b=spec_b.name, level="derived-interlock")
     for moe in flags:
-        report.flags.append(_compare(context, moe, derived_a[moe], derived_b[moe], assumptions))
+        report.flags.append(_compare(context, moe, derived_a[moe], derived_b[moe]))
     return report
 
 
 def check_refinement(
-    implementation: FunctionalSpec,
-    reference: FunctionalSpec,
-    assumptions: Optional[Expr] = None,
+    implementation: FunctionalSpec, reference: FunctionalSpec
 ) -> RefinementReport:
     """Check whether ``implementation`` refines ``reference``.
 
@@ -258,21 +236,16 @@ def check_refinement(
     context = _shared_context(implementation, reference)
     report = RefinementReport(implementation=implementation.name, reference=reference.name)
     for moe in _shared_flags(implementation, reference):
-        comparison = _compare(
-            context,
-            moe,
-            reference.condition_for(moe),
-            implementation.condition_for(moe),
-            assumptions,
+        report.flags.append(
+            _compare(
+                context, moe, reference.condition_for(moe), implementation.condition_for(moe)
+            )
         )
-        report.flags.append(comparison)
     return report
 
 
 def interlocks_equivalent(
-    expressions_a: Dict[str, Expr],
-    expressions_b: Dict[str, Expr],
-    assumptions: Optional[Expr] = None,
+    expressions_a: Dict[str, Expr], expressions_b: Dict[str, Expr]
 ) -> EquivalenceReport:
     """Compare two closed-form interlock implementations flag by flag.
 
@@ -293,7 +266,5 @@ def interlocks_equivalent(
     report = EquivalenceReport(name_a="implementation A", name_b="implementation B",
                                level="implementation")
     for moe in expressions_a:
-        report.flags.append(
-            _compare(context, moe, expressions_a[moe], expressions_b[moe], assumptions)
-        )
+        report.flags.append(_compare(context, moe, expressions_a[moe], expressions_b[moe]))
     return report

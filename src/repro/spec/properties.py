@@ -86,7 +86,7 @@ class PropertyReport:
 
 def _spec_context(spec: FunctionalSpec) -> SymbolicContext:
     """A fresh context in the order the spec's derivation would use."""
-    return SymbolicContext(derivation_order(spec), balanced_reduce=True)
+    return SymbolicContext(derivation_order(spec))
 
 
 def check_all_false_satisfies(

@@ -51,13 +51,8 @@ class SymbolicContext:
     silently compare nodes from unrelated unique tables.
     """
 
-    def __init__(
-        self,
-        variable_order: Optional[Sequence[str]] = None,
-        *,
-        balanced_reduce: bool = False,
-    ):
-        self.manager = BddManager(variable_order, balanced_reduce=balanced_reduce)
+    def __init__(self, variable_order: Optional[Sequence[str]] = None):
+        self.manager = BddManager(variable_order)
         self._compile_cache: Dict[Expr, int] = {}
         self._expr_cache: Dict[int, Expr] = {}
         # Node ids are reused after a sweep, so entries pointing at
@@ -347,16 +342,6 @@ class SymbolicFunction:
         for name, value in assignment.items():
             node = self.context.manager.restrict(node, name, bool(value))
         return self._wrap(node)
-
-    def constrain(self, care: "SymbolicFunction") -> "SymbolicFunction":
-        """Coudert–Madre *constrain* generalized cofactor against a care set."""
-        care = self._peer(care)
-        return self._wrap(self.context.manager.constrain(self.node, care.node))
-
-    def restrict_with(self, care: "SymbolicFunction") -> "SymbolicFunction":
-        """Coudert–Madre *restrict*: simplify against a care set, support-safe."""
-        care = self._peer(care)
-        return self._wrap(self.context.manager.restrict_with(self.node, care.node))
 
     def exists(self, names: Iterable[str]) -> "SymbolicFunction":
         """Existential quantification."""

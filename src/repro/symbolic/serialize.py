@@ -85,9 +85,7 @@ def dump_functions(
 
 
 def load_functions(
-    data: bytes,
-    context: Optional[SymbolicContext] = None,
-    balanced_reduce: bool = False,
+    data: bytes, context: Optional[SymbolicContext] = None
 ) -> LoadedFunctions:
     """Load an artifact into a context (a fresh one by default).
 
@@ -97,14 +95,10 @@ def load_functions(
     context's variable order must be compatible (the artifact's variables
     in the same relative order); otherwise :class:`ArtifactError` is
     raised and the caller should retry with a fresh context.
-
-    ``balanced_reduce`` only applies when a fresh context is created.
     """
     parsed = parse_artifact(data)
     if context is None:
-        context = SymbolicContext(
-            parsed.variables, balanced_reduce=balanced_reduce
-        )
+        context = SymbolicContext(parsed.variables)
     roots = splice_nodes(context.manager, parsed)
     manifest = parsed.manifest
     scopes = manifest.get("scopes", {})

@@ -10,5 +10,5 @@ def is_valid(expr):
     return SymbolicContext().lift(expr).is_true()
 
 
-def reduced_context():
-    return symbolic.SymbolicContext(balanced_reduce=True)
+def module_qualified_context():
+    return symbolic.SymbolicContext()

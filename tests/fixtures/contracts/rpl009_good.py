@@ -10,4 +10,4 @@ def is_valid(expr, signals):
 
 
 def derivation_context(order):
-    return SymbolicContext(variable_order=order, balanced_reduce=True)
+    return SymbolicContext(variable_order=order)

@@ -168,6 +168,13 @@ class TestFunctionArtifacts:
         with pytest.raises(ValueError):
             dump_functions({"f": one.lift(Var("a")), "g": other.lift(Var("b"))})
 
+    def test_load_takes_no_reduce_shape(self):
+        # A fresh load context combines and_all/or_all one way only.
+        context = SymbolicContext(VARIABLE_NAMES)
+        data = dump_functions({"f": context.lift(Var("a"))})
+        with pytest.raises(TypeError):
+            load_functions(data, balanced_reduce=True)
+
 
 class TestDerivationArtifacts:
     def _derivation(self, arch_name="fam-r2w1d3s1-bypass"):

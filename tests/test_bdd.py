@@ -1,19 +1,36 @@
-"""Tests for the ROBDD manager, the expression compiler and the ordering helpers."""
+"""Tests for the ROBDD manager and the expression compiler."""
 
+import functools
 import inspect
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.bdd import (
-    BddManager,
-    compile_expr,
-    interleaved_order,
-    occurrence_order,
-    order_from_exprs,
-    stage_major_order,
-)
-from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr, vars_
+from repro.bdd import BddManager, compile_expr
+from repro.expr import And, Iff, Implies, Not, Or, all_assignments, eval_expr, vars_
 from repro.symbolic import SymbolicContext
+
+
+_REDUCE_NAMES = [f"x{i}" for i in range(5)]
+# Operand kinds for the reduce/fold check: literals, negated literals,
+# constants and xors of two variables.
+_REDUCE_OPERANDS = (
+    [("var", name) for name in _REDUCE_NAMES]
+    + [("not", name) for name in _REDUCE_NAMES]
+    + [("const", True), ("const", False)]
+    + [("xor", a, b) for a in _REDUCE_NAMES for b in _REDUCE_NAMES if a < b]
+)
+
+
+def _reduce_operand(manager, operand):
+    kind = operand[0]
+    if kind == "var":
+        return manager.var(operand[1])
+    if kind == "not":
+        return manager.not_(manager.var(operand[1]))
+    if kind == "const":
+        return manager.true() if operand[1] else manager.false()
+    return manager.xor(manager.var(operand[1]), manager.var(operand[2]))
 
 
 class TestManagerBasics:
@@ -187,14 +204,6 @@ class TestManagerOperations:
         assert model == {"x": True, "y": False}
         assert manager.pick_one(manager.false()) is None
 
-    def test_all_sat(self):
-        manager = BddManager()
-        x, y = manager.var("x"), manager.var("y")
-        f = manager.or_(x, y)
-        models = list(manager.all_sat(f, over=["x", "y"]))
-        assert len(models) == 3
-        assert {"x": False, "y": False} not in models
-
     def test_dag_size(self):
         manager = BddManager()
         x, y = manager.var("x"), manager.var("y")
@@ -229,30 +238,24 @@ class TestKernelLifecycle:
         assert stats.gc_runs == 0
         assert "unique table:" in stats.describe()
 
-    def test_constructor_takes_only_an_order_and_the_reduce_shape(self):
+    def test_constructor_takes_only_an_order(self):
         parameters = inspect.signature(BddManager.__init__).parameters
-        assert list(parameters) == ["self", "variable_order", "balanced_reduce"]
-        assert parameters["balanced_reduce"].kind is inspect.Parameter.KEYWORD_ONLY
-        for retired in ("use_numpy", "auto_reorder_threshold"):
+        assert list(parameters) == ["self", "variable_order"]
+        for retired in ("use_numpy", "auto_reorder_threshold", "balanced_reduce"):
             with pytest.raises(TypeError):
                 BddManager(["a"], **{retired: True})
 
     @pytest.mark.parametrize("connective", ["and_all", "or_all"])
-    def test_balanced_and_sequential_reduce_agree(self, connective):
-        names = [f"x{i}" for i in range(6)]
-        results = []
-        for balanced in (False, True):
-            manager = BddManager(names, balanced_reduce=balanced)
-            operands = [
-                manager.xor(manager.var(names[i]), manager.var(names[(i + 2) % 6]))
-                for i in range(4)
-            ]
-            node = getattr(manager, connective)(operands)
-            results.append(
-                [manager.evaluate(node, a) for a in all_assignments(names)]
-            )
-        assert results[0] == results[1]
-        assert any(results[0]) and not all(results[0])
+    @settings(max_examples=60, deadline=None)
+    @given(operands=st.lists(st.sampled_from(_REDUCE_OPERANDS), max_size=9))
+    def test_reduce_equals_left_fold(self, connective, operands):
+        # and_all/or_all combine as a balanced tree; the result must be the
+        # same node as the plain left fold of and_/or_.
+        manager = BddManager(_REDUCE_NAMES)
+        nodes = [_reduce_operand(manager, operand) for operand in operands]
+        binary = manager.and_ if connective == "and_all" else manager.or_
+        unit = manager.true() if connective == "and_all" else manager.false()
+        assert getattr(manager, connective)(nodes) == functools.reduce(binary, nodes, unit)
 
 
 class TestExprCompiler:
@@ -280,26 +283,3 @@ class TestExprCompiler:
         witness = context.lift(And(a, Not(b))).pick_one()
         assert witness == {"a": True, "b": False}
         assert context.lift(And(a, Not(a))).pick_one() is None
-
-
-class TestOrdering:
-    def test_order_from_exprs_is_sorted(self):
-        a, b, z = vars_("a", "b", "z")
-        assert order_from_exprs([z & a, b]) == ["a", "b", "z"]
-
-    def test_occurrence_order_keeps_first_appearance(self):
-        a, b, c = vars_("a", "b", "c")
-        assert occurrence_order([c & a, b | a]) == ["c", "a", "b"]
-
-    def test_interleaved_order(self):
-        assert interleaved_order([["a1", "a2"], ["b1", "b2", "b3"]]) == [
-            "a1",
-            "b1",
-            "a2",
-            "b2",
-            "b3",
-        ]
-
-    def test_stage_major_order_deduplicates(self):
-        order = stage_major_order([["x", "y"], ["y", "z"]])
-        assert order == ["x", "y", "z"]

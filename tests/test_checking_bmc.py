@@ -1,11 +1,15 @@
 """Tests for bounded model checking of sequential interlock behaviour (repro.checking.bmc)."""
 
+import functools
+
 import pytest
 
+from repro.archs import load_architecture
 from repro.assertions import AssertionKind, monitor_trace, testbench_assertions
 from repro.checking import (
     BoundedModelChecker,
     CombinationalModel,
+    PropertyChecker,
     RegisteredGrantModel,
     StuckResetModel,
     environment_formula,
@@ -14,7 +18,12 @@ from repro.checking import (
 from repro.expr import Var
 from repro.faults import FaultInjector
 from repro.pipeline import ClosedFormInterlock, simulate
-from repro.spec import FunctionalSpec, StallClause, symbolic_most_liberal
+from repro.spec import (
+    FunctionalSpec,
+    StallClause,
+    build_functional_spec,
+    symbolic_most_liberal,
+)
 from repro.expr import parse_expr
 from repro.workloads import WorkloadGenerator, WorkloadProfile
 
@@ -189,3 +198,50 @@ class TestReporting:
         checker = BoundedModelChecker(tiny_spec)
         with pytest.raises(ValueError):
             checker.check(tiny_model, bound=1, kind="liveness")
+
+    def test_checker_takes_no_backend(self, tiny_spec):
+        # Every claim is a SAT query; there is no second engine to select.
+        with pytest.raises(TypeError):
+            BoundedModelChecker(tiny_spec, backend="sat")
+
+
+# -- cross-engine agreement ---------------------------------------------------------------
+
+CROSS_ENGINE_TARGETS = ("dac2002-example", "fam-r4w2d5s1-bypass")
+
+
+@functools.lru_cache(maxsize=None)
+def _cross_engine_setup(arch_name):
+    """The reference and every closed-form standard fault, with both checkers."""
+    arch = load_architecture(arch_name)
+    spec = build_functional_spec(arch)
+    injector = FaultInjector(spec, seed=3)
+    interlocks = [injector.reference] + [
+        fault.interlock
+        for fault in injector.standard_fault_set()
+        if isinstance(fault.interlock, ClosedFormInterlock)
+    ]
+    bmc = BoundedModelChecker(
+        spec, environment=environment_formula(arch), stop_at_first=False
+    )
+    checker = PropertyChecker(spec, architecture=arch, derivation=injector.derivation)
+    return interlocks, bmc, checker
+
+
+def _cross_engine_cases():
+    for arch_name in CROSS_ENGINE_TARGETS:
+        interlocks, _, _ = _cross_engine_setup(arch_name)
+        for index, interlock in enumerate(interlocks):
+            yield pytest.param(arch_name, index, id=f"{arch_name}-{index}-{interlock.name}")
+
+
+@pytest.mark.parametrize("arch_name, index", _cross_engine_cases())
+def test_bmc_and_bdd_checker_name_the_same_violations(arch_name, index):
+    """SAT-based BMC at bound 1 and the BDD property checker agree per mutant."""
+    interlocks, bmc, checker = _cross_engine_setup(arch_name)
+    interlock = interlocks[index]
+    model = CombinationalModel(interlock.expressions())
+    for kind in ("functional", "performance"):
+        bmc_flags = sorted({violation.moe for violation in bmc.check(model, 1, kind).violations})
+        bdd_flags = getattr(checker, f"check_{kind}")(interlock).failing_stages()
+        assert bmc_flags == bdd_flags, kind

@@ -94,6 +94,22 @@ def test_unknown_rule_code_rejected():
         resolve_codes("RPL999")
 
 
+@pytest.mark.parametrize(
+    "table",
+    ["_VALIDATED_OPERATIONS", "NODE_RETURNING_METHODS", "NODE_COMBINING_METHODS"],
+)
+def test_kernel_method_tables_name_only_manager_methods(table):
+    # The sanitizer wraps each name of its table at import and the
+    # RPL001/RPL002 tables match call sites by name: a deleted kernel
+    # method must leave every table too.
+    from repro.bdd.manager import BddManager
+    from repro.devtools import rules, sanitizer
+
+    names = getattr(sanitizer, table, None) or getattr(rules, table)
+    assert names
+    assert sorted(name for name in names if not hasattr(BddManager, name)) == []
+
+
 def test_retired_rpl003_stays_unassigned():
     # RPL003 guarded raw-id loops against automatic reordering, which the
     # kernel no longer has; the code is retired, not reused.

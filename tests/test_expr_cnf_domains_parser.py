@@ -1,31 +1,21 @@
-"""Tests for CNF conversion, finite-domain quantification, parser and printers."""
+"""Tests for CNF conversion, the parser and the printers."""
 
 import pytest
 
 from repro.expr import (
     And,
-    EnumVar,
     FALSE,
-    FiniteDomain,
     Iff,
     Implies,
     Not,
     Or,
     ParseError,
-    SDREG,
     TRUE,
     Var,
     all_assignments,
     distribute_to_cnf,
-    encode_enum_assignment,
     eval_expr,
-    exists,
-    exists_many,
-    forall,
-    forall_many,
     parse_expr,
-    register_address_domain,
-    scoreboard_bit,
     to_cnf_clauses,
     to_text,
     to_unicode,
@@ -91,110 +81,6 @@ class TestDistributedCnf:
         cnf = distribute_to_cnf(original)
         for assignment in all_assignments(["a", "b", "c"]):
             assert eval_expr(original, assignment) == eval_expr(cnf, assignment)
-
-
-class TestFiniteDomains:
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            FiniteDomain("empty", ())
-        with pytest.raises(ValueError):
-            FiniteDomain("dup", (1, 1))
-
-    def test_register_address_domain(self):
-        domain = register_address_domain(4)
-        assert list(domain) == [0, 1, 2, 3]
-        assert len(domain) == 4
-        assert 2 in domain and 9 not in domain
-        assert domain.index_of(3) == 3
-        with pytest.raises(ValueError):
-            domain.index_of(7)
-
-    def test_register_domain_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            register_address_domain(0)
-
-    def test_sdreg_domain(self):
-        assert list(SDREG) == ["src", "dst"]
-
-    def test_enum_var_indicators(self):
-        domain = register_address_domain(3)
-        reg = EnumVar("c.regaddr", domain)
-        assert reg.indicator(1).name == "c.regaddr=1"
-        assert [v.name for v in reg.indicators()] == [
-            "c.regaddr=0",
-            "c.regaddr=1",
-            "c.regaddr=2",
-        ]
-        with pytest.raises(ValueError):
-            reg.indicator(5)
-
-    def test_enum_var_equality_atoms(self):
-        domain = register_address_domain(2)
-        reg = EnumVar("r", domain)
-        env = reg.assignment_for(1)
-        assert eval_expr(reg.equals_value(1), env)
-        assert not eval_expr(reg.equals_value(0), env)
-        assert eval_expr(reg.not_equals_value(0), env)
-
-    def test_enum_var_cross_equality(self):
-        domain = register_address_domain(2)
-        left, right = EnumVar("x", domain), EnumVar("y", domain)
-        env = {**left.assignment_for(1), **right.assignment_for(1)}
-        assert eval_expr(left.equals(right), env)
-        env = {**left.assignment_for(1), **right.assignment_for(0)}
-        assert not eval_expr(left.equals(right), env)
-        assert eval_expr(left.not_equals(right), env)
-
-    def test_enum_var_cross_domain_comparison_rejected(self):
-        reg = EnumVar("x", register_address_domain(2))
-        sel = EnumVar("y", SDREG)
-        with pytest.raises(ValueError):
-            reg.equals(sel)
-
-    def test_enum_var_validity_constraint(self):
-        domain = register_address_domain(2)
-        reg = EnumVar("r", domain)
-        assert eval_expr(reg.valid(), reg.assignment_for(0))
-        assert not eval_expr(reg.valid(), {"r=0": True, "r=1": True})
-        assert not eval_expr(reg.valid(), {"r=0": False, "r=1": False})
-
-    def test_encode_enum_assignment(self):
-        domain = register_address_domain(2)
-        x, y = EnumVar("x", domain), EnumVar("y", domain)
-        env = encode_enum_assignment([(x, 0), (y, 1)])
-        assert env == {"x=0": True, "x=1": False, "y=0": False, "y=1": True}
-
-    def test_quantifiers_expand_finitely(self):
-        domain = register_address_domain(3)
-        scb = {f"scb[{i}]": (i == 2) for i in range(3)}
-        some_set = exists(domain, lambda a: scoreboard_bit("scb", a))
-        all_set = forall(domain, lambda a: scoreboard_bit("scb", a))
-        assert eval_expr(some_set, scb)
-        assert not eval_expr(all_set, scb)
-
-    def test_nested_quantifiers(self):
-        domain = register_address_domain(2)
-        formula = exists_many(
-            [SDREG, domain],
-            lambda which, address: Var(f"p.1.{which}.regaddr={address}") & Var(f"scb[{address}]"),
-        )
-        env = {
-            "p.1.src.regaddr=0": False,
-            "p.1.src.regaddr=1": True,
-            "p.1.dst.regaddr=0": False,
-            "p.1.dst.regaddr=1": False,
-            "scb[0]": False,
-            "scb[1]": True,
-        }
-        assert eval_expr(formula, env)
-        env["scb[1]"] = False
-        assert not eval_expr(formula, env)
-
-    def test_forall_many(self):
-        domain = register_address_domain(2)
-        formula = forall_many([domain], lambda a: Var(f"ok[{a}]"))
-        assert eval_expr(formula, {"ok[0]": True, "ok[1]": True})
-        assert not eval_expr(formula, {"ok[0]": True, "ok[1]": False})
 
 
 class TestParserAndPrinters:

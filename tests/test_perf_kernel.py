@@ -384,21 +384,3 @@ class TestBenchRunner:
 
         with pytest.raises(ValueError):
             run_benchmarks(names=["no-such-scenario"])
-
-
-class TestAllSatOrderRegression:
-    def test_all_sat_follows_manager_level_order(self):
-        # Declared order z, y, x is the reverse of the alphabetical order;
-        # enumeration must walk the BDD top-down by level, not by name.
-        manager = BddManager(["z", "y", "x"])
-        f = manager.and_(manager.var("x"), manager.var("y"))
-        models = list(manager.all_sat(f, over=["x", "y", "z"]))
-        assert len(models) == 2
-        assert all(model["x"] and model["y"] for model in models)
-        assert {model["z"] for model in models} == {False, True}
-
-    def test_all_sat_default_support_non_alphabetical(self):
-        manager = BddManager(["q2", "q10"])  # lexicographically q10 < q2
-        f = manager.and_(manager.var("q2"), manager.var("q10"))
-        models = list(manager.all_sat(f))
-        assert models == [{"q2": True, "q10": True}]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.expr import Var, parse_expr
+from repro.expr import TRUE, Var, parse_expr
 from repro.pipeline import ClosedFormInterlock
 from repro.spec import (
     FunctionalSpec,
@@ -136,3 +136,19 @@ class TestInterlockEquivalence:
         expressions.pop("long.4.moe")
         with pytest.raises(SpecificationError):
             interlocks_equivalent(example_interlock.expressions(), expressions)
+
+
+@pytest.mark.parametrize(
+    "compare",
+    [check_clause_equivalence, check_derived_equivalence, check_refinement],
+    ids=lambda function: function.__name__,
+)
+def test_spec_comparisons_take_no_assumptions(compare, example_spec):
+    with pytest.raises(TypeError):
+        compare(example_spec, example_spec, assumptions=TRUE)
+
+
+def test_interlock_comparison_takes_no_assumptions(example_interlock):
+    expressions = example_interlock.expressions()
+    with pytest.raises(TypeError):
+        interlocks_equivalent(expressions, expressions, assumptions=TRUE)

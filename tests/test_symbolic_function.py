@@ -28,7 +28,7 @@ from repro.expr import (
     eval_expr,
 )
 from repro.spec import build_functional_spec, concrete_most_liberal, symbolic_most_liberal
-from repro.symbolic import SymbolicContext, SymbolicFunction
+from repro.symbolic import SymbolicContext
 
 VARIABLE_NAMES = ["a", "b", "c", "d", "e"]
 
@@ -115,38 +115,11 @@ class TestIsopMaterialization:
         assert len(cubes) == 4
 
 
-class TestGeneralizedCofactors:
-    @settings(max_examples=80, deadline=None)
-    @given(expressions(), expressions())
-    def test_cofactors_agree_on_care_set(self, f_expr, c_expr):
-        context = SymbolicContext(VARIABLE_NAMES)
-        f = context.lift(f_expr)
-        care = context.lift(c_expr)
-        if care.is_false():
-            return
-        for operator in (SymbolicFunction.constrain, SymbolicFunction.restrict_with):
-            g = operator(f, care)
-            assert (g & care).node == (f & care).node
-
-    @settings(max_examples=80, deadline=None)
-    @given(expressions(), expressions())
-    def test_restrict_never_grows_support(self, f_expr, c_expr):
-        context = SymbolicContext(VARIABLE_NAMES)
-        f = context.lift(f_expr)
-        care = context.lift(c_expr)
-        if care.is_false():
-            return
-        assert f.restrict_with(care).support() <= f.support()
-
-    def test_empty_care_set_rejected(self):
-        context = SymbolicContext(["a"])
-        with pytest.raises(ValueError):
-            context.var("a").constrain(context.false())
-        with pytest.raises(ValueError):
-            context.var("a").restrict_with(context.false())
-
-
 class TestSymbolicFunctionAlgebra:
+    def test_context_takes_only_an_order(self):
+        with pytest.raises(TypeError):
+            SymbolicContext(VARIABLE_NAMES, balanced_reduce=True)
+
     def test_operations_and_decisions(self):
         context = SymbolicContext(["a", "b", "c"])
         a, b, c = context.var("a"), context.var("b"), context.var("c")
