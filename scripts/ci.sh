@@ -69,6 +69,7 @@ MODULES = [
     "repro.bdd.manager",
     "repro.bdd.ordering",
     "repro.symbolic",
+    "repro.symbolic.serialize",
     "repro.checking.bmc",
     "repro.spec.equivalence",
     "repro.expr",

@@ -60,11 +60,12 @@ moves a variable, so a raw node id stays valid until a :meth:`gc`.
 :meth:`BddManager.gc` is a mark-and-sweep over the flat arrays: roots
 are the nodes with a positive ``_ref`` count (see :meth:`protect` /
 :meth:`release`; ``SymbolicFunction`` handles protect their node
-automatically) plus any ``extra_roots``.  Sweeping clears the operation
-and ISOP memo tables, filters the negation cache down to live pairs,
-rebuilds the per-level unique tables and invokes registered sweep hooks
-so higher layers can drop entries for reclaimed ids (crucial: ids are
-reused, so a stale cache entry would silently alias a new function).
+automatically) plus any ``extra_roots``.  Sweeping clears the operation,
+ISOP and deepest-level memo tables, filters the negation cache down to
+live pairs, rebuilds the per-level unique tables and invokes registered
+sweep hooks so higher layers can drop entries for reclaimed ids
+(crucial: ids are reused, so a stale cache entry would silently alias a
+new function).
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class BddStats:
     hit_rate: float
     gc_runs: int
     gc_reclaimed: int
+    bands_folded: int
 
     def as_dict(self) -> Dict[str, float]:
         """The counters as a plain JSON-friendly dict."""
@@ -141,6 +143,7 @@ class BddStats:
             "hit_rate": round(self.hit_rate, 4),
             "gc_runs": self.gc_runs,
             "gc_reclaimed": self.gc_reclaimed,
+            "bands_folded": self.bands_folded,
         }
 
     def describe(self) -> str:
@@ -196,6 +199,9 @@ class BddManager:
         # ISOP memo: packed (lower << 26) | upper -> (node, cubes).
         # key -> (node, cube_count, spine); see isop() for the spine encoding.
         self._isop_cache: Dict[int, tuple] = {}
+        # Deepest level reachable from a node (see _bands); keyed on node
+        # ids, so cleared by every sweep like the operation caches.
+        self._deepest: Dict[int, int] = {}
         self._var_levels: Dict[str, int] = {}
         self._level_vars: List[str] = []
         # Callbacks run after every GC sweep; see add_sweep_hook.
@@ -205,6 +211,7 @@ class BddManager:
         self._misses = 0
         self._gc_runs = 0
         self._gc_reclaimed = 0
+        self._bands_folded = 0
         if variable_order is not None:
             for name in variable_order:
                 self.declare(name)
@@ -822,8 +829,8 @@ class BddManager:
 
         A product of single-variable literals (every scoreboard stall cube
         is one) takes the zero-apply literal-chain fast path; anything
-        else goes through :meth:`_reduce_connective`, a balanced pairwise
-        tree.
+        else goes through :meth:`_reduce_connective`: a balanced pairwise
+        tree per band of overlapping operands, the bands folded bottom-up.
         """
         items = [node for node in nodes if node != TRUE_NODE]
         if FALSE_NODE in items:
@@ -838,26 +845,98 @@ class BddManager:
     def _reduce_connective(self, tag: int, items: List[int], absorbing: int) -> int:
         """Combine many operands under one commutative connective.
 
-        The operands combine as a balanced pairwise tree.  The verification
-        flow orders every context register-interleaved, so operand supports
-        are localized bands of the order (e.g. per-register stall cubes): a
-        tree's intermediates combine neighbouring bands and stay
-        proportional to their own span, where a sequential fold would
-        rebuild the whole accumulated result once per operand (quadratic).
+        The operands split into bands (see :meth:`_bands`): connected
+        components of overlapping level spans, each a disjoint slice of
+        the variable order.  Within a band the operands combine as a
+        balanced pairwise tree in their given order — the intermediates
+        stay proportional to their own span, where a sequential fold would
+        rebuild the accumulated result once per operand (quadratic).  The
+        band results then fold bottom-up: every support of the accumulated
+        lower bands lies strictly below the next band, so each fold walks
+        only that upper band and meets the accumulator at its leaves.  The
+        verification flow orders every context register-interleaved, so a
+        per-register stall condition is one band per register, and each
+        band is built once instead of once per tree level.  With a single
+        band this is exactly the balanced tree.
         """
+        bands = self._bands(items) if len(items) >= 4 else [items]
         binary = self._binary
-        while len(items) > 1:
-            paired: List[int] = []
-            append = paired.append
-            for i in range(1, len(items), 2):
-                result = binary(tag, items[i - 1], items[i])
-                if result == absorbing:
-                    return absorbing
-                append(result)
-            if len(items) & 1:
-                append(items[-1])
-            items = paired
-        return items[0]
+        folded = -1
+        for band in reversed(bands):
+            while len(band) > 1:
+                paired: List[int] = []
+                append = paired.append
+                for i in range(1, len(band), 2):
+                    result = binary(tag, band[i - 1], band[i])
+                    if result == absorbing:
+                        return absorbing
+                    append(result)
+                if len(band) & 1:
+                    append(band[-1])
+                band = paired
+            folded = band[0] if folded < 0 else binary(tag, band[0], folded)
+        return folded
+
+    def _bands(self, items: List[int]) -> List[List[int]]:
+        """Split operands into bands of overlapping level spans, top first.
+
+        An operand's span runs from its top level to the deepest level in
+        its DAG (memoised per node); operands whose spans overlap, directly
+        or through others, share a band.  Each band keeps its operands in
+        their given order, since reordering a band changes the size of
+        the tree's intermediates.
+        """
+        var = self._var
+        deepest = self._deepest_level
+        spans = sorted((var[node], deepest(node), index) for index, node in enumerate(items))
+        groups: List[List[int]] = []
+        bottom = -1
+        for top, deep, index in spans:
+            if top > bottom:
+                groups.append([index])
+            else:
+                groups[-1].append(index)
+            if deep > bottom:
+                bottom = deep
+        if len(groups) == 1:
+            return [items]
+        self._bands_folded += len(groups)
+        return [[items[index] for index in sorted(group)] for group in groups]
+
+    def _deepest_level(self, root: int) -> int:
+        """The deepest level of any decision node reachable from ``root``."""
+        memo = self._deepest
+        found = memo.get(root)
+        if found is not None:
+            return found
+        var = self._var
+        lows = self._lo
+        highs = self._hi
+        stack = [root]
+        push = stack.append
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            low = lows[node]
+            high = highs[node]
+            deep_low = -1 if low <= TRUE_NODE else memo.get(low)
+            deep_high = -1 if high <= TRUE_NODE else memo.get(high)
+            if deep_low is None or deep_high is None:
+                if deep_low is None:
+                    push(low)
+                if deep_high is None:
+                    push(high)
+                continue
+            deep = var[node]
+            if deep_low > deep:
+                deep = deep_low
+            if deep_high > deep:
+                deep = deep_high
+            memo[node] = deep
+            stack.pop()
+        return memo[root]
 
     def _literal_cube(self, items: List[int]) -> Optional[int]:
         """Direct unique-table chain for a conjunction of literals.
@@ -1080,8 +1159,12 @@ class BddManager:
         upper`` (callers must ensure ``lower`` implies ``upper``; pass the
         same node twice for an exact cover).  The cover is irredundant: no
         cube or literal can be dropped without uncovering part of ``lower``.
-        The recursion is memoised structurally (as lazy cover spines), so
-        materializing the same function twice costs only the final flatten.
+        Completed sub-covers are memoised structurally (as lazy cover
+        spines), but a repeated call still flattens every cube again, and
+        a call that aborted on its budget stored none of the frames it
+        was inside, so a retry recomputes them.  Callers that need a cover
+        more than once keep it: :class:`~repro.symbolic.SymbolicContext`
+        stores one per node.
 
         ``max_cubes`` bounds the size of any intermediate cover; when
         exceeded :class:`CoverBudgetExceeded` is raised.  A mostly-true
@@ -1304,9 +1387,10 @@ class BddManager:
         """Mark-and-sweep collection of dead nodes; returns the count reclaimed.
 
         Roots are all protected nodes (``_ref > 0``) plus ``extra_roots``.
-        All operation/ISOP memo tables are cleared (their keys embed node
-        ids), the negation cache is filtered down to live pairs, and the
-        per-level unique tables are rebuilt from the survivors.
+        All operation, ISOP and deepest-level memo tables are cleared
+        (their keys embed node ids), the negation cache is filtered down
+        to live pairs, and the per-level unique tables are rebuilt from
+        the survivors.
         """
         var = self._var
         lows = self._lo
@@ -1339,6 +1423,7 @@ class BddManager:
         # Memo keys embed node ids; drop everything that may be stale.
         self._op_cache.clear()
         self._isop_cache.clear()
+        self._deepest.clear()
         self._not_cache = {
             a: b for a, b in self._not_cache.items() if marked[a] and marked[b]
         }
@@ -1397,6 +1482,7 @@ class BddManager:
             hit_rate=(hits / total) if total else 0.0,
             gc_runs=self._gc_runs,
             gc_reclaimed=self._gc_reclaimed,
+            bands_folded=self._bands_folded,
         )
 
     # -- queries -----------------------------------------------------------------
@@ -1427,6 +1513,15 @@ class BddManager:
 
     def support(self, f: int) -> frozenset:
         """The set of variables the function actually depends on."""
+        names = self._level_vars
+        return frozenset(names[level] for level in self._support_levels([f]))
+
+    def _support_levels(self, roots: List[int]) -> set:
+        """The levels of every decision node reachable from ``roots``.
+
+        One walk with a shared visited set, so a node reachable from
+        several roots is visited once.
+        """
         var = self._var
         lows = self._lo
         highs = self._hi
@@ -1434,7 +1529,7 @@ class BddManager:
         seen_add = seen.add
         levels = set()
         levels_add = levels.add
-        stack = [f]
+        stack = list(roots)
         push = stack.append
         pop = stack.pop
         while stack:
@@ -1445,8 +1540,7 @@ class BddManager:
             levels_add(var[node])
             push(lows[node])
             push(highs[node])
-        names = self._level_vars
-        return frozenset(names[level] for level in levels)
+        return levels
 
     def density(self, f: int) -> float:
         """Fraction of assignments satisfying ``f`` (each variable p=1/2).
@@ -1553,8 +1647,10 @@ class BddManager:
             found = rec(f, g)
         if not found:  # pragma: no cover - f != g guarantees a witness
             return None
-        for name in self.support(f) | self.support(g):
-            assignment.setdefault(name, False)
+        # Every other variable of either support defaults to False.
+        names = self._level_vars
+        for level in self._support_levels([f, g]):
+            assignment.setdefault(names[level], False)
         return assignment
 
     def pick_one(self, f: int) -> Optional[Dict[str, bool]]:

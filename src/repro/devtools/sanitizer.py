@@ -271,6 +271,11 @@ class SanitizedBddManager(BddManager):
                 raise MemoLeakError(
                     f"op cache result {value} is dead after sweep epoch {epoch}"
                 )
+        for node in self._deepest:
+            if not self._is_live(node):
+                raise MemoLeakError(
+                    f"deepest-level memo node {node} is dead after sweep epoch {epoch}"
+                )
         for entry in self._isop_cache.values():
             node = entry[0]
             if not self._is_live(node):

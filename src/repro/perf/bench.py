@@ -96,11 +96,12 @@ class BenchResult:
 
 
 def _kernel_metrics(derivation: Any) -> Dict[str, Any]:
-    """Kernel health of an in-process derivation: nodes, hit rate, GC."""
+    """Kernel health of an in-process derivation: nodes, op-cache work, hit rate, GC."""
     stats = derivation.context.manager.stats().as_dict()
     lookups = stats["cache_hits"] + stats["cache_misses"]
     return {
         "kernel_live_nodes": stats["live_nodes"],
+        "kernel_op_cache_entries": stats["op_cache_entries"],
         "kernel_cache_hit_rate": (
             round(stats["cache_hits"] / lookups, 4) if lookups else 0.0
         ),

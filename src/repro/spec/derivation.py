@@ -133,9 +133,9 @@ class DerivationResult:
         """Closed-form stall conditions ``¬MOE_i`` per stage (memoised).
 
         Each stall condition is a minimized cover of the *negated* node —
-        usually smaller than ``Not(cover)`` — and the result is cached, so
-        monitors and reports can call this per trace without re-simplifying
-        anything.
+        where ``MOE_i``'s cover is complemented, the very ``Or`` under its
+        ``Not`` — and the result is cached, so monitors and reports can
+        call this per trace without re-simplifying anything.
         """
         if self._stall_expressions is None:
             self._stall_expressions = {
@@ -338,11 +338,13 @@ def symbolic_most_liberal(
     if context is None:
         context = SymbolicContext(derivation_order(spec))
     manager = context.manager
-    with span("derive.compile", clauses=len(spec.clauses)):
+    with span("derive.compile", clauses=len(spec.clauses)) as compile_span:
+        bands_before = manager.stats().bands_folded
         condition_nodes: Dict[str, int] = {
             clause.moe: context.lift(clause.condition).node
             for clause in spec.clauses
         }
+        compile_span.annotate(bands=manager.stats().bands_folded - bands_before)
     current: Dict[str, int] = {moe: manager.true() for moe in moe_flags}
 
     # The descending Kleene iteration from all-true reaches the greatest

@@ -55,6 +55,8 @@ class SymbolicContext:
         self.manager = BddManager(variable_order)
         self._compile_cache: Dict[Expr, int] = {}
         self._expr_cache: Dict[int, Expr] = {}
+        # node -> (complemented, cubes), the outcome of minimized_cover.
+        self._cover_cache: Dict[int, Tuple[bool, tuple]] = {}
         # Node ids are reused after a sweep, so entries pointing at
         # reclaimed ids must be dropped or they would alias new functions.
         self.manager.add_sweep_hook(self._on_sweep)
@@ -65,6 +67,9 @@ class SymbolicContext:
         }
         self._expr_cache = {
             node: expr for node, expr in self._expr_cache.items() if alive(node)
+        }
+        self._cover_cache = {
+            node: cover for node, cover in self._cover_cache.items() if alive(node)
         }
 
     def collect(self) -> int:
@@ -124,7 +129,10 @@ class SymbolicContext:
         whatever substitutions produced the node.  Compiling the returned
         expression back into this context yields exactly ``node`` (the
         cross-check the test-suite performs with hypothesis), and the
-        compile cache is primed accordingly.
+        compile cache is primed accordingly.  A complemented cover
+        materializes as ``Not(to_expr(¬node))``: the negated node's stored
+        cover is the same cubes uncomplemented, so the two expressions
+        share one ``Or``.
         """
         cached = self._expr_cache.get(node)
         if cached is not None:
@@ -135,9 +143,10 @@ class SymbolicContext:
             expr = TRUE
         else:
             complemented, cubes = self.minimized_cover(node)
-            expr = self._cubes_to_expr(cubes)
             if complemented:
-                expr = Not(expr)
+                expr = Not(self.to_expr(self.manager.not_(node)))
+            else:
+                expr = self._cubes_to_expr(cubes)
         self._expr_cache[node] = expr
         self._compile_cache.setdefault(expr, node)
         return expr
@@ -157,6 +166,14 @@ class SymbolicContext:
         sub-covers stay memoised for the retry.  The direct cover wins
         ties.  Cubes are ``(level, polarity)`` tuples as from
         :meth:`~repro.bdd.manager.BddManager.isop`.
+
+        The race runs once per node: its outcome is stored in the context
+        (pruned by :meth:`collect` like the expression cache), so covers
+        for ``stall_expressions`` and artifact dumps are dictionary
+        lookups.  A complement win is strictly smaller, so it is also
+        stored as the direct cover of the negated node; a direct win is
+        not flipped, since on a tie the negation's race keeps its own
+        direct cover.
         """
         # Terminals short-circuit the race: without this, TRUE would "lose"
         # to its complement's empty cover and synthesize as an inverted
@@ -165,6 +182,9 @@ class SymbolicContext:
             return False, ()
         if node == TRUE_NODE:
             return False, ((),)
+        stored = self._cover_cache.get(node)
+        if stored is not None:
+            return stored
         manager = self.manager
         negated = manager.not_(node)
         # Run the likely-compact side first (density > 1/2 means mostly
@@ -199,10 +219,16 @@ class SymbolicContext:
             if direct is not None and (
                 complemented is None or len(direct) <= len(complemented)
             ):
-                return False, direct
+                return self._store_cover(node, (False, direct))
             if complemented is not None:
-                return True, complemented
+                return self._store_cover(node, (True, complemented))
             budget *= 8
+
+    def _store_cover(self, node: int, cover: Tuple[bool, tuple]) -> Tuple[bool, tuple]:
+        if cover[0]:
+            self._cover_cache.setdefault(self.manager.not_(node), (False, cover[1]))
+        self._cover_cache[node] = cover
+        return cover
 
     def _cubes_to_expr(self, cubes: tuple) -> Expr:
         # Covers repeat the same few literals across many cubes; building

@@ -9,9 +9,13 @@ variable order — or spliced into an existing compatible context, where
 per-node deduplication makes a reloaded function *pointer-equal* to the
 function it was dumped from.
 
-Including covers snapshots the materialization work too: on load they
-prime the context's expression cache, so ``to_expr`` on a loaded
-function is a dictionary lookup instead of an ISOP extraction.
+Including covers snapshots the materialization work too.  The dump
+reads each function's cover from the context's per-node cover store
+(racing the ISOP budget only for a function not yet materialized), and
+a load installs the covers into the target context's cover store and
+expression cache, so ``to_expr`` on a loaded function — or on its
+negation, when the cover is complemented — is a dictionary lookup
+instead of an ISOP extraction.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from ..expr.ast import Expr, Not
 from ..bdd.serialize import (
     ArtifactError,
     dump_nodes,
@@ -57,8 +60,8 @@ def dump_functions(
         functions: name → function; all must share one context.
         payload: arbitrary JSON metadata stored in the manifest.
         include_covers: also store each function's minimized ISOP cover
-            (materializing it now if needed), so loaders get cached
-            expressions for free.
+            (the context's stored cover, computed now if needed), so
+            loaders get cached expressions for free.
     """
     if not functions:
         raise ValueError("cannot serialize an empty function set")
@@ -122,12 +125,14 @@ def load_functions(
 def _prime_cover(
     context: SymbolicContext, node: int, cover: Dict[str, Any], variables: list
 ) -> None:
-    """Install a stored minimized cover into the context's expr cache.
+    """Install a stored minimized cover into the context's cover store.
 
-    ``variables`` is the *artifact's* manifest order — cube indexes refer
-    to it, and the target context may interleave other variables.
+    The expression cache is primed from it too, for the node and — when
+    the cover is complemented — for its negation.  ``variables`` is the
+    *artifact's* manifest order — cube indexes refer to it, and the
+    target context may interleave other variables.
     """
-    if node in context._expr_cache:
+    if node in context._cover_cache:
         return
     try:
         cubes = tuple(
@@ -138,8 +143,5 @@ def _prime_cover(
         complemented = bool(cover["complemented"])
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact cover is malformed: {exc}") from exc
-    expr: Expr = context._cubes_to_expr(cubes)
-    if complemented:
-        expr = Not(expr)
-    context._expr_cache[node] = expr
-    context._compile_cache.setdefault(expr, node)
+    context._store_cover(node, (complemented, cubes))
+    context.to_expr(node)

@@ -262,6 +262,18 @@ class TestCodecAndStability:
         data = dump_functions(derivation.moe_functions, include_covers=True)
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_firepath_derivation_artifact_is_pinned(self):
+        # The whole derivation artifact (closed forms, covers and payload)
+        # as stall_expressions and the benchmarks produce it; covers come
+        # from the context's per-node cover store.
+        spec = build_functional_spec(firepath_like_architecture(num_registers=16))
+        derivation = symbolic_most_liberal(spec)
+        derivation.stall_expressions()
+        data = derivation.to_artifact_bytes(include_covers=True)
+        assert hashlib.sha256(data).hexdigest() == (
+            "28e3afadd1ae68e3aa635336ab56c877471852617cd7165a9271e33e7bcf9c44"
+        )
+
     @pytest.mark.parametrize("arch_name", ["dac2002-example", "firepath-like", "risc5"])
     def test_reloaded_derivation_dumps_the_same_bytes(self, arch_name):
         spec = build_functional_spec(load_architecture(arch_name))

@@ -22,6 +22,31 @@ _REDUCE_OPERANDS = (
 )
 
 
+# Banded operands for the same check: four bands of three variables in
+# order, each operand an and/or/xor of two variables of one band or of two
+# neighbouring bands (so a band can overlap the next), or a negated literal.
+_BAND_NAMES = [f"b{band}_{i}" for band in range(4) for i in range(3)]
+_BANDED_OPERANDS = [
+    (kind, a, b)
+    for kind in ("and", "or", "xor")
+    for a in _BAND_NAMES
+    for b in _BAND_NAMES
+    if a < b and int(b[1]) - int(a[1]) <= 1
+] + [("not", name, name) for name in _BAND_NAMES]
+
+
+def _banded_operand(manager, operand):
+    kind, a, b = operand
+    x, y = manager.var(a), manager.var(b)
+    if kind == "not":
+        return manager.not_(x)
+    if kind == "and":
+        return manager.and_(x, manager.not_(y))
+    if kind == "or":
+        return manager.or_(x, y)
+    return manager.xor(x, y)
+
+
 def _reduce_operand(manager, operand):
     kind = operand[0]
     if kind == "var":
@@ -256,6 +281,37 @@ class TestKernelLifecycle:
         binary = manager.and_ if connective == "and_all" else manager.or_
         unit = manager.true() if connective == "and_all" else manager.false()
         assert getattr(manager, connective)(nodes) == functools.reduce(binary, nodes, unit)
+
+    @pytest.mark.parametrize("connective", ["and_all", "or_all"])
+    @settings(max_examples=80, deadline=None)
+    @given(operands=st.lists(st.sampled_from(_BANDED_OPERANDS), max_size=12), data=st.data())
+    def test_banded_reduce_equals_left_fold(self, connective, operands, data):
+        # Operands in disjoint bands fold bottom-up across the bands and as
+        # a tree within each; in any operand order the result must be the
+        # same node as the left fold.
+        manager = BddManager(_BAND_NAMES)
+        nodes = [_banded_operand(manager, operand) for operand in operands]
+        nodes = data.draw(st.permutations(nodes))
+        binary = manager.and_ if connective == "and_all" else manager.or_
+        unit = manager.true() if connective == "and_all" else manager.false()
+        assert getattr(manager, connective)(nodes) == functools.reduce(binary, nodes, unit)
+
+    def test_disjoint_bands_are_folded_and_counted(self):
+        manager = BddManager(_BAND_NAMES)
+        nodes = [
+            manager.xor(manager.var(f"b{band}_0"), manager.var(f"b{band}_1"))
+            for band in (2, 0, 3, 1)
+        ]
+        expected = functools.reduce(manager.or_, nodes, manager.false())
+        assert manager.or_all(nodes) == expected
+        assert manager.stats().bands_folded == 4
+        # Fewer than four operands skip the span computation altogether.
+        manager.or_all(nodes[:3])
+        assert manager.stats().bands_folded == 4
+        # The deepest-level memo is keyed on node ids: a sweep drops it.
+        assert manager._deepest
+        manager.gc()
+        assert not manager._deepest
 
 
 class TestExprCompiler:

@@ -18,6 +18,7 @@ from repro.checking import (
 from repro.expr import Var
 from repro.faults import FaultInjector
 from repro.pipeline import ClosedFormInterlock, simulate
+from repro.pipeline.signals import gnt_name, req_name
 from repro.spec import (
     FunctionalSpec,
     StallClause,
@@ -225,12 +226,12 @@ def _cross_engine_setup(arch_name):
         spec, environment=environment_formula(arch), stop_at_first=False
     )
     checker = PropertyChecker(spec, architecture=arch, derivation=injector.derivation)
-    return interlocks, bmc, checker
+    return interlocks, bmc, checker, injector
 
 
 def _cross_engine_cases():
     for arch_name in CROSS_ENGINE_TARGETS:
-        interlocks, _, _ = _cross_engine_setup(arch_name)
+        interlocks, _, _, _ = _cross_engine_setup(arch_name)
         for index, interlock in enumerate(interlocks):
             yield pytest.param(arch_name, index, id=f"{arch_name}-{index}-{interlock.name}")
 
@@ -238,10 +239,41 @@ def _cross_engine_cases():
 @pytest.mark.parametrize("arch_name, index", _cross_engine_cases())
 def test_bmc_and_bdd_checker_name_the_same_violations(arch_name, index):
     """SAT-based BMC at bound 1 and the BDD property checker agree per mutant."""
-    interlocks, bmc, checker = _cross_engine_setup(arch_name)
+    interlocks, bmc, checker, _ = _cross_engine_setup(arch_name)
     interlock = interlocks[index]
     model = CombinationalModel(interlock.expressions())
     for kind in ("functional", "performance"):
         bmc_flags = sorted({violation.moe for violation in bmc.check(model, 1, kind).violations})
         bdd_flags = getattr(checker, f"check_{kind}")(interlock).failing_stages()
         assert bmc_flags == bdd_flags, kind
+
+
+# Stalls on input patterns the environment rules out: a grant to a pipe that
+# did not request the bus, or two grants on one bus.
+ENVIRONMENT_TRIGGERS = ("grant-without-request", "two-grants")
+
+
+def _environment_trigger(arch_name, trigger):
+    bus = load_architecture(arch_name).buses[0]
+    first, second = bus.priority[:2]
+    if trigger == "grant-without-request":
+        return Var(gnt_name(first)) & ~Var(req_name(first))
+    return Var(gnt_name(first)) & Var(gnt_name(second))
+
+
+@pytest.mark.parametrize("trigger", ENVIRONMENT_TRIGGERS)
+@pytest.mark.parametrize("moe_index", (0, 1))
+@pytest.mark.parametrize("arch_name", CROSS_ENGINE_TARGETS)
+def test_stalls_the_environment_rules_out_are_no_violation(arch_name, moe_index, trigger):
+    """Both engines decide performance under the environment, not over all inputs."""
+    _, bmc, checker, injector = _cross_engine_setup(arch_name)
+    moe = bmc.spec.moe_flags()[moe_index]
+    fault = injector.extra_stall_fault(moe, trigger=_environment_trigger(arch_name, trigger))
+    model = CombinationalModel(fault.interlock.expressions())
+    # The mutant really stalls on the trigger: without the environment the
+    # extra stall is a performance violation of the target stage.
+    unconstrained = BoundedModelChecker(bmc.spec, stop_at_first=False)
+    assert moe in {v.moe for v in unconstrained.check(model, 1, "performance").violations}
+    for kind in ("functional", "performance"):
+        assert bmc.check(model, 1, kind).violations == [], kind
+        assert getattr(checker, f"check_{kind}")(fault.interlock).failing_stages() == [], kind

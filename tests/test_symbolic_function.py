@@ -100,6 +100,60 @@ class TestIsopMaterialization:
         assert len(cubes) == 1
         assert cubes[0] == {"a": True, "b": True, "c": True, "d": True}
 
+    @pytest.fixture(scope="class")
+    def example_derivation(self):
+        return symbolic_most_liberal(build_functional_spec(load_architecture("dac2002-example")))
+
+    def test_cover_race_runs_once_per_node_and_negation(self, example_derivation, monkeypatch):
+        manager = example_derivation.context.manager
+        calls = []
+        isop = manager.isop
+        monkeypatch.setattr(manager, "isop", lambda *a, **k: calls.append(a) or isop(*a, **k))
+        for function in example_derivation.moe_functions.values():
+            complemented, cubes = function.minimized_cover()
+            if not complemented:
+                (~function).minimized_cover()
+            # A complement win is already the negation's direct cover, and
+            # every second request is a lookup: no ISOP call, no new entry.
+            before = (len(manager._isop_cache), len(calls))
+            if complemented:
+                assert (~function).minimized_cover() == (False, cubes)
+            assert function.minimized_cover() == (complemented, cubes)
+            (~function).minimized_cover()
+            assert (len(manager._isop_cache), len(calls)) == before
+
+    def test_stall_cover_is_the_operand_of_the_complemented_moe_cover(self, example_derivation):
+        moe_expressions = example_derivation.moe_expressions
+        stall_expressions = example_derivation.stall_expressions()
+        complemented = [moe for moe, expr in moe_expressions.items() if isinstance(expr, Not)]
+        assert complemented
+        for moe in complemented:
+            assert stall_expressions[moe] is moe_expressions[moe].operand
+
+    def test_complemented_cover_shares_its_or_in_either_order(self):
+        context = SymbolicContext(VARIABLE_NAMES)
+        product = context.lift(And(And(Var("a"), Var("b")), And(Var("c"), Var("d"))))
+        # Materialize the direct cover first, then the negation's
+        # complemented one.
+        stall = product.to_expr()
+        moe = (~product).to_expr()
+        assert isinstance(moe, Not) and moe.operand is stall
+
+    def test_collect_prunes_the_cover_store(self):
+        context = SymbolicContext(VARIABLE_NAMES)
+        kept = context.lift(Or(And(Var("a"), Var("b")), Var("c")))
+        dropped = context.lift(Or(And(Var("d"), Var("e")), And(Var("a"), Not(Var("e")))))
+        kept.to_expr()
+        negated = context.manager.not_(dropped.node)
+        context.to_expr(negated)
+        assert negated in context._cover_cache
+        del dropped
+        assert context.collect() > 0
+        var = context.manager._var
+        assert var[negated] < 0 and negated not in context._cover_cache
+        assert all(var[node] >= 0 for node in context._cover_cache)
+        assert kept.node in context._cover_cache
+
     def test_cover_budget_raises(self):
         manager = BddManager([f"x{i}" for i in range(4)] + [f"y{i}" for i in range(4)])
         # The interleaving achilles heel: OR of x_i ∧ y_i cubes.
