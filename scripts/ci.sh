@@ -73,6 +73,14 @@ MODULES = [
     "repro.checking.bmc",
     "repro.spec.equivalence",
     "repro.expr",
+    "repro.checking",
+    "repro.assertions",
+    "repro.sat",
+    "repro.spec",
+    "repro.analysis",
+    "repro.synth",
+    "repro.faults",
+    "repro.archs",
 ]
 for name in MODULES:
     text = pydoc.render_doc(name, renderer=pydoc.plaintext)

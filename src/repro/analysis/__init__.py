@@ -6,7 +6,6 @@ from .coverage import (
     DisjunctCoverage,
     StageCoverage,
     coverage_of,
-    merge_coverage,
 )
 from .stalls import StageStallStats, StallBreakdown, classify_stalls
 from .stats import (
@@ -14,7 +13,6 @@ from .stats import (
     ThroughputStats,
     compare_traces,
     stats_table,
-    utilisation_by_stage,
 )
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "DisjunctCoverage",
     "StageCoverage",
     "coverage_of",
-    "merge_coverage",
     "StageStallStats",
     "StallBreakdown",
     "classify_stalls",
@@ -33,5 +30,4 @@ __all__ = [
     "ThroughputStats",
     "compare_traces",
     "stats_table",
-    "utilisation_by_stage",
 ]

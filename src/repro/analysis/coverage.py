@@ -20,7 +20,7 @@ The numbers drive two things:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 from ..expr.ast import Expr, Or
 from ..expr.compile import compile_outputs
@@ -34,7 +34,6 @@ __all__ = [
     "StageCoverage",
     "CoverageReport",
     "coverage_of",
-    "merge_coverage",
 ]
 
 
@@ -186,7 +185,6 @@ def _new_report(spec: FunctionalSpec) -> CoverageReport:
 def coverage_of(
     spec: FunctionalSpec,
     traces: Iterable[SimulationTrace],
-    report: Optional[CoverageReport] = None,
 ) -> CoverageReport:
     """Accumulate specification coverage of the given traces.
 
@@ -200,11 +198,10 @@ def coverage_of(
         spec: the functional specification whose clauses define the coverage
             model.
         traces: simulation traces to score (signals are packed from each
-            trace exactly as the assertion monitor samples them).
-        report: an existing report to accumulate into, for incremental
-            campaigns; a fresh one is created when omitted.
+            trace exactly as the assertion monitor samples them).  All
+            runs to be accumulated go into one call.
     """
-    report = report or _new_report(spec)
+    report = _new_report(spec)
     compiled = compile_outputs(
         {
             (clause.moe, index): disjunct
@@ -255,36 +252,3 @@ def coverage_of(
                 for disjunct, word in zip(stage.disjuncts, words):
                     disjunct.sole_justification_cycles += (word & ~shared).bit_count()
     return report
-
-
-def merge_coverage(reports: Sequence[CoverageReport]) -> CoverageReport:
-    """Merge several coverage reports over the same specification."""
-    if not reports:
-        raise ValueError("cannot merge an empty list of coverage reports")
-    names = {report.spec_name for report in reports}
-    if len(names) != 1:
-        raise ValueError(f"cannot merge coverage of different specifications: {sorted(names)}")
-    merged = CoverageReport(spec_name=reports[0].spec_name)
-    for report in reports:
-        merged.traces_merged += report.traces_merged
-        for moe, stage in report.stages.items():
-            target = merged.stages.get(moe)
-            if target is None:
-                target = StageCoverage(moe=moe)
-                for disjunct in stage.disjuncts:
-                    target.disjuncts.append(
-                        DisjunctCoverage(
-                            stage=disjunct.stage,
-                            index=disjunct.index,
-                            condition=disjunct.condition,
-                        )
-                    )
-                merged.stages[moe] = target
-            target.cycles_observed += stage.cycles_observed
-            target.cycles_stalled += stage.cycles_stalled
-            target.cycles_moving += stage.cycles_moving
-            target.cycles_condition_true += stage.cycles_condition_true
-            for mine, theirs in zip(target.disjuncts, stage.disjuncts):
-                mine.hit_cycles += theirs.hit_cycles
-                mine.sole_justification_cycles += theirs.sole_justification_cycles
-    return merged

@@ -88,15 +88,3 @@ def compare_traces(baseline: SimulationTrace, candidate: SimulationTrace) -> Com
 def stats_table(traces: Sequence[SimulationTrace]) -> List[Dict[str, object]]:
     """Throughput rows for several runs (used by the benchmark harnesses)."""
     return [ThroughputStats.from_trace(trace).as_row() for trace in traces]
-
-
-def utilisation_by_stage(trace: SimulationTrace) -> Dict[str, float]:
-    """Fraction of cycles each stage held an instruction."""
-    if not trace.cycles:
-        return {}
-    counts: Dict[str, int] = {}
-    for record in trace.cycles:
-        for stage_key, uid in record.occupancy.items():
-            if uid is not None:
-                counts[stage_key] = counts.get(stage_key, 0) + 1
-    return {stage: count / len(trace.cycles) for stage, count in sorted(counts.items())}

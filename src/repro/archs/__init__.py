@@ -15,7 +15,7 @@ from .family import (
     generate_family,
     is_family_name,
 )
-from .firepath_like import firepath_like_architecture, scaled_architecture
+from .firepath_like import firepath_like_architecture
 from .library import (
     available_architectures,
     load_architecture,
@@ -37,7 +37,6 @@ __all__ = [
     "generate_family",
     "is_family_name",
     "firepath_like_architecture",
-    "scaled_architecture",
     "available_architectures",
     "load_architecture",
     "register_architecture",

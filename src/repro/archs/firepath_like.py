@@ -17,7 +17,7 @@ every issue stage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..pipeline.structure import (
     Architecture,
@@ -116,45 +116,3 @@ def firepath_like_architecture(
         extra_stall_inputs=stall_inputs,
     )
 
-
-def scaled_architecture(
-    num_pipes: int,
-    pipe_depth: int,
-    num_registers: int = 4,
-    num_buses: int = 1,
-    name: Optional[str] = None,
-) -> Architecture:
-    """A parametric architecture for scalability studies.
-
-    ``num_pipes`` pipes of ``pipe_depth`` stages each are spread round-robin
-    over ``num_buses`` completion buses, all issue stages in one lock-step
-    group, sharing a scoreboard of ``num_registers`` registers.  Used by the
-    scale benchmark to measure how derivation and property-checking cost
-    grow with pipeline size.
-    """
-    if num_pipes < 1 or pipe_depth < 2:
-        raise ValueError("need at least one pipe of depth 2")
-    if num_buses < 1:
-        raise ValueError("need at least one completion bus")
-    bus_names = [f"c{bus_index}" for bus_index in range(num_buses)]
-    pipes = []
-    bus_members: dict = {bus: [] for bus in bus_names}
-    for pipe_index in range(num_pipes):
-        bus = bus_names[pipe_index % num_buses]
-        pipe_name = f"p{pipe_index}"
-        pipes.append(PipeSpec(name=pipe_name, num_stages=pipe_depth, completion_bus=bus))
-        bus_members[bus].append(pipe_name)
-    buses = [
-        CompletionBusSpec(name=bus, priority=tuple(members))
-        for bus, members in bus_members.items()
-        if members
-    ]
-    lockstep = [tuple(pipe.name for pipe in pipes)] if num_pipes > 1 else []
-    return Architecture(
-        name=name or f"scaled-{num_pipes}x{pipe_depth}",
-        pipes=pipes,
-        buses=buses,
-        scoreboard=ScoreboardSpec(num_registers=num_registers, bypass_buses=tuple(bus_names)),
-        lockstep_groups=lockstep,
-        extra_stall_inputs=[],
-    )

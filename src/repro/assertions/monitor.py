@@ -129,7 +129,6 @@ class MonitorReport:
             f"  violations:          {self.violation_count()}",
             f"    functional:        {self.violation_count(AssertionKind.FUNCTIONAL)}",
             f"    performance:       {self.violation_count(AssertionKind.PERFORMANCE)}",
-            f"    combined:          {self.violation_count(AssertionKind.COMBINED)}",
         ]
         if not self.clean():
             lines.append("  first violations:")

@@ -1,4 +1,4 @@
-"""Formal property checking (combinational and bounded) and simulation campaigns."""
+"""Formal property checking, combinational and bounded."""
 
 from .bmc import (
     BmcResult,
@@ -17,16 +17,10 @@ from .environment import (
     issue_register_assumptions,
     request_assumptions,
 )
-from .exhaustive import (
-    CampaignResult,
-    exhaustive_program_campaign,
-    random_simulation_campaign,
-)
 from .property_check import (
     CheckReport,
     PropertyChecker,
     PropertyResult,
-    check_implementation,
 )
 
 __all__ = [
@@ -43,11 +37,7 @@ __all__ = [
     "grant_assumptions",
     "issue_register_assumptions",
     "request_assumptions",
-    "CampaignResult",
-    "exhaustive_program_campaign",
-    "random_simulation_campaign",
     "CheckReport",
     "PropertyChecker",
     "PropertyResult",
-    "check_implementation",
 ]

@@ -295,17 +295,3 @@ class PropertyChecker:
             )
         return report
 
-
-def check_implementation(
-    spec: FunctionalSpec,
-    interlock: ClosedFormInterlock,
-    architecture: Optional[Architecture] = None,
-    backend: str = "bdd",
-) -> Dict[str, CheckReport]:
-    """Run the functional, performance and combined checks in one call."""
-    checker = PropertyChecker(spec, architecture=architecture, backend=backend)
-    return {
-        "functional": checker.check_functional(interlock),
-        "performance": checker.check_performance(interlock),
-        "combined": checker.check_combined(interlock),
-    }

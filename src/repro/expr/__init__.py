@@ -37,8 +37,6 @@ from .builders import (
 from .cnf import CnfResult, distribute_to_cnf, to_cnf_clauses
 from .compile import (
     CompiledOutputs,
-    bitparallel_count,
-    bitparallel_find_falsifying,
     bitparallel_satisfiable,
     bitparallel_tautology,
     compile_outputs,
@@ -56,7 +54,6 @@ from .parser import ParseError, parse_expr
 from .printer import to_text, to_unicode, to_verilog, to_vhdl
 from .transform import (
     eliminate_derived,
-    is_monotone_in,
     polarity_of_variables,
     rename,
     simplify,
@@ -91,8 +88,6 @@ __all__ = [
     "distribute_to_cnf",
     "to_cnf_clauses",
     "CompiledOutputs",
-    "bitparallel_count",
-    "bitparallel_find_falsifying",
     "bitparallel_satisfiable",
     "bitparallel_tautology",
     "compile_outputs",
@@ -110,7 +105,6 @@ __all__ = [
     "to_verilog",
     "to_vhdl",
     "eliminate_derived",
-    "is_monotone_in",
     "polarity_of_variables",
     "rename",
     "simplify",

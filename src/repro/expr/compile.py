@@ -20,10 +20,10 @@ Three layers of API:
 * :func:`compile_outputs` — the compiler; returns a callable
   :class:`CompiledOutputs` with one result word per root.
 * :func:`pack_bools` / :meth:`CompiledOutputs.evaluate_packed` — bulk
-  evaluation over externally supplied rows (simulation traces), one
-  packed column per root.
-* :func:`bitparallel_tautology` / :func:`bitparallel_satisfiable` /
-  :func:`bitparallel_count` / :func:`bitparallel_find_falsifying` —
+  evaluation over externally supplied rows, one packed column per root.
+  :func:`pack_bools` is the one column packer: simulation traces pack
+  their signal columns with it.
+* :func:`bitparallel_tautology` / :func:`bitparallel_satisfiable` —
   exhaustive sweeps over all ``2**n`` assignments of the expression's
   variables.
 """
@@ -103,9 +103,11 @@ class CompiledOutputs:
     def evaluate_packed(
         self, columns: Mapping[str, Sequence[int]], num_rows: int
     ) -> List[List[int]]:
-        """Evaluate ``num_rows`` externally packed rows (see :func:`pack_bools`).
+        """Evaluate ``num_rows`` externally packed rows.
 
-        ``columns`` maps each variable to its packed value words; the
+        ``columns`` maps each variable to its value words as
+        :func:`pack_bools` packs them (the format of
+        :meth:`repro.pipeline.trace.SimulationTrace.pack_signal_columns`); the
         result holds one packed column per output, in :attr:`outputs`
         order.  Bits at and beyond ``num_rows`` in the final word are zero.
         """
@@ -225,22 +227,20 @@ def compile_outputs(
 # -- packing -----------------------------------------------------------------------
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def pack_bools(values: Iterable[bool]) -> List[int]:
-    """Pack a row-major boolean sequence into 64-bit words (row k → bit k%64)."""
-    words: List[int] = []
-    word = 0
-    bit = 0
-    for value in values:
-        if value:
-            word |= 1 << bit
-        bit += 1
-        if bit == WORD_BITS:
-            words.append(word)
-            word = 0
-            bit = 0
-    if bit:
-        words.append(word)
-    return words
+    """Pack a row-major boolean sequence into 64-bit words (row k → bit k%64).
+
+    The bools become ``"0"``/``"1"`` bytes and each 64-row chunk is parsed,
+    reversed, as one base-2 integer, so the per-row work runs in C.
+    """
+    digits = bytes(values).translate(_BITS)
+    return [
+        int(digits[start : start + WORD_BITS][::-1], 2)
+        for start in range(0, len(digits), WORD_BITS)
+    ]
 
 
 # -- exhaustive sweeps --------------------------------------------------------------
@@ -262,8 +262,8 @@ def _enumeration_values(names: Tuple[str, ...], word_index: int) -> List[int]:
     return values
 
 
-def _sweep(compiled: CompiledOutputs) -> Iterable[Tuple[int, int, int]]:
-    """Yield ``(word_index, result_word, mask)`` over all assignments.
+def _sweep(compiled: CompiledOutputs) -> Iterable[Tuple[int, int]]:
+    """Yield ``(result_word, mask)`` over all assignments.
 
     ``compiled`` has one output; its :attr:`~CompiledOutputs.names` are the
     enumerated variables.
@@ -273,11 +273,11 @@ def _sweep(compiled: CompiledOutputs) -> Iterable[Tuple[int, int, int]]:
     if count <= 6:
         mask = (1 << (1 << count)) - 1
         (word,) = compiled(_enumeration_values(names, 0), mask)
-        yield 0, word, mask
+        yield word, mask
         return
     for word_index in range(1 << (count - 6)):
         (word,) = compiled(_enumeration_values(names, word_index), FULL_MASK)
-        yield word_index, word, FULL_MASK
+        yield word, FULL_MASK
 
 
 def _compile_one(expr: Expr) -> CompiledOutputs:
@@ -286,28 +286,9 @@ def _compile_one(expr: Expr) -> CompiledOutputs:
 
 def bitparallel_tautology(expr: Expr) -> bool:
     """Is ``expr`` true under every assignment of its variables?"""
-    return all((result & mask) == mask for _, result, mask in _sweep(_compile_one(expr)))
+    return all((result & mask) == mask for result, mask in _sweep(_compile_one(expr)))
 
 
 def bitparallel_satisfiable(expr: Expr) -> bool:
     """Is ``expr`` true under at least one assignment of its variables?"""
-    return any(result & mask for _, result, mask in _sweep(_compile_one(expr)))
-
-
-def bitparallel_count(expr: Expr) -> int:
-    """Number of satisfying assignments over the expression's variables."""
-    return sum((result & mask).bit_count() for _, result, mask in _sweep(_compile_one(expr)))
-
-
-def bitparallel_find_falsifying(expr: Expr) -> Optional[Dict[str, bool]]:
-    """An assignment falsifying ``expr``, or None when it is a tautology."""
-    compiled = _compile_one(expr)
-    for word_index, result, mask in _sweep(compiled):
-        failing = (~result) & mask
-        if failing:
-            bit = next(iter_set_bits(failing))
-            index = word_index * WORD_BITS + bit
-            return {
-                name: bool((index >> i) & 1) for i, name in enumerate(compiled.names)
-            }
-    return None
+    return any(result & mask for result, mask in _sweep(_compile_one(expr)))

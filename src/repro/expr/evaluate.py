@@ -126,36 +126,16 @@ def partial_eval(expr: Expr, assignment: Mapping[str, bool]) -> Expr:
     raise TypeError(f"cannot partially evaluate node {type(expr).__name__}")
 
 
-def all_assignments(names, reuse: bool = False) -> Iterator[Dict[str, bool]]:
+def all_assignments(names) -> Iterator[Dict[str, bool]]:
     """Enumerate every total assignment over the given variable names.
 
     Names are sorted so the enumeration order is deterministic.  Intended
     for exhaustive checks over small variable sets (the interlock control
     space of a single architecture is typically well under 30 variables).
-
-    With ``reuse=True`` one single dictionary is mutated in place and
-    yielded for every row — only the variable that flipped since the
-    previous assignment (Gray-code order is *not* used; all changed bits
-    are updated) is rewritten, instead of allocating a fresh dict per row.
-    Callers that store the yielded mappings must copy them or keep the
-    default; the hot enumeration loops in this package pass ``reuse=True``.
+    Each row is a fresh dict, so callers may keep the yielded mappings.
     """
     ordered = sorted(names)
     count = len(ordered)
-    if reuse:
-        current = {name: False for name in ordered}
-        yield current
-        for bits in range(1, 1 << count):
-            # Update exactly the variables whose bit changed from bits-1.
-            changed = bits ^ (bits - 1)
-            idx = 0
-            while changed:
-                if changed & 1:
-                    current[ordered[idx]] = bool((bits >> idx) & 1)
-                changed >>= 1
-                idx += 1
-            yield current
-        return
     for bits in range(1 << count):
         yield {
             name: bool((bits >> idx) & 1)

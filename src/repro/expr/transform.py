@@ -269,19 +269,3 @@ def polarity_of_variables(expr: Expr) -> Dict[str, Tuple[bool, bool]]:
 
     rec(expr, False)
     return polarities
-
-
-def is_monotone_in(expr: Expr, names) -> bool:
-    """Syntactic monotonicity check.
-
-    True when every variable in ``names`` occurs only positively (or not at
-    all) in ``expr``.  This is the sufficient condition used by the paper:
-    the stall conditions ``F_i`` are built from the *negated* moe flags with
-    conjunction and disjunction only, hence monotone in those negated flags.
-    """
-    polarities = polarity_of_variables(expr)
-    for name in names:
-        _, negative = polarities.get(name, (False, False))
-        if negative:
-            return False
-    return True

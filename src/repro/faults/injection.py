@@ -242,18 +242,3 @@ class FaultInjector:
         if limit is not None:
             builders = builders[:limit]
         return [build() for build in builders]
-
-    def random_fault(self, rng: Optional[random.Random] = None) -> InjectedFault:
-        """One randomly chosen fault (used by randomised campaigns)."""
-        rng = rng or random.Random(self.seed)
-        moe = rng.choice(self.spec.moe_flags())
-        choice = rng.randrange(5)
-        if choice == 0:
-            return self.extra_stall_fault(moe)
-        if choice == 1 and self.spec.condition_for(moe) != FALSE:
-            return self.missing_term_fault(moe)
-        if choice == 2:
-            return self.stuck_stall_fault(moe)
-        if choice == 3 and self.spec.condition_for(moe) != FALSE:
-            return self.never_stall_fault(moe)
-        return self.bad_reset_fault(moe, value=bool(rng.getrandbits(1)))

@@ -4,7 +4,6 @@ from .arbitration import (
     Arbiter,
     FixedPriorityArbiter,
     RoundRobinArbiter,
-    fixed_priority_grant_expressions,
     make_arbiter,
 )
 from .instructions import (
@@ -41,7 +40,6 @@ __all__ = [
     "Arbiter",
     "FixedPriorityArbiter",
     "RoundRobinArbiter",
-    "fixed_priority_grant_expressions",
     "make_arbiter",
     "Instruction",
     "InstructionKind",

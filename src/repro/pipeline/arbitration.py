@@ -13,7 +13,6 @@ from abc import ABC, abstractmethod
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 from ..expr.ast import Expr, Var
-from ..expr.builders import big_and
 from . import signals as sig
 from .structure import CompletionBusSpec
 
@@ -95,23 +94,6 @@ def make_arbiter(kind: str, bus: CompletionBusSpec) -> Arbiter:
             f"unknown arbiter kind {kind!r}; choose from {sorted(ARBITER_FACTORIES)}"
         ) from exc
     return factory(bus)
-
-
-def fixed_priority_grant_expressions(bus: CompletionBusSpec) -> Dict[str, Expr]:
-    """Symbolic grant logic of the fixed-priority arbiter.
-
-    Used when refining the abstract ``gnt`` inputs of a functional
-    specification into concrete completion logic
-    (:meth:`repro.spec.functional.FunctionalSpec.substitute_inputs`).
-    """
-    expressions: Dict[str, Expr] = {}
-    higher: List[str] = []
-    for pipe in bus.priority:
-        request = Var(sig.req_name(pipe))
-        blockers = [~Var(sig.req_name(other)) for other in higher]
-        expressions[sig.gnt_name(pipe)] = big_and([request] + blockers)
-        higher.append(pipe)
-    return expressions
 
 
 def arbitration_environment_assumptions(bus: CompletionBusSpec) -> List[Expr]:

@@ -14,8 +14,6 @@ quantifiers over them into finite disjunctions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, List
 
 MOE_SUFFIX = "moe"
 RTM_SUFFIX = "rtm"
@@ -88,38 +86,3 @@ def to_hdl_identifier(name: str) -> str:
     if out and out[0].isdigit():
         out = "_" + out
     return out
-
-
-@dataclass(frozen=True)
-class SignalGroup:
-    """A named group of related signal names (one pipeline stage, one bus...)."""
-
-    label: str
-    names: tuple
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-def merge_valuations(*valuations: Dict[str, bool]) -> Dict[str, bool]:
-    """Merge several signal valuations, erroring on conflicting values."""
-    out: Dict[str, bool] = {}
-    for valuation in valuations:
-        for name, value in valuation.items():
-            if name in out and out[name] != value:
-                raise ValueError(f"conflicting values for signal {name!r}")
-            out[name] = bool(value)
-    return out
-
-
-def filter_prefix(valuation: Dict[str, bool], prefix: str) -> Dict[str, bool]:
-    """Subset of a valuation whose names start with ``prefix``."""
-    return {name: value for name, value in valuation.items() if name.startswith(prefix)}
-
-
-def sorted_names(names: Iterable[str]) -> List[str]:
-    """Deterministic ordering used in reports and generated HDL port lists."""
-    return sorted(names)

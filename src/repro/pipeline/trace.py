@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
-from ..expr.compile import WORD_BITS
+from ..expr.compile import pack_bools
 
 
 class HazardKind(Enum):
@@ -66,22 +66,6 @@ class CycleRecord:
         merged = dict(self.inputs)
         merged.update(self.moe)
         return merged
-
-
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _pack_column(values: Sequence[bool]) -> List[int]:
-    """Pack one signal's per-cycle values into 64-bit words (cycle k → bit k%64).
-
-    The bools become ``"0"``/``"1"`` bytes and each 64-cycle chunk is
-    parsed, reversed, as one base-2 integer, so the per-cycle work runs in C.
-    """
-    digits = bytes(values).translate(_BITS)
-    return [
-        int(digits[start : start + WORD_BITS][::-1], 2)
-        for start in range(0, len(digits), WORD_BITS)
-    ]
 
 
 def _sample(record: CycleRecord, name: str, defaults: Dict[str, bool]) -> bool:
@@ -225,7 +209,7 @@ class SimulationTrace:
             return {name: [] for name in names}
         if not self._columnar:
             return {
-                name: _pack_column([_sample(record, name, defaults) for record in self._records])
+                name: pack_bools([_sample(record, name, defaults) for record in self._records])
                 for name in names
             }
         moe_position = {name: index for index, name in enumerate(self.moe_names)}
@@ -245,7 +229,7 @@ class SimulationTrace:
                 values = [bool(defaults[name])] * num_cycles
             else:
                 raise KeyError(name)
-            columns[name] = _pack_column(values)
+            columns[name] = pack_bools(values)
         return columns
 
     # -- aggregate statistics -------------------------------------------------------

@@ -1,23 +1,10 @@
-"""SAT solving substrate: CDCL solver, DIMACS IO, expression-level interface."""
+"""SAT solving substrate: CDCL solver and expression-level interface."""
 
-from .dimacs import from_dimacs, to_dimacs
-from .interface import (
-    Decision,
-    check_consistent,
-    check_equivalent,
-    check_implies,
-    check_satisfiable,
-    check_valid,
-)
+from .interface import Decision, check_satisfiable, check_valid
 from .solver import CdclSolver, SatResult, solve_clauses
 
 __all__ = [
-    "from_dimacs",
-    "to_dimacs",
     "Decision",
-    "check_consistent",
-    "check_equivalent",
-    "check_implies",
     "check_satisfiable",
     "check_valid",
     "CdclSolver",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..expr.ast import And, Expr, Iff, Not
+from ..expr.ast import Expr, Not
 from ..expr.cnf import to_cnf_clauses
 from .solver import CdclSolver, SatResult
 
@@ -42,22 +42,3 @@ def check_valid(expr: Expr) -> Decision:
         return Decision(False, model=refutation.model, stats=refutation.stats)
     return Decision(True, stats=refutation.stats)
 
-
-def check_equivalent(left: Expr, right: Expr) -> Decision:
-    """Are two expressions logically equivalent?  Counterexample if not."""
-    return check_valid(Iff(left, right))
-
-
-def check_implies(antecedent: Expr, consequent: Expr) -> Decision:
-    """Does ``antecedent`` entail ``consequent``?  Counterexample if not."""
-    return check_valid(antecedent.implies(consequent))
-
-
-def check_consistent(*exprs: Expr) -> Decision:
-    """Is the conjunction of the given expressions satisfiable?"""
-    if not exprs:
-        return Decision(True)
-    combined = exprs[0]
-    for expr in exprs[1:]:
-        combined = And(combined, expr)
-    return check_satisfiable(combined)

@@ -27,7 +27,6 @@ from .derivation import (
     derive_combined_spec,
     derive_performance_spec,
     symbolic_most_liberal,
-    unnecessary_stall_condition,
 )
 from .equivalence import (
     EquivalenceReport,
@@ -44,8 +43,6 @@ from .performance import (
     CombinedSpec,
     PerformanceClause,
     PerformanceSpec,
-    combined_spec_of,
-    performance_spec_of,
 )
 from .properties import (
     PropertyCheck,
@@ -76,7 +73,6 @@ __all__ = [
     "derive_combined_spec",
     "derive_performance_spec",
     "symbolic_most_liberal",
-    "unnecessary_stall_condition",
     "EquivalenceReport",
     "FlagComparison",
     "RefinementReport",
@@ -91,8 +87,6 @@ __all__ = [
     "CombinedSpec",
     "PerformanceClause",
     "PerformanceSpec",
-    "combined_spec_of",
-    "performance_spec_of",
     "PropertyCheck",
     "PropertyReport",
     "check_all_false_satisfies",

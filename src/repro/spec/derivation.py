@@ -232,7 +232,6 @@ class DerivationResult:
 def concrete_most_liberal(
     spec: FunctionalSpec,
     input_valuation: Mapping[str, bool],
-    max_iterations: Optional[int] = None,
 ) -> Dict[str, bool]:
     """The most liberal moe vector for one concrete input valuation.
 
@@ -241,7 +240,7 @@ def concrete_most_liberal(
     satisfies the functional specification under the given inputs.
     """
     moe_flags = spec.moe_flags()
-    limit = max_iterations if max_iterations is not None else len(moe_flags) + 2
+    limit = len(moe_flags) + 2
     assignment: Dict[str, bool] = dict(input_valuation)
     for moe in moe_flags:
         assignment[moe] = True
@@ -313,7 +312,6 @@ def derivation_order(spec: FunctionalSpec) -> List[str]:
 
 def symbolic_most_liberal(
     spec: FunctionalSpec,
-    max_iterations: Optional[int] = None,
     context: Optional[SymbolicContext] = None,
 ) -> DerivationResult:
     """Closed-form most liberal moe assignment over the primary inputs.
@@ -327,14 +325,13 @@ def symbolic_most_liberal(
 
     Args:
         spec: the functional specification to derive from.
-        max_iterations: iteration bound (default: number of flags + 2).
         context: an existing :class:`~repro.symbolic.SymbolicContext` to
             derive into (so several specifications can be compared by
             pointer in one shared unique table).  By default a fresh
             context with the register-interleaved order is created.
     """
     moe_flags = spec.moe_flags()
-    limit = max_iterations if max_iterations is not None else len(moe_flags) + 2
+    limit = len(moe_flags) + 2
     if context is None:
         context = SymbolicContext(derivation_order(spec))
     manager = context.manager
@@ -476,17 +473,3 @@ def derive_combined_spec(spec: FunctionalSpec) -> CombinedSpec:
     _require_preconditions(spec)
     return CombinedSpec(spec)
 
-
-def unnecessary_stall_condition(
-    spec: FunctionalSpec, derivation: Optional[DerivationResult] = None
-) -> Dict[str, Expr]:
-    """Per-stage condition under which an observed stall is unnecessary.
-
-    For each stage this is ``MOE_i(inputs)`` itself: if the closed-form most
-    liberal assignment says the stage could move, any implementation that
-    stalls it has introduced a performance bug.  The stall classifier in
-    :mod:`repro.analysis.stalls` evaluates these expressions on simulation
-    traces.
-    """
-    derivation = derivation or symbolic_most_liberal(spec)
-    return dict(derivation.moe_expressions)

@@ -15,7 +15,7 @@ shape Section 3.1 requires for the maximum-performance derivation to work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..expr.ast import Expr, Iff, Implies, Not, Var
 from ..expr.builders import big_and
@@ -257,32 +257,6 @@ class FunctionalSpec:
             name=self.name,
             clauses=new_clauses,
             inputs=new_inputs,
-            metadata=dict(self.metadata),
-        )
-
-    def restricted_to(self, moe_flags: Iterable[str]) -> "FunctionalSpec":
-        """The sub-specification governing only the given stages.
-
-        Mirrors the paper's remark that the specification "can be split into
-        two separate pipeline specifications".
-        """
-        wanted = set(moe_flags)
-        clauses = [clause for clause in self.clauses if clause.moe in wanted]
-        missing = wanted - {clause.moe for clause in clauses}
-        if missing:
-            raise KeyError(f"specification has no clauses for {sorted(missing)}")
-        # Moe flags of stages outside the restriction become free inputs of the
-        # sub-specification, exactly as in the paper's per-pipe split where the
-        # other pipe's flags appear as arguments of F.
-        inputs = list(self.inputs)
-        for clause in clauses:
-            for name in clause.condition.variables():
-                if name not in wanted and name not in inputs:
-                    inputs.append(name)
-        return FunctionalSpec(
-            name=f"{self.name}[{','.join(sorted(wanted))}]",
-            clauses=clauses,
-            inputs=inputs,
             metadata=dict(self.metadata),
         )
 

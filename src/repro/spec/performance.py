@@ -161,12 +161,3 @@ class CombinedSpec:
             lines.append(f"  {render(clause.condition)} {arrow} {neg}{clause.moe}")
         return "\n".join(lines)
 
-
-def performance_spec_of(functional: FunctionalSpec) -> PerformanceSpec:
-    """Convenience constructor mirroring the paper's 'flip the implications'."""
-    return PerformanceSpec(functional)
-
-
-def combined_spec_of(functional: FunctionalSpec) -> CombinedSpec:
-    """Convenience constructor for the combined specification."""
-    return CombinedSpec(functional)

@@ -87,8 +87,10 @@ def behavioural_verilog(
     return "\n".join(lines)
 
 
-def synthesis_to_verilog(result: SynthesisResult, behavioural: bool = False) -> str:
-    """Render a :class:`~repro.synth.synthesize.SynthesisResult` as Verilog."""
-    if behavioural:
-        return behavioural_verilog(result.spec, result.derivation, result.module.name)
+def synthesis_to_verilog(result: SynthesisResult) -> str:
+    """Render a :class:`~repro.synth.synthesize.SynthesisResult` as gate-level Verilog.
+
+    The behavioural form of the same interlock is
+    :func:`behavioural_verilog`.
+    """
     return module_to_verilog(result.module)

@@ -120,8 +120,9 @@ def behavioural_vhdl(
     return "\n".join(lines)
 
 
-def synthesis_to_vhdl(result: SynthesisResult, behavioural: bool = False) -> str:
-    """Render a :class:`~repro.synth.synthesize.SynthesisResult` as VHDL."""
-    if behavioural:
-        return behavioural_vhdl(result.spec, result.derivation, result.module.name)
+def synthesis_to_vhdl(result: SynthesisResult) -> str:
+    """Render a :class:`~repro.synth.synthesize.SynthesisResult` as gate-level VHDL.
+
+    The behavioural form of the same interlock is :func:`behavioural_vhdl`.
+    """
     return module_to_vhdl(result.module)

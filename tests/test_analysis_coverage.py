@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import CoverageReport, coverage_of, merge_coverage
+from repro.analysis import CoverageReport, coverage_of
 from repro.pipeline import reference_interlock, simulate
 from repro.workloads import (
     CONTENTION_HEAVY,
@@ -115,38 +115,7 @@ class TestCoverageGaps:
         assert combined.overall_disjunct_coverage >= single.overall_disjunct_coverage
 
 
-class TestMerge:
-    def test_merge_accumulates_counts(self, example_spec, example_arch):
-        generator = WorkloadGenerator(example_arch, seed=2)
-        traces = [
-            simulate(
-                example_arch,
-                reference_interlock(example_spec),
-                generator.generate(WorkloadProfile(length=15)),
-            )
-            for _ in range(2)
-        ]
-        separate = [coverage_of(example_spec, [trace]) for trace in traces]
-        merged = merge_coverage(separate)
-        combined = coverage_of(example_spec, traces)
-        assert merged.traces_merged == 2
-        for moe in merged.stages:
-            assert merged.stages[moe].cycles_observed == combined.stages[moe].cycles_observed
-            for mine, theirs in zip(merged.stages[moe].disjuncts,
-                                    combined.stages[moe].disjuncts):
-                assert mine.hit_cycles == theirs.hit_cycles
-
-    def test_merge_requires_matching_specs(self, example_spec, risc_spec):
-        with pytest.raises(ValueError):
-            merge_coverage(
-                [CoverageReport(spec_name=example_spec.name),
-                 CoverageReport(spec_name=risc_spec.name)]
-            )
-
-    def test_merge_of_nothing_rejected(self):
-        with pytest.raises(ValueError):
-            merge_coverage([])
-
+class TestAccumulation:
     def test_incremental_accumulation(self, example_spec, example_arch):
         generator = WorkloadGenerator(example_arch, seed=4)
         first = simulate(
@@ -159,10 +128,22 @@ class TestMerge:
             reference_interlock(example_spec),
             generator.generate(WorkloadProfile(length=10)),
         )
-        report = coverage_of(example_spec, [first])
-        report = coverage_of(example_spec, [second], report=report)
+        report = coverage_of(example_spec, [first, second])
         assert report.traces_merged == 2
         assert all(
             stage.cycles_observed == first.num_cycles() + second.num_cycles()
             for stage in report.stages.values()
         )
+        # One call over both traces counts what two single-trace calls count.
+        separate = [coverage_of(example_spec, [trace]) for trace in (first, second)]
+        for moe, stage in report.stages.items():
+            assert stage.cycles_stalled == sum(r.stages[moe].cycles_stalled for r in separate)
+            for index, disjunct in enumerate(stage.disjuncts):
+                assert disjunct.hit_cycles == sum(
+                    r.stages[moe].disjuncts[index].hit_cycles for r in separate
+                )
+
+    def test_report_is_not_an_option(self, example_spec):
+        # A list of traces is the one way to accumulate coverage.
+        with pytest.raises(TypeError):
+            coverage_of(example_spec, [], report=CoverageReport(spec_name=example_spec.name))

@@ -5,9 +5,6 @@ import pytest
 from repro.assertions import (
     AssertionKind,
     AssertionMonitor,
-    VerificationSummary,
-    assertions_by_kind,
-    combined_assertions,
     functional_assertions,
     monitor_trace,
     performance_assertions,
@@ -15,12 +12,11 @@ from repro.assertions import (
     sva_bind_directive,
     sva_module,
     testbench_assertions,
-    violations_by_stage,
 )
 from repro.analysis import render_table
 from repro.faults import FaultInjector
 from repro.pipeline import Program, alu, reference_interlock, simulate
-from repro.spec import CombinedSpec, PerformanceSpec
+from repro.spec import PerformanceSpec
 from repro.workloads import WorkloadGenerator, BALANCED, completion_contention_program
 
 
@@ -36,15 +32,11 @@ class TestAssertionGeneration:
         assert len(assertions) == len(example_spec.moe_flags())
         assert all(a.kind is AssertionKind.PERFORMANCE for a in assertions)
 
-    def test_combined_assertions(self, example_spec):
-        assertions = combined_assertions(CombinedSpec(example_spec))
-        assert all(a.kind is AssertionKind.COMBINED for a in assertions)
-
     def test_testbench_assertions_both_halves(self, example_spec):
         assertions = testbench_assertions(example_spec)
-        grouped = assertions_by_kind(assertions)
-        assert len(grouped[AssertionKind.FUNCTIONAL]) == len(example_spec.moe_flags())
-        assert len(grouped[AssertionKind.PERFORMANCE]) == len(example_spec.moe_flags())
+        kinds = [a.kind for a in assertions]
+        assert kinds.count(AssertionKind.FUNCTIONAL) == len(example_spec.moe_flags())
+        assert kinds.count(AssertionKind.PERFORMANCE) == len(example_spec.moe_flags())
 
     def test_assertion_names_unique(self, example_spec):
         names = [a.name for a in testbench_assertions(example_spec)]
@@ -95,24 +87,7 @@ class TestAssertionMonitor:
         trace = simulate(example_arch, fault.interlock, program)
         report = monitor_trace(trace, testbench_assertions(example_spec))
         assert report.violation_count(AssertionKind.FUNCTIONAL) > 0
-        summary = VerificationSummary(trace=trace, monitor=report)
-        assert summary.verdict() == "functional-bug"
-        assert summary.hazards > 0
-
-    def test_summary_verdicts(self, example_arch, example_spec):
-        program = WorkloadGenerator(example_arch, seed=1).generate(BALANCED)
-        clean_trace = simulate(example_arch, reference_interlock(example_spec), program)
-        clean = VerificationSummary(
-            trace=clean_trace, monitor=monitor_trace(clean_trace, testbench_assertions(example_spec))
-        )
-        assert clean.verdict() == "clean"
-        fault = FaultInjector(example_spec).extra_stall_fault("short.2.moe")
-        perf_trace = simulate(example_arch, fault.interlock, program)
-        perf = VerificationSummary(
-            trace=perf_trace, monitor=monitor_trace(perf_trace, testbench_assertions(example_spec))
-        )
-        assert perf.verdict() == "performance-bug"
-        assert "verdict" in perf.describe()
+        assert trace.hazard_count() > 0
 
     def test_monitor_rejects_traces_missing_signals(self, example_spec):
         from repro.pipeline.trace import CycleRecord, SimulationTrace
@@ -121,15 +96,6 @@ class TestAssertionMonitor:
         trace = SimulationTrace(architecture_name="x", interlock_name="y", cycles=[record])
         with pytest.raises(KeyError):
             monitor_trace(trace, testbench_assertions(example_spec))
-
-    def test_violations_by_stage_grouping(self, example_arch, example_spec):
-        fault = FaultInjector(example_spec).extra_stall_fault("long.4.moe")
-        program = completion_contention_program(example_arch, length=20)
-        trace = simulate(example_arch, fault.interlock, program)
-        report = monitor_trace(trace, testbench_assertions(example_spec))
-        by_stage = violations_by_stage(report)
-        assert by_stage, "expected at least one violating stage"
-        assert max(by_stage, key=by_stage.get).startswith("long")
 
 
 class TestHdlEmission:

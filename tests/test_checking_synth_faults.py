@@ -1,27 +1,15 @@
-"""Tests for property checking, exhaustive campaigns, RTL synthesis and fault injection."""
+"""Tests for property checking, simulation with assertions, RTL synthesis and fault injection."""
+
+import functools
 
 import pytest
 
-from repro.checking import (
-    PropertyChecker,
-    check_implementation,
-    environment_assumptions,
-    environment_formula,
-    exhaustive_program_campaign,
-    random_simulation_campaign,
-)
+from repro.checking import PropertyChecker, environment_assumptions, environment_formula
 from repro.archs import load_architecture
 from repro.expr import FALSE, eval_expr
 from repro.faults import FaultCampaign, FaultClass, FaultInjector
-from repro.pipeline import (
-    ClosedFormInterlock,
-    Program,
-    alu,
-    bubble,
-    reference_interlock,
-    simulate,
-)
-from repro.assertions import testbench_assertions
+from repro.pipeline import ClosedFormInterlock, reference_interlock, simulate
+from repro.assertions import monitor_trace, testbench_assertions
 from repro.spec import build_functional_spec, conservative_variant, symbolic_most_liberal
 from repro.synth import (
     GateKind,
@@ -60,10 +48,10 @@ class TestEnvironmentAssumptions:
 
 class TestPropertyChecker:
     def test_reference_interlock_proves_everything(self, example_arch, example_spec, example_interlock):
-        reports = check_implementation(example_spec, example_interlock, example_arch)
-        assert reports["functional"].all_hold()
-        assert reports["performance"].all_hold()
-        assert reports["combined"].all_hold()
+        checker = PropertyChecker(example_spec, architecture=example_arch)
+        assert checker.check_functional(example_interlock).all_hold()
+        assert checker.check_performance(example_interlock).all_hold()
+        assert checker.check_combined(example_interlock).all_hold()
 
     def test_equivalence_with_derived(self, example_spec, example_interlock):
         checker = PropertyChecker(example_spec)
@@ -142,31 +130,21 @@ class TestPropertyChecker:
 
 class TestSimulationCampaigns:
     def test_random_campaign_clean_for_reference(self, example_arch, example_spec, example_interlock):
-        result = random_simulation_campaign(
-            example_arch,
-            example_interlock,
-            testbench_assertions(example_spec),
-            num_programs=2,
-            seed=3,
-        )
-        assert result.programs_run == 2
-        assert not result.any_violation
-        assert result.hazards == 0
-        assert "programs run" in result.describe()
+        assertions = testbench_assertions(example_spec)
+        for seed in (3, 4):
+            program = WorkloadGenerator(example_arch, seed=seed).generate(WorkloadProfile())
+            trace = simulate(example_arch, example_interlock, program)
+            assert monitor_trace(trace, assertions).clean()
+            assert trace.hazard_count() == 0
 
     def test_random_campaign_detects_fault(self, example_arch, example_spec):
         fault = FaultInjector(example_spec).extra_stall_fault("short.2.moe")
-        result = random_simulation_campaign(
-            example_arch,
-            fault.interlock,
-            testbench_assertions(example_spec),
-            num_programs=2,
-            seed=3,
-            keep_reports=True,
+        campaign = FaultCampaign(
+            example_arch, example_spec, profile=WorkloadProfile(), num_programs=2, seed=3
         )
-        assert result.any_violation
-        assert result.first_failing_program is not None
-        assert result.reports
+        record = campaign.run_fault(fault)
+        assert record.detected_by_simulation
+        assert record.performance_violations > 0
 
     def test_wait_blind_fault_needs_wait_stimulus_or_property_check(
         self, example_arch, example_spec
@@ -183,50 +161,92 @@ class TestSimulationCampaigns:
         fault = FaultInjector(example_spec, seed=0).missing_term_fault(
             "long.1.moe", term_index=wait_index
         )
-        assertions = testbench_assertions(example_spec)
-        campaign = dict(num_programs=3, seed=0)
-        without_waits = random_simulation_campaign(
-            example_arch, fault.interlock, assertions,
-            profile=WorkloadProfile(length=60, wait_rate=0.0), **campaign,
-        )
-        assert not without_waits.any_violation
+        without_waits = FaultCampaign(
+            example_arch, example_spec, num_programs=3, seed=0,
+            profile=WorkloadProfile(length=60, wait_rate=0.0),
+        ).run_fault(fault)
+        assert not without_waits.detected_by_simulation
+        assert without_waits.property_check_functional_failed is True
         checker = PropertyChecker(example_spec, architecture=example_arch)
         assert checker.check_functional(fault.interlock).failing_stages() == ["long.1.moe"]
-        with_waits = random_simulation_campaign(
-            example_arch, fault.interlock, assertions,
-            profile=WorkloadProfile(length=60, wait_rate=0.3), **campaign,
-        )
+        with_waits = FaultCampaign(
+            example_arch, example_spec, num_programs=3, seed=0,
+            profile=WorkloadProfile(length=60, wait_rate=0.3),
+        ).run_fault(fault)
         assert with_waits.functional_violations > 0
 
-    def test_exhaustive_campaign_enumerates_programs(self, example_arch, example_spec, example_interlock):
-        alphabet = {
-            "long": [alu("long", dst=0), bubble("long")],
-            "short": [alu("short", dst=1)],
-        }
-        result = exhaustive_program_campaign(
-            example_arch,
-            example_interlock,
-            testbench_assertions(example_spec),
-            alphabet=alphabet,
-            length=2,
-        )
-        assert result.programs_run == 4  # (2*1)^2 slot combinations
-        assert not result.any_violation
 
-    def test_exhaustive_campaign_respects_max_programs(self, example_arch, example_spec, example_interlock):
-        alphabet = {
-            "long": [alu("long", dst=0), bubble("long")],
-            "short": [alu("short", dst=1), bubble("short")],
-        }
-        result = exhaustive_program_campaign(
-            example_arch,
-            example_interlock,
-            testbench_assertions(example_spec),
-            alphabet=alphabet,
-            length=2,
-            max_programs=5,
+# Closed-form mutants of FaultInjector(spec, seed=3).standard_fault_set()
+# per architecture; the aggregate test below fails if a count drifts.
+ORACLE_MUTANTS = {
+    "dac2002-example": 24,
+    "risc5": 20,
+    "fam-r4w2d5s1-bypass": 36,
+    "fam-r2w1d3s1-blocking": 12,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_campaign(arch_name):
+    """One campaign and its closed-form mutants per architecture."""
+    arch = load_architecture(arch_name)
+    spec = build_functional_spec(arch)
+    derivation = symbolic_most_liberal(spec)
+    mutants = [
+        fault
+        for fault in FaultInjector(spec, seed=3, derivation=derivation).standard_fault_set()
+        if isinstance(fault.interlock, ClosedFormInterlock)
+    ]
+    campaign = FaultCampaign(
+        arch,
+        spec,
+        profile=WorkloadProfile(length=60),
+        num_programs=2,
+        seed=3,
+        derivation=derivation,
+    )
+    return campaign, mutants
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_record(arch_name, index):
+    campaign, mutants = _oracle_campaign(arch_name)
+    return campaign.run_fault(mutants[index])
+
+
+class TestSimulationAgreesWithPropertyCheck:
+    """Simulation with assertions never contradicts the exhaustive check.
+
+    Both routes of FaultCampaign.run_fault judge the same mutant: whatever
+    the testbench sees must be a defect the property checker proves.
+    """
+
+    @pytest.mark.parametrize(
+        "arch_name,index",
+        [(name, index) for name, count in ORACLE_MUTANTS.items() for index in range(count)],
+        ids=str,
+    )
+    def test_simulation_evidence_implies_refutation(self, arch_name, index):
+        record = _oracle_record(arch_name, index)
+        if record.vacuous:
+            assert not record.detected_by_simulation
+            assert record.physical_hazards == 0
+        if record.physical_hazards:
+            # The functional assertions flag every hazard.
+            assert record.functional_violations > 0
+        if record.functional_violations or record.physical_hazards:
+            assert record.property_check_functional_failed
+        if record.performance_violations:
+            assert record.property_check_performance_failed
+
+    @pytest.mark.parametrize("arch_name", sorted(ORACLE_MUTANTS))
+    def test_simulation_detects_a_real_mutant(self, arch_name):
+        _, mutants = _oracle_campaign(arch_name)
+        assert len(mutants) == ORACLE_MUTANTS[arch_name]
+        records = [_oracle_record(arch_name, index) for index in range(len(mutants))]
+        assert any(
+            record.detected_by_simulation and not record.vacuous for record in records
         )
-        assert result.programs_run == 5
 
 
 class TestSynthesis:
@@ -258,7 +278,9 @@ class TestSynthesis:
         gate_level = synthesis_to_verilog(synthesis)
         assert gate_level.count("module") >= 1 and "endmodule" in gate_level
         assert "assign" in gate_level
-        behavioural = synthesis_to_verilog(synthesis, behavioural=True)
+        behavioural = behavioural_verilog(
+            synthesis.spec, synthesis.derivation, synthesis.module.name
+        )
         assert "output wire long_4_moe" in behavioural
         assert behavioural.count("assign") == len(example_spec.moe_flags())
 
@@ -356,15 +378,6 @@ class TestFaultInjection:
         injector = FaultInjector(example_spec)
         with pytest.raises(IndexError):
             injector.missing_term_fault("long.4.moe", term_index=99)
-
-    def test_random_fault_reproducible(self, example_spec):
-        import random
-
-        injector = FaultInjector(example_spec, seed=7)
-        first = injector.random_fault(random.Random(7))
-        second = injector.random_fault(random.Random(7))
-        assert first.target_moe == second.target_moe
-        assert first.fault_class == second.fault_class
 
     def test_campaign_classifies_fault_classes_correctly(self, example_arch, example_spec):
         campaign = FaultCampaign(example_arch, example_spec, num_programs=1, max_cycles=250)

@@ -16,7 +16,6 @@ from repro.expr import (
     all_assignments,
     eliminate_derived,
     eval_expr,
-    is_monotone_in,
     is_satisfiable_by_enumeration,
     is_tautology_by_enumeration,
     partial_eval,
@@ -220,11 +219,3 @@ class TestPolarity:
         polarity = polarity_of_variables(Implies(a, b))
         assert polarity["a"] == (False, True)
         assert polarity["b"] == (True, False)
-
-    def test_is_monotone_in(self):
-        moe, rtm = Var("moe"), Var("rtm")
-        condition = And(rtm, Not(moe))
-        # Monotone in rtm (appears positively) but not in moe (appears negated).
-        assert is_monotone_in(condition, ["rtm"])
-        assert not is_monotone_in(condition, ["moe"])
-        assert is_monotone_in(condition, ["absent"])  # unused variables are fine

@@ -34,8 +34,6 @@ from repro.expr import (
     Or,
     Var,
     all_assignments,
-    bitparallel_count,
-    bitparallel_find_falsifying,
     bitparallel_satisfiable,
     bitparallel_tautology,
     compile_outputs,
@@ -84,7 +82,6 @@ class TestBitParallelEvaluator:
         brute = [eval_expr(expr, a) for a in all_assignments(names)]
         assert bitparallel_tautology(expr) == all(brute)
         assert bitparallel_satisfiable(expr) == any(brute)
-        assert bitparallel_count(expr) == sum(brute)
         roots = shared_roots(expr, other)
         compiled = compile_outputs(roots)
         assert compiled.outputs == tuple(roots)
@@ -127,23 +124,17 @@ class TestBitParallelEvaluator:
             pack_bools([False] * num_rows),
         ]
 
-    @settings(max_examples=60, deadline=None)
-    @given(expressions())
-    def test_falsifying_witness_is_genuine(self, expr):
-        witness = bitparallel_find_falsifying(expr)
-        if witness is None:
-            assert bitparallel_tautology(expr)
-        else:
-            assert eval_expr(expr, witness) is False
-
     def test_wide_sweep_crosses_word_boundary(self):
         # Seven variables: 128 assignments spread over two 64-bit words.
-        expr = Or(*(Var(name) for name in VARIABLE_NAMES[:7]))
-        assert not bitparallel_tautology(expr)
-        assert bitparallel_count(expr) == (1 << 7) - 1
-        assert bitparallel_find_falsifying(expr) == {
-            name: False for name in VARIABLE_NAMES[:7]
-        }
+        # The disjunction fails only at assignment 0 (first word), the
+        # conjunction holds only at assignment 127 (second word).
+        variables = [Var(name) for name in VARIABLE_NAMES[:7]]
+        anything = Or(*variables)
+        everything = And(*variables)
+        assert not bitparallel_tautology(anything)
+        assert bitparallel_tautology(Or(anything, And(*(Not(v) for v in variables))))
+        assert bitparallel_satisfiable(everything)
+        assert not bitparallel_satisfiable(And(everything, Not(variables[-1])))
 
 
 class TestCompiledOutputs:
@@ -153,10 +144,20 @@ class TestCompiledOutputs:
         a, b, c = Var("a"), Var("b"), Var("c")
         roots = {"not_a": Not(a), "implies": Implies(And(a, b), c), "true": TRUE}
         rows = [{name: rng.random() < 0.5 for name in "abc"} for _ in range(num_rows)]
+
+        def bit_by_bit(values):
+            # Row k sets bit k % 64 of word k // 64.
+            words = [0] * ((num_rows + 63) // 64)
+            for k, value in enumerate(values):
+                if value:
+                    words[k // 64] |= 1 << (k % 64)
+            return words
+
         columns = {name: pack_bools(row[name] for row in rows) for name in "abc"}
+        assert columns == {name: bit_by_bit(row[name] for row in rows) for name in "abc"}
         packed = compile_outputs(roots).evaluate_packed(columns, num_rows)
         expected = [
-            pack_bools(eval_expr(root, row) for row in rows) for root in roots.values()
+            bit_by_bit(eval_expr(root, row) for row in rows) for root in roots.values()
         ]
         assert packed == expected
         assert all(len(column) == (num_rows + 63) // 64 for column in packed)
@@ -356,16 +357,11 @@ class TestBandedReduction:
         assert (stats.op_cache_entries, stats.live_nodes) == (op_cache_entries, live_nodes)
 
 
-class TestAllAssignmentsReuse:
-    def test_reuse_yields_the_same_sequence(self):
-        names = ["c", "a", "b"]
-        fresh = list(all_assignments(names))
-        reused = [dict(a) for a in all_assignments(names, reuse=True)]
-        assert fresh == reused
-
-    def test_reuse_mutates_one_dict(self):
-        seen = {id(a) for a in all_assignments(["x", "y"], reuse=True)}
-        assert len(seen) == 1
+class TestAllAssignments:
+    def test_reuse_is_not_an_option(self):
+        # Every row is a fresh dict; there is no in-place mode.
+        with pytest.raises(TypeError):
+            all_assignments(["x", "y"], reuse=True)
 
 
 class TestBenchRunner:

@@ -17,7 +17,6 @@ from repro.pipeline import (
     StallInput,
     alu,
     bubble,
-    fixed_priority_grant_expressions,
     make_arbiter,
     store,
     wait,
@@ -47,16 +46,6 @@ class TestSignals:
         assert sig.to_hdl_identifier("scb[3]") == "scb_3_"
         assert sig.to_hdl_identifier("c.regaddr=5") == "c_regaddr_eq_5"
         assert sig.to_hdl_identifier("1weird") .startswith("_")
-
-    def test_merge_valuations_detects_conflicts(self):
-        assert sig.merge_valuations({"a": True}, {"b": False}) == {"a": True, "b": False}
-        with pytest.raises(ValueError):
-            sig.merge_valuations({"a": True}, {"a": False})
-
-    def test_filter_prefix_and_sorted_names(self):
-        valuation = {"long.1.moe": True, "short.1.moe": False}
-        assert sig.filter_prefix(valuation, "long") == {"long.1.moe": True}
-        assert sig.sorted_names(valuation) == ["long.1.moe", "short.1.moe"]
 
 
 class TestStructure:
@@ -240,14 +229,6 @@ class TestArbitration:
         assert isinstance(make_arbiter("round-robin", self.bus()), RoundRobinArbiter)
         with pytest.raises(ValueError):
             make_arbiter("mystery", self.bus())
-
-    def test_grant_expressions_match_fixed_priority(self):
-        expressions = fixed_priority_grant_expressions(self.bus())
-        env = {"short.req": True, "long.req": True}
-        assert eval_expr(expressions["short.gnt"], env)
-        assert not eval_expr(expressions["long.gnt"], env)
-        env = {"short.req": False, "long.req": True}
-        assert eval_expr(expressions["long.gnt"], env)
 
     def test_environment_assumptions_hold_for_real_arbiters(self):
         bus = self.bus()

@@ -1,18 +1,13 @@
-"""Tests for the CDCL SAT solver, DIMACS IO and the expression-level interface."""
+"""Tests for the CDCL SAT solver and the expression-level interface."""
 
 import pytest
 
 from repro.expr import And, Iff, Implies, Not, Or, Var, vars_
 from repro.sat import (
     CdclSolver,
-    check_consistent,
-    check_equivalent,
-    check_implies,
     check_satisfiable,
     check_valid,
-    from_dimacs,
     solve_clauses,
-    to_dimacs,
 )
 from repro.sat.solver import _luby
 
@@ -98,32 +93,6 @@ class TestLuby:
             _luby(0)
 
 
-class TestDimacs:
-    def test_roundtrip(self):
-        clauses = [(1, -2), (2, 3), (-1,)]
-        text = to_dimacs(3, clauses, comments=["example"])
-        num_vars, parsed = from_dimacs(text)
-        assert num_vars == 3
-        assert parsed == clauses
-
-    def test_header_and_comment_format(self):
-        text = to_dimacs(2, [(1, 2)], comments=["hello"])
-        assert text.splitlines()[0] == "c hello"
-        assert "p cnf 2 1" in text
-
-    def test_parse_rejects_malformed_problem_line(self):
-        with pytest.raises(ValueError):
-            from_dimacs("p cnf 2\n1 0\n")
-
-    def test_parse_rejects_clause_count_mismatch(self):
-        with pytest.raises(ValueError):
-            from_dimacs("p cnf 2 2\n1 0\n")
-
-    def test_parse_ignores_comments_and_blank_lines(self):
-        num_vars, clauses = from_dimacs("c comment\n\np cnf 2 1\n1 -2 0\n")
-        assert num_vars == 2 and clauses == [(1, -2)]
-
-
 class TestExpressionInterface:
     def test_check_satisfiable_returns_model(self):
         a, b = vars_("a", "b")
@@ -141,22 +110,6 @@ class TestExpressionInterface:
         decision = check_valid(Implies(a, b))
         assert not decision
         assert decision.model["a"] is True and decision.model["b"] is False
-
-    def test_check_equivalent(self):
-        a, b, c = vars_("a", "b", "c")
-        assert check_equivalent(And(a, Or(b, c)), Or(And(a, b), And(a, c)))
-        assert not check_equivalent(Implies(a, b), Implies(b, a))
-
-    def test_check_implies(self):
-        a, b = vars_("a", "b")
-        assert check_implies(And(a, b), a)
-        assert not check_implies(a, And(a, b))
-
-    def test_check_consistent(self):
-        a, b = vars_("a", "b")
-        assert check_consistent(a, Implies(a, b), b)
-        assert not check_consistent(a, Not(a))
-        assert check_consistent()
 
     def test_agreement_with_bdd_backend(self):
         from repro.symbolic import SymbolicContext

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.archs import example_architecture, risc5_architecture, scaled_architecture
+from repro.archs import example_architecture, load_architecture, risc5_architecture
 from repro.expr import FALSE, Or, TRUE, Var, eval_expr
 from repro.pipeline import signals as sig
 from repro.spec import (
@@ -18,7 +18,6 @@ from repro.spec import (
     derive_combined_spec,
     derive_performance_spec,
     symbolic_most_liberal,
-    unnecessary_stall_condition,
 )
 from repro.spec.functional import SpecificationError
 from repro.symbolic import SymbolicContext
@@ -211,10 +210,14 @@ class TestSymbolicDerivation:
             assert moe in text
 
     def test_derivation_scales_to_deeper_pipes(self):
-        arch = scaled_architecture(num_pipes=3, pipe_depth=6, num_registers=2)
-        spec = build_functional_spec(arch)
+        # Three lock-stepped pipes of depths 6, 5 and 4.
+        spec = build_functional_spec(load_architecture("fam-r2w3d6s1-bypass"))
         derivation = symbolic_most_liberal(spec)
-        assert len(derivation.moe_expressions) == 18
+        assert len(derivation.moe_expressions) == 15
+        assert derivation.iterations == 3
+        input_set = set(spec.input_signals())
+        for expression in derivation.moe_expressions.values():
+            assert expression.variables() <= input_set
 
     def test_non_monotone_spec_raises(self):
         spec = FunctionalSpec(
@@ -226,7 +229,14 @@ class TestSymbolicDerivation:
             inputs=[],
         )
         with pytest.raises(DerivationError):
-            symbolic_most_liberal(spec, max_iterations=5)
+            symbolic_most_liberal(spec)
+
+    def test_iteration_bound_is_not_an_option(self, example_spec):
+        # The bound is the number of flags + 2; no caller sets another.
+        with pytest.raises(TypeError):
+            symbolic_most_liberal(example_spec, max_iterations=5)
+        with pytest.raises(TypeError):
+            concrete_most_liberal(example_spec, {}, max_iterations=5)
 
 
 class TestDerivedSpecs:
@@ -264,7 +274,3 @@ class TestDerivedSpecs:
 
     def test_most_liberal_is_maximal(self, example_spec, example_derivation):
         assert check_maximality(example_spec, example_derivation).holds
-
-    def test_unnecessary_stall_condition_matches_moe(self, example_spec, example_derivation):
-        conditions = unnecessary_stall_condition(example_spec, example_derivation)
-        assert conditions == example_derivation.moe_expressions

@@ -9,8 +9,6 @@ from repro.spec import (
     PerformanceSpec,
     SpecificationError,
     StallClause,
-    combined_spec_of,
-    performance_spec_of,
 )
 
 
@@ -153,19 +151,6 @@ class TestSpecTransformations:
         with pytest.raises(SpecificationError):
             spec.substitute_inputs({"p.2.moe": Var("x")})
 
-    def test_restricted_to_subset(self):
-        spec = two_stage_spec()
-        sub = spec.restricted_to(["p.2.moe"])
-        assert sub.moe_flags() == ["p.2.moe"]
-        with pytest.raises(KeyError):
-            spec.restricted_to(["nope"])
-
-    def test_restriction_splits_example_per_pipe(self, example_spec):
-        long_flags = [moe for moe in example_spec.moe_flags() if moe.startswith("long")]
-        sub = example_spec.restricted_to(long_flags)
-        assert set(sub.moe_flags()) == set(long_flags)
-
-
 class TestPerformanceAndCombinedSpecs:
     def test_performance_clauses_mirror_functional(self):
         spec = two_stage_spec()
@@ -203,11 +188,6 @@ class TestPerformanceAndCombinedSpecs:
         spec = two_stage_spec()
         clause = CombinedSpec(spec).clauses[0]
         assert clause.moe_definition() == Not(spec.condition_for("p.2.moe"))
-
-    def test_convenience_constructors(self):
-        spec = two_stage_spec()
-        assert isinstance(performance_spec_of(spec), PerformanceSpec)
-        assert isinstance(combined_spec_of(spec), CombinedSpec)
 
     def test_describe_renders(self):
         spec = two_stage_spec()

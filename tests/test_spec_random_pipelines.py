@@ -31,8 +31,8 @@ from repro.spec import (
     check_disjunction_closure,
     check_maximality,
     check_most_liberal_satisfies,
+    PerformanceSpec,
     concrete_most_liberal,
-    performance_spec_of,
     symbolic_most_liberal,
 )
 from repro.spec.properties import _whole_formula_closure
@@ -186,7 +186,7 @@ class TestRandomPipelineTheory:
         spec, valuation = spec_and_valuation
         assignment = dict(valuation)
         assignment.update(concrete_most_liberal(spec, valuation))
-        performance = performance_spec_of(spec)
+        performance = PerformanceSpec(spec)
         assert eval_expr(spec.functional_formula(), assignment)
         assert eval_expr(performance.formula(), assignment)
 

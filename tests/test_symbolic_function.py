@@ -303,24 +303,6 @@ class TestSymbolicObligationsAcrossLayers:
         result = checker.check_performance(model, bound=2)
         assert result.holds
 
-    def test_derived_assertions_from_covers(self, example_spec, example_arch):
-        from repro.assertions import derived_assertions, monitor_trace
-        from repro.pipeline import reference_interlock, simulate
-        from repro.workloads import WorkloadGenerator, WorkloadProfile
-
-        derivation = symbolic_most_liberal(example_spec)
-        assertions = derived_assertions(derivation)
-        assert len(assertions) == 2 * len(example_spec.moe_flags())
-        # Closed-form assertions range over primary inputs plus the stage's
-        # own moe flag only — never other stages' flags.
-        inputs = set(example_spec.input_signals())
-        for assertion in assertions:
-            assert assertion.formula.variables() <= inputs | {assertion.moe}
-        # The reference interlock satisfies its own closed-form contract.
-        program = WorkloadGenerator(example_arch, seed=5).generate(WorkloadProfile(length=40))
-        trace = simulate(example_arch, reference_interlock(example_spec), program)
-        assert monitor_trace(trace, assertions).clean()
-
     def test_synthesis_lowers_isop_covers(self, example_spec):
         from repro.synth import synthesize_interlock
 

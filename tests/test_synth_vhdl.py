@@ -9,6 +9,7 @@ from repro.spec import FunctionalSpec, StallClause, symbolic_most_liberal
 from repro.synth import (
     behavioural_vhdl,
     module_to_vhdl,
+    synthesis_to_verilog,
     synthesis_to_vhdl,
     synthesize_interlock,
 )
@@ -107,12 +108,16 @@ class TestVhdlEmission:
     def test_behavioural_and_netlist_share_port_names(self, example_spec, example_derivation):
         synthesis = synthesize_interlock(example_spec, derivation=example_derivation)
         behavioural = behavioural_vhdl(example_spec, example_derivation, entity_name="x")
-        for port in synthesis.module.port_names():
-            assert port in behavioural
-
-    def test_synthesis_to_vhdl_behavioural_flag(self, example_spec):
-        synthesis = synthesize_interlock(example_spec)
-        behavioural = synthesis_to_vhdl(synthesis, behavioural=True)
-        structural = synthesis_to_vhdl(synthesis, behavioural=False)
+        structural = synthesis_to_vhdl(synthesis)
         assert "architecture rtl" in behavioural
         assert "architecture netlist" in structural
+        for port in synthesis.module.port_names():
+            assert port in behavioural and port in structural
+
+    def test_behavioural_is_not_an_option(self, example_spec):
+        # The behavioural text comes from behavioural_vhdl/behavioural_verilog.
+        synthesis = synthesize_interlock(example_spec)
+        with pytest.raises(TypeError):
+            synthesis_to_vhdl(synthesis, behavioural=True)
+        with pytest.raises(TypeError):
+            synthesis_to_verilog(synthesis, behavioural=True)
