@@ -71,7 +71,6 @@ MODULES = [
     "repro.symbolic",
     "repro.symbolic.serialize",
     "repro.checking.bmc",
-    "repro.spec.equivalence",
     "repro.expr",
     "repro.checking",
     "repro.assertions",

@@ -81,16 +81,6 @@ class StageCoverage:
         return sum(1 for disjunct in self.disjuncts if disjunct.covered) / len(self.disjuncts)
 
     @property
-    def stall_observed(self) -> bool:
-        """Was the stage ever observed stalled?"""
-        return self.cycles_stalled > 0
-
-    @property
-    def move_observed(self) -> bool:
-        """Was the stage ever observed moving-or-empty?"""
-        return self.cycles_moving > 0
-
-    @property
     def uncovered_disjuncts(self) -> List[DisjunctCoverage]:
         """Disjuncts never exercised by the runs."""
         return [disjunct for disjunct in self.disjuncts if not disjunct.covered]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from ..expr.ast import Expr
 from ..expr.printer import to_verilog
 from ..expr.transform import rename
 from ..pipeline.signals import to_hdl_identifier

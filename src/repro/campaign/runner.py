@@ -3,8 +3,8 @@
 For a single architecture this chains the whole reproduction flow:
 
 ``properties``
-    the Section 3.1 preconditions (including property 3, the
-    most-liberal/maximality pair) checked exhaustively with BDDs;
+    the Section 3.1 preconditions and property 3 (the most liberal
+    assignment satisfies the spec) checked exhaustively with BDDs;
 ``derive``
     the symbolic fixed-point derivation of the maximum-performance
     interlock;

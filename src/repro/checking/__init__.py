@@ -20,7 +20,6 @@ from .environment import (
 from .property_check import (
     CheckReport,
     PropertyChecker,
-    PropertyResult,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "request_assumptions",
     "CheckReport",
     "PropertyChecker",
-    "PropertyResult",
 ]

@@ -26,23 +26,9 @@ from ..pipeline.structure import Architecture
 from ..sat.interface import check_valid
 from ..spec.derivation import DerivationResult, symbolic_most_liberal
 from ..spec.functional import FunctionalSpec
+from ..spec.properties import PropertyCheck
 from ..symbolic import SymbolicContext, SymbolicFunction
 from .environment import environment_formula
-
-
-@dataclass
-class PropertyResult:
-    """Outcome of checking one per-stage property."""
-
-    name: str
-    moe: str
-    holds: bool
-    counterexample: Optional[Dict[str, bool]] = None
-
-    def describe(self) -> str:
-        """Single-line rendering."""
-        status = "proved" if self.holds else "FAILED"
-        return f"{self.name} [{self.moe}]: {status}"
 
 
 @dataclass
@@ -52,13 +38,13 @@ class CheckReport:
     implementation: str
     spec_name: str
     backend: str
-    results: List[PropertyResult] = field(default_factory=list)
+    results: List[PropertyCheck] = field(default_factory=list)
 
     def all_hold(self) -> bool:
         """True when every checked property was proved."""
         return all(result.holds for result in self.results)
 
-    def failures(self) -> List[PropertyResult]:
+    def failures(self) -> List[PropertyCheck]:
         """The properties that failed, with counterexamples."""
         return [result for result in self.results if not result.holds]
 
@@ -72,7 +58,10 @@ class CheckReport:
             f"Property check of {self.implementation} against {self.spec_name} "
             f"({self.backend} backend):"
         ]
-        lines.extend(f"  {result.describe()}" for result in self.results)
+        lines.extend(
+            f"  {result.name} [{result.moe}]: {'proved' if result.holds else 'FAILED'}"
+            for result in self.results
+        )
         verdict = "all properties proved" if self.all_hold() else (
             f"{len(self.failures())} propert(ies) failed"
         )
@@ -219,11 +208,11 @@ class PropertyChecker:
                 substituted(clause.condition), implementation[clause.moe]
             )
             report.results.append(
-                PropertyResult(
+                PropertyCheck(
                     name=f"{kind}::{clause.label or clause.moe}",
-                    moe=clause.moe,
                     holds=holds,
                     counterexample=counterexample,
+                    moe=clause.moe,
                 )
             )
         return report
@@ -259,8 +248,8 @@ class PropertyChecker:
         for moe, reference in self._derived(interlock).items():
             holds, counterexample = self._prove_equivalence(implementation[moe], reference)
             report.results.append(
-                PropertyResult(
-                    name=f"equivalence::{moe}", moe=moe, holds=holds, counterexample=counterexample
+                PropertyCheck(
+                    name=f"equivalence::{moe}", holds=holds, counterexample=counterexample, moe=moe
                 )
             )
         return report
@@ -286,11 +275,11 @@ class PropertyChecker:
         for moe, claim in obligations.items():
             holds, counterexample = self._prove(claim)
             report.results.append(
-                PropertyResult(
+                PropertyCheck(
                     name=f"{name}::{moe}",
-                    moe=moe,
                     holds=holds,
                     counterexample=counterexample,
+                    moe=moe,
                 )
             )
         return report

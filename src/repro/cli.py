@@ -75,7 +75,6 @@ from .spec import (
     load_spec_file,
     symbolic_most_liberal,
 )
-from .spec.functional import FunctionalSpec
 from .synth import (
     behavioural_verilog,
     behavioural_vhdl,
@@ -506,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="contract lint: enforce the kernel/campaign/service invariants "
         "the type system can't see",
-        description="AST-based contract lint (rules RPL001-RPL009, see "
+        description="AST-based contract lint (rules RPL001-RPL010, see "
         "docs/contracts.md): raw node ids stored without protect(), "
         "cross-manager node mixing, STAGE_DEPENDENCIES drift, blocking calls in "
         "coroutines, off-thread service mutation, raw stage timing instead "

@@ -8,7 +8,7 @@ asyncio daemon must never block its event loop.  This package enforces
 them twice over:
 
 * **statically** — :mod:`repro.devtools.lint` is an AST-based contract
-  linter (``repro lint``; rules RPL001–RPL009 in
+  linter (``repro lint``; rules RPL001–RPL010 in
   :mod:`repro.devtools.rules`) that flags violations at review time,
   with ``# repro: noqa[RPLnnn]`` suppression and JSON output for CI;
 * **dynamically** — :mod:`repro.devtools.sanitizer` turns the silent

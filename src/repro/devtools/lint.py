@@ -164,7 +164,7 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> Dict[str, Type[Rule]]:
     """The full registry, importing the bundled rules on first use."""
-    from . import rules  # noqa: F401  (import registers the RPL rules)
+    from . import rules  # noqa: F401  # repro: noqa[RPL010] (import registers the RPL rules)
 
     return dict(_REGISTRY)
 

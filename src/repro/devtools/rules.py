@@ -1,4 +1,4 @@
-"""The bundled contract rules (RPL001–RPL009; RPL003 is retired).
+"""The bundled contract rules (RPL001–RPL010; RPL003 is retired).
 
 Each rule encodes one invariant from the kernel/service contracts (see
 ``docs/contracts.md`` for the catalog with rationale and worked
@@ -658,4 +658,79 @@ class UnorderedSymbolicContext(Rule):
                         "derivation_order(spec) or a register_interleaved_order(...)",
                     )
                 )
+        return findings
+
+
+def _annotations(tree: ast.AST) -> Iterator[Optional[ast.expr]]:
+    """Every annotation of a module (None where one is left out)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """Every name a module reads, exports in ``__all__`` or annotates with."""
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used.update(
+                element.value
+                for element in node.value.elts
+                if isinstance(element, ast.Constant) and isinstance(element.value, str)
+            )
+    # A forward reference ("FunctionalSpec") names an import in a string.
+    for annotation in filter(None, _annotations(tree)):
+        for inner in ast.walk(annotation):
+            if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+                try:
+                    parsed = ast.parse(inner.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return used
+
+
+@register
+class UnusedImport(Rule):
+    """RPL010: an imported name the module never uses.
+
+    An import nothing reads is dead code that still loads its module and
+    still names a dependency: it hides which layer really uses which.  A
+    name counts as used when the module reads it anywhere, lists it in
+    ``__all__`` (a package re-export) or mentions it in a string
+    annotation.  An import kept only for its side effect is silenced in
+    place.  This is ruff's F401, kept here so it runs where ruff is not
+    installed.
+    """
+
+    code = "RPL010"
+    summary = "imported name never used, exported in __all__ or annotated with"
+
+    def check(self, source: SourceFile) -> Iterable[Finding]:
+        used = _used_names(source.tree)
+        findings: List[Finding] = []
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    named = alias.name + (f" as {alias.asname}" if alias.asname else "")
+                    findings.append(
+                        source.finding(node, self, f"{named!r} imported but never used")
+                    )
         return findings

@@ -41,7 +41,6 @@ class DetectionRecord:
     functional_violations: int = 0
     physical_hazards: int = 0
     simulation_cycles: int = 0
-    property_check_performance_failed: Optional[bool] = None
     property_check_functional_failed: Optional[bool] = None
     property_check_equivalence_failed: Optional[bool] = None
 
@@ -52,27 +51,17 @@ class DetectionRecord:
 
     @property
     def detected_by_property_check(self) -> Optional[bool]:
-        """Did the property checker refute any property (None if not applicable)?
+        """Is the mutant refuted as the maximum-performance interlock (None if n/a)?
 
-        Besides the per-clause functional and performance claims this also
-        counts the equivalence check against the derived most liberal moe
-        assignment.  The equivalence check is what catches extra stalls at
-        lock-stepped stages: there an unnecessary stall of one stage is
-        "justified" by the induced stall of its partner, so the per-clause
-        performance implication still holds, yet the implementation is not
-        the maximum-performance solution.
+        By the Section 3.2 theorem the derived most liberal moe assignment
+        is the one implementation meeting both the functional and the
+        performance specification, so the equivalence check against it
+        refutes every mutant that either specification refutes.  It also
+        catches extra stalls at lock-stepped stages, which the per-clause
+        performance implication misses: there an unnecessary stall of one
+        stage is "justified" by the induced stall of its partner.
         """
-        if (
-            self.property_check_performance_failed is None
-            and self.property_check_functional_failed is None
-            and self.property_check_equivalence_failed is None
-        ):
-            return None
-        return bool(
-            self.property_check_performance_failed
-            or self.property_check_functional_failed
-            or self.property_check_equivalence_failed
-        )
+        return self.property_check_equivalence_failed
 
     @property
     def detected_by_any(self) -> bool:
@@ -92,11 +81,7 @@ class DetectionRecord:
         """
         if self.detected_by_property_check is None:
             return None
-        return (
-            not self.property_check_functional_failed
-            and not self.property_check_performance_failed
-            and not self.property_check_equivalence_failed
-        )
+        return not self.detected_by_property_check
 
     @property
     def simulation_classification(self) -> Optional[FaultClass]:
@@ -113,9 +98,9 @@ class DetectionRecord:
 
         A failed functional claim means a required stall can be missed — a
         functional bug.  If every functional claim holds but the
-        implementation is not the most liberal solution (a performance claim
-        or the equivalence check fails), the maximality theorem of Section 3
-        guarantees it stalls strictly more than necessary — a performance bug.
+        implementation is not the most liberal solution (the equivalence
+        check fails), the maximality theorem of Section 3 guarantees it
+        stalls strictly more than necessary — a performance bug.
         """
         if not self.detected_by_property_check:
             return None
@@ -367,14 +352,11 @@ class FaultCampaign:
             if isinstance(fault.interlock, ClosedFormInterlock):
                 with span("fault.check") as check_span:
                     checker = self.property_checker
-                    performance = checker.check_performance(fault.interlock)
                     functional = checker.check_functional(fault.interlock)
                     equivalence = checker.check_equivalence_with_derived(fault.interlock)
-                    record.property_check_performance_failed = not performance.all_hold()
                     record.property_check_functional_failed = not functional.all_hold()
                     record.property_check_equivalence_failed = not equivalence.all_hold()
                     check_span.annotate(
-                        performance_failed=record.property_check_performance_failed,
                         functional_failed=record.property_check_functional_failed,
                         equivalence_failed=record.property_check_equivalence_failed,
                     )

@@ -39,11 +39,6 @@ def gnt_name(pipe: str) -> str:
     return f"{pipe}.gnt"
 
 
-def valid_name(pipe: str, stage: int) -> str:
-    """Stage-occupied flag (used by the simulator's trace, not the spec)."""
-    return f"{pipe}.{stage}.valid"
-
-
 def scoreboard_name(address: int, prefix: str = "scb") -> str:
     """Scoreboard bit for a register address, e.g. ``scb[5]``."""
     return f"{prefix}[{address}]"

@@ -13,7 +13,7 @@ cycle-accurate simulator in :mod:`repro.pipeline.simulator`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import signals as sig
 

@@ -14,7 +14,7 @@ per-stage occupancy markers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TextIO
+from typing import Dict, List, TextIO
 
 from .trace import SimulationTrace
 

@@ -9,7 +9,8 @@ Workflow (mirroring the paper):
 3. Check the Section 3.1 properties (:func:`check_all_properties`).
 4. Derive the maximum performance specification
    (:func:`derive_performance_spec`) and/or the closed-form most liberal
-   moe assignment (:func:`symbolic_most_liberal`).
+   moe assignment (:func:`symbolic_most_liberal`), and prove the Section
+   3.2 maximality theorem for it (:func:`check_maximality`).
 5. Hand the result to the assertion generator, the property checker or the
    RTL synthesiser.
 """
@@ -27,15 +28,6 @@ from .derivation import (
     derive_combined_spec,
     derive_performance_spec,
     symbolic_most_liberal,
-)
-from .equivalence import (
-    EquivalenceReport,
-    FlagComparison,
-    RefinementReport,
-    check_clause_equivalence,
-    check_derived_equivalence,
-    check_refinement,
-    interlocks_equivalent,
 )
 from .functional import FunctionalSpec, SpecificationError, StallClause
 from .performance import (
@@ -73,13 +65,6 @@ __all__ = [
     "derive_combined_spec",
     "derive_performance_spec",
     "symbolic_most_liberal",
-    "EquivalenceReport",
-    "FlagComparison",
-    "RefinementReport",
-    "check_clause_equivalence",
-    "check_derived_equivalence",
-    "check_refinement",
-    "interlocks_equivalent",
     "FunctionalSpec",
     "SpecificationError",
     "StallClause",

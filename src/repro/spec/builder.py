@@ -21,7 +21,7 @@ FirePath-like architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..expr.ast import Expr, FALSE, Not, Var
 from ..expr.builders import big_and, big_or

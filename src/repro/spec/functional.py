@@ -15,7 +15,7 @@ shape Section 3.1 requires for the maximum-performance derivation to work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..expr.ast import Expr, Iff, Implies, Not, Var
 from ..expr.builders import big_and

@@ -13,7 +13,7 @@ from typing import List
 from ..expr.ast import Expr, Iff, Implies, Not, Var
 from ..expr.builders import big_and
 from ..expr.printer import to_text, to_unicode
-from .functional import FunctionalSpec, StallClause
+from .functional import FunctionalSpec
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,11 @@ the functional specification satisfies:
   built; it then decides the verdict and supplies the counterexample.
 * **Property (3)** — the derived most liberal assignment ``MOE`` satisfies
   the specification.
-* **Maximality** — every satisfying assignment is pointwise below ``MOE``
-  (the Section 3.2 theorem).
+
+:func:`check_all_properties` runs these.  The Section 3.2 theorem —
+every satisfying assignment is pointwise below ``MOE`` — is
+:func:`check_maximality`, run on its own (the campaign's ``maximality``
+stage).
 
 All checks are exhaustive over the interlock's boolean signal space via
 BDDs in one context (the derivation's, or a fresh one in
@@ -45,12 +48,18 @@ from .functional import FunctionalSpec
 
 @dataclass
 class PropertyCheck:
-    """Result of one property check."""
+    """Result of one proved claim.
+
+    ``moe`` names the stage a per-stage claim is about (the
+    :class:`~repro.checking.PropertyChecker` results); whole-spec checks
+    leave it None.
+    """
 
     name: str
     holds: bool
     detail: str = ""
     counterexample: Optional[Dict[str, bool]] = None
+    moe: Optional[str] = None
 
     def describe(self) -> str:
         """One-line summary of the check."""
@@ -61,7 +70,7 @@ class PropertyCheck:
 
 @dataclass
 class PropertyReport:
-    """All Section 3 property checks for one functional specification."""
+    """The Section 3 property checks for one functional specification."""
 
     spec_name: str
     checks: List[PropertyCheck] = field(default_factory=list)
@@ -79,7 +88,7 @@ class PropertyReport:
 
     def describe(self) -> str:
         """Multi-line report."""
-        lines = [f"Section 3.1/3.2 properties for {self.spec_name}:"]
+        lines = [f"Section 3 properties for {self.spec_name}:"]
         lines.extend(f"  {check.describe()}" for check in self.checks)
         return "\n".join(lines)
 
@@ -367,11 +376,12 @@ def check_maximality(
 def check_all_properties(
     spec: FunctionalSpec, derivation: Optional[DerivationResult] = None
 ) -> PropertyReport:
-    """Run every Section 3 check and collect a report.
+    """Run the Section 3.1 checks and Property 3, and collect a report.
 
     Every BDD check is decided in one context: ``derivation``'s when given,
     otherwise a fresh one into which the spec is then derived.  A spec that
-    cannot be derived still gets its Section 3.1 checks.
+    cannot be derived still gets its Section 3.1 checks.  Maximality is
+    not among them: :func:`check_maximality` decides it.
     """
     context = derivation.context if derivation is not None else _spec_context(spec)
     report = PropertyReport(spec_name=spec.name)
@@ -390,14 +400,6 @@ def check_all_properties(
                     detail=f"derivation failed: {error}",
                 )
             )
-            report.checks.append(
-                PropertyCheck(
-                    name="maximality-of-most-liberal",
-                    holds=False,
-                    detail="derivation failed",
-                )
-            )
             return report
     report.checks.append(check_most_liberal_satisfies(spec, derivation))
-    report.checks.append(check_maximality(spec, derivation))
     return report

@@ -41,7 +41,7 @@ line, so specifications round-trip.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..expr.ast import Expr, FALSE, Or
 from ..expr.builders import big_or

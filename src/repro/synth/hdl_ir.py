@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping
 
 
 class PortDirection(Enum):
@@ -28,13 +28,6 @@ class Port:
     name: str
     direction: PortDirection
     comment: str = ""
-
-
-@dataclass(frozen=True)
-class NetRef:
-    """Reference to a net (port or internal wire) by name."""
-
-    name: str
 
 
 class GateKind(Enum):
@@ -100,13 +93,6 @@ class Module:
     def gate_count(self) -> int:
         """Number of primitive gates (a crude area estimate)."""
         return len(self.gates)
-
-    def driver_of(self, net: str) -> Optional[Gate]:
-        """The gate driving a net, or None for inputs/undriven nets."""
-        for gate in self.gates:
-            if gate.output == net:
-                return gate
-        return None
 
     def validate(self) -> None:
         """Check single drivers, known nets and topological gate order."""

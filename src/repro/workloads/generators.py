@@ -14,12 +14,11 @@ same interlock behaviours:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..pipeline.instructions import (
     Instruction,
-    InstructionKind,
     Program,
     alu,
     bubble,

@@ -9,12 +9,10 @@ against per-cycle expression evaluation, and exercises the closed-form
 import pytest
 
 from repro.analysis import StageStallStats, classify_stalls
-from repro.analysis.stalls import StallBreakdown
-from repro.expr import Var, eval_expr, parse_expr
+from repro.expr import eval_expr, parse_expr
 from repro.pipeline import (
     ClosedFormInterlock,
     ConservativeCompletionInterlock,
-    reference_interlock,
     simulate,
 )
 from repro.pipeline.trace import CycleRecord, SimulationTrace

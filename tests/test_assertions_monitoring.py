@@ -15,7 +15,7 @@ from repro.assertions import (
 )
 from repro.analysis import render_table
 from repro.faults import FaultInjector
-from repro.pipeline import Program, alu, reference_interlock, simulate
+from repro.pipeline import reference_interlock, simulate
 from repro.spec import PerformanceSpec
 from repro.workloads import WorkloadGenerator, BALANCED, completion_contention_program
 

@@ -14,11 +14,9 @@ from repro.spec import build_functional_spec, conservative_variant, symbolic_mos
 from repro.synth import (
     GateKind,
     Module,
-    NetlistInterlock,
     Port,
     PortDirection,
     behavioural_verilog,
-    module_to_verilog,
     synthesis_to_verilog,
     synthesize_interlock,
 )
@@ -146,6 +144,29 @@ class TestSimulationCampaigns:
         assert record.detected_by_simulation
         assert record.performance_violations > 0
 
+    def test_run_fault_decides_functional_and_equivalence_only(
+        self, example_arch, example_spec, monkeypatch
+    ):
+        campaign = FaultCampaign(example_arch, example_spec, num_programs=1, seed=3)
+        checker = campaign.property_checker
+        calls = []
+        for name in (
+            "check_functional",
+            "check_performance",
+            "check_combined",
+            "check_equivalence_with_derived",
+            "check_obligations",
+        ):
+            def counted(*args, _name=name, _method=getattr(checker, name), **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(checker, name, counted)
+        fault = FaultInjector(example_spec, seed=1).extra_stall_fault("short.2.moe")
+        record = campaign.run_fault(fault)
+        assert calls == ["check_functional", "check_equivalence_with_derived"]
+        assert record.detected_by_property_check and not record.vacuous
+
     def test_wait_blind_fault_needs_wait_stimulus_or_property_check(
         self, example_arch, example_spec
     ):
@@ -237,7 +258,28 @@ class TestSimulationAgreesWithPropertyCheck:
         if record.functional_violations or record.physical_hazards:
             assert record.property_check_functional_failed
         if record.performance_violations:
-            assert record.property_check_performance_failed
+            campaign, _ = _oracle_campaign(arch_name)
+            performance = campaign.property_checker.check_performance(record.fault.interlock)
+            assert not performance.all_hold()
+
+    @pytest.mark.parametrize("arch_name", ["dac2002-example", "risc5", "fam-r4w2d5s1-bypass"])
+    def test_refuted_specification_implies_refuted_equivalence(self, arch_name):
+        """A mutant either specification refutes is not the derived interlock.
+
+        run_fault decides only the functional and the equivalence claims;
+        this pins that the performance claims it skips could add nothing.
+        """
+        campaign, mutants = _oracle_campaign(arch_name)
+        checker = campaign.property_checker
+        refuted = 0
+        for mutant in mutants:
+            functional = checker.check_functional(mutant.interlock)
+            performance = checker.check_performance(mutant.interlock)
+            equivalence = checker.check_equivalence_with_derived(mutant.interlock)
+            if not (functional.all_hold() and performance.all_hold()):
+                refuted += 1
+                assert not equivalence.all_hold(), mutant.describe()
+        assert refuted > 0
 
     @pytest.mark.parametrize("arch_name", sorted(ORACLE_MUTANTS))
     def test_simulation_detects_a_real_mutant(self, arch_name):

@@ -34,6 +34,7 @@ ALL_CODES = (
     "RPL007",
     "RPL008",
     "RPL009",
+    "RPL010",
 )
 
 
@@ -81,6 +82,29 @@ def test_noqa_fixture_is_suppressed(code):
         handle.write(stripped)
     findings = lint_paths([handle.name])
     assert {f.rule for f in findings} == {code}
+
+
+def test_unused_import_rule_names_each_dead_binding():
+    findings = lint_paths([fixture("RPL010", "bad")])
+    assert [(f.line, f.message) for f in findings] == [
+        (3, "'os.path' imported but never used"),
+        (4, "'Dict' imported but never used"),
+        (6, "'SymbolicContext as Context' imported but never used"),
+        (10, "'json' imported but never used"),
+    ]
+
+
+def test_unused_import_rule_counts_exports_and_string_annotations(tmp_path):
+    # The good fixture uses one name only in __all__ and one only in a
+    # string annotation; dropping both uses makes both imports dead.
+    text = Path(fixture("RPL010", "good")).read_text()
+    text = text.replace('"Var", ', "").replace('"FunctionalSpec"', "object")
+    source = tmp_path / "dead.py"
+    source.write_text(text)
+    assert sorted(f.message for f in lint_paths([str(source)])) == [
+        "'FunctionalSpec' imported but never used",
+        "'Var' imported but never used",
+    ]
 
 
 def test_rule_filter_restricts_findings():

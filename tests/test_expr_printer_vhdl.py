@@ -1,6 +1,6 @@
 """Tests for the VHDL expression printer (repro.expr.printer.to_vhdl)."""
 
-from repro.expr import FALSE, TRUE, Iff, Implies, Ite, Not, Var, parse_expr, to_vhdl
+from repro.expr import FALSE, TRUE, Iff, Implies, Ite, Var, parse_expr, to_vhdl
 
 
 class TestVhdlOperators:

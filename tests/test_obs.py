@@ -9,7 +9,6 @@ trace`` CLI verb.
 """
 
 import io
-import json
 import os
 import re
 import time

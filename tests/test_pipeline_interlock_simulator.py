@@ -24,10 +24,9 @@ from repro.pipeline import (
     store,
     wait,
 )
-from repro.spec import build_functional_spec, symbolic_most_liberal
+from repro.spec import build_functional_spec
 from repro.workloads import (
     BALANCED,
-    CONTENTION_HEAVY,
     HAZARD_HEAVY,
     WorkloadGenerator,
     WorkloadProfile,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.expr import Var, eval_expr
+from repro.expr import eval_expr
 from repro.pipeline import (
     Architecture,
     ArchitectureError,

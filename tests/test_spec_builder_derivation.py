@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.archs import example_architecture, load_architecture, risc5_architecture
-from repro.expr import FALSE, Or, TRUE, Var, eval_expr
-from repro.pipeline import signals as sig
+from repro.archs import load_architecture
+from repro.expr import FALSE, Var, eval_expr
 from repro.spec import (
     BuilderOptions,
     DerivationError,
@@ -163,7 +162,6 @@ class TestConcreteDerivation:
             concrete_most_liberal(spec, {"x": True})
 
     def test_matches_symbolic_derivation_on_sampled_inputs(self, example_spec, example_derivation):
-        import itertools
         import random
 
         rng = random.Random(0)

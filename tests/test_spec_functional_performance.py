@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.expr import And, FALSE, Iff, Implies, Not, Or, Var, eval_expr, to_text
+from repro.expr import Iff, Implies, Not, Var, eval_expr
 from repro.spec import (
     CombinedSpec,
     FunctionalSpec,

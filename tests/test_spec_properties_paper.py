@@ -17,7 +17,7 @@ from repro.archs import (
     paper_performance_formula,
     paper_stall_conditions,
 )
-from repro.expr import FALSE, Or, Var, eval_expr
+from repro.expr import FALSE, Var, eval_expr
 from repro.spec import (
     FunctionalSpec,
     StallClause,
@@ -43,16 +43,21 @@ class TestSectionThreeProperties:
     def test_all_properties_hold_for_risc(self, risc_spec):
         report = check_all_properties(risc_spec)
         assert report.all_hold(), report.describe()
+        assert check_maximality(risc_spec).holds
 
     def test_all_properties_hold_for_firepath_like(self, firepath_spec):
         report = check_all_properties(firepath_spec)
         assert report.all_hold(), report.describe()
+        assert check_maximality(firepath_spec).holds
 
     def test_report_lookup_and_describe(self, example_spec):
         report = check_all_properties(example_spec)
         assert report.check("property-1-all-false-satisfies").holds
         with pytest.raises(KeyError):
             report.check("missing")
+        # The Section 3.2 theorem is check_maximality's alone.
+        with pytest.raises(KeyError):
+            report.check("maximality-of-most-liberal")
         assert "Section 3" in report.describe()
 
     def test_property_one_direct(self, example_spec):

@@ -11,12 +11,10 @@ the symbolic and concrete fixed points, and the derived interlock passing
 every property check.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checking import PropertyChecker
 from repro.expr import (
-    FALSE,
     Var,
     big_or,
     eval_expr,
@@ -129,8 +127,10 @@ class TestRandomPipelineTheory:
     @settings(max_examples=25, deadline=None)
     @given(random_pipeline_specs())
     def test_section_3_properties_hold(self, spec):
-        report = check_all_properties(spec)
+        derivation = symbolic_most_liberal(spec)
+        report = check_all_properties(spec, derivation)
         assert report.all_hold(), report.describe()
+        assert check_maximality(spec, derivation).holds
 
     @settings(max_examples=25, deadline=None)
     @given(random_pipeline_specs())
