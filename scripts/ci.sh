@@ -38,6 +38,11 @@ fi
 echo "== contract lint (RPL rules) =="
 python scripts/lint_contracts.py
 
+echo "== unused imports in tests (RPL010) =="
+# The top-level test modules only: tests/fixtures/contracts/ commits
+# unused imports on purpose, and ruff (F401) may not be installed.
+python scripts/lint_contracts.py --rules RPL010 tests/*.py
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 

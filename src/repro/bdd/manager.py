@@ -1513,15 +1513,6 @@ class BddManager:
 
     def support(self, f: int) -> frozenset:
         """The set of variables the function actually depends on."""
-        names = self._level_vars
-        return frozenset(names[level] for level in self._support_levels([f]))
-
-    def _support_levels(self, roots: List[int]) -> set:
-        """The levels of every decision node reachable from ``roots``.
-
-        One walk with a shared visited set, so a node reachable from
-        several roots is visited once.
-        """
         var = self._var
         lows = self._lo
         highs = self._hi
@@ -1529,7 +1520,7 @@ class BddManager:
         seen_add = seen.add
         levels = set()
         levels_add = levels.add
-        stack = list(roots)
+        stack = [f]
         push = stack.append
         pop = stack.pop
         while stack:
@@ -1540,7 +1531,8 @@ class BddManager:
             levels_add(var[node])
             push(lows[node])
             push(highs[node])
-        return levels
+        names = self._level_vars
+        return frozenset(names[level] for level in levels)
 
     def density(self, f: int) -> float:
         """Fraction of assignments satisfying ``f`` (each variable p=1/2).
@@ -1607,51 +1599,6 @@ class BddManager:
 
         with self._level_bounded_recursion():
             return count_below(f, 0)
-
-    def find_difference(self, f: int, g: int) -> Optional[Dict[str, bool]]:
-        """One assignment on which ``f`` and ``g`` disagree, or None.
-
-        Walks the two DAGs in lock step without materialising ``f ⊕ g``;
-        pairs proven difference-free are memoised, so the search is linear
-        in the number of reachable node pairs.
-        """
-        if f == g:
-            return None
-        no_difference: set = set()
-        assignment: Dict[str, bool] = {}
-
-        def rec(a: int, b: int) -> bool:
-            if a == b:
-                return False
-            la, lb = self._var[a], self._var[b]
-            level = la if la < lb else lb
-            if level == _TERMINAL_LEVEL:
-                return True  # two distinct terminals
-            pair = (a, b)
-            if pair in no_difference:
-                return False
-            a0, a1 = (self._lo[a], self._hi[a]) if la == level else (a, a)
-            b0, b1 = (self._lo[b], self._hi[b]) if lb == level else (b, b)
-            name = self._level_vars[level]
-            assignment[name] = False
-            if rec(a0, b0):
-                return True
-            assignment[name] = True
-            if rec(a1, b1):
-                return True
-            del assignment[name]
-            no_difference.add(pair)
-            return False
-
-        with self._level_bounded_recursion():
-            found = rec(f, g)
-        if not found:  # pragma: no cover - f != g guarantees a witness
-            return None
-        # Every other variable of either support defaults to False.
-        names = self._level_vars
-        for level in self._support_levels([f, g]):
-            assignment.setdefault(names[level], False)
-        return assignment
 
     def pick_one(self, f: int) -> Optional[Dict[str, bool]]:
         """One satisfying assignment over the support of ``f``, or None."""

@@ -13,7 +13,8 @@ For a single architecture this chains the whole reproduction flow:
 ``obligations``
     the derived contract — ``F_i∘MOE ↔ ¬MOE_i`` per stage — discharged
     through :meth:`~repro.checking.PropertyChecker.check_combined` on the
-    derived interlock under the architecture's environment assumptions;
+    derived interlock, each claim under the environment assumptions in
+    its support cone;
 ``faults``
     a fault-injection campaign: every injected bug must be caught by the
     generated assertions or the property checker;
@@ -316,7 +317,8 @@ def _stage_obligations(
     checker = PropertyChecker(
         state["spec"], architecture=state["architecture"], derivation=derivation
     )
-    # The derived contract F_i∘MOE ↔ ¬MOE_i, per stage, under the environment.
+    # The derived contract F_i∘MOE ↔ ¬MOE_i, per stage, under the environment
+    # assumptions in each claim's support cone.
     report = checker.check_combined(ClosedFormInterlock.from_derivation(derivation))
     details = {"obligations": len(report.results), "failing": report.failing_stages()}
     return StageResult(

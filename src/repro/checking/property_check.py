@@ -18,8 +18,10 @@ could replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
+from ..expr.ast import Expr
+from ..expr.builders import big_and
 from ..expr.transform import substitute
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.structure import Architecture
@@ -28,7 +30,7 @@ from ..spec.derivation import DerivationResult, symbolic_most_liberal
 from ..spec.functional import FunctionalSpec
 from ..spec.properties import PropertyCheck
 from ..symbolic import SymbolicContext, SymbolicFunction
-from .environment import environment_formula
+from .environment import environment_assumptions
 
 
 @dataclass
@@ -69,13 +71,59 @@ class CheckReport:
         return "\n".join(lines)
 
 
+class _EnvironmentPartition:
+    """The environment assumptions lifted one by one into a context.
+
+    Assumptions that share a variable, directly or through other
+    assumptions, form one component.  A claim is decided under the
+    components its support touches, its cone (conjunctive partitioning,
+    Burch, Clarke & Long 1991): the other components mention none of its
+    variables, and every assumption holds with all of its signals low, so
+    they cannot change the verdict.  Each cone is conjoined once and kept.
+    """
+
+    def __init__(self, context: SymbolicContext, assumptions: Iterable[Expr]):
+        self.context = context
+        self._lifted = [context.lift(assumption) for assumption in assumptions]
+        component_of: Dict[str, int] = {}
+        components: Dict[int, Tuple[List[int], Set[str]]] = {}
+        for index, function in enumerate(self._lifted):
+            members, names = [index], set(function.support())
+            for joined in {component_of[name] for name in names if name in component_of}:
+                joined_members, joined_names = components.pop(joined)
+                members += joined_members
+                names |= joined_names
+            components[index] = (members, names)
+            component_of.update(dict.fromkeys(names, index))
+        self._component_of = component_of
+        self._members = {index: members for index, (members, _) in components.items()}
+        self._cones: Dict[FrozenSet[int], SymbolicFunction] = {}
+
+    def cone(self, support: Iterable[str]) -> SymbolicFunction:
+        """The conjunction of every component that mentions ``support``."""
+        component_of = self._component_of
+        key = frozenset(component_of[name] for name in support if name in component_of)
+        cone = self._cones.get(key)
+        if cone is None:
+            # In assumption order, as the whole environment would be conjoined.
+            members = sorted(member for index in key for member in self._members[index])
+            nodes = [self._lifted[member].node for member in members]
+            cone = self._cones[key] = self.context.function(
+                self.context.manager.and_all(nodes)
+            )
+        return cone
+
+
 class PropertyChecker:
     """Checks closed-form interlock implementations exhaustively.
 
     With BDDs every claim is decided in the interlock's own context, by
-    composition and pointer comparison; the checker owns no manager.  The
-    SAT backend substitutes the materialized closed forms into the clause
-    expressions instead, so it stays an independent oracle.
+    composition and pointer comparison; the checker owns no manager.  A
+    claim that fails alone is decided under the environment assumptions in
+    its support cone only (see :class:`_EnvironmentPartition`), never under
+    the monolithic environment.  The SAT backend substitutes the
+    materialized closed forms into the clause expressions and decides
+    ``environment → claim`` whole, so it stays an independent oracle.
 
     ``derivation``, when given, must be the derivation of ``spec``; the
     equivalence check reuses it for interlocks in its context instead of
@@ -94,10 +142,17 @@ class PropertyChecker:
         self.spec = spec
         self.backend = backend
         self.architecture = architecture or spec.metadata.get("architecture")
-        if self.architecture is not None:
-            self.environment = environment_formula(self.architecture)
-        else:
-            self.environment = None
+        self._assumptions = (
+            environment_assumptions(self.architecture)
+            if self.architecture is not None
+            else []
+        )
+        # The SAT backend decides ``environment → claim`` whole; the BDD
+        # backend conditions a claim on its support cone only.
+        self.environment = (
+            big_and(self._assumptions) if self.architecture is not None else None
+        )
+        self._partition: Optional[_EnvironmentPartition] = None
         self._derivation = derivation
         self._decided_in: Optional[SymbolicContext] = (
             derivation.context if derivation is not None and backend == "bdd" else None
@@ -142,17 +197,27 @@ class PropertyChecker:
         """Prove one obligation under the environment assumptions.
 
         With BDDs ``claim`` is a :class:`~repro.symbolic.SymbolicFunction`,
-        decided in its own context with the environment formula lifted
-        there (cached across claims); the SAT backend decides expressions.
+        decided in its own context.  A claim valid alone is proved at once
+        (so is an iff of two equal nodes, which the manager folds to TRUE).
+        Otherwise ``¬claim`` is conjoined with the assumptions in its
+        support cone only; the claim holds when that product is FALSE, and
+        a satisfying assignment of it is the counterexample.  The SAT
+        backend decides ``environment → claim`` on expressions, so it stays
+        an independent oracle.
         """
         if self.backend == "bdd":
             context = self._decided_in = claim.context
-            # A claim valid on its own needs no environment: skip lifting it.
-            if self.environment is not None and not claim.is_true():
-                claim = context.lift(self.environment).implies(claim)
             if claim.is_true():
                 return True, None
-            return False, claim.counterexample()
+            partition = self._partition
+            if partition is None or partition.context is not context:
+                partition = self._partition = _EnvironmentPartition(
+                    context, self._assumptions
+                )
+            violation = ~claim & partition.cone(claim.support())
+            if violation.is_false():
+                return True, None
+            return False, violation.pick_one()
         if isinstance(claim, SymbolicFunction):
             claim = claim.to_expr()
         if self.environment is not None:
@@ -161,26 +226,6 @@ class PropertyChecker:
         if decision.answer:
             return True, None
         return False, decision.model
-
-    def _prove_equivalence(self, left, right) -> (bool, Optional[Dict[str, bool]]):
-        """Prove ``left ↔ right`` (under the environment) without an iff BDD.
-
-        ``env → (left ↔ right)`` is valid exactly when ``env ∧ left`` and
-        ``env ∧ right`` are the same function — a pointer comparison after
-        two conjunctions, instead of the much larger iff product.  On
-        failure a differing assignment is recovered by walking the two
-        conjunction DAGs in lock step.  The SAT backend decides the iff.
-        """
-        if self.backend != "bdd":
-            return self._prove(left.iff(right))
-        context = self._decided_in = left.context
-        if self.environment is not None and not left.equivalent(right):
-            environment = context.lift(self.environment)
-            left = environment & left
-            right = environment & right
-        if left.equivalent(right):
-            return True, None
-        return False, left.find_difference(right)
 
     def _check_clauses(
         self, interlock: ClosedFormInterlock, kind: str, decide: Callable
@@ -234,7 +279,7 @@ class PropertyChecker:
     def check_combined(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove both halves at once (``condition ↔ ¬moe`` per stage)."""
         return self._check_clauses(
-            interlock, "combined", lambda condition, moe: self._prove_equivalence(condition, ~moe)
+            interlock, "combined", lambda condition, moe: self._prove(condition.iff(~moe))
         )
 
     def check_equivalence_with_derived(self, interlock: ClosedFormInterlock) -> CheckReport:
@@ -246,7 +291,7 @@ class PropertyChecker:
             backend=self.backend,
         )
         for moe, reference in self._derived(interlock).items():
-            holds, counterexample = self._prove_equivalence(implementation[moe], reference)
+            holds, counterexample = self._prove(implementation[moe].iff(reference))
             report.results.append(
                 PropertyCheck(
                     name=f"equivalence::{moe}", holds=holds, counterexample=counterexample, moe=moe

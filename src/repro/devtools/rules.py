@@ -56,7 +56,6 @@ NODE_COMBINING_METHODS = frozenset(
         "compose_many",
         "and_exists",
         "equivalent",
-        "find_difference",
     }
 )
 

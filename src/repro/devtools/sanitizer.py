@@ -382,7 +382,6 @@ _VALIDATED_OPERATIONS = {
     "support": (0,),
     "density": (0,),
     "sat_count": (0,),
-    "find_difference": (0, 1),
     "pick_one": (0,),
     "dag_size": (0,),
 }

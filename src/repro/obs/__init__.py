@@ -47,7 +47,6 @@ from .trace import (
     TRACE_SCHEMA,
     Tracer,
     annotate,
-    current_trace_id,
     dump_ndjson,
     load_ndjson,
     new_trace_id,
@@ -63,7 +62,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "Tracer",
     "annotate",
-    "current_trace_id",
     "dump_ndjson",
     "get_registry",
     "load_ndjson",

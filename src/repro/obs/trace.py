@@ -181,12 +181,6 @@ def annotate(**attrs: Any) -> None:
         tracer._stack[-1].attrs.update(attrs)
 
 
-def current_trace_id() -> Optional[str]:
-    """The active trace id, or None when no tracer is installed."""
-    tracer = _active_tracer()
-    return tracer.trace_id if tracer is not None else None
-
-
 def dump_ndjson(spans: Iterable[Dict[str, Any]]) -> str:
     """Serialize spans one-JSON-object-per-line (trailing newline)."""
     lines = [json.dumps(record, sort_keys=True) for record in spans]

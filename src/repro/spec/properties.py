@@ -201,14 +201,12 @@ def _declare_copies(spec: FunctionalSpec, context: SymbolicContext) -> None:
 
 
 def _whole_formula_closure(
-    spec: FunctionalSpec,
-    context: Optional[SymbolicContext] = None,
-    route: str = "whole formula",
+    spec: FunctionalSpec, context: SymbolicContext, route: str
 ) -> PropertyCheck:
-    """Property (2) decided on the two-copy formula over the whole spec."""
-    if context is None:
-        context = _spec_context(spec)
-        _declare_copies(spec, context)
+    """Property (2) decided on the two-copy formula over the whole spec.
+
+    The two copies of every moe flag must already be declared in ``context``.
+    """
     claim = context.lift(_closure_claim(spec.functional_formula(), spec.moe_flags()))
     if claim.is_true():
         return PropertyCheck(

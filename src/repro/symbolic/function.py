@@ -395,11 +395,6 @@ class SymbolicFunction:
         """Function equality — a pointer comparison."""
         return self._peer(other).node == self.node
 
-    def find_difference(self, other: "SymbolicFunction") -> Optional[Dict[str, bool]]:
-        """One assignment on which the two functions disagree, or None."""
-        other = self._peer(other)
-        return self.context.manager.find_difference(self.node, other.node)
-
     def pick_one(self) -> Optional[Dict[str, bool]]:
         """One satisfying assignment, or None."""
         return self.context.manager.pick_one(self.node)

@@ -24,7 +24,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     annotate,
-    current_trace_id,
     dump_ndjson,
     get_registry,
     load_ndjson,
@@ -107,13 +106,6 @@ class TestSpans:
                 pass
         assert tracer.spans[0]["trace"] == "t-fixed"
         assert tracer.spans[0]["parent"] == "campaign-7"
-
-    def test_current_trace_id_tracks_activation(self):
-        assert current_trace_id() is None
-        tracer = Tracer()
-        with tracer.activate():
-            assert current_trace_id() == tracer.trace_id
-        assert current_trace_id() is None
 
     def test_attr_named_name_does_not_collide(self):
         tracer = Tracer()

@@ -301,23 +301,6 @@ class TestIterativeKernel:
         manager.and_(y, x)  # must be a pure cache hit
         assert len(manager._op_cache) == before
 
-    def test_find_difference(self):
-        manager = BddManager()
-        x, y = manager.var("x"), manager.var("y")
-        assert manager.find_difference(x, x) is None
-        witness = manager.find_difference(manager.and_(x, y), x)
-        assert witness is not None
-        assert witness["x"] is True and witness["y"] is False
-
-    def test_find_difference_assigns_both_supports(self):
-        manager = BddManager(["w", "x", "y", "z"])
-        w, x, y, z = (manager.var(name) for name in "wxyz")
-        f = manager.and_all([x, y, z])
-        g = manager.and_(w, manager.not_(z))
-        witness = manager.find_difference(f, g)
-        assert set(witness) == manager.support(f) | manager.support(g)
-        assert manager.evaluate(f, witness) != manager.evaluate(g, witness)
-
 
 class TestBandedReduction:
     """Deterministic work of the banded and_all/or_all reduction."""

@@ -23,11 +23,7 @@ from repro.spec import (
     symbolic_most_liberal,
 )
 
-RESPELLED_ARCHITECTURES = ["dac2002-example", "risc5", "firepath-like", "fam-r4w2d5s1-bypass"]
-# The conservative comparison leaves firepath-like out: refuting a
-# differing flag conjoins the whole lifted environment with it, which takes
-# 25 s at 4 registers and over a minute at the full 16.
-CONSERVATIVE_ARCHITECTURES = ["dac2002-example", "risc5", "fam-r4w2d5s1-bypass"]
+ARCHITECTURES = ["dac2002-example", "risc5", "firepath-like", "fam-r4w2d5s1-bypass"]
 
 
 def _respelled(spec):
@@ -70,14 +66,14 @@ def _compare(reference, other):
 
 
 class TestDerivedEquivalence:
-    @pytest.mark.parametrize("arch_name", RESPELLED_ARCHITECTURES)
+    @pytest.mark.parametrize("arch_name", ARCHITECTURES)
     def test_respelled_spec_induces_same_interlock(self, arch_name):
         spec = build_functional_spec(load_architecture(arch_name))
         functional, equivalence = _compare(spec, _respelled(spec))
         assert functional.all_hold()
         assert equivalence.all_hold()
 
-    @pytest.mark.parametrize("arch_name", CONSERVATIVE_ARCHITECTURES)
+    @pytest.mark.parametrize("arch_name", ARCHITECTURES)
     def test_conservative_variant_is_safe_but_slower(self, arch_name):
         arch = load_architecture(arch_name)
         spec = build_functional_spec(arch)

@@ -32,7 +32,19 @@ from repro.spec import (
     symbolic_most_liberal,
 )
 from repro.symbolic import SymbolicContext
-from repro.spec.properties import _whole_formula_closure, check_semantic_monotonicity
+from repro.spec.derivation import derivation_order
+from repro.spec.properties import (
+    _declare_copies,
+    _whole_formula_closure,
+    check_semantic_monotonicity,
+)
+
+
+def whole_formula_closure(spec):
+    """Property 2 decided on the whole formula alone, in a fresh spec context."""
+    context = SymbolicContext(derivation_order(spec))
+    _declare_copies(spec, context)
+    return _whole_formula_closure(spec, context, route="whole formula")
 
 
 class TestSectionThreeProperties:
@@ -166,7 +178,7 @@ class TestPropertyTwoRoutes:
     def test_routes_agree_and_clauses_decide(self, arch):
         spec = build_functional_spec(load_architecture(arch))
         per_clause = check_disjunction_closure(spec)
-        whole = _whole_formula_closure(spec)
+        whole = whole_formula_closure(spec)
         assert per_clause.holds and whole.holds
         assert "decided per clause" in per_clause.detail
         assert "decided on the whole formula" in whole.detail
@@ -174,7 +186,7 @@ class TestPropertyTwoRoutes:
     def test_routes_agree_on_non_monotone_spec(self):
         spec = non_monotone_spec()
         per_clause = check_disjunction_closure(spec)
-        whole = _whole_formula_closure(spec)
+        whole = whole_formula_closure(spec)
         assert not per_clause.holds and not whole.holds
         # A clause that is not closed alone hands the verdict to the
         # whole formula, which supplies the counterexample.
@@ -196,7 +208,7 @@ class TestPropertyTwoRoutes:
         per_clause = check_disjunction_closure(spec)
         assert per_clause.holds
         assert "decided on the whole formula" in per_clause.detail
-        assert _whole_formula_closure(spec).holds
+        assert whole_formula_closure(spec).holds
 
 
 class TestPaperCaseStudy:

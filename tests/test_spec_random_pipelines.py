@@ -33,9 +33,18 @@ from repro.spec import (
     concrete_most_liberal,
     symbolic_most_liberal,
 )
-from repro.spec.properties import _whole_formula_closure
+from repro.spec.derivation import derivation_order
+from repro.spec.properties import _declare_copies, _whole_formula_closure
+from repro.symbolic import SymbolicContext
 
 GLOBAL_INPUTS = ["wait", "irq"]
+
+
+def whole_formula_closure(spec):
+    """Property 2 decided on the whole formula alone, in a fresh spec context."""
+    context = SymbolicContext(derivation_order(spec))
+    _declare_copies(spec, context)
+    return _whole_formula_closure(spec, context, route="whole formula")
 
 
 @st.composite
@@ -207,7 +216,7 @@ class TestRandomPipelineTheory:
     @given(possibly_non_monotone_specs())
     def test_property_two_routes_agree(self, spec):
         per_clause = check_disjunction_closure(spec)
-        whole = _whole_formula_closure(spec)
+        whole = whole_formula_closure(spec)
         assert per_clause.holds == whole.holds
         if spec.is_monotone():
             assert per_clause.holds and "decided per clause" in per_clause.detail

@@ -201,13 +201,6 @@ class TestSymbolicFunctionAlgebra:
         with pytest.raises(ValueError):
             context_a.lift(context_b.var("a"))
 
-    def test_find_difference_names_a_witness(self):
-        context = SymbolicContext(["a", "b"])
-        a, b = context.var("a"), context.var("b")
-        witness = (a & b).find_difference(a)
-        assert witness is not None
-        assert eval_expr(And(Var("a"), Var("b")), witness) != witness["a"]
-
     def test_scope_merges_through_operations(self):
         context = SymbolicContext(["a", "b"])
         f = context.function(context.var("a").node, scope=["a"])
