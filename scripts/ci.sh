@@ -38,10 +38,12 @@ fi
 echo "== contract lint (RPL rules) =="
 python scripts/lint_contracts.py
 
-echo "== unused imports in tests (RPL010) =="
+echo "== contract lint in tests (RPL001,RPL002,RPL004,RPL006,RPL007,RPL010) =="
 # The top-level test modules only: tests/fixtures/contracts/ commits
-# unused imports on purpose, and ruff (F401) may not be installed.
-python scripts/lint_contracts.py --rules RPL010 tests/*.py
+# violations on purpose, and ruff (F401) may not be installed.  RPL005,
+# RPL008 and RPL009 stay out: tests build bare managers and contexts
+# without a variable order on purpose.
+python scripts/lint_contracts.py --rules RPL001,RPL002,RPL004,RPL006,RPL007,RPL010 tests/*.py
 
 echo "== tier-1 tests =="
 python -m pytest -x -q

@@ -141,10 +141,12 @@ class AssertionMonitor:
     """Evaluates a set of assertions cycle by cycle.
 
     Whole traces are checked bit-parallel: all assertion formulas are
-    compiled once (per monitor) into one machine-word bitwise function,
-    the trace's signal columns are packed into 64-cycle words, and every
-    assertion is then decided for 64 cycles per call.  Per-cycle
-    evaluation (:meth:`check_cycle`) remains available for streaming use.
+    compiled into one machine-word bitwise function (once per process
+    for each distinct assertion set, so monitors over equal assertions
+    share it), the trace's signal columns are packed into 64-cycle
+    words, and every assertion is then decided for 64 cycles per call.
+    Per-cycle evaluation (:meth:`check_cycle`) remains available for
+    streaming use.
     """
 
     def __init__(self, assertions: Iterable[Assertion]):

@@ -159,7 +159,8 @@ class JobResult:
 
 #: How many architectures' symbolic state one worker keeps live.  A warm
 #: entry holds the loaded architecture, its functional spec and (after
-#: the first job touches it) the derivation with its BDD manager, so a
+#: the first job touches it) the derivation with its BDD manager and the
+#: property checker that decides in its context, so a
 #: campaign sweeping many jobs over few architectures pays the symbolic
 #: setup once per worker instead of once per job.
 _WARM_CAPACITY = 8
@@ -170,9 +171,9 @@ _WARM_STATE: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 def _arch_state(arch: str) -> Dict[str, Any]:
     """The warm state for one architecture (LRU-cached per process).
 
-    Everything cached here — architecture, spec, derivation — is a
-    deterministic function of the architecture name, so reuse across
-    jobs with different workload knobs is sound.
+    Everything cached here — architecture, spec, derivation, checker —
+    is a deterministic function of the architecture name, so reuse
+    across jobs with different workload knobs is sound.
     """
     state = _WARM_STATE.get(arch)
     if state is None:
@@ -251,6 +252,25 @@ def _ensure_derivation(state: Dict[str, Any], job: JobSpec, store: Optional[Any]
     return derivation, source
 
 
+def _ensure_checker(
+    state: Dict[str, Any], job: JobSpec, store: Optional[Any]
+) -> PropertyChecker:
+    """The property checker of the job's derivation, shared by its stages.
+
+    It is kept beside the warm derivation, so the environment assumptions
+    and their partition are built once per derivation, not once per stage
+    of every job.
+    """
+    derivation, _ = _ensure_derivation(state, job, store)
+    warm = state["warm"]
+    checker = warm.get("checker")
+    if checker is None:
+        checker = warm["checker"] = PropertyChecker(
+            state["spec"], architecture=state["architecture"], derivation=derivation
+        )
+    return checker
+
+
 def _job_context(state: Dict[str, Any]) -> Optional[SymbolicContext]:
     """The job's BDD context, once a derivation exists for it."""
     derivation = state["warm"].get("derivation")
@@ -314,9 +334,7 @@ def _stage_obligations(
     state: Dict[str, Any], job: JobSpec, store: Optional[Any]
 ) -> StageResult:
     derivation, _ = _ensure_derivation(state, job, store)
-    checker = PropertyChecker(
-        state["spec"], architecture=state["architecture"], derivation=derivation
-    )
+    checker = _ensure_checker(state, job, store)
     # The derived contract F_i∘MOE ↔ ¬MOE_i, per stage, under the environment
     # assumptions in each claim's support cone.
     report = checker.check_combined(ClosedFormInterlock.from_derivation(derivation))
@@ -347,6 +365,7 @@ def _stage_faults(
         seed=job.workload_seed,
         max_cycles=job.workload_length * 8 + 100,
         derivation=derivation,
+        property_checker=_ensure_checker(state, job, store),
     )
     summary = campaign.run(faults)
     annotate(checker_kernel=campaign.property_checker.kernel_stats())
@@ -491,17 +510,23 @@ def run_verification_job(
         stages.append(result)
         if error is not None:
             break
-    # The warm state keeps the context across jobs, and mutants differ
-    # per workload seed: reclaim everything this job left behind.  If the
-    # collection itself fails (a context that outgrew memory), the warm
-    # derivation is dropped so the next job re-derives, and the job fails
+    # The warm state keeps the context across jobs, and each job adds
+    # nodes to it: mutant closed forms (at max_faults=4 only the
+    # extra-stall mutant's trigger depends on the workload seed), checker
+    # claims and their environment cones.  Reclaim everything this job
+    # left behind.  If the collection itself fails (a context that
+    # outgrew memory), the warm derivation is dropped with the checker
+    # that decides in it, so the next job re-derives, and the job fails
     # with the traceback instead of raising.
     context = _job_context(state)
     if context is not None:
         try:
+            if "checker" in warm:
+                warm["checker"].release_cones()
             context.collect()
         except Exception:
             warm.pop("derivation", None)
+            warm.pop("checker", None)
             if error is None:
                 error = traceback.format_exc()
     ok = error is None and all(stage.ok for stage in stages)

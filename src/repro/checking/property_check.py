@@ -97,18 +97,18 @@ class _EnvironmentPartition:
             component_of.update(dict.fromkeys(names, index))
         self._component_of = component_of
         self._members = {index: members for index, (members, _) in components.items()}
-        self._cones: Dict[FrozenSet[int], SymbolicFunction] = {}
+        self.cones: Dict[FrozenSet[int], SymbolicFunction] = {}
 
     def cone(self, support: Iterable[str]) -> SymbolicFunction:
         """The conjunction of every component that mentions ``support``."""
         component_of = self._component_of
         key = frozenset(component_of[name] for name in support if name in component_of)
-        cone = self._cones.get(key)
+        cone = self.cones.get(key)
         if cone is None:
             # In assumption order, as the whole environment would be conjoined.
             members = sorted(member for index in key for member in self._members[index])
             nodes = [self._lifted[member].node for member in members]
-            cone = self._cones[key] = self.context.function(
+            cone = self.cones[key] = self.context.function(
                 self.context.manager.and_all(nodes)
             )
         return cone
@@ -150,13 +150,25 @@ class PropertyChecker:
         # The SAT backend decides ``environment → claim`` whole; the BDD
         # backend conditions a claim on its support cone only.
         self.environment = (
-            big_and(self._assumptions) if self.architecture is not None else None
+            big_and(self._assumptions)
+            if backend == "sat" and self.architecture is not None
+            else None
         )
         self._partition: Optional[_EnvironmentPartition] = None
         self._derivation = derivation
         self._decided_in: Optional[SymbolicContext] = (
             derivation.context if derivation is not None and backend == "bdd" else None
         )
+
+    def release_cones(self) -> None:
+        """Drop the conjoined support cones; the lifted assumptions stay.
+
+        Cones follow the supports of the claims decided so far, so a
+        checker kept across jobs releases them between jobs, or its
+        context would grow with every new claim support.
+        """
+        if self._partition is not None:
+            self._partition.cones.clear()
 
     def kernel_stats(self) -> Optional[Dict[str, float]]:
         """Counters of the BDD manager the checker last decided in (or None)."""

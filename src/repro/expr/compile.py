@@ -6,14 +6,19 @@ expression under many assignments.  Doing that one assignment at a time
 with :func:`repro.expr.evaluate.eval_expr` costs a full tree walk plus a
 dictionary lookup per variable per row.
 
-This module compiles a set of :class:`~repro.expr.ast.Expr` roots once
-into one flat sequence of Python integer bitwise operations (one temporary
+This module compiles a set of :class:`~repro.expr.ast.Expr` roots into
+one flat sequence of Python integer bitwise operations (one temporary
 per distinct sub-expression, shared sub-expressions evaluated once across
 all roots) and then evaluates **64 assignments per operation**: assignment
 *k* lives in bit *k* of every word, ``&``/``|``/``^`` act on all 64 lanes
 at once, and negation is an XOR with the lane mask.  Python's
 arbitrary-precision integers would allow even wider words, but 64 keeps
 every operand in CPython's fast small-big-int path.
+
+Each distinct formula set is compiled once per process: the generated
+function is cached on the roots' content (structural equality, hashes
+cached in the nodes) and the variable order, so a job repeats none of the
+code generation of an earlier job over the same formulas.
 
 Three layers of API:
 
@@ -30,6 +35,7 @@ Three layers of API:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from typing import (
     Callable,
@@ -206,6 +212,20 @@ def _generate(roots: Sequence[Expr], names: Tuple[str, ...]) -> Tuple[Callable, 
     return namespace["_bitwise"], source
 
 
+@lru_cache(maxsize=256)
+def _compiled(
+    roots: Tuple[Expr, ...], order: Optional[Tuple[str, ...]]
+) -> Tuple[Tuple[str, ...], Callable, str]:
+    """The word function of ``roots`` over ``order``, generated once per process.
+
+    Keyed on expression content, never on BDD node ids or object
+    identity: equal roots built apart share one function.
+    """
+    names = _variable_names(roots, order)
+    func, source = _generate(roots, names)
+    return names, func, source
+
+
 def compile_outputs(
     exprs: Mapping[Hashable, Expr], order: Optional[Sequence[str]] = None
 ) -> CompiledOutputs:
@@ -215,12 +235,14 @@ def compile_outputs(
     variable of the expressions.  By default the union of their variables
     is used in sorted order.  A consumer compiles its whole formula set at
     once: every moe flag of a closed-form interlock, every assertion of a
-    monitor, every stall condition or coverage disjunct of a spec.
+    monitor, every stall condition or coverage disjunct of a spec.  Each
+    distinct formula set (roots in output order, plus ``order``) is
+    compiled once per process; a later call with equal roots reuses that
+    function under its own keys.
     """
     outputs = tuple(exprs)
-    roots = [exprs[key] for key in outputs]
-    names = _variable_names(roots, order)
-    func, source = _generate(roots, names)
+    roots = tuple(exprs[key] for key in outputs)
+    names, func, source = _compiled(roots, None if order is None else tuple(order))
     return CompiledOutputs(outputs, names, func, source)
 
 

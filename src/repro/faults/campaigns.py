@@ -276,6 +276,7 @@ class FaultCampaign:
         seed: int = 0,
         max_cycles: int = 600,
         derivation: Optional[DerivationResult] = None,
+        property_checker: Optional[PropertyChecker] = None,
     ):
         self.architecture = architecture
         self.spec = spec
@@ -284,8 +285,9 @@ class FaultCampaign:
         self.seed = seed
         self.max_cycles = max_cycles
         self.assertions = testbench_assertions(spec)
-        # One monitor for every fault in the campaign: the assertion
-        # formulas are compiled to bit-parallel evaluators exactly once.
+        # One monitor for every fault in the campaign; its bit-parallel
+        # evaluator is compiled once per process for each distinct
+        # assertion set, so a later campaign on this spec reuses it.
         self.monitor = AssertionMonitor(self.assertions)
         self.derivation = derivation
         self._programs: Optional[List[Program]] = None
@@ -294,7 +296,9 @@ class FaultCampaign:
         # settled cycle).
         self.simulated_cycles = 0
         self.stepped_cycles = 0
-        self.property_checker = PropertyChecker(
+        # A job passes the checker its obligations stage decided with, so
+        # the environment is built once per derivation.
+        self.property_checker = property_checker or PropertyChecker(
             spec, architecture=architecture, derivation=derivation
         )
 

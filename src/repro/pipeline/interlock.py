@@ -237,21 +237,6 @@ class ClosedFormInterlock(Interlock):
         cached = self._row_functions[input_names] = (compiled.outputs, evaluate)
         return cached
 
-    def with_replaced_flag(
-        self, moe: str, expression: Expr, name: Optional[str] = None
-    ) -> "ClosedFormInterlock":
-        """A copy with one flag's closed form replaced, in this context."""
-        functions = dict(self._functions)
-        if moe not in functions:
-            raise KeyError(f"interlock drives no flag named {moe!r}")
-        functions[moe] = self.context.lift(expression)
-        return ClosedFormInterlock(
-            functions,
-            name=name or f"{self.name}+mutated({moe})",
-            description=self.description,
-            context=self.context,
-        )
-
 
 class ConservativeCompletionInterlock(Interlock):
     """A correct but pessimistic interlock modelling pre-redesign completion logic.

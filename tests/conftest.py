@@ -36,6 +36,15 @@ settings.register_profile("dev", deadline=None)
 settings.load_profile("ci" if os.environ.get("CI") else "dev")
 
 
+def with_replaced_flag(interlock, moe, expression):
+    """A copy of ``interlock`` with one flag's closed form replaced, in its context."""
+    functions = interlock.functions()
+    if moe not in functions:
+        raise KeyError(f"interlock drives no flag named {moe!r}")
+    functions[moe] = interlock.context.lift(expression)
+    return ClosedFormInterlock(functions, context=interlock.context)
+
+
 @pytest.fixture(scope="session")
 def example_arch():
     """The paper's Figure 1 architecture with a 2-register scoreboard."""

@@ -88,8 +88,10 @@ def test_failed_end_of_job_collect_fails_the_job_not_the_caller(monkeypatch):
     assert "MemoryError" in failed.error
     # The stages themselves passed; only the cleanup failed.
     assert all(stage.ok for stage in failed.stages)
-    # The context that could not be collected is not reused.
+    # The context that could not be collected is not reused, nor is the
+    # checker that decides in it.
     assert "derivation" not in runner._arch_state("dac2002-example")
+    assert "checker" not in runner._arch_state("dac2002-example")
 
     monkeypatch.setattr(SymbolicContext, "collect", original)
     second = run_verification_job(JobSpec(arch="dac2002-example"))
@@ -114,6 +116,40 @@ def test_failed_collect_keeps_the_first_stage_error(monkeypatch):
     assert "MemoryError" not in failed.error
     assert failed.stages[-1].name == "maximality" and not failed.stages[-1].ok
     assert "derivation" not in runner._arch_state("dac2002-example")
+
+
+def _verdicts(result):
+    return [
+        (stage.name, stage.ok, {k: v for k, v in stage.details.items() if k != "kernel"})
+        for stage in result.stages
+    ]
+
+
+def test_environment_is_built_once_per_warm_derivation(monkeypatch):
+    from repro.checking import property_check
+
+    built = []
+    real = property_check.environment_assumptions
+
+    def counting(architecture):
+        built.append(architecture)
+        return real(architecture)
+
+    monkeypatch.setattr(property_check, "environment_assumptions", counting)
+    cold = run_verification_job(JobSpec(arch="dac2002-example", workload_seed=2))
+    assert cold.ok, cold.error
+    # The obligations and faults stages share one checker.
+    assert len(built) == 1
+
+    clear_warm_state()
+    del built[:]
+    first = run_verification_job(JobSpec(arch="dac2002-example", workload_seed=1))
+    second = run_verification_job(JobSpec(arch="dac2002-example", workload_seed=2))
+    assert first.ok and second.ok
+    assert len(built) == 1
+    assert runner._arch_state("dac2002-example")["checker"] is not None
+    # Reusing the checker changes no verdict.
+    assert _verdicts(second)[2:] == _verdicts(cold)[2:]
 
 
 def test_firepath_stages_before_faults_stay_small():

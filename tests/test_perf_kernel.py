@@ -192,19 +192,26 @@ class TestCompiledOutputs:
 
 
 class TestCompileReuse:
-    def test_job_compiles_each_formula_set_once(self, monkeypatch):
-        # One word function per formula set: per closed-form interlock
-        # input order, per assertion monitor, per stall classification
-        # and per coverage call -- never one per formula.
-        clear_warm_state()
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Every ``(roots, names)`` generated, starting from an empty compile cache."""
+        compile_module._compiled.cache_clear()
         generated = []
         real_generate = compile_module._generate
 
-        def counting_generate(*args, **kwargs):
-            generated.append(args)
-            return real_generate(*args, **kwargs)
+        def counting_generate(roots, names):
+            generated.append((roots, names))
+            return real_generate(roots, names)
 
         monkeypatch.setattr(compile_module, "_generate", counting_generate)
+        return generated
+
+    def test_job_compiles_each_formula_set_once(self, generated, monkeypatch):
+        # One word function per formula set: per closed-form interlock
+        # input order, per assertion monitor, per stall classification
+        # and per coverage call -- never one per formula, and never twice
+        # for equal formulas.
+        clear_warm_state()
         built = {ClosedFormInterlock: [], AssertionMonitor: []}
         for cls, instances in built.items():
             monkeypatch.setattr(cls, "__init__", _recording_init(cls.__init__, instances))
@@ -224,8 +231,71 @@ class TestCompileReuse:
             len(interlock._row_functions) for interlock in built[ClosedFormInterlock]
         )
         assert input_orders > 1
-        assert len(built[AssertionMonitor]) == 2  # the faults and analysis stages
-        assert len(generated) == input_orders + len(built[AssertionMonitor]) + 2
+        monitors = built[AssertionMonitor]
+        assert len(monitors) == 2  # the faults and analysis stages
+        # The analysis monitor reuses the faults monitor's function.
+        assert monitors[0]._compiled._func is monitors[1]._compiled._func
+        info = compile_module._compiled.cache_info()
+        assert info.hits + info.misses == input_orders + len(monitors) + 2
+        assert len(set(generated)) == len(generated) == info.misses < info.hits + info.misses
+
+    def test_new_seed_compiles_only_the_seed_dependent_mutant(self, generated, monkeypatch):
+        # At max_faults=4 only the extra-stall mutant's trigger depends on
+        # the workload seed: a second job on the warm architecture compiles
+        # that mutant's row function and nothing else.
+        clear_warm_state()
+        interlocks = []
+        try:
+            first = run_verification_job(JobSpec(arch="dac2002-example", workload_seed=0))
+            assert first.ok, first.error
+            generated.clear()
+            monkeypatch.setattr(
+                ClosedFormInterlock,
+                "__init__",
+                _recording_init(ClosedFormInterlock.__init__, interlocks),
+            )
+            second = run_verification_job(JobSpec(arch="dac2002-example", workload_seed=1))
+        finally:
+            clear_warm_state()
+        assert second.ok, second.error
+        (extra_stall,) = [i for i in interlocks if i.name.startswith("perf-fault(")]
+        assert [roots for roots, _ in generated] == [tuple(extra_stall.expressions().values())]
+
+
+class TestCompileCache:
+    def test_equal_roots_hit_and_a_new_order_misses(self):
+        compile_module._compiled.cache_clear()
+        first_root, second_root = (And(Var("a"), Not(Var("b"))) for _ in range(2))
+        assert first_root is not second_root
+        first = compile_outputs({"f": first_root})
+        again = compile_outputs({"g": second_root})
+        assert again._func is first._func
+        assert again.outputs == ("g",)
+        assert compile_module._compiled.cache_info()[:2] == (1, 1)
+        reordered = compile_outputs({"f": first_root}, order=["b", "a"])
+        assert reordered._func is not first._func
+        assert reordered.names == ("b", "a")
+        assert compile_module._compiled.cache_info()[:2] == (1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(expressions(10), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=200),
+        st.randoms(use_true_random=False),
+    )
+    def test_cached_function_matches_a_fresh_compile(self, roots, num_rows, rng):
+        keyed = dict(enumerate(roots))
+        compile_outputs(keyed)
+        cached = compile_outputs(keyed)
+        func, source = compile_module._generate(tuple(roots), cached.names)
+        fresh = compile_module.CompiledOutputs(cached.outputs, cached.names, func, source)
+        columns = {
+            name: pack_bools(rng.random() < 0.5 for _ in range(num_rows))
+            for name in cached.names
+        }
+        assert cached.evaluate_packed(columns, num_rows) == fresh.evaluate_packed(
+            columns, num_rows
+        )
 
 
 def _recording_init(init, instances):

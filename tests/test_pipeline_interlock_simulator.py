@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import with_replaced_flag
 
 from repro.analysis import classify_stalls, compare_traces
 from repro.archs import generate_family, load_architecture
@@ -61,12 +62,12 @@ class TestInterlockImplementations:
 
         expression = example_interlock.expression_for("long.4.moe")
         assert "long.gnt" in expression.variables()
-        mutated = example_interlock.with_replaced_flag("long.4.moe", FALSE)
+        mutated = with_replaced_flag(example_interlock, "long.4.moe", FALSE)
         assert mutated.compute_moe(
             {name: False for name in mutated.expressions()["long.1.moe"].variables() | {"long.req", "long.gnt"}}
         )["long.4.moe"] is False
         with pytest.raises(KeyError):
-            example_interlock.with_replaced_flag("ghost.moe", FALSE)
+            with_replaced_flag(example_interlock, "ghost.moe", FALSE)
 
     def test_stuck_reset_interlock_window(self, example_spec, example_interlock):
         stuck = StuckResetInterlock(example_interlock, {"long.1.moe": False}, cycles=2)
@@ -241,9 +242,10 @@ class TestSimulatorBasics:
         # the cap keeps the run finite.
         from repro.expr import FALSE
 
-        dead = ClosedFormInterlock.from_spec(example_spec).with_replaced_flag(
-            "long.1.moe", FALSE
-        ).with_replaced_flag("short.1.moe", FALSE)
+        reference = ClosedFormInterlock.from_spec(example_spec)
+        dead = with_replaced_flag(
+            with_replaced_flag(reference, "long.1.moe", FALSE), "short.1.moe", FALSE
+        )
         program = Program.from_streams(long=[alu("long", dst=0)], short=[])
         config = SimulatorConfig(max_cycles=50)
         trace = simulate(example_arch, dead, program, config)

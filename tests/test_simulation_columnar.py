@@ -237,6 +237,7 @@ def test_closed_form_compute_moe_on_a_partial_valuation():
 
 
 def test_monitor_compiles_once_for_all_traces(monkeypatch):
+    compile_module._compiled.cache_clear()
     generated = []
     real_generate = compile_module._generate
 
@@ -251,6 +252,8 @@ def test_monitor_compiles_once_for_all_traces(monkeypatch):
     assertions = testbench_assertions(spec)
     monitor = AssertionMonitor(assertions)
     reports = [monitor.check_trace(other) for other in same_spec + [trace]]
+    # A second monitor over the same assertions reuses the function.
+    reports.append(AssertionMonitor(assertions).check_trace(trace))
     assert generated == [len(assertions)]
     assert all(report.assertions_checked == len(assertions) for report in reports)
 

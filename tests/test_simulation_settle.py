@@ -12,6 +12,7 @@ issue and retire cycles and on the assertion monitor's counts.
 from __future__ import annotations
 
 import pytest
+from conftest import with_replaced_flag
 
 from repro.archs import load_architecture
 from repro.assertions import AssertionKind, AssertionMonitor, testbench_assertions
@@ -150,13 +151,13 @@ def test_round_robin_with_a_stuck_completion_stage():
     round_robin = SimulatorConfig(max_cycles=MAX_CYCLES, arbiter="round-robin")
 
     # One stuck requester: the round-robin pointer stops moving, so the run settles.
-    one_stuck = reference.with_replaced_flag("long.4.moe", FALSE)
+    one_stuck = with_replaced_flag(reference, "long.4.moe", FALSE)
     trace = _run_both(architecture, spec, one_stuck, program, round_robin)
     assert trace.stepped_cycles < trace.num_cycles() == MAX_CYCLES
 
     # Two stuck requesters: the grant alternates, so no cycle repeats the
     # one before it; under fixed priority the same pipeline settles.
-    both_stuck = one_stuck.with_replaced_flag("short.2.moe", FALSE)
+    both_stuck = with_replaced_flag(one_stuck, "short.2.moe", FALSE)
     trace = _run_both(architecture, spec, both_stuck, program, round_robin)
     assert trace.stepped_cycles == trace.num_cycles() == MAX_CYCLES
     fixed = _run_both(architecture, spec, both_stuck, program)

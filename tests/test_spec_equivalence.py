@@ -10,6 +10,7 @@ context and handed to ``check_equivalence_with_derived`` and
 """
 
 import pytest
+from conftest import with_replaced_flag
 
 from repro.archs import load_architecture
 from repro.checking import PropertyChecker
@@ -124,8 +125,10 @@ class TestInterlockEquivalence:
         assert report.all_hold()
 
     def test_mutated_interlock_detected(self, example_spec, example_derivation, example_interlock):
-        mutated = example_interlock.with_replaced_flag(
-            "long.4.moe", example_interlock.expression_for("long.4.moe") & ~Var("short.req")
+        mutated = with_replaced_flag(
+            example_interlock,
+            "long.4.moe",
+            example_interlock.expression_for("long.4.moe") & ~Var("short.req"),
         )
         report = PropertyChecker(
             example_spec, derivation=example_derivation
