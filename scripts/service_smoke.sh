@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the verification service over a real socket:
 # start `repro serve`, verify an architecture through the HTTP API,
-# prove the warm-cache fast path on resubmission and stage replay on a
-# reseeded resubmission, then SIGTERM the daemon and require a clean
-# graceful exit.
+# prove the warm-cache fast path on resubmission, and stage replay plus
+# fault-mutant reuse on a reseeded resubmission, then SIGTERM the daemon
+# and require a clean graceful exit.
 #
 #   scripts/service_smoke.sh [port]
 #
@@ -16,6 +16,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 PORT="${1:-8791}"
 ARCH="fam-r4w2d5s1-bypass"
+STAGES="properties,derive,faults"
 WORKDIR="$(mktemp -d)"
 SERVER_PID=""
 
@@ -45,17 +46,17 @@ python -m repro jobs --port "$PORT" >/dev/null  # fail loudly if still down
 
 echo "== submit + follow: $ARCH =="
 python -m repro submit --port "$PORT" --arch "$ARCH" \
-    --stages properties,derive --timeout 300
+    --stages "$STAGES" --timeout 300
 
 echo "== resubmit must answer from the warm cache =="
-python - "$PORT" "$ARCH" <<'EOF'
+python - "$PORT" "$ARCH" "$STAGES" <<'EOF'
 import sys, time
 from repro.service import ServiceClient
 
-port, arch = int(sys.argv[1]), sys.argv[2]
+port, arch, stages = int(sys.argv[1]), sys.argv[2], sys.argv[3]
 client = ServiceClient(port=port)
 start = time.monotonic()
-job = client.submit(arch=arch, stages="properties,derive")["job"]
+job = client.submit(arch=arch, stages=stages)["job"]
 elapsed = time.monotonic() - start
 assert job["state"] == "done" and job["ok"], job
 assert job["from_cache"], "resubmission was not served from the cache"
@@ -67,21 +68,29 @@ print(f"cached resubmission answered in {elapsed * 1000:.1f} ms "
       f"(store hits: {stats['hits']})")
 EOF
 
-echo "== a reseeded resubmission must replay the stored stage results =="
-python - "$PORT" "$ARCH" <<'EOF'
+echo "== a reseeded resubmission must replay stored stages and reuse mutants =="
+python - "$PORT" "$ARCH" "$STAGES" <<'EOF'
+import re
 import sys
 from repro.service import ServiceClient
 
-port, arch = int(sys.argv[1]), sys.argv[2]
+port, arch, stages = int(sys.argv[1]), sys.argv[2], sys.argv[3]
 client = ServiceClient(port=port)
-job = client.submit(arch=arch, stages="properties,derive", workload_seed=1)["job"]
+job = client.submit(arch=arch, stages=stages, workload_seed=1)["job"]
 assert not job["from_cache"], "a new workload seed is a new job key"
 final = client.wait(job["id"], timeout=300)
 assert final["state"] == "done" and final["ok"], final
 stats = client.store()["store"]["stats"]
 assert stats["stage_hits"] >= 2, stats
+# The faults stage ran again at the new seed on the warm derivation: the
+# seed-independent mutants come from its table instead of re-deriving.
+reused = re.search(
+    r'^repro_fault_mutants_total\{source="reused"\} (\d+)$', client.metrics(), re.M
+)
+assert reused and int(reused.group(1)) > 0, "no fault mutant was reused"
 print(f"reseeded resubmission replayed stored stages "
-      f"(stage hits: {stats['stage_hits']})")
+      f"(stage hits: {stats['stage_hits']}) and reused "
+      f"{reused.group(1)} fault mutant(s)")
 EOF
 
 echo "== /v1/metrics must expose nonzero job counters =="

@@ -159,10 +159,10 @@ class JobResult:
 
 #: How many architectures' symbolic state one worker keeps live.  A warm
 #: entry holds the loaded architecture, its functional spec and (after
-#: the first job touches it) the derivation with its BDD manager and the
-#: property checker that decides in its context, so a
-#: campaign sweeping many jobs over few architectures pays the symbolic
-#: setup once per worker instead of once per job.
+#: the first job touches it) the derivation with its BDD manager, its
+#: fault mutants and the property checker that decides in its context, so
+#: a campaign sweeping many jobs over few architectures pays the symbolic
+#: setup, and each mutant, once per worker instead of once per job.
 _WARM_CAPACITY = 8
 
 _WARM_STATE: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -510,14 +510,16 @@ def run_verification_job(
         stages.append(result)
         if error is not None:
             break
-    # The warm state keeps the context across jobs, and each job adds
-    # nodes to it: mutant closed forms (at max_faults=4 only the
-    # extra-stall mutant's trigger depends on the workload seed), checker
-    # claims and their environment cones.  Reclaim everything this job
-    # left behind.  If the collection itself fails (a context that
-    # outgrew memory), the warm derivation is dropped with the checker
-    # that decides in it, so the next job re-derives, and the job fails
-    # with the traceback instead of raising.
+    # The warm state keeps the context across jobs.  Fault mutants stay
+    # in it on purpose: the derivation keeps each one, with the checker's
+    # reports on it, so the next job at another seed only simulates (at
+    # max_faults=4 only the extra-stall mutant's trigger depends on the
+    # seed, and it has few candidates).  Everything else this job added,
+    # checker claims and their environment cones, is reclaimed here.  If
+    # the collection itself fails (a context that outgrew memory), the
+    # warm derivation is dropped with its mutants and the checker that
+    # decides in it, so the next job re-derives, and the job fails with
+    # the traceback instead of raising.
     context = _job_context(state)
     if context is not None:
         try:

@@ -17,6 +17,7 @@ could replay.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -128,6 +129,10 @@ class PropertyChecker:
     ``derivation``, when given, must be the derivation of ``spec``; the
     equivalence check reuses it for interlocks in its context instead of
     deriving the spec again.
+
+    A closed-form interlock's closed forms never change, so each check of
+    it is decided once per checker: the report is kept while the interlock
+    lives (a weak key) and returned again, shared, on every later call.
     """
 
     def __init__(
@@ -159,6 +164,8 @@ class PropertyChecker:
         self._decided_in: Optional[SymbolicContext] = (
             derivation.context if derivation is not None and backend == "bdd" else None
         )
+        # interlock -> {check kind: report}; an entry goes with its interlock.
+        self._reports: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def release_cones(self) -> None:
         """Drop the conjoined support cones; the lifted assumptions stay.
@@ -242,7 +249,10 @@ class PropertyChecker:
     def _check_clauses(
         self, interlock: ClosedFormInterlock, kind: str, decide: Callable
     ) -> CheckReport:
-        """Decide ``decide(F_i∘impl, impl_i)`` for every clause."""
+        """Decide ``decide(F_i∘impl, impl_i)`` for every clause, once per interlock."""
+        reports = self._reports.setdefault(interlock, {})
+        if kind in reports:
+            return reports[kind]
         implementation = self._implementation_map(interlock)
         if self.backend == "bdd":
             context = interlock.context
@@ -272,6 +282,7 @@ class PropertyChecker:
                     moe=clause.moe,
                 )
             )
+        reports[kind] = report
         return report
 
     # -- checks ------------------------------------------------------------------------
@@ -296,6 +307,9 @@ class PropertyChecker:
 
     def check_equivalence_with_derived(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove the implementation equals the derived maximum-performance interlock."""
+        reports = self._reports.setdefault(interlock, {})
+        if "equivalence" in reports:
+            return reports["equivalence"]
         implementation = self._implementation_map(interlock)
         report = CheckReport(
             implementation=interlock.name,
@@ -309,6 +323,7 @@ class PropertyChecker:
                     name=f"equivalence::{moe}", holds=holds, counterexample=counterexample, moe=moe
                 )
             )
+        reports["equivalence"] = report
         return report
 
     def check_obligations(

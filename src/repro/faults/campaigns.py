@@ -321,14 +321,20 @@ class FaultCampaign:
     def run_fault(self, fault: InjectedFault) -> DetectionRecord:
         """Evaluate one injected fault with both verification routes.
 
-        Traced runs record a ``fault`` span with ``fault.simulate`` and
-        ``fault.check`` children; with tracing off they cost nothing.
+        Traced runs record a ``fault`` span (``mutant`` says whether the
+        interlock was derived for this fault or reused) with
+        ``fault.simulate`` and ``fault.check`` children; with tracing off
+        they cost nothing.  The checker decides each closed-form mutant
+        once, so a reused mutant's ``fault.check`` returns kept reports.
         """
         record = DetectionRecord(fault=fault)
         monitor = self.monitor
         config = SimulatorConfig(max_cycles=self.max_cycles)
         with span(
-            "fault", fault_class=fault.fault_class.value, target=fault.target_moe
+            "fault",
+            fault_class=fault.fault_class.value,
+            target=fault.target_moe,
+            mutant=fault.mutant,
         ) as fault_span:
             with span("fault.simulate", programs=self.num_programs) as simulate_span:
                 simulator = PipelineSimulator(self.architecture, fault.interlock, config)

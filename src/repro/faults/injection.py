@@ -16,6 +16,12 @@ only symptom is unnecessary stalls, a weakened condition yields an
 optimistic design whose symptom is hazards — so the ground-truth fault class
 matches what a correct detector should report.  Initialisation faults wrap
 the interlock and force flag values for the first cycles after reset.
+
+A mutant depends only on the specification, the target stage and the
+mutated condition, so it is derived once per derivation: the derivation
+keeps it (see :meth:`FaultInjector._interlock_for`), and a later injector
+on the same derivation, at any seed, reuses the interlock with its
+materialized covers and compiled row functions.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..expr.ast import Expr, FALSE, Or, TRUE, Var
 from ..expr.transform import simplify
+from ..obs import get_registry
 from ..pipeline.interlock import ClosedFormInterlock, Interlock, StuckResetInterlock
 from ..spec.derivation import DerivationResult, symbolic_most_liberal
 from ..spec.functional import FunctionalSpec, StallClause
@@ -43,7 +50,12 @@ class FaultClass(Enum):
 
 @dataclass
 class InjectedFault:
-    """One injected defect together with the mutated interlock."""
+    """One injected defect together with the mutated interlock.
+
+    ``mutant`` says where a re-derived interlock came from: ``"derived"``
+    by this injector or ``"reused"`` from its derivation's table (None for
+    faults that wrap the reference instead).
+    """
 
     fault_class: FaultClass
     target_moe: str
@@ -51,6 +63,7 @@ class InjectedFault:
     interlock: Interlock
     mutated_spec: Optional[FunctionalSpec] = None
     seed: Optional[int] = None
+    mutant: Optional[str] = None
 
     def describe(self) -> str:
         """Single-line rendering."""
@@ -80,17 +93,13 @@ class FaultInjector:
 
     # -- spec mutation plumbing ------------------------------------------------------------
 
-    def _respecify(self, moe: str, new_condition: Expr, suffix: str) -> FunctionalSpec:
+    def _respecify(self, moe: str, condition: Expr, suffix: str) -> FunctionalSpec:
         """A copy of the spec with one stage's stall condition replaced."""
         clauses = []
         for clause in self.spec.clauses:
             if clause.moe == moe:
                 clauses.append(
-                    StallClause(
-                        moe=clause.moe,
-                        condition=simplify(new_condition),
-                        label=clause.label,
-                    )
+                    StallClause(moe=clause.moe, condition=condition, label=clause.label)
                 )
             else:
                 clauses.append(clause)
@@ -101,11 +110,33 @@ class FaultInjector:
             metadata=dict(self.spec.metadata),
         )
 
-    def _interlock_for(self, mutated_spec: FunctionalSpec, name: str) -> ClosedFormInterlock:
-        """Derive a mutant into the reference's context (shared nodes, pointer checks)."""
-        return ClosedFormInterlock.from_spec(
-            mutated_spec, name=name, context=self.derivation.context
-        )
+    def _interlock_for(
+        self, moe: str, condition: Expr, suffix: str, name: str
+    ) -> Tuple[FunctionalSpec, ClosedFormInterlock, str]:
+        """The mutated spec, its interlock, and whether it was derived or reused.
+
+        The mutant is derived into the reference's context (shared nodes,
+        pointer checks) and kept in the derivation's ``mutants`` table,
+        keyed by content: interlock name, target stage and simplified
+        condition, never node ids or the seed.  The kept interlock pins its
+        nodes, so the end-of-job collect leaves it whole; it goes when the
+        derivation does.
+        """
+        condition = simplify(condition)
+        key = (name, moe, condition)
+        mutants = self.derivation.mutants
+        kept = mutants.get(key)
+        source = "derived" if kept is None else "reused"
+        if kept is None:
+            mutated_spec = self._respecify(moe, condition, suffix)
+            kept = mutants[key] = (
+                mutated_spec,
+                ClosedFormInterlock.from_spec(
+                    mutated_spec, name=name, context=self.derivation.context
+                ),
+            )
+        get_registry().inc("repro_fault_mutants_total", source=source)
+        return kept[0], kept[1], source
 
     # -- individual fault models --------------------------------------------------------------
 
@@ -127,8 +158,9 @@ class FaultInjector:
                 candidates = self.spec.input_signals()
             trigger = Var(rng.choice(sorted(candidates)))
         original = self.spec.condition_for(moe)
-        mutated_spec = self._respecify(moe, Or(original, trigger), "extra-stall")
-        interlock = self._interlock_for(mutated_spec, f"perf-fault({moe})")
+        mutated_spec, interlock, source = self._interlock_for(
+            moe, Or(original, trigger), "extra-stall", f"perf-fault({moe})"
+        )
         return InjectedFault(
             fault_class=FaultClass.PERFORMANCE,
             target_moe=moe,
@@ -136,6 +168,7 @@ class FaultInjector:
             interlock=interlock,
             mutated_spec=mutated_spec,
             seed=self.seed,
+            mutant=source,
         )
 
     def missing_term_fault(self, moe: str, term_index: Optional[int] = None) -> InjectedFault:
@@ -157,8 +190,9 @@ class FaultInjector:
             weakened = kept[0]
         else:
             weakened = Or(*kept)
-        mutated_spec = self._respecify(moe, weakened, "missing-term")
-        interlock = self._interlock_for(mutated_spec, f"func-fault({moe})")
+        mutated_spec, interlock, source = self._interlock_for(
+            moe, weakened, "missing-term", f"func-fault({moe})"
+        )
         dropped = disjuncts[term_index]
         return InjectedFault(
             fault_class=FaultClass.FUNCTIONAL,
@@ -167,12 +201,14 @@ class FaultInjector:
             interlock=interlock,
             mutated_spec=mutated_spec,
             seed=self.seed,
+            mutant=source,
         )
 
     def stuck_stall_fault(self, moe: str) -> InjectedFault:
         """Performance bug: the stage stalls unconditionally (moe stuck low)."""
-        mutated_spec = self._respecify(moe, TRUE, "always-stall")
-        interlock = self._interlock_for(mutated_spec, f"stuck-stall({moe})")
+        mutated_spec, interlock, source = self._interlock_for(
+            moe, TRUE, "always-stall", f"stuck-stall({moe})"
+        )
         return InjectedFault(
             fault_class=FaultClass.PERFORMANCE,
             target_moe=moe,
@@ -180,12 +216,14 @@ class FaultInjector:
             interlock=interlock,
             mutated_spec=mutated_spec,
             seed=self.seed,
+            mutant=source,
         )
 
     def never_stall_fault(self, moe: str) -> InjectedFault:
         """Functional bug: the stage never stalls (moe stuck high)."""
-        mutated_spec = self._respecify(moe, FALSE, "never-stall")
-        interlock = self._interlock_for(mutated_spec, f"never-stall({moe})")
+        mutated_spec, interlock, source = self._interlock_for(
+            moe, FALSE, "never-stall", f"never-stall({moe})"
+        )
         return InjectedFault(
             fault_class=FaultClass.FUNCTIONAL,
             target_moe=moe,
@@ -193,6 +231,7 @@ class FaultInjector:
             interlock=interlock,
             mutated_spec=mutated_spec,
             seed=self.seed,
+            mutant=source,
         )
 
     def bad_reset_fault(self, moe: str, value: bool, cycles: int = 4) -> InjectedFault:

@@ -58,6 +58,7 @@ HELP: Dict[str, str] = {
     "repro_service_queue_depth": "jobs currently queued",
     "repro_service_jobs_running": "jobs currently executing",
     "repro_trace_spans_total": "spans recorded by the tracing layer",
+    "repro_fault_mutants_total": "fault mutants derived, or reused from their derivation",
 }
 
 

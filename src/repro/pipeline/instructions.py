@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 
 class InstructionKind(Enum):
@@ -162,8 +162,3 @@ class Program:
         if not self.streams:
             return 0
         return max(len(stream) for stream in self.streams.values())
-
-    @classmethod
-    def from_streams(cls, **streams: Iterable[Instruction]) -> "Program":
-        """Build a program from keyword per-pipe streams."""
-        return cls(streams={pipe: list(items) for pipe, items in streams.items()})

@@ -38,8 +38,9 @@ import itertools
 import os
 import time
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
 from ..archs import is_family_name, load_architecture
@@ -55,6 +56,11 @@ from ..obs import MetricsRegistry, get_registry
 from .jobs import JobRecord, JobState, parse_submission
 
 __all__ = ["ServiceClosing", "VerificationService"]
+
+#: How many finished job records (with their event logs) the daemon keeps.
+#: Beyond it the oldest finished record is dropped and its id answers 404;
+#: its results stay in the store.  Queued and running jobs are never dropped.
+_RETAINED_FINISHED_JOBS = 256
 
 
 class ServiceClosing(RuntimeError):
@@ -106,8 +112,9 @@ class VerificationService:
         self.workers = max(1, int(workers))
         self.trace = bool(trace)
         self.started_at = time.time()
+        # Records in submission order; finished ids in the order they finished.
         self._jobs: Dict[str, JobRecord] = {}
-        self._order: List[str] = []
+        self._finished: Deque[str] = deque()
         self._active_key: Dict[str, str] = {}
         self._ids = itertools.count(1)
         self._fifo = itertools.count(1)
@@ -166,10 +173,9 @@ class VerificationService:
         if self._closed:
             return
         self._closing = True
-        for job_id in self._order:
-            record = self._jobs[job_id]
+        for record in list(self._jobs.values()):
             if record.state == JobState.QUEUED:
-                self.cancel(job_id)
+                self.cancel(record.id)
         current = self._jobs.get(self._current_job_id or "")
         if current is not None and not current.terminal:
             if not drain:
@@ -231,7 +237,6 @@ class VerificationService:
             f"job-{next(self._ids):06d}", spec, priority, time.time()
         )
         self._jobs[record.id] = record
-        self._order.append(record.id)
         self._active_key[record.key] = record.id
         record.publish(
             "state",
@@ -302,21 +307,21 @@ class VerificationService:
     # -- queries -----------------------------------------------------------------
 
     def job(self, job_id: str) -> JobRecord:
-        """Look up a record (KeyError when unknown — HTTP 404 upstream)."""
+        """Look up a record (KeyError when unknown or dropped — HTTP 404 upstream)."""
         return self._jobs[job_id]
 
     def jobs(self, state: Optional[str] = None) -> List[JobRecord]:
-        """All records in submission order, optionally filtered by state."""
-        records = [self._jobs[job_id] for job_id in self._order]
+        """The retained records in submission order, optionally filtered by state."""
+        records = list(self._jobs.values())
         if state is not None:
             records = [record for record in records if record.state == state]
         return records
 
     def state_counts(self) -> Dict[str, int]:
-        """How many jobs sit in each lifecycle state."""
+        """How many retained jobs sit in each lifecycle state."""
         counts = {state: 0 for state in JobState.ALL}
-        for job_id in self._order:
-            counts[self._jobs[job_id].state] += 1
+        for record in self._jobs.values():
+            counts[record.state] += 1
         return counts
 
     def health(self) -> Dict[str, Any]:
@@ -396,9 +401,9 @@ class VerificationService:
         assert self._queue is not None and self._loop is not None
         while True:
             _, _, job_id = await self._queue.get()
-            record = self._jobs[job_id]
-            if record.state != JobState.QUEUED:
-                continue  # cancelled while queued
+            record = self._jobs.get(job_id)
+            if record is None or record.state != JobState.QUEUED:
+                continue  # cancelled while queued (and maybe dropped since)
             self._current_job_id = job_id
             try:
                 await self._loop.run_in_executor(
@@ -481,6 +486,20 @@ class VerificationService:
             if self._active_key.get(record.key) == record.id:
                 del self._active_key[record.key]
         record.publish("state", {"state": state, **data})
+        if state in JobState.TERMINAL:
+            self._retire(record)
+
+    def _retire(self, record: JobRecord) -> None:
+        """Keep at most ``_RETAINED_FINISHED_JOBS`` finished records, dropping the oldest.
+
+        A finished record no longer holds its ``_active_key`` entry (the
+        terminal transition released it).  A stream already following a
+        dropped record holds it and ends normally; a later lookup of its
+        id answers 404.
+        """
+        self._finished.append(record.id)
+        while len(self._finished) > _RETAINED_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
 
     def _finalize(
         self,

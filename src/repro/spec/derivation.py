@@ -34,7 +34,7 @@ printer, HDL backend or monitor asks for them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..bdd.ordering import register_interleaved_order
 from ..bdd.serialize import ArtifactError
@@ -75,6 +75,10 @@ class DerivationResult:
         bdd_sizes: per-flag BDD node counts of the closed forms, a rough
             complexity measure reported by the scale benchmarks.
         moe_functions: per-flag closed forms as SymbolicFunctions.
+        mutants: fault mutants derived into :attr:`context`, kept by
+            :class:`~repro.faults.FaultInjector` under a content key so
+            each is derived, materialized and decided once per
+            derivation; they live exactly as long as it does.
     """
 
     def __init__(
@@ -95,6 +99,7 @@ class DerivationResult:
             }
         self.bdd_sizes: Dict[str, int] = dict(bdd_sizes)
         self._stall_expressions: Optional[Dict[str, Expr]] = None
+        self.mutants: Dict[Tuple[str, str, Expr], Tuple[FunctionalSpec, Any]] = {}
 
     # -- the symbolic side -------------------------------------------------------
 

@@ -17,6 +17,7 @@ from repro.archs import (
     firepath_like_architecture,
     risc5_architecture,
 )
+from repro.pipeline.instructions import Program
 from repro.pipeline.interlock import ClosedFormInterlock
 from repro.spec import build_functional_spec, symbolic_most_liberal
 
@@ -43,6 +44,11 @@ def with_replaced_flag(interlock, moe, expression):
         raise KeyError(f"interlock drives no flag named {moe!r}")
     functions[moe] = interlock.context.lift(expression)
     return ClosedFormInterlock(functions, context=interlock.context)
+
+
+def streams_program(**streams):
+    """A program from keyword per-pipe instruction streams."""
+    return Program(streams={pipe: list(items) for pipe, items in streams.items()})
 
 
 @pytest.fixture(scope="session")

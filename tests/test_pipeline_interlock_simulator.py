@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import with_replaced_flag
+from conftest import streams_program, with_replaced_flag
 
 from repro.analysis import classify_stalls, compare_traces
 from repro.archs import generate_family, load_architecture
@@ -14,7 +14,6 @@ from repro.pipeline import (
     ConservativeCompletionInterlock,
     HazardKind,
     PipelineSimulator,
-    Program,
     SimulatorConfig,
     SpecFixedPointInterlock,
     StuckResetInterlock,
@@ -172,7 +171,7 @@ class TestCompiledClosedForms:
 
 class TestSimulatorBasics:
     def test_single_instruction_flows_through_long_pipe(self, example_arch, example_spec):
-        program = Program.from_streams(long=[alu("long", dst=0)], short=[])
+        program = streams_program(long=[alu("long", dst=0)], short=[])
         trace = simulate(example_arch, reference_interlock(example_spec), program)
         assert trace.retired_instructions == 1
         assert trace.hazard_free()
@@ -180,30 +179,30 @@ class TestSimulatorBasics:
         assert trace.num_cycles() == 5
 
     def test_single_instruction_short_pipe_is_faster(self, example_arch, example_spec):
-        long_prog = Program.from_streams(long=[alu("long", dst=0)], short=[])
-        short_prog = Program.from_streams(long=[], short=[alu("short", dst=0)])
+        long_prog = streams_program(long=[alu("long", dst=0)], short=[])
+        short_prog = streams_program(long=[], short=[alu("short", dst=0)])
         interlock = reference_interlock(example_spec)
         long_trace = simulate(example_arch, interlock, long_prog)
         short_trace = simulate(example_arch, interlock, short_prog)
         assert short_trace.num_cycles() < long_trace.num_cycles()
 
     def test_store_retires_without_bus(self, example_arch, example_spec):
-        program = Program.from_streams(long=[store("long", src=1)], short=[])
+        program = streams_program(long=[store("long", src=1)], short=[])
         trace = simulate(example_arch, reference_interlock(example_spec), program)
         assert trace.retired_instructions == 1
         assert trace.hazard_free()
 
     def test_bubbles_do_not_retire(self, example_arch, example_spec):
-        program = Program.from_streams(long=[bubble("long"), alu("long", dst=0)], short=[])
+        program = streams_program(long=[bubble("long"), alu("long", dst=0)], short=[])
         trace = simulate(example_arch, reference_interlock(example_spec), program)
         assert trace.retired_instructions == 1
         assert trace.issued_instructions == 1
 
     def test_wait_instruction_holds_issue(self, example_arch, example_spec):
-        with_wait = Program.from_streams(
+        with_wait = streams_program(
             long=[wait("long", 3), alu("long", dst=0)], short=[]
         )
-        without_wait = Program.from_streams(long=[alu("long", dst=0)], short=[])
+        without_wait = streams_program(long=[alu("long", dst=0)], short=[])
         interlock = reference_interlock(example_spec)
         slow = simulate(example_arch, interlock, with_wait)
         fast = simulate(example_arch, interlock, without_wait)
@@ -212,7 +211,7 @@ class TestSimulatorBasics:
         assert slow.retired_instructions == 2  # the WAIT retires in place
 
     def test_dependent_chain_stalls_but_stays_correct(self, example_arch, example_spec):
-        program = Program.from_streams(
+        program = streams_program(
             long=dependent_chain("long", 10, num_registers=2), short=[]
         )
         trace = simulate(example_arch, reference_interlock(example_spec), program)
@@ -246,7 +245,7 @@ class TestSimulatorBasics:
         dead = with_replaced_flag(
             with_replaced_flag(reference, "long.1.moe", FALSE), "short.1.moe", FALSE
         )
-        program = Program.from_streams(long=[alu("long", dst=0)], short=[])
+        program = streams_program(long=[alu("long", dst=0)], short=[])
         config = SimulatorConfig(max_cycles=50)
         trace = simulate(example_arch, dead, program, config)
         assert trace.num_cycles() == 50
@@ -256,7 +255,7 @@ class TestSimulatorBasics:
         incomplete = ClosedFormInterlock(
             {"long.4.moe": ClosedFormInterlock.from_spec(example_spec).expression_for("long.4.moe")}
         )
-        program = Program.from_streams(long=[alu("long", dst=0)], short=[])
+        program = streams_program(long=[alu("long", dst=0)], short=[])
         with pytest.raises(RuntimeError, match="did not drive moe flags"):
             simulate(example_arch, incomplete, program)
 
@@ -272,7 +271,7 @@ class TestSimulatorBasics:
         assert trace.num_cycles() < 100
 
     def test_trace_records_have_consistent_shape(self, example_arch, example_spec):
-        program = Program.from_streams(long=[alu("long", dst=1)], short=[alu("short", dst=0)])
+        program = streams_program(long=[alu("long", dst=1)], short=[alu("short", dst=0)])
         trace = simulate(example_arch, reference_interlock(example_spec), program)
         for record in trace.cycles:
             assert set(record.moe) == set(example_arch.moe_signals())
@@ -283,7 +282,7 @@ class TestSimulatorBasics:
 
     def test_simulator_reset_between_runs(self, example_arch, example_spec):
         simulator = PipelineSimulator(example_arch, reference_interlock(example_spec))
-        program = Program.from_streams(long=[alu("long", dst=0)], short=[])
+        program = streams_program(long=[alu("long", dst=0)], short=[])
         first = simulator.run(program)
         # Re-running the same Program object: fetch indices and occupancy reset,
         # so the cycle count is identical.
@@ -294,7 +293,7 @@ class TestSimulatorBasics:
         self, example_arch, example_spec
     ):
         first, second = alu("long", dst=0), alu("long", dst=1)
-        program = Program.from_streams(long=[first, second], short=[])
+        program = streams_program(long=[first, second], short=[])
         trace = simulate(example_arch, reference_interlock(example_spec), program)
         assert trace.cycles[0].issued == [first.uid]
         # Leaving stage 1 (in cycle 1) must not overwrite the fetch cycle 0.
@@ -323,7 +322,7 @@ class TestHazardDetectionWithBrokenInterlocks:
             example_arch, BuilderOptions(include_scoreboard=False)
         ).build()
         optimistic = ClosedFormInterlock.from_spec(optimistic_spec)
-        program = Program.from_streams(
+        program = streams_program(
             long=dependent_chain("long", 8, num_registers=2), short=[]
         )
         trace = simulate(example_arch, optimistic, program)
@@ -338,7 +337,7 @@ class TestHazardDetectionWithBrokenInterlocks:
             example_arch, BuilderOptions(include_lockstep=False)
         ).build()
         loose = ClosedFormInterlock.from_spec(no_lockstep_spec)
-        program = Program.from_streams(
+        program = streams_program(
             long=[wait("long", 3), alu("long", dst=0)],
             short=[alu("short", dst=1), alu("short", dst=0)],
         )
@@ -352,7 +351,7 @@ class TestHazardDetectionWithBrokenInterlocks:
             {"long.1.moe": False, "short.1.moe": False},
             cycles=3,
         )
-        program = Program.from_streams(long=[alu("long", dst=0)], short=[])
+        program = streams_program(long=[alu("long", dst=0)], short=[])
         base = simulate(example_arch, reference, program)
         slow = simulate(example_arch, delayed, program)
         assert slow.retired_instructions == base.retired_instructions

@@ -1,6 +1,7 @@
 """Tests for the architecture description, signals, instructions, arbitration."""
 
 import pytest
+from conftest import streams_program
 
 from repro.expr import eval_expr
 from repro.pipeline import (
@@ -10,7 +11,6 @@ from repro.pipeline import (
     FixedPriorityArbiter,
     InstructionKind,
     PipeSpec,
-    Program,
     RoundRobinArbiter,
     ScoreboardSpec,
     StageRef,
@@ -189,7 +189,7 @@ class TestInstructions:
         assert "long" in text and "dst=r3" in text and "src=r1" in text
 
     def test_program_queries(self):
-        program = Program.from_streams(long=[alu("long", dst=0), bubble("long")], short=[])
+        program = streams_program(long=[alu("long", dst=0), bubble("long")], short=[])
         assert program.instruction_count() == 1
         assert program.max_length() == 2
         assert program.stream_for("short") == []

@@ -391,6 +391,19 @@ class TestEndpoints:
             service.client().job("job-999999")
         assert excinfo.value.status == 404 and excinfo.value.code == "not_found"
 
+    def test_dropped_finished_job_is_404(self, service, monkeypatch):
+        monkeypatch.setattr(daemon, "_RETAINED_FINISHED_JOBS", 1)
+        client = service.client()
+        first = submit_light(client)["job"]["id"]
+        client.wait(first, timeout=60)
+        again = submit_light(client)["job"]
+        assert again["from_cache"] and again["id"] != first
+        # The older finished record is gone; its result is still stored.
+        with pytest.raises(ServiceError) as excinfo:
+            client.job(first)
+        assert excinfo.value.status == 404
+        assert [record["id"] for record in client.jobs()] == [again["id"]]
+
     def test_unknown_architecture_is_400(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service.client().submit(arch="no-such-arch")
@@ -558,6 +571,56 @@ class TestLifecycle:
 
         asyncio.run(scenario())
         assert calls == [[ARCH], ["fam-r0w1d3s1-bypass"], ["fam-r0w1d3s1-bypass"]]
+
+    def test_finished_records_beyond_the_cap_are_dropped_oldest_first(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(daemon, "_RETAINED_FINISHED_JOBS", 2)
+        release = threading.Event()
+        real_run = daemon.run_campaign
+
+        def held_run(spec, **kwargs):
+            if spec.jobs[0].arch == ARCH2:
+                release.wait(60)
+            return real_run(spec, **kwargs)
+
+        monkeypatch.setattr(daemon, "run_campaign", held_run)
+
+        async def scenario():
+            service = VerificationService(
+                store=ResultStore(tmp_path / "store"), workers=1
+            )
+            await service.start()
+            try:
+                first, _ = await service.submit({"arch": ARCH, **LIGHT})
+                async for _ in service.stream(first.id):
+                    pass
+                held, _ = await service.submit({"arch": ARCH2, **LIGHT})
+                cached = []
+                for _ in range(3):
+                    record, _ = await service.submit({"arch": ARCH, **LIGHT})
+                    assert record.terminal and record.from_cache
+                    cached.append(record.id)
+                # Four finished records, two kept; the unfinished one stays.
+                assert not held.terminal
+                for dropped in (first.id, cached[0]):
+                    with pytest.raises(KeyError):
+                        service.job(dropped)
+                assert [r.id for r in service.jobs()] == [held.id, *cached[1:]]
+                assert service._active_key == {held.key: held.id}
+
+                release.set()
+                async for _ in service.stream(held.id):
+                    pass
+                assert held.ok is True
+                assert [r.id for r in service.jobs()] == [held.id, cached[2]]
+                assert service._active_key == {}
+                assert sum(service.state_counts().values()) == 2
+            finally:
+                release.set()
+                await service.close()
+
+        asyncio.run(scenario())
 
     def test_graceful_stop_drains_running_job(self, tmp_path):
         handle = start_service(store_root=str(tmp_path / "store"), workers=1)
