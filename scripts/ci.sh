@@ -1,30 +1,23 @@
 #!/usr/bin/env bash
-# One-command CI gate: lint, tier-1 tests, then the quick benchmark check.
+# One-command CI gate: lint, contract lint, tier-1 tests, pydoc smoke and
+# the docs link check.
 #
-#   scripts/ci.sh                    run the full gate
-#   scripts/ci.sh --update-baseline  regenerate BENCH_QUICK.json and exit
+#   scripts/ci.sh
 #
-# The gate fails when the lint stage finds an error, when any test fails,
-# or when a quick-size benchmark scenario regresses more than the
-# tolerance against the committed BENCH_QUICK.json baseline (beyond an
-# absolute slack that absorbs timer noise on millisecond scenarios).  A
-# scenario missing from the baseline (i.e. newer than it) is reported as
-# a warning and skipped, not failed — roll the baseline to start gating it.
+# The gate fails when a lint stage finds an error or when any test fails.
+# The performance gate is a tier-1 test: tests/test_work_counters.py pins
+# the deterministic work counters (BDD nodes, cache misses, simulated
+# cycles, claims decided) of the paper's flow, so it also runs under
+# REPRO_SANITIZE and REPRO_TRACE.  Wall-clock timing is the repository
+# benchmark's job (perfbench/run.py).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-BASELINE=BENCH_QUICK.json
-
-if [[ "${1:-}" == "--update-baseline" ]]; then
-    echo "== regenerating $BASELINE (quick sizes, 3 repetitions) =="
-    python -m repro bench --quick --repeat 3 --out "$BASELINE"
-    echo "baseline updated; commit $BASELINE with the change that moved it"
-    exit 0
-elif [[ -n "${1:-}" ]]; then
-    echo "error: unknown option '$1' (supported: --update-baseline)" >&2
+if [[ -n "${1:-}" ]]; then
+    echo "error: unknown option '$1' (scripts/ci.sh takes no options)" >&2
     exit 2
 fi
 
@@ -97,26 +90,3 @@ EOF
 echo "== docs link check =="
 python scripts/check_docs_links.py
 
-echo "== quick benchmark gate =="
-if [[ -n "${REPRO_SANITIZE:-}" ]]; then
-    # The sanitizer quarantines freed slots and validates every operand —
-    # deliberately slower.  Timing it against the plain-kernel baseline
-    # would only measure the sanitizer, so the gate is skipped.
-    echo "REPRO_SANITIZE is set — skipping the benchmark gate (sanitized kernel is intentionally slower)"
-    exit 0
-fi
-if [[ -n "${REPRO_TRACE:-}" ]]; then
-    # Tracing records a span per stage/job and writes NDJSON traces; the
-    # baseline was measured untraced, so the comparison would gate on the
-    # tracer, not the kernel.
-    echo "REPRO_TRACE is set — skipping the benchmark gate (traced runs are not comparable to the untraced baseline)"
-    exit 0
-fi
-if [[ ! -f "$BASELINE" ]]; then
-    echo "error: benchmark baseline $BASELINE is missing." >&2
-    echo "Every clone ships one; if you removed it intentionally, regenerate it with:" >&2
-    echo "    scripts/ci.sh --update-baseline" >&2
-    echo "and commit the result." >&2
-    exit 1
-fi
-python -m repro bench --quick --check --baseline "$BASELINE"

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """CI gate for the artifact-backed warm campaign path.
 
-Runs the quick 24-config family sweep three times against one result
+Runs an 8-job family sweep (2 registers, issue widths 1 and 2, depths 3
+and 4, bypass and blocking scoreboards) three times against one result
 store and enforces the stage-replay contract end to end:
 
 1. **cold** — empty store, persistent workers started fresh: every job
@@ -43,10 +44,18 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    from repro.campaign import ResultStore, run_campaign, shutdown_warm_pool
-    from repro.perf.bench import _setup_campaign_sweep
+    from repro.campaign import ResultStore, family_sweep, run_campaign, shutdown_warm_pool
 
-    spec = _setup_campaign_sweep(quick=True)
+    spec = family_sweep(
+        name="warm-gate",
+        registers=(2,),
+        widths=(1, 2),
+        depths=(3, 4),
+        styles=("bypass", "blocking"),
+        workers=2,
+        workload_length=24,
+        max_faults=2,
+    )
     seeded = type(spec)(
         name=spec.name + "-reseeded",
         jobs=tuple(

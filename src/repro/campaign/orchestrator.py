@@ -11,8 +11,7 @@ survives across campaigns, and inside each worker
 ``BddManager``/``SymbolicContext`` state per architecture.  A second
 campaign over the same family therefore skips process startup, module
 imports, architecture loading and the symbolic derivation — the warm-path
-speedup the ``campaign_sweep_warm`` benchmark and the nightly CI gate
-measure.  Workers also read/write the shared result store directly
+speedup the nightly warm gate (``scripts/warm_gate.py``) measures.  Workers also read/write the shared result store directly
 (binary derivation artifacts and per-stage results, both content-hashed
 and written atomically), shipping their metrics-registry deltas — store
 traffic included — back with each result so the campaign report can

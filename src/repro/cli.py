@@ -22,8 +22,6 @@ Sub-commands
 ``check``                 exhaustively property-check an interlock variant
 ``simulate``              run the cycle-accurate simulator with the generated
                           assertions armed, report stalls / coverage, dump VCD
-``bench``                 time the paper benchmarks (symbolic derivation,
-                          exhaustive sweeps, property checking) and write JSON
 ``campaign``              shard end-to-end verification jobs over many
                           architectures (a parametric family sweep and/or
                           named designs) across persistent worker processes,
@@ -214,46 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--vcd", help="write the control-signal waveform to this VCD file")
     sim.add_argument(
         "--coverage", action="store_true", help="also print specification coverage"
-    )
-
-    bench = subparsers.add_parser(
-        "bench", help="time the paper benchmarks and write the results as JSON"
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    bench.add_argument("--list", action="store_true", help="list scenarios and exit")
-    bench.add_argument(
-        "--quick", action="store_true", help="smoke-test sizes (for CI); seconds, not minutes"
-    )
-    bench.add_argument("--repeat", type=int, default=1, help="timed repetitions per scenario")
-    bench.add_argument("--out", help="write the timings to this JSON file")
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against --baseline and exit non-zero on regression",
-    )
-    bench.add_argument(
-        "--baseline",
-        default="BENCH_PR1.json",
-        help="baseline JSON for --check (default: BENCH_PR1.json)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.5,
-        help="allowed slow-down factor before --check fails (default: 1.5)",
-    )
-    bench.add_argument(
-        "--slack",
-        type=float,
-        default=0.05,
-        help="absolute seconds of excess forgiven before --check fails, so "
-        "millisecond-scale scenarios do not gate on timer noise (default: 0.05)",
     )
 
     campaign = subparsers.add_parser(
@@ -668,49 +626,6 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if report.clean() else 1
 
 
-def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
-    from .perf import (
-        available_scenarios,
-        check_against_baseline,
-        run_benchmarks,
-        write_results,
-    )
-
-    if args.list:
-        for name in available_scenarios():
-            out.write(f"{name}\n")
-        return 0
-    try:
-        results = run_benchmarks(
-            names=args.scenarios,
-            quick=args.quick,
-            repeat=args.repeat,
-            progress=lambda line: out.write(line + "\n"),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if args.out:
-        write_results(results, args.out)
-        out.write(f"timings written to {args.out}\n")
-    if args.check:
-        try:
-            failures = check_against_baseline(
-                results,
-                args.baseline,
-                tolerance=args.tolerance,
-                warn=lambda line: out.write(f"WARNING {line}\n"),
-                slack=args.slack,
-            )
-        except ValueError as exc:
-            raise CliError(f"bad baseline {args.baseline}: {exc}") from exc
-        if failures:
-            for failure in failures:
-                out.write(f"REGRESSION {failure}\n")
-            return 1
-        out.write(f"no regression against {args.baseline}\n")
-    return 0
-
-
 def _csv_strs(text: str) -> List[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -1045,7 +960,6 @@ _COMMANDS = {
     "synth": _cmd_synth,
     "check": _cmd_check,
     "simulate": _cmd_simulate,
-    "bench": _cmd_bench,
     "campaign": _cmd_campaign,
     "artifact": _cmd_artifact,
     "serve": _cmd_serve,

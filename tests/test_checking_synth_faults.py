@@ -86,6 +86,17 @@ class TestPropertyChecker:
         assert not equivalence.all_hold()
         assert set(equivalence.failing_stages()) <= {"long.1.moe", "short.1.moe"}
 
+    def test_equivalence_report_decides_every_flag(self, example_arch_full, example_spec_full):
+        # The first standard mutant of the paper example differs from the
+        # derived interlock on its first flag; the report must still hold
+        # one verdict per moe flag, refuted and holding alike.
+        mutant = FaultInjector(example_spec_full, seed=0).standard_fault_set(limit=1)[0]
+        checker = PropertyChecker(example_spec_full, architecture=example_arch_full)
+        report = checker.check_equivalence_with_derived(mutant.interlock)
+        assert [result.moe for result in report.results] == example_spec_full.moe_flags()
+        verdicts = [result.holds for result in report.results]
+        assert verdicts[0] is False and True in verdicts[1:]
+
     def test_counterexample_is_a_real_violation(self, example_arch, example_spec):
         fault = FaultInjector(example_spec, seed=4).extra_stall_fault("long.2.moe")
         checker = PropertyChecker(example_spec, architecture=example_arch)

@@ -1,11 +1,13 @@
 """Tests for the command-line front end (repro.cli)."""
 
 import io
+import re
 
 import pytest
 
+from repro.archs import load_architecture
 from repro.cli import build_parser, main
-from repro.spec import loads_spec
+from repro.spec import build_functional_spec, loads_spec
 
 
 def run_cli(*argv):
@@ -156,6 +158,19 @@ class TestCheckAndSimulate:
         # performance, so the command reports failures and exits non-zero.
         assert code == 1
         assert "FAILED" in output
+
+    def test_check_prints_one_verdict_per_flag(self):
+        # A refuted flag (the conservative variant fails long.1.moe's
+        # equivalence) must not end a report: the flags after it are
+        # decided and printed too.
+        _, output = run_cli(
+            "check", "--arch", "dac2002-example", "--implementation", "conservative"
+        )
+        flags = build_functional_spec(load_architecture("dac2002-example")).moe_flags()
+        for kind in ("functional", "performance", "equivalence"):
+            verdicts = re.findall(rf"^  {kind}::.* \[(\S+)\]: (\w+)$", output, re.MULTILINE)
+            assert [flag for flag, _ in verdicts] == flags
+        assert {verdict for _, verdict in verdicts} == {"proved", "FAILED"}
 
     def test_conservative_requires_architecture(self, spec_file):
         code, _ = run_cli(

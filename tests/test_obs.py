@@ -528,22 +528,6 @@ class TestTraceCli:
         assert "no trace matches" in capsys.readouterr().err
 
 
-# -- bench integration --------------------------------------------------------------
-
-
-class TestBenchMetrics:
-    def test_derive_scenario_snapshot(self):
-        from repro.perf import run_benchmarks
-
-        results = run_benchmarks(names=["derive_example"], quick=True)
-        result = results["derive_example"]
-        metrics = result.metrics
-        assert metrics["kernel_live_nodes"] > 0
-        assert 0.0 <= metrics["kernel_cache_hit_rate"] <= 1.0
-        assert "kernel_gc_runs" in metrics
-        assert result.as_dict()["metrics"] == metrics
-
-
 # -- the metric catalogue -----------------------------------------------------------
 
 

@@ -2,15 +2,11 @@
 
 Covers the PR-1 speed work: the bit-parallel compiled evaluator must agree
 with :func:`eval_expr` everywhere, the fused quantification operations must
-agree with their unfused compositions, and the benchmark runner must stay
-runnable as a CI smoke test.
+agree with their unfused compositions.
 """
 
-import json
 import random
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -416,73 +412,3 @@ class TestAllAssignments:
         with pytest.raises(TypeError):
             all_assignments(["x", "y"], reuse=True)
 
-
-class TestBenchRunner:
-    def test_quick_smoke_and_regression_gate(self, tmp_path):
-        from repro.perf import check_against_baseline, run_benchmarks, write_results
-
-        results = run_benchmarks(names=["bmc_stuck_reset"], quick=True)
-        assert results["bmc_stuck_reset"].seconds >= 0.0
-        baseline = tmp_path / "baseline.json"
-        write_results(results, str(baseline))
-        payload = json.loads(baseline.read_text())
-        assert "bmc_stuck_reset" in payload["scenarios"]
-        # Against its own timings nothing regresses ...
-        assert check_against_baseline(results, str(baseline), tolerance=1000.0) == []
-        # ... and an absurdly tight tolerance flags the scenario (slack
-        # disabled so a milliseconds-scale excess is not forgiven).
-        failures = check_against_baseline(
-            results, str(baseline), tolerance=1e-9, slack=0.0
-        )
-        assert failures and "bmc_stuck_reset" in failures[0]
-        # With the default absolute slack the same millisecond-scale excess
-        # is noise, not a regression.
-        assert check_against_baseline(results, str(baseline), tolerance=1e-9) == []
-
-    @pytest.mark.parametrize(
-        "baseline",
-        [
-            "BENCH_PR1.json",
-            "BENCH_PR2.json",
-            "BENCH_PR6.json",
-            "BENCH_PR10.json",
-            "BENCH_QUICK.json",
-        ],
-    )
-    def test_committed_baselines_load(self, baseline):
-        from repro.perf import check_against_baseline
-        from repro.perf.bench import SCHEMA_VERSION, BenchResult
-
-        path = Path(__file__).resolve().parents[1] / baseline
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == SCHEMA_VERSION
-        assert payload["scenarios"]
-        own = {
-            name: BenchResult(
-                name=name,
-                seconds=entry["seconds"],
-                repeat=entry["repeat"],
-                quick=bool(entry.get("quick")),
-            )
-            for name, entry in payload["scenarios"].items()
-        }
-        assert check_against_baseline(own, str(path), tolerance=1.0, slack=0.0) == []
-        slower = {
-            name: replace(result, seconds=2 * result.seconds + 1) for name, result in own.items()
-        }
-        failures = check_against_baseline(slower, str(path), tolerance=1.5, slack=0.0)
-        assert len(failures) == len(own)
-
-    def test_baseline_without_top_level_scenarios_is_rejected(self, tmp_path):
-        from repro.perf import check_against_baseline
-
-        nested = tmp_path / "nested.json"
-        nested.write_text(json.dumps({"current": {"scenarios": {}}}))
-        with pytest.raises(ValueError, match="no 'scenarios' section"):
-            check_against_baseline({}, str(nested))
-
-    def test_unknown_scenario_rejected(self):
-        from repro.perf import run_benchmarks
-
-        with pytest.raises(ValueError):
-            run_benchmarks(names=["no-such-scenario"])
