@@ -512,14 +512,14 @@ def run_verification_job(
             break
     # The warm state keeps the context across jobs.  Fault mutants stay
     # in it on purpose: the derivation keeps each one, with the checker's
-    # reports on it, so the next job at another seed only simulates (at
-    # max_faults=4 only the extra-stall mutant's trigger depends on the
-    # seed, and it has few candidates).  Everything else this job added,
-    # checker claims and their environment cones, is reclaimed here.  If
-    # the collection itself fails (a context that outgrew memory), the
-    # warm derivation is dropped with its mutants and the checker that
-    # decides in it, so the next job re-derives, and the job fails with
-    # the traceback instead of raising.
+    # first refutations on it, so the next job at another seed only
+    # simulates (at max_faults=4 only the extra-stall mutant's trigger
+    # depends on the seed, and it has few candidates).  Everything else
+    # this job added, checker claims and their environment cones, is
+    # reclaimed here.  If the collection itself fails (a context that
+    # outgrew memory), the warm derivation is dropped with its mutants and
+    # the checker that decides in it, so the next job re-derives, and the
+    # job fails with the traceback instead of raising.
     context = _job_context(state)
     if context is not None:
         try:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..expr.ast import Expr
 from ..expr.builders import big_and
 from ..expr.transform import substitute
+from ..obs import get_registry
 from ..pipeline.interlock import ClosedFormInterlock
 from ..pipeline.structure import Architecture
 from ..sat.interface import check_valid
@@ -72,6 +73,15 @@ class CheckReport:
         return "\n".join(lines)
 
 
+#: The claim of each clause check, from the substituted stall condition
+#: and the implementation's moe flag.
+_CLAUSE_CLAIMS = {
+    "functional": lambda condition, moe: condition.implies(~moe),
+    "performance": lambda condition, moe: (~moe).implies(condition),
+    "combined": lambda condition, moe: condition.iff(~moe),
+}
+
+
 class _EnvironmentPartition:
     """The environment assumptions lifted one by one into a context.
 
@@ -100,10 +110,17 @@ class _EnvironmentPartition:
         self._members = {index: members for index, (members, _) in components.items()}
         self.cones: Dict[FrozenSet[int], SymbolicFunction] = {}
 
+    def _key(self, support: Iterable[str]) -> FrozenSet[int]:
+        component_of = self._component_of
+        return frozenset(component_of[name] for name in support if name in component_of)
+
+    def built(self, support: Iterable[str]) -> bool:
+        """Is the cone of ``support`` conjoined already?"""
+        return self._key(support) in self.cones
+
     def cone(self, support: Iterable[str]) -> SymbolicFunction:
         """The conjunction of every component that mentions ``support``."""
-        component_of = self._component_of
-        key = frozenset(component_of[name] for name in support if name in component_of)
+        key = self._key(support)
         cone = self.cones.get(key)
         if cone is None:
             # In assumption order, as the whole environment would be conjoined.
@@ -132,7 +149,9 @@ class PropertyChecker:
 
     A closed-form interlock's closed forms never change, so each check of
     it is decided once per checker: the report is kept while the interlock
-    lives (a weak key) and returned again, shared, on every later call.
+    lives (a weak key) and returned again, shared, on every later call.  So
+    is the answer of :meth:`first_refutation`, which decides a check only up
+    to its first refuted claim; the faults stage needs no more.
     """
 
     def __init__(
@@ -164,8 +183,11 @@ class PropertyChecker:
         self._decided_in: Optional[SymbolicContext] = (
             derivation.context if derivation is not None and backend == "bdd" else None
         )
-        # interlock -> {check kind: report}; an entry goes with its interlock.
+        # interlock -> {check kind: report, ("first", kind): refutation or
+        # None}; an entry goes with its interlock.
         self._reports: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # Claims decided so far (folded, proved or refuted).
+        self.claims = 0
 
     def release_cones(self) -> None:
         """Drop the conjoined support cones; the lifted assumptions stay.
@@ -212,6 +234,26 @@ class PropertyChecker:
             return derivation.moe_functions
         return derivation.moe_expressions
 
+    def _decided(self, outcome: str) -> None:
+        self.claims += 1
+        get_registry().inc("repro_checker_claims_total", outcome=outcome)
+
+    def _folds(self, claim) -> bool:
+        """Is ``claim`` a BDD claim valid without the environment (counted)?"""
+        if self.backend == "bdd" and claim.is_true():
+            self._decided("folded")
+            return True
+        return False
+
+    def _cone_built(self, claim) -> bool:
+        """Is the support cone that would decide this BDD claim built?"""
+        partition = self._partition
+        return (
+            partition is not None
+            and partition.context is claim.context
+            and partition.built(claim.support())
+        )
+
     def _prove(self, claim) -> (bool, Optional[Dict[str, bool]]):
         """Prove one obligation under the environment assumptions.
 
@@ -226,7 +268,7 @@ class PropertyChecker:
         """
         if self.backend == "bdd":
             context = self._decided_in = claim.context
-            if claim.is_true():
+            if self._folds(claim):
                 return True, None
             partition = self._partition
             if partition is None or partition.context is not context:
@@ -235,7 +277,9 @@ class PropertyChecker:
                 )
             violation = ~claim & partition.cone(claim.support())
             if violation.is_false():
+                self._decided("proved")
                 return True, None
+            self._decided("refuted")
             return False, violation.pick_one()
         if isinstance(claim, SymbolicFunction):
             claim = claim.to_expr()
@@ -243,17 +287,25 @@ class PropertyChecker:
             claim = self.environment.implies(claim)
         decision = check_valid(claim)
         if decision.answer:
+            self._decided("proved")
             return True, None
+        self._decided("refuted")
         return False, decision.model
 
-    def _check_clauses(
-        self, interlock: ClosedFormInterlock, kind: str, decide: Callable
-    ) -> CheckReport:
-        """Decide ``decide(F_i∘impl, impl_i)`` for every clause, once per interlock."""
-        reports = self._reports.setdefault(interlock, {})
-        if kind in reports:
-            return reports[kind]
+    def _claims(
+        self, interlock: ClosedFormInterlock, kind: str
+    ) -> Iterator[Tuple[str, str, object]]:
+        """``(name, moe, claim)`` for each flag of one check, built lazily.
+
+        A clause check's claim is ``build(F_i∘impl, impl_i)`` per clause;
+        an equivalence claim is ``impl_i ↔ derived_i`` per moe flag.
+        """
         implementation = self._implementation_map(interlock)
+        if kind == "equivalence":
+            for moe, reference in self._derived(interlock).items():
+                yield f"equivalence::{moe}", moe, implementation[moe].iff(reference)
+            return
+        build = _CLAUSE_CLAIMS[kind]
         if self.backend == "bdd":
             context = interlock.context
             nodes = {moe: function.node for moe, function in implementation.items()}
@@ -267,20 +319,28 @@ class PropertyChecker:
             def substituted(condition):
                 return substitute(condition, implementation)
 
-        report = CheckReport(
-            implementation=interlock.name, spec_name=self.spec.name, backend=self.backend
-        )
         for clause in self.spec.clauses:
-            holds, counterexample = decide(
-                substituted(clause.condition), implementation[clause.moe]
+            yield (
+                f"{kind}::{clause.label or clause.moe}",
+                clause.moe,
+                build(substituted(clause.condition), implementation[clause.moe]),
             )
+
+    def _report(self, interlock: ClosedFormInterlock, kind: str) -> CheckReport:
+        """Decide every claim of one check, once per interlock."""
+        reports = self._reports.setdefault(interlock, {})
+        if kind in reports:
+            return reports[kind]
+        spec_name = self.spec.name
+        report = CheckReport(
+            implementation=interlock.name,
+            spec_name=f"derived({spec_name})" if kind == "equivalence" else spec_name,
+            backend=self.backend,
+        )
+        for name, moe, claim in self._claims(interlock, kind):
+            holds, counterexample = self._prove(claim)
             report.results.append(
-                PropertyCheck(
-                    name=f"{kind}::{clause.label or clause.moe}",
-                    holds=holds,
-                    counterexample=counterexample,
-                    moe=clause.moe,
-                )
+                PropertyCheck(name=name, holds=holds, counterexample=counterexample, moe=moe)
             )
         reports[kind] = report
         return report
@@ -289,42 +349,59 @@ class PropertyChecker:
 
     def check_functional(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove, per stage, that the implementation never misses a required stall."""
-        return self._check_clauses(
-            interlock, "functional", lambda condition, moe: self._prove(condition.implies(~moe))
-        )
+        return self._report(interlock, "functional")
 
     def check_performance(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove, per stage, that the implementation never stalls unnecessarily."""
-        return self._check_clauses(
-            interlock, "performance", lambda condition, moe: self._prove((~moe).implies(condition))
-        )
+        return self._report(interlock, "performance")
 
     def check_combined(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove both halves at once (``condition ↔ ¬moe`` per stage)."""
-        return self._check_clauses(
-            interlock, "combined", lambda condition, moe: self._prove(condition.iff(~moe))
-        )
+        return self._report(interlock, "combined")
 
     def check_equivalence_with_derived(self, interlock: ClosedFormInterlock) -> CheckReport:
         """Prove the implementation equals the derived maximum-performance interlock."""
+        return self._report(interlock, "equivalence")
+
+    def first_refutation(
+        self, interlock: ClosedFormInterlock, kind: str
+    ) -> Optional[PropertyCheck]:
+        """The first refuted claim of one check, or None when every claim holds.
+
+        ``kind`` is ``"functional"`` or ``"equivalence"``.  The verdict is
+        that of the full report (``None`` exactly when it ``all_hold()``),
+        with the least proof: claims that fold to TRUE without the
+        environment are skipped, claims whose support cone is already
+        built are decided first, and deciding stops at the first
+        refutation.  Which refuted claim comes back may depend on what the
+        checker decided before; whether one does, does not.  The answer is
+        kept with the interlock's reports, and a full report of the same
+        kind, when one exists, answers it.
+        """
+        if kind not in ("functional", "equivalence"):
+            raise ValueError(f"kind must be 'functional' or 'equivalence', got {kind!r}")
         reports = self._reports.setdefault(interlock, {})
-        if "equivalence" in reports:
-            return reports["equivalence"]
-        implementation = self._implementation_map(interlock)
-        report = CheckReport(
-            implementation=interlock.name,
-            spec_name=f"derived({self.spec.name})",
-            backend=self.backend,
-        )
-        for moe, reference in self._derived(interlock).items():
-            holds, counterexample = self._prove(implementation[moe].iff(reference))
-            report.results.append(
-                PropertyCheck(
-                    name=f"equivalence::{moe}", holds=holds, counterexample=counterexample, moe=moe
-                )
-            )
-        reports["equivalence"] = report
-        return report
+        if kind in reports:
+            return next(iter(reports[kind].failures()), None)
+        key = ("first", kind)
+        if key not in reports:
+            pending = [
+                (name, moe, claim)
+                for name, moe, claim in self._claims(interlock, kind)
+                if not self._folds(claim)
+            ]
+            # Stable: a claim whose cone is built keeps its flag order.
+            pending.sort(key=lambda item: not self._cone_built(item[2]))
+            refutation = None
+            for name, moe, claim in pending:
+                holds, counterexample = self._prove(claim)
+                if not holds:
+                    refutation = PropertyCheck(
+                        name=name, holds=False, counterexample=counterexample, moe=moe
+                    )
+                    break
+            reports[key] = refutation
+        return reports[key]
 
     def check_obligations(
         self,

@@ -324,8 +324,10 @@ class FaultCampaign:
         Traced runs record a ``fault`` span (``mutant`` says whether the
         interlock was derived for this fault or reused) with
         ``fault.simulate`` and ``fault.check`` children; with tracing off
-        they cost nothing.  The checker decides each closed-form mutant
-        once, so a reused mutant's ``fault.check`` returns kept reports.
+        they cost nothing.  A closed-form mutant's functional and
+        equivalence checks are each decided up to their first refuted claim
+        (:meth:`~repro.checking.PropertyChecker.first_refutation`), once per
+        checker, so a reused mutant's ``fault.check`` decides no claim.
         """
         record = DetectionRecord(fault=fault)
         monitor = self.monitor
@@ -362,13 +364,17 @@ class FaultCampaign:
             if isinstance(fault.interlock, ClosedFormInterlock):
                 with span("fault.check") as check_span:
                     checker = self.property_checker
-                    functional = checker.check_functional(fault.interlock)
-                    equivalence = checker.check_equivalence_with_derived(fault.interlock)
-                    record.property_check_functional_failed = not functional.all_hold()
-                    record.property_check_equivalence_failed = not equivalence.all_hold()
+                    claims = checker.claims
+                    record.property_check_functional_failed = (
+                        checker.first_refutation(fault.interlock, "functional") is not None
+                    )
+                    record.property_check_equivalence_failed = (
+                        checker.first_refutation(fault.interlock, "equivalence") is not None
+                    )
                     check_span.annotate(
                         functional_failed=record.property_check_functional_failed,
                         equivalence_failed=record.property_check_equivalence_failed,
+                        claims=checker.claims - claims,
                     )
             fault_span.annotate(
                 cycles=record.simulation_cycles,

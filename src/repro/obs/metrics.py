@@ -59,6 +59,7 @@ HELP: Dict[str, str] = {
     "repro_service_jobs_running": "jobs currently executing",
     "repro_trace_spans_total": "spans recorded by the tracing layer",
     "repro_fault_mutants_total": "fault mutants derived, or reused from their derivation",
+    "repro_checker_claims_total": "property-checker claims by outcome (folded/proved/refuted)",
 }
 
 

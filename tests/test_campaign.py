@@ -422,6 +422,9 @@ class TestPaperExampleFaults:
             s["attrs"]["cycles"] for s in faults
         ) > 0
         assert all("hazards" in s["attrs"] for s in simulated + faults)
+        # A cold job decides each of its 4 distinct mutants afresh.
+        checks = [s for s in spans if s["name"] == "fault.check"]
+        assert all(s["attrs"]["claims"] > 0 for s in checks)
 
 
 class TestIncremental:

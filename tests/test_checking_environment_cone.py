@@ -5,8 +5,9 @@ only the environment assumptions that share variables with it, directly or
 through other assumptions; the SAT backend still decides
 ``environment → claim`` whole.  These tests pin that both engines fail the
 same stages, that every BDD counterexample is a real witness inside the
-whole environment, and that the FirePath-scale job finishes in bounded
-memory.
+whole environment, that the faults stage's first refutation agrees with the
+full report on every standard mutant of the registered architectures, and
+that the FirePath-scale job finishes in bounded memory.
 """
 
 import functools
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.archs import load_architecture
-from repro.checking import PropertyChecker, environment_assumptions
+from repro.archs import available_architectures, load_architecture
+from repro.checking import PropertyChecker, environment_formula
 from repro.expr import eval_expr
 from repro.faults import FaultInjector
 from repro.pipeline import ClosedFormInterlock
@@ -65,36 +66,79 @@ def test_bdd_and_sat_fail_the_same_stages(arch_name):
     assert refuted > 0
 
 
+def _assert_witness(result, kind, mutant, derivation, environment, conditions):
+    """``result``'s counterexample lies in the whole environment and falsifies its claim."""
+    where = (mutant.name, result.name)
+    # A counterexample names the variables it needs; the rest are low.
+    witness = dict.fromkeys(derivation.context.manager.variable_order(), False)
+    witness.update(result.counterexample)
+    assert eval_expr(environment, witness), where
+    moes = {moe: function.evaluate(witness) for moe, function in mutant.functions().items()}
+    if kind == "functional":
+        # The mutant moves a stage whose stall condition holds.
+        assert moes[result.moe], where
+        assert eval_expr(conditions[result.moe], {**witness, **moes}), where
+    else:
+        derived = derivation.moe_functions[result.moe].evaluate(witness)
+        assert moes[result.moe] != derived, where
+
+
 @pytest.mark.parametrize("arch_name", ARCHITECTURES)
 def test_bdd_counterexamples_are_witnesses_in_the_whole_environment(arch_name):
     architecture, spec, derivation, mutants = _closed_form_mutants(arch_name)
-    assumptions = environment_assumptions(architecture)
-    names = derivation.context.manager.variable_order()
+    environment = environment_formula(architecture)
     checker = _checker(arch_name, "bdd")
     conditions = {clause.moe: clause.condition for clause in spec.clauses}
     witnesses = 0
     for mutant in mutants:
-        implementation = mutant.functions()
-        functional = checker.check_functional(mutant).failures()
-        equivalence = checker.check_equivalence_with_derived(mutant).failures()
-        for result in functional + equivalence:
-            # A counterexample names the variables it needs; the rest are low.
-            witness = dict.fromkeys(names, False)
-            witness.update(result.counterexample)
-            assert all(eval_expr(assumption, witness) for assumption in assumptions), (
-                mutant.name,
-                result.name,
-            )
-            moes = {moe: function.evaluate(witness) for moe, function in implementation.items()}
-            if result in functional:
-                # The mutant moves a stage whose stall condition holds.
-                assert moes[result.moe]
-                assert eval_expr(conditions[result.moe], {**witness, **moes})
-            else:
-                derived = derivation.moe_functions[result.moe].evaluate(witness)
-                assert moes[result.moe] != derived, (mutant.name, result.name)
-            witnesses += 1
+        for kind, check in (
+            ("functional", checker.check_functional),
+            ("equivalence", checker.check_equivalence_with_derived),
+        ):
+            for result in check(mutant).failures():
+                _assert_witness(result, kind, mutant, derivation, environment, conditions)
+                witnesses += 1
     assert witnesses > 0
+
+
+@pytest.mark.parametrize("arch_name", available_architectures())
+def test_first_refutation_agrees_with_the_full_report(arch_name):
+    # Every standard closed-form mutant of seeds 0-2; the derivation keeps
+    # each one, so a mutant two seeds share is checked once.
+    architecture = load_architecture(arch_name)
+    spec = build_functional_spec(architecture)
+    derivation = symbolic_most_liberal(spec)
+    mutants = {
+        id(fault.interlock): fault.interlock
+        for seed in range(3)
+        for fault in FaultInjector(spec, seed=seed, derivation=derivation).standard_fault_set()
+        if isinstance(fault.interlock, ClosedFormInterlock)
+    }
+    checker = PropertyChecker(spec, architecture, derivation=derivation)
+    environment = environment_formula(architecture)
+    conditions = {clause.moe: clause.condition for clause in spec.clauses}
+    refuted = 0
+    for mutant in mutants.values():
+        for kind, check in (
+            ("functional", checker.check_functional),
+            ("equivalence", checker.check_equivalence_with_derived),
+        ):
+            # Asked before the full report of this kind exists.
+            refutation = checker.first_refutation(mutant, kind)
+            report = check(mutant)
+            assert (refutation is None) == report.all_hold(), (mutant.name, kind)
+            # Once the full report exists it answers, with no new claim.
+            claims = checker.claims
+            again = checker.first_refutation(mutant, kind)
+            assert checker.claims == claims
+            assert (again is None) == report.all_hold(), (mutant.name, kind)
+            if refutation is None:
+                continue
+            assert not refutation.holds
+            assert refutation.name in {result.name for result in report.failures()}
+            _assert_witness(refutation, kind, mutant, derivation, environment, conditions)
+            refuted += 1
+    assert refuted > 0
 
 
 FIREPATH_JOB = """

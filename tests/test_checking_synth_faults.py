@@ -167,15 +167,25 @@ class TestSimulationCampaigns:
             "check_combined",
             "check_equivalence_with_derived",
             "check_obligations",
+            "first_refutation",
+            "_report",
         ):
             def counted(*args, _name=name, _method=getattr(checker, name), **kwargs):
-                calls.append(_name)
+                calls.append((_name,) + args[1:])
                 return _method(*args, **kwargs)
 
             monkeypatch.setattr(checker, name, counted)
         fault = FaultInjector(example_spec, seed=1).extra_stall_fault("short.2.moe")
         record = campaign.run_fault(fault)
-        assert calls == ["check_functional", "check_equivalence_with_derived"]
+        assert calls == [
+            ("first_refutation", "functional"),
+            ("first_refutation", "equivalence"),
+        ]
+        # Only the two first refutations are kept: no full report was built.
+        assert set(checker._reports[fault.interlock]) == {
+            ("first", "functional"),
+            ("first", "equivalence"),
+        }
         assert record.detected_by_property_check and not record.vacuous
 
     def test_wait_blind_fault_needs_wait_stimulus_or_property_check(

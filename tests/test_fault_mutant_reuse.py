@@ -136,14 +136,18 @@ def test_a_reused_mutant_is_decided_once(monkeypatch):
     )
     first = campaign(architecture, spec, 1, derivation, checker).run_fault(fault)
     decided = len(proofs)
-    assert decided == 2 * len(spec.clauses)
+    # The mutant is vacuous: of its 3 functional and 3 equivalence claims,
+    # 2 fold to TRUE without the environment and 4 are proved under it.
+    assert len(spec.clauses) == 3
+    assert (decided, checker.claims) == (4, 6)
+    assert first.vacuous
 
     again = FaultInjector(spec, seed=2, derivation=derivation).missing_term_fault(
         spec.clauses[0].moe, term_index=0
     )
     assert again.interlock is fault.interlock and again.mutant == "reused"
     second = campaign(architecture, spec, 2, derivation, checker).run_fault(again)
-    assert len(proofs) == decided
+    assert (len(proofs), checker.claims) == (decided, 6)
     assert second.property_check_functional_failed == first.property_check_functional_failed
     assert (
         second.property_check_equivalence_failed

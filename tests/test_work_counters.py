@@ -5,7 +5,8 @@ only: the ``MOE = ¬F(¬MOE)`` fixed point with its ISOP covers, the
 simulator, the property checker, the faults stage, a sharded campaign and
 the bounded checker.  It reads counters the code already exposes (BDD
 manager stats, the checker's kernel stats, fault-campaign and trace cycle
-counts, claims a bounded check decided and metrics-registry deltas) and
+counts, the size of the simulated closed forms, claims the property
+checker and a bounded check decided, and metrics-registry deltas) and
 never a clock.  The counters do not depend on the host, the hash seed,
 ``REPRO_SANITIZE`` or ``REPRO_TRACE``, so the gate is exact equality: a
 change that adds work fails even on a machine fast enough to hide it.
@@ -61,7 +62,11 @@ PINNED = {
         "cache_misses": 3592
     },
     "simulate_family": {
-        "cycles": 1251
+        "cycles": 1251,
+        "live_nodes": 1503,
+        "op_cache_entries": 2037,
+        "cache_misses": 410,
+        "cover_size": 880
     },
     "property_check": {
         "live_nodes": 573,
@@ -69,16 +74,20 @@ PINNED = {
         "cache_misses": 65
     },
     "faults_dac2002": {
-        "live_nodes": 5191,
-        "op_cache_entries": 5939,
-        "cache_misses": 370,
+        "live_nodes": 1389,
+        "op_cache_entries": 1478,
+        "cache_misses": 353,
+        "claims": 32,
         "simulated_cycles": 929,
         "stepped_cycles": 116
     },
     "campaign_sweep": {
-        "kernel_cache_misses": 1541,
-        "kernel_cache_hits": 745,
+        "kernel_cache_misses": 1479,
+        "kernel_cache_hits": 721,
         "derived_mutants": 16,
+        "claims_folded": 118,
+        "claims_proved": 18,
+        "claims_refuted": 16,
         "jobs_ok": 8
     },
     "bmc_stuck_reset": {
@@ -101,8 +110,16 @@ def _derive(arch):
 
 
 def simulate_family():
-    """Reference interlocks on four family members, two fixed programs each."""
+    """Reference interlocks on four family members, two fixed programs each.
+
+    ``cover_size`` is the size of the closed forms the simulator compiles
+    (``Expr.size()`` summed over each derivation's ``moe_expressions``),
+    and the kernel counters, summed over the four derivations, are the
+    work of deriving them and their ISOP covers.  A worse variable order
+    moves the kernel counters at the same cycle count.
+    """
     profile = WorkloadProfile(length=48, dependency_rate=0.5, wait_rate=0.1, interrupt_rate=0.05)
+    counters = dict.fromkeys(("live_nodes", "op_cache_entries", "cache_misses", "cover_size"), 0)
     cycles = 0
     for name in (
         "fam-r4w2d5s1-bypass",
@@ -112,12 +129,17 @@ def simulate_family():
     ):
         arch = load_architecture(name)
         derivation = symbolic_most_liberal(build_functional_spec(arch))
+        counters["cover_size"] += sum(
+            expr.size() for expr in derivation.moe_expressions.values()
+        )
+        for key, value in _kernel(derivation.context.manager.stats().as_dict()).items():
+            counters[key] += value
         simulator = PipelineSimulator(arch, ClosedFormInterlock.from_derivation(derivation))
         for seed in range(2):
             trace = simulator.run(WorkloadGenerator(arch, seed=seed).generate(profile))
             assert trace.hazard_free()
             cycles += trace.num_cycles()
-    return {"cycles": cycles}
+    return {"cycles": cycles, **counters}
 
 
 def property_check():
@@ -150,6 +172,7 @@ def faults_dac2002():
     )
     assert campaign.run(faults).detected_by_property_check() == len(faults)
     counters = _kernel(campaign.property_checker.kernel_stats())
+    counters["claims"] = campaign.property_checker.claims
     counters["simulated_cycles"] = campaign.simulated_cycles
     counters["stepped_cycles"] = campaign.stepped_cycles
     return counters
@@ -177,6 +200,9 @@ def campaign_sweep():
             ("kernel_cache_misses", "repro_kernel_cache_misses_total"),
             ("kernel_cache_hits", "repro_kernel_cache_hits_total"),
             ("derived_mutants", 'repro_fault_mutants_total{source="derived"}'),
+            ("claims_folded", 'repro_checker_claims_total{outcome="folded"}'),
+            ("claims_proved", 'repro_checker_claims_total{outcome="proved"}'),
+            ("claims_refuted", 'repro_checker_claims_total{outcome="refuted"}'),
             ("jobs_ok", 'repro_campaign_jobs_total{outcome="ok"}'),
         )
     }
