@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Check every intra-repo markdown link (and anchor) in the docs.
+"""Check every intra-repo markdown link (and anchor), and every documented symbol.
 
 Scans the repository's ``*.md`` files — the root documents, ``docs/``
 and any other tracked markdown — and verifies that every relative link
@@ -7,15 +7,23 @@ and any other tracked markdown — and verifies that every relative link
 ``#fragment`` on a markdown target names a real heading in that file
 (GitHub slug rules: lowercase, punctuation stripped, spaces to dashes).
 
+In ``README.md`` and ``docs/*.md`` every dotted ``repro.…`` name inside
+backticks must resolve against ``src/``: the longest importable module
+prefix is imported and the rest is looked up with ``getattr``.  The
+history documents (``ROADMAP.md``, ``CHANGES.md``, ``PERFORMANCE.md``)
+name code as it was and are not checked.
+
 External links (``http://``/``https://``/``mailto:``) are not fetched —
 this gate is about keeping the repo self-consistent offline, not about
-the health of the wider web.  Exit 1 with one line per broken link.
+the health of the wider web.  Exit 1 with one line per broken link or
+unresolved name.
 
 Usage: python scripts/check_docs_links.py [root]
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -28,6 +36,9 @@ _CODE_FENCE = re.compile(r"^\s*(```|~~~)")
 #: Characters GitHub strips when slugifying a heading.
 _SLUG_STRIP = re.compile(r"[^\w\- ]")
 _SKIP_DIRS = {".git", ".campaign-results", "__pycache__", ".pytest_cache"}
+#: Code spans (fenced or inline) and the dotted ``repro`` names inside them.
+_CODE_SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+_REPRO_NAME = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def _markdown_files(root: Path) -> List[Path]:
@@ -101,14 +112,45 @@ def check(root: Path) -> List[str]:
     return problems
 
 
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_symbols(root: Path) -> List[str]:
+    """Dotted ``repro`` names in README.md and docs/*.md that do not resolve."""
+    if str(root / "src") not in sys.path:
+        sys.path.insert(0, str(root / "src"))
+    problems: List[str] = []
+    for md in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        text = md.read_text(encoding="utf-8")
+        for span in _CODE_SPAN.finditer(text):
+            for name in _REPRO_NAME.findall(span.group(0)):
+                if not _resolves(name):
+                    lineno = text.count("\n", 0, span.start()) + 1
+                    problems.append(f"{md.relative_to(root)}:{lineno}: unknown name: {name}")
+    return problems
+
+
 def main(argv: List[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1]
-    problems = check(root)
+    problems = check(root) + check_symbols(root)
     for problem in problems:
         print(problem, file=sys.stderr)
     checked = len(_markdown_files(root))
     if problems:
-        print(f"docs link check: {len(problems)} broken link(s) across "
+        print(f"docs link check: {len(problems)} broken link(s) or name(s) across "
               f"{checked} markdown file(s)", file=sys.stderr)
         return 1
     print(f"docs link check: OK ({checked} markdown files)")

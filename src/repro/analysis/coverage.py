@@ -115,11 +115,6 @@ class CoverageReport:
             return 1.0
         return sum(1 for disjunct in disjuncts if disjunct.covered) / len(disjuncts)
 
-    @property
-    def fully_covered(self) -> bool:
-        """True when every disjunct of every stage was exercised."""
-        return all(not stage.uncovered_disjuncts for stage in self.stages.values())
-
     def uncovered(self) -> List[DisjunctCoverage]:
         """Every disjunct no run ever exercised."""
         return [

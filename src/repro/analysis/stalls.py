@@ -77,10 +77,6 @@ class StallBreakdown:
         """Sum of necessary stall cycles over all stages."""
         return sum(stats.necessary_stalls for stats in self.per_stage.values())
 
-    def has_performance_bug(self) -> bool:
-        """True when at least one unnecessary stall was observed."""
-        return self.total_unnecessary() > 0
-
     def worst_stage(self) -> Optional[str]:
         """The stage with the most unnecessary stalls, or None."""
         worst = None

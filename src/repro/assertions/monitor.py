@@ -97,16 +97,6 @@ class MonitorReport:
             for word in words
         )
 
-    def violated_assertions(self, kind: Optional[AssertionKind] = None) -> List[str]:
-        """Names of the distinct assertions that fired."""
-        names = []
-        for violation in self.violations:
-            if kind is not None and violation.assertion.kind is not kind:
-                continue
-            if violation.assertion.name not in names:
-                names.append(violation.assertion.name)
-        return names
-
     def first_violation(self, kind: Optional[AssertionKind] = None) -> Optional[AssertionViolation]:
         """The earliest violation (of a kind), or None."""
         candidates = [

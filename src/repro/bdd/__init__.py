@@ -7,7 +7,6 @@ from .serialize import (
     ArtifactError,
     dump_nodes,
     inspect_artifact,
-    load_nodes,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "TRUE_NODE",
     "dump_nodes",
     "inspect_artifact",
-    "load_nodes",
     "compile_expr",
     "register_index_of",
     "register_interleaved_order",

@@ -308,11 +308,6 @@ def splice_nodes(manager: BddManager, parsed: ParsedArtifact) -> Dict[str, int]:
     return {name: node_of[root] for name, root in parsed.manifest["roots"].items()}
 
 
-def load_nodes(manager: BddManager, data: bytes) -> Dict[str, int]:
-    """Parse an artifact and splice it into ``manager`` in one call."""
-    return splice_nodes(manager, parse_artifact(data))
-
-
 def inspect_artifact(data: bytes) -> Dict[str, Any]:
     """A JSON-ready summary of an artifact (for ``repro artifact``).
 

@@ -407,7 +407,7 @@ def _stage_analysis(
     }
     ok = (
         monitor.clean()
-        and trace.hazard_count() == 0
+        and trace.hazard_free()
         and breakdown.total_unnecessary() == 0
     )
     return StageResult(name="analysis", ok=ok, seconds=0.0, details=details)

@@ -71,6 +71,23 @@ class CampaignSpecError(ValueError):
     """Raised for malformed campaign or job specifications."""
 
 
+def _check_types(spec: Any, integers: Tuple[str, ...], names: Tuple[str, ...]) -> None:
+    """Reject a wrongly typed field before any comparison can raise TypeError."""
+    for name in integers:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CampaignSpecError(f"{name} must be an integer, got {value!r}")
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, str) or not value:
+            raise CampaignSpecError(f"{name} must be a non-empty string, got {value!r}")
+
+
+def _require_object(payload: Any, what: str) -> None:
+    if not isinstance(payload, dict):
+        raise CampaignSpecError(f"a {what} must be a JSON object, got {type(payload).__name__}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One end-to-end verification job: an architecture plus its knobs.
@@ -95,8 +112,13 @@ class JobSpec:
     max_faults: int = 4
 
     def __post_init__(self):
-        if not self.arch:
-            raise CampaignSpecError("job needs a non-empty architecture name")
+        _check_types(
+            self, ("workload_length", "workload_seed", "num_programs", "max_faults"), ("arch",)
+        )
+        if not isinstance(self.stages, (list, tuple)) or not all(
+            isinstance(stage, str) for stage in self.stages
+        ):
+            raise CampaignSpecError(f"stages must be a list of stage names, got {self.stages!r}")
         unknown = set(self.stages) - set(CANONICAL_STAGES)
         if unknown:
             raise CampaignSpecError(
@@ -128,14 +150,12 @@ class JobSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
         """Rebuild a job from :meth:`to_dict` output."""
+        _require_object(payload, "job")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
             raise CampaignSpecError(f"unknown job fields: {sorted(unknown)}")
-        data = dict(payload)
-        if "stages" in data:
-            data["stages"] = tuple(data["stages"])
-        return cls(**data)
+        return cls(**payload)
 
     def job_key(self) -> str:
         """Content hash identifying this job in the result store.
@@ -186,8 +206,7 @@ class CampaignSpec:
     workers: int = 2
 
     def __post_init__(self):
-        if not self.name:
-            raise CampaignSpecError("campaign needs a non-empty name")
+        _check_types(self, ("workers",), ("name",))
         if not self.jobs:
             raise CampaignSpecError("campaign needs at least one job")
         if self.workers < 1:
@@ -206,20 +225,24 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CampaignSpec":
         """Rebuild a campaign from :meth:`to_dict` output."""
+        _require_object(payload, "campaign")
         schema = payload.get("schema", SPEC_SCHEMA)
         if schema != SPEC_SCHEMA:
             raise CampaignSpecError(
                 f"campaign spec schema {schema} not supported (expected {SPEC_SCHEMA})"
             )
         try:
-            jobs = tuple(JobSpec.from_dict(job) for job in payload["jobs"])
-            return cls(
-                name=payload["name"],
-                jobs=jobs,
-                workers=payload.get("workers", 2),
-            )
+            jobs = payload["jobs"]
+            name = payload["name"]
         except KeyError as exc:
             raise CampaignSpecError(f"campaign spec missing field {exc}") from exc
+        if not isinstance(jobs, list):
+            raise CampaignSpecError("campaign jobs must be a list of job objects")
+        return cls(
+            name=name,
+            jobs=tuple(JobSpec.from_dict(job) for job in jobs),
+            workers=payload.get("workers", 2),
+        )
 
     def campaign_key(self) -> str:
         """Content hash identifying this campaign's *work*, not its sharding.

@@ -50,6 +50,7 @@ or a parametric family member such as ``fam-r4w2d5s1-bypass``) or
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional, Sequence, TextIO
 
@@ -86,7 +87,6 @@ from .workloads import (
     HAZARD_HEAVY,
     WAIT_HEAVY,
     WorkloadGenerator,
-    WorkloadProfile,
 )
 
 __all__ = ["main", "build_parser"]
@@ -602,14 +602,7 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     functional = build_functional_spec(architecture)
     derivation = symbolic_most_liberal(functional)
     interlock = ClosedFormInterlock.from_derivation(derivation)
-    profile = _PROFILES[args.profile]
-    profile = WorkloadProfile(
-        length=args.length,
-        dependency_rate=profile.dependency_rate,
-        store_rate=profile.store_rate,
-        wait_rate=profile.wait_rate,
-        bubble_rate=profile.bubble_rate,
-    )
+    profile = dataclasses.replace(_PROFILES[args.profile], length=args.length)
     program = WorkloadGenerator(architecture, seed=args.seed).generate(profile)
     trace = simulate(architecture, interlock, program)
     report = monitor_trace(trace, testbench_assertions(functional))
@@ -719,6 +712,7 @@ def _cmd_artifact(args: argparse.Namespace, out: TextIO) -> int:
     from pathlib import Path
 
     from .bdd import ArtifactError, inspect_artifact
+    from .campaign import ResultStore
 
     def summarize(path: Path) -> None:
         try:
@@ -746,15 +740,16 @@ def _cmd_artifact(args: argparse.Namespace, out: TextIO) -> int:
         json.dump(summary, out, indent=2, sort_keys=True)
         out.write("\n")
         return 0
-    root = Path(args.store)
-    if not root.is_dir():
+    # ResultStore creates its root, so check first that the store exists.
+    if not Path(args.store).is_dir():
         raise CliError(f"store directory {args.store!r} does not exist")
-    paths = sorted(root.glob("artifact-*.bdd"))
-    if not paths:
+    store = ResultStore(args.store)
+    keys = store.artifact_keys()
+    if not keys:
         out.write(f"no artifacts in {args.store}\n")
         return 0
-    for path in paths:
-        summarize(path)
+    for key in keys:
+        summarize(store.artifact_path(key))
     return 0
 
 

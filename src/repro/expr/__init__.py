@@ -27,14 +27,9 @@ from .builders import (
     at_most_one,
     big_and,
     big_or,
-    bit_vector,
-    exactly_one,
-    nand,
-    nor,
     var,
-    vars_,
 )
-from .cnf import CnfResult, distribute_to_cnf, to_cnf_clauses
+from .cnf import CnfResult, to_cnf_clauses
 from .compile import (
     CompiledOutputs,
     bitparallel_satisfiable,
@@ -48,7 +43,6 @@ from .evaluate import (
     eval_expr,
     is_satisfiable_by_enumeration,
     is_tautology_by_enumeration,
-    partial_eval,
 )
 from .parser import ParseError, parse_expr
 from .printer import to_text, to_unicode, to_verilog, to_vhdl
@@ -58,7 +52,6 @@ from .transform import (
     rename,
     simplify,
     substitute,
-    to_nnf,
 )
 
 __all__ = [
@@ -78,14 +71,8 @@ __all__ = [
     "at_most_one",
     "big_and",
     "big_or",
-    "bit_vector",
-    "exactly_one",
-    "nand",
-    "nor",
     "var",
-    "vars_",
     "CnfResult",
-    "distribute_to_cnf",
     "to_cnf_clauses",
     "CompiledOutputs",
     "bitparallel_satisfiable",
@@ -97,7 +84,6 @@ __all__ = [
     "eval_expr",
     "is_satisfiable_by_enumeration",
     "is_tautology_by_enumeration",
-    "partial_eval",
     "ParseError",
     "parse_expr",
     "to_text",
@@ -109,5 +95,4 @@ __all__ = [
     "rename",
     "simplify",
     "substitute",
-    "to_nnf",
 ]

@@ -12,11 +12,6 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def vars_(*names: str) -> tuple:
-    """Create several boolean variables at once: ``a, b = vars_("a", "b")``."""
-    return tuple(Var(n) for n in names)
-
-
 def big_and(exprs: Iterable[Expr]) -> Expr:
     """Conjunction of an iterable of expressions; empty iterable gives TRUE."""
     items = [coerce(e) for e in exprs]
@@ -37,16 +32,6 @@ def big_or(exprs: Iterable[Expr]) -> Expr:
     return Or(*items)
 
 
-def nand(*exprs: Expr) -> Expr:
-    """Negated conjunction."""
-    return Not(big_and(exprs))
-
-
-def nor(*exprs: Expr) -> Expr:
-    """Negated disjunction."""
-    return Not(big_or(exprs))
-
-
 def at_most_one(exprs: Sequence[Expr]) -> Expr:
     """Pairwise at-most-one constraint, used e.g. for one-hot bus grants."""
     items = [coerce(e) for e in exprs]
@@ -55,19 +40,3 @@ def at_most_one(exprs: Sequence[Expr]) -> Expr:
         for j in range(i + 1, len(items)):
             clauses.append(Not(And(items[i], items[j])))
     return big_and(clauses)
-
-
-def exactly_one(exprs: Sequence[Expr]) -> Expr:
-    """Exactly-one constraint: at least one and at most one of ``exprs``."""
-    items = [coerce(e) for e in exprs]
-    return And(big_or(items), at_most_one(items))
-
-
-def bit_vector(prefix: str, width: int) -> list:
-    """A list of variables ``prefix[0] .. prefix[width-1]``.
-
-    Mirrors the paper's scoreboard declaration ``BOOLEAN scb[8]``.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    return [Var(f"{prefix}[{i}]") for i in range(width)]

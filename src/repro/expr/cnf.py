@@ -1,13 +1,8 @@
 """Conversion of expressions to conjunctive normal form.
 
-Two converters are provided:
-
-* :func:`to_cnf_clauses` — Tseitin encoding producing an equisatisfiable
-  clause set over integer literals, suitable for the SAT solver in
-  :mod:`repro.sat`.
-* :func:`distribute_to_cnf` — semantic-preserving distribution (exponential
-  in the worst case), used only for small formulas and for emitting
-  readable assertion text.
+:func:`to_cnf_clauses` is a Tseitin encoding producing an equisatisfiable
+clause set over integer literals, suitable for the SAT solver in
+:mod:`repro.sat`.
 """
 
 from __future__ import annotations
@@ -16,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .ast import And, Const, Expr, Iff, Implies, Ite, Not, Or, Var
-from .transform import eliminate_derived, to_nnf
+from .transform import eliminate_derived
 
 Clause = Tuple[int, ...]
 
@@ -38,10 +33,6 @@ class CnfResult:
     var_ids: Dict[str, int] = field(default_factory=dict)
     num_vars: int = 0
     root: int = 0
-
-    def id_for(self, name: str) -> int:
-        """Return the DIMACS id of a named source variable."""
-        return self.var_ids[name]
 
 
 class _TseitinEncoder:
@@ -107,42 +98,3 @@ def to_cnf_clauses(expr: Expr) -> CnfResult:
         num_vars=encoder.counter,
         root=root,
     )
-
-
-def distribute_to_cnf(expr: Expr) -> Expr:
-    """Semantics-preserving CNF by distributing OR over AND.
-
-    Only safe for small formulas; intended for producing readable clause
-    lists in generated assertion comments.
-    """
-    expr = to_nnf(expr)
-
-    def rec(node: Expr) -> List[List[Expr]]:
-        # Represent CNF as a list of clauses, each clause a list of literals.
-        if isinstance(node, (Var, Const)) or isinstance(node, Not):
-            return [[node]]
-        if isinstance(node, And):
-            out: List[List[Expr]] = []
-            for op in node.operands:
-                out.extend(rec(op))
-            return out
-        if isinstance(node, Or):
-            parts = [rec(op) for op in node.operands]
-            result: List[List[Expr]] = [[]]
-            for clause_set in parts:
-                result = [existing + clause for existing in result for clause in clause_set]
-            return result
-        raise TypeError(f"unexpected NNF node {type(node).__name__}")
-
-    clause_lists = rec(expr)
-    clause_exprs = []
-    for clause in clause_lists:
-        if len(clause) == 1:
-            clause_exprs.append(clause[0])
-        else:
-            clause_exprs.append(Or(*clause))
-    if not clause_exprs:
-        return Const(True)
-    if len(clause_exprs) == 1:
-        return clause_exprs[0]
-    return And(*clause_exprs)

@@ -8,13 +8,11 @@ from .ast import (
     And,
     Const,
     Expr,
-    FALSE,
     Iff,
     Implies,
     Ite,
     Not,
     Or,
-    TRUE,
     Var,
 )
 
@@ -52,78 +50,6 @@ def eval_expr(expr: Expr, assignment: Mapping[str, bool]) -> bool:
             return eval_expr(expr.then, assignment)
         return eval_expr(expr.orelse, assignment)
     raise TypeError(f"cannot evaluate expression node {type(expr).__name__}")
-
-
-def partial_eval(expr: Expr, assignment: Mapping[str, bool]) -> Expr:
-    """Simplify ``expr`` given values for a subset of its variables.
-
-    Unassigned variables are left symbolic.  The result is constant-folded
-    but not otherwise simplified; see :func:`repro.expr.transform.simplify`.
-    """
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        if expr.name in assignment:
-            return TRUE if assignment[expr.name] else FALSE
-        return expr
-    if isinstance(expr, Not):
-        inner = partial_eval(expr.operand, assignment)
-        if isinstance(inner, Const):
-            return FALSE if inner.value else TRUE
-        return Not(inner)
-    if isinstance(expr, And):
-        parts = []
-        for op in expr.operands:
-            val = partial_eval(op, assignment)
-            if isinstance(val, Const):
-                if not val.value:
-                    return FALSE
-                continue
-            parts.append(val)
-        if not parts:
-            return TRUE
-        if len(parts) == 1:
-            return parts[0]
-        return And(*parts)
-    if isinstance(expr, Or):
-        parts = []
-        for op in expr.operands:
-            val = partial_eval(op, assignment)
-            if isinstance(val, Const):
-                if val.value:
-                    return TRUE
-                continue
-            parts.append(val)
-        if not parts:
-            return FALSE
-        if len(parts) == 1:
-            return parts[0]
-        return Or(*parts)
-    if isinstance(expr, Implies):
-        ante = partial_eval(expr.antecedent, assignment)
-        cons = partial_eval(expr.consequent, assignment)
-        if isinstance(ante, Const):
-            return cons if ante.value else TRUE
-        if isinstance(cons, Const):
-            return TRUE if cons.value else Not(ante)
-        return Implies(ante, cons)
-    if isinstance(expr, Iff):
-        left = partial_eval(expr.left, assignment)
-        right = partial_eval(expr.right, assignment)
-        if isinstance(left, Const) and isinstance(right, Const):
-            return TRUE if left.value == right.value else FALSE
-        if isinstance(left, Const):
-            return right if left.value else Not(right)
-        if isinstance(right, Const):
-            return left if right.value else Not(left)
-        return Iff(left, right)
-    if isinstance(expr, Ite):
-        cond = partial_eval(expr.cond, assignment)
-        if isinstance(cond, Const):
-            branch = expr.then if cond.value else expr.orelse
-            return partial_eval(branch, assignment)
-        return Ite(cond, partial_eval(expr.then, assignment), partial_eval(expr.orelse, assignment))
-    raise TypeError(f"cannot partially evaluate node {type(expr).__name__}")
 
 
 def all_assignments(names) -> Iterator[Dict[str, bool]]:

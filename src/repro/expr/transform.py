@@ -1,4 +1,4 @@
-"""Structural transformations: substitution, NNF, simplification, polarity."""
+"""Structural transformations: substitution, simplification, polarity."""
 
 from __future__ import annotations
 
@@ -92,28 +92,6 @@ def eliminate_derived(expr: Expr) -> Expr:
         orelse = eliminate_derived(expr.orelse)
         return Or(And(cond, then), And(Not(cond), orelse))
     raise TypeError(f"cannot eliminate derived operators in {type(expr).__name__}")
-
-
-def to_nnf(expr: Expr) -> Expr:
-    """Negation normal form: negation appears only on variables and constants."""
-    expr = eliminate_derived(expr)
-
-    def rec(node: Expr, negated: bool) -> Expr:
-        if isinstance(node, Const):
-            return Const(node.value != negated)
-        if isinstance(node, Var):
-            return Not(node) if negated else node
-        if isinstance(node, Not):
-            return rec(node.operand, not negated)
-        if isinstance(node, And):
-            parts = tuple(rec(op, negated) for op in node.operands)
-            return Or(*parts) if negated else And(*parts)
-        if isinstance(node, Or):
-            parts = tuple(rec(op, negated) for op in node.operands)
-            return And(*parts) if negated else Or(*parts)
-        raise TypeError(f"unexpected node after eliminate_derived: {type(node).__name__}")
-
-    return rec(expr, False)
 
 
 def simplify(expr: Expr, _memo: Optional[Dict[int, Tuple[Expr, Expr]]] = None) -> Expr:

@@ -34,7 +34,7 @@ from .structure import (
     StallInput,
 )
 from .trace import CycleRecord, HazardEvent, HazardKind, SimulationTrace
-from .vcd import VcdWriter, trace_to_vcd, write_vcd_file
+from .vcd import VcdWriter, write_vcd_file
 
 __all__ = [
     "Arbiter",
@@ -69,6 +69,5 @@ __all__ = [
     "HazardKind",
     "SimulationTrace",
     "VcdWriter",
-    "trace_to_vcd",
     "write_vcd_file",
 ]

@@ -10,7 +10,7 @@ test-suite verifies by running both under the same derived interlock.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import Hashable, List, Mapping, Optional, Sequence
 
 from ..expr.ast import Expr, Var
 from . import signals as sig
@@ -38,11 +38,6 @@ class Arbiter(ABC):
         can differ.
         """
         return None
-
-    def grants(self, requests: Mapping[str, bool]) -> Dict[str, bool]:
-        """Grant signals for every pipe on the bus."""
-        winner = self.grant(requests)
-        return {pipe: (pipe == winner) for pipe in self.bus.priority}
 
 
 class FixedPriorityArbiter(Arbiter):

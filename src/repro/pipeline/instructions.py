@@ -72,24 +72,6 @@ class Instruction:
         """Does the instruction require the completion bus?"""
         return self.kind is InstructionKind.ALU
 
-    @property
-    def is_wait(self) -> bool:
-        """Does the instruction enforce an explicit issue-stage stall?"""
-        return self.kind is InstructionKind.WAIT
-
-    @property
-    def is_bubble(self) -> bool:
-        """Is this an empty issue slot?"""
-        return self.kind is InstructionKind.BUBBLE
-
-    def source_registers(self) -> List[int]:
-        """Registers read by the instruction."""
-        return [self.src] if self.src is not None else []
-
-    def destination_registers(self) -> List[int]:
-        """Registers written by the instruction."""
-        return [self.dst] if self.dst is not None else []
-
     def copy(self) -> "Instruction":
         """A fresh copy with a new uid (used by workload generators)."""
         return replace(self, uid=next(_uid_counter), issue_cycle=None, retire_cycle=None)
@@ -143,22 +125,3 @@ class Program:
     def stream_for(self, pipe: str) -> List[Instruction]:
         """The instruction stream of a pipe (empty list if none was given)."""
         return self.streams.get(pipe, [])
-
-    def instruction_count(self) -> int:
-        """Total number of non-bubble instructions."""
-        return sum(
-            1
-            for stream in self.streams.values()
-            for instruction in stream
-            if not instruction.is_bubble
-        )
-
-    def external_asserted(self, signal: str, cycle: int) -> bool:
-        """Is the external signal asserted in the given cycle?"""
-        return cycle in self.external_inputs.get(signal, [])
-
-    def max_length(self) -> int:
-        """Length of the longest per-pipe stream."""
-        if not self.streams:
-            return 0
-        return max(len(stream) for stream in self.streams.values())

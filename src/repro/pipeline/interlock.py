@@ -172,10 +172,6 @@ class ClosedFormInterlock(Interlock):
         """All closed forms as SymbolicFunctions in :attr:`context` (copy)."""
         return dict(self._functions)
 
-    def expression_for(self, moe: str) -> Expr:
-        """The closed form driving one moe flag, materialized as an ISOP cover."""
-        return self._functions[moe].to_expr()
-
     def expressions(self) -> Dict[str, Expr]:
         """All closed forms materialized as ISOP covers (cached per node)."""
         return {moe: function.to_expr() for moe, function in self._functions.items()}

@@ -57,16 +57,6 @@ def stage_regaddr_indicator(pipe: str, stage: int, which: str, address: int) -> 
     return f"{pipe}.{stage}.{which}.regaddr={address}"
 
 
-def wait_name(pipe: str) -> str:
-    """The instruction-specific WAIT flag visible at a pipe's issue stage."""
-    return f"{pipe}.op_is_WAIT"
-
-
-def interrupt_name(side: str = "") -> str:
-    """External interrupt request signal (used by the FirePath-like model)."""
-    return f"{side}.interrupt" if side else "interrupt"
-
-
 _IDENTIFIER_RE = re.compile(r"[^A-Za-z0-9_]")
 
 

@@ -254,17 +254,6 @@ class Architecture:
             out.extend(reversed(pipe.stages()))
         return out
 
-    def completion_stages(self) -> List[StageRef]:
-        """The final stage of every pipe that completes onto a bus."""
-        return [
-            pipe.completion_stage for pipe in self.pipes if pipe.completion_bus is not None
-        ]
-
-    def pipes_on_bus(self, bus_name: str) -> List[PipeSpec]:
-        """Pipes attached to a completion bus, in priority order."""
-        bus = self.bus(bus_name)
-        return [self.pipe(name) for name in bus.priority]
-
     def lockstep_partners(self, pipe_name: str) -> List[str]:
         """Other pipes whose issue stage is locked to the given pipe's."""
         partners: List[str] = []

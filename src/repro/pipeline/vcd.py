@@ -18,7 +18,7 @@ from typing import Dict, List, TextIO
 
 from .trace import SimulationTrace
 
-__all__ = ["VcdWriter", "trace_to_vcd", "write_vcd_file"]
+__all__ = ["VcdWriter", "write_vcd_file"]
 
 # Printable, non-whitespace VCD identifier characters.
 _IDENTIFIER_ALPHABET = [chr(code) for code in range(33, 127)]
@@ -118,19 +118,6 @@ class VcdWriter:
                     stream.write("$end\n")
             previous = values
         stream.write(f"#{trace.cycles[-1].cycle + 1}\n")
-
-
-def trace_to_vcd(
-    trace: SimulationTrace,
-    include_occupancy: bool = True,
-    timescale: str = "1 ns",
-) -> str:
-    """Render a trace as VCD text."""
-    import io
-
-    buffer = io.StringIO()
-    VcdWriter(timescale=timescale, include_occupancy=include_occupancy).write(trace, buffer)
-    return buffer.getvalue()
 
 
 def write_vcd_file(

@@ -1,7 +1,7 @@
 """SAT solving substrate: CDCL solver and expression-level interface."""
 
 from .interface import Decision, check_satisfiable, check_valid
-from .solver import CdclSolver, SatResult, solve_clauses
+from .solver import CdclSolver, SatResult
 
 __all__ = [
     "Decision",
@@ -9,5 +9,4 @@ __all__ = [
     "check_valid",
     "CdclSolver",
     "SatResult",
-    "solve_clauses",
 ]

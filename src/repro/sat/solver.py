@@ -320,8 +320,3 @@ def _luby(index: int) -> int:
             return 1 << (k - 1)
         # Recurse into the trailing repetition of the previous subsequence.
         index -= (1 << (k - 1)) - 1
-
-
-def solve_clauses(num_vars: int, clauses: Iterable[Clause], assumptions: Sequence[int] = ()) -> SatResult:
-    """Convenience wrapper: build a solver and solve once."""
-    return CdclSolver(num_vars, clauses).solve(assumptions)

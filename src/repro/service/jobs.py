@@ -202,26 +202,12 @@ def parse_submission(payload: Any) -> Tuple[CampaignSpec, int]:
             spec = CampaignSpec(name=f"job-{job.arch}", jobs=(job,), workers=1)
         else:
             arch = payload["arch"]
-            if not isinstance(arch, str) or not arch:
-                raise SubmissionError("'arch' must be a non-empty string")
-            knobs: Dict[str, Any] = {}
-            for name in _ARCH_KNOBS:
-                if name in payload:
-                    value = payload[name]
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise SubmissionError(f"{name} must be an integer")
-                    knobs[name] = value
+            knobs: Dict[str, Any] = {name: payload[name] for name in _ARCH_KNOBS if name in payload}
             stages = payload.get("stages")
-            if stages is not None:
-                if isinstance(stages, str):
-                    stages = [part.strip() for part in stages.split(",") if part.strip()]
-                if not isinstance(stages, (list, tuple)) or not all(
-                    isinstance(s, str) for s in stages
-                ):
-                    raise SubmissionError(
-                        "stages must be a comma-separated string or a list of strings"
-                    )
-                knobs["stages"] = tuple(stages)
+            if isinstance(stages, str):
+                knobs["stages"] = [part.strip() for part in stages.split(",") if part.strip()]
+            elif stages is not None:
+                knobs["stages"] = stages
             job = JobSpec(arch=arch, **knobs)
             spec = CampaignSpec(name=f"job-{arch}", jobs=(job,), workers=1)
     except CampaignSpecError as exc:

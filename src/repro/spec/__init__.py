@@ -51,7 +51,6 @@ from .textio import (
     dumps_spec,
     load_spec_file,
     loads_spec,
-    save_spec_file,
 )
 
 __all__ = [
@@ -84,5 +83,4 @@ __all__ = [
     "dumps_spec",
     "load_spec_file",
     "loads_spec",
-    "save_spec_file",
 ]

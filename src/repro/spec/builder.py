@@ -82,11 +82,6 @@ class SpecBuilder:
             metadata={"architecture": arch, "builder_options": self.options},
         )
 
-    def stall_condition_for(self, pipe_name: str, stage_index: int) -> Expr:
-        """The stall condition of a single stage (useful in tests and docs)."""
-        pipe = self.architecture.pipe(pipe_name)
-        return self._stall_condition(pipe, pipe.stage(stage_index))
-
     # -- per-stage rules ---------------------------------------------------------------
 
     def _stall_condition(self, pipe: PipeSpec, stage: StageRef) -> Expr:

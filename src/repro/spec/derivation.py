@@ -108,17 +108,6 @@ class DerivationResult:
         """The symbolic context every closed form lives in."""
         return next(iter(self.moe_functions.values())).context
 
-    def moe_function(self, moe: str) -> SymbolicFunction:
-        """The closed form of one flag as a SymbolicFunction."""
-        return self.moe_functions[moe]
-
-    def stall_functions(self) -> Dict[str, SymbolicFunction]:
-        """Closed-form stall conditions ``¬MOE_i`` as SymbolicFunctions.
-
-        Negation is a cached involution in the BDD kernel, so this is free.
-        """
-        return {moe: ~function for moe, function in self.moe_functions.items()}
-
     # -- materialized views ------------------------------------------------------
 
     @property
@@ -129,10 +118,6 @@ class DerivationResult:
         BDD node, cached per node by the context.
         """
         return {moe: function.to_expr() for moe, function in self.moe_functions.items()}
-
-    def moe_expression(self, moe: str) -> Expr:
-        """The materialized closed form of one flag."""
-        return self.moe_expressions[moe]
 
     def stall_expressions(self) -> Dict[str, Expr]:
         """Closed-form stall conditions ``¬MOE_i`` per stage (memoised).
@@ -477,4 +462,3 @@ def derive_combined_spec(spec: FunctionalSpec) -> CombinedSpec:
     """
     _require_preconditions(spec)
     return CombinedSpec(spec)
-

@@ -15,12 +15,12 @@ shape Section 3.1 requires for the maximum-performance derivation to work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..expr.ast import Expr, Iff, Implies, Not, Var
+from ..expr.ast import Expr, Implies, Not, Var
 from ..expr.builders import big_and
 from ..expr.printer import to_text, to_unicode
-from ..expr.transform import polarity_of_variables, simplify, substitute
+from ..expr.transform import polarity_of_variables
 
 
 class SpecificationError(ValueError):
@@ -45,14 +45,6 @@ class StallClause:
     def functional_formula(self) -> Expr:
         """The functional implication ``condition → ¬moe`` (Figure 2 shape)."""
         return Implies(self.condition, Not(Var(self.moe)))
-
-    def performance_formula(self) -> Expr:
-        """The performance implication ``¬moe → condition`` (Figure 3 shape)."""
-        return Implies(Not(Var(self.moe)), self.condition)
-
-    def combined_formula(self) -> Expr:
-        """The combined equivalence ``condition ↔ ¬moe``."""
-        return Iff(self.condition, Not(Var(self.moe)))
 
     def moe_variables_in_condition(self, all_moe: Sequence[str]) -> List[str]:
         """The moe flags (other stages') that the condition refers to."""
@@ -131,23 +123,11 @@ class FunctionalSpec:
         """The primary inputs (declared order)."""
         return list(self.inputs)
 
-    def all_signals(self) -> List[str]:
-        """Inputs followed by moe flags."""
-        return list(self.inputs) + self.moe_flags()
-
     # -- formulas ------------------------------------------------------------------
 
     def functional_formula(self) -> Expr:
         """``SPEC_func``: the conjunction of all functional implications (Fig. 2)."""
         return big_and(clause.functional_formula() for clause in self.clauses)
-
-    def performance_formula(self) -> Expr:
-        """``SPEC_perf``: the conjunction of all performance implications (Fig. 3)."""
-        return big_and(clause.performance_formula() for clause in self.clauses)
-
-    def combined_formula(self) -> Expr:
-        """The combined specification ``condition_i ↔ ¬moe_i`` for every stage."""
-        return big_and(clause.combined_formula() for clause in self.clauses)
 
     # -- structural checks -----------------------------------------------------------
 
@@ -206,14 +186,6 @@ class FunctionalSpec:
             }
         return report
 
-    def is_monotone(self) -> bool:
-        """Syntactic check of the Section 3.1 monotonicity requirement."""
-        for per_clause in self.monotonicity_report().values():
-            for positive, _negative in [per_clause[name] for name in per_clause]:
-                if positive:
-                    return False
-        return True
-
     def violating_clauses(self) -> List[str]:
         """Moe flags whose conditions use some other moe flag positively."""
         out = []
@@ -221,44 +193,6 @@ class FunctionalSpec:
             if any(positive for positive, _ in per_clause.values()):
                 out.append(moe)
         return out
-
-    # -- transformation ----------------------------------------------------------------
-
-    def substitute_inputs(self, mapping: Mapping[str, Expr]) -> "FunctionalSpec":
-        """Return a copy with primary input signals replaced by expressions.
-
-        Used, for instance, to refine the abstract bus grant into a concrete
-        arbitration scheme (the paper notes the completion logic "can also
-        be included in the functional specification").
-        """
-        illegal = set(mapping) & set(self.moe_flags())
-        if illegal:
-            raise SpecificationError(
-                f"cannot substitute moe flags {sorted(illegal)}; only inputs may be refined"
-            )
-        new_clauses = [
-            StallClause(
-                moe=clause.moe,
-                condition=simplify(substitute(clause.condition, mapping)),
-                label=clause.label,
-            )
-            for clause in self.clauses
-        ]
-        new_inputs = [name for name in self.inputs if name not in mapping]
-        extra: List[str] = []
-        for replacement in mapping.values():
-            for name in replacement.variables():
-                if name not in new_inputs and name not in self.moe_flags():
-                    extra.append(name)
-        for name in extra:
-            if name not in new_inputs:
-                new_inputs.append(name)
-        return FunctionalSpec(
-            name=self.name,
-            clauses=new_clauses,
-            inputs=new_inputs,
-            metadata=dict(self.metadata),
-        )
 
     # -- rendering ---------------------------------------------------------------------
 

@@ -33,10 +33,6 @@ class PerformanceClause:
         """The implication ``¬moe → condition``."""
         return Implies(Not(Var(self.moe)), self.condition)
 
-    def violation_condition(self) -> Expr:
-        """The situation that constitutes an unnecessary stall: ``¬moe ∧ ¬condition``."""
-        return Not(Var(self.moe)) & Not(self.condition)
-
     def describe(self) -> str:
         """Single-line rendering used in listings and assertion comments."""
         prefix = f"{self.label}: " if self.label else ""
@@ -59,10 +55,6 @@ class CombinedClause:
     def formula(self) -> Expr:
         """The equivalence ``condition ↔ ¬moe``."""
         return Iff(self.condition, Not(Var(self.moe)))
-
-    def moe_definition(self) -> Expr:
-        """The moe flag's defining expression: ``moe = ¬condition``."""
-        return Not(self.condition)
 
 
 class PerformanceSpec:
@@ -160,4 +152,3 @@ class CombinedSpec:
         for clause in self._clauses:
             lines.append(f"  {render(clause.condition)} {arrow} {neg}{clause.moe}")
         return "\n".join(lines)
-

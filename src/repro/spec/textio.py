@@ -49,7 +49,7 @@ from ..expr.parser import ParseError, parse_expr
 from ..expr.printer import to_text
 from .functional import FunctionalSpec, SpecificationError, StallClause
 
-__all__ = ["SpecFormatError", "loads_spec", "dumps_spec", "load_spec_file", "save_spec_file"]
+__all__ = ["SpecFormatError", "loads_spec", "dumps_spec", "load_spec_file"]
 
 
 class SpecFormatError(ValueError):
@@ -170,9 +170,3 @@ def load_spec_file(path: str) -> FunctionalSpec:
     """Load a functional specification from a text file."""
     with open(path, "r", encoding="utf-8") as stream:
         return loads_spec(stream.read())
-
-
-def save_spec_file(spec: FunctionalSpec, path: str) -> None:
-    """Write a functional specification to a text file."""
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(dumps_spec(spec))

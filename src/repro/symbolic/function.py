@@ -387,10 +387,6 @@ class SymbolicFunction:
         """Is this the constant FALSE function?  Constant time."""
         return self.node == FALSE_NODE
 
-    def is_satisfiable(self) -> bool:
-        """Does the function have a satisfying assignment?  Constant time."""
-        return self.node != FALSE_NODE
-
     def equivalent(self, other: "SymbolicFunction") -> bool:
         """Function equality — a pointer comparison."""
         return self._peer(other).node == self.node

@@ -8,9 +8,7 @@ from .generators import (
     WorkloadGenerator,
     WorkloadProfile,
     completion_contention_program,
-    dependent_chain,
     independent_stream,
-    wait_stream,
 )
 
 __all__ = [
@@ -21,7 +19,5 @@ __all__ = [
     "WorkloadGenerator",
     "WorkloadProfile",
     "completion_contention_program",
-    "dependent_chain",
     "independent_stream",
-    "wait_stream",
 ]

@@ -157,44 +157,9 @@ class WorkloadGenerator:
         return None
 
 
-def dependent_chain(
-    pipe: str,
-    length: int,
-    register: int = 0,
-    spread: int = 1,
-    num_registers: int = 8,
-) -> List[Instruction]:
-    """A chain where each instruction reads the register the previous one wrote.
-
-    With ``spread == 1`` every instruction depends on its immediate
-    predecessor — the worst case for issue stalls, and the clearest
-    demonstration of the completion-bus bypass.
-    """
-    if length < 1:
-        raise ValueError("chain length must be at least 1")
-    stream: List[Instruction] = []
-    previous_dst = register % num_registers
-    for index in range(length):
-        dst = (register + (index + 1) * spread) % num_registers
-        stream.append(alu(pipe, dst=dst, src=previous_dst))
-        previous_dst = dst
-    return stream
-
-
 def independent_stream(pipe: str, length: int, num_registers: int = 8) -> List[Instruction]:
     """Writeback instructions with no mutual dependencies (pure bus pressure)."""
     return [alu(pipe, dst=index % num_registers) for index in range(length)]
-
-
-def wait_stream(pipe: str, length: int, wait_every: int = 4, wait_cycles: int = 2) -> List[Instruction]:
-    """A stream punctuated by explicit WAIT instructions."""
-    stream: List[Instruction] = []
-    for index in range(length):
-        if wait_every and index % wait_every == wait_every - 1:
-            stream.append(wait(pipe, wait_cycles))
-        else:
-            stream.append(alu(pipe, dst=index % 8))
-    return stream
 
 
 def completion_contention_program(architecture: Architecture, length: int = 64) -> Program:

@@ -17,7 +17,7 @@ from repro.archs import (
     firepath_like_architecture,
     risc5_architecture,
 )
-from repro.pipeline.instructions import Program
+from repro.pipeline.instructions import Program, alu
 from repro.pipeline.interlock import ClosedFormInterlock
 from repro.spec import build_functional_spec, symbolic_most_liberal
 
@@ -44,6 +44,17 @@ def with_replaced_flag(interlock, moe, expression):
         raise KeyError(f"interlock drives no flag named {moe!r}")
     functions[moe] = interlock.context.lift(expression)
     return ClosedFormInterlock(functions, context=interlock.context)
+
+
+def dependent_chain(pipe, length, num_registers=8):
+    """ALU instructions each reading the register the previous one wrote."""
+    stream = []
+    previous_dst = 0
+    for index in range(length):
+        dst = (index + 1) % num_registers
+        stream.append(alu(pipe, dst=dst, src=previous_dst))
+        previous_dst = dst
+    return stream
 
 
 def streams_program(**streams):

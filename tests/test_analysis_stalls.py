@@ -63,7 +63,7 @@ class TestEdgeCases:
             assert stats.stall_cycles == 0
             assert stats.stall_rate == 0.0
             assert stats.unnecessary_rate == 0.0
-        assert not breakdown.has_performance_bug()
+        assert breakdown.total_unnecessary() == 0
 
     def test_zero_total_cycles_rates(self):
         stats = StageStallStats(moe="p.1.moe")
@@ -101,7 +101,7 @@ class TestClassification:
         assert stats.unnecessary_stalls == 1
         assert stats.unnecessary_cycles == [1]
         assert breakdown.worst_stage() == "p.2.moe"
-        assert breakdown.has_performance_bug()
+        assert breakdown.total_unnecessary() == 1
 
     def test_matches_per_cycle_evaluation(self, example_arch, example_spec):
         # Bit-parallel classification must agree with the naive per-cycle

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.archs import load_architecture
 from repro.archs.firepath_like import firepath_like_architecture
-from repro.bdd import ArtifactError, dump_nodes, inspect_artifact, load_nodes
+from repro.bdd import ArtifactError, dump_nodes, inspect_artifact
 from repro.bdd.manager import BddManager
-from repro.bdd.serialize import _decode_i32, _encode_i32, parse_artifact
+from repro.bdd.serialize import _decode_i32, _encode_i32, parse_artifact, splice_nodes
 from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr
 from repro.spec import build_functional_spec, symbolic_most_liberal
 from repro.spec.derivation import DerivationResult
@@ -48,7 +48,7 @@ class TestNodeRoundTrip:
         context = SymbolicContext(VARIABLE_NAMES)
         function = context.lift(expr)
         data = dump_nodes(context.manager, roots={"f": function.node})
-        roots = load_nodes(context.manager, data)
+        roots = splice_nodes(context.manager, parse_artifact(data))
         assert roots["f"] == function.node
 
     @settings(max_examples=60, deadline=None)
@@ -58,7 +58,7 @@ class TestNodeRoundTrip:
         function = context.lift(expr)
         data = dump_nodes(context.manager, roots={"f": function.node})
         manager = BddManager(VARIABLE_NAMES)
-        node = load_nodes(manager, data)["f"]
+        node = splice_nodes(manager, parse_artifact(data))["f"]
         for assignment in all_assignments(VARIABLE_NAMES):
             expected = eval_expr(expr, assignment)
             if manager.support(node):
@@ -72,7 +72,7 @@ class TestNodeRoundTrip:
             manager, roots={"t": manager.true(), "f": manager.false()}
         )
         fresh = BddManager()
-        roots = load_nodes(fresh, data)
+        roots = splice_nodes(fresh, parse_artifact(data))
         assert fresh.is_true(roots["t"]) and fresh.is_false(roots["f"])
 
     @settings(max_examples=30, deadline=None)
@@ -88,7 +88,7 @@ class TestNodeRoundTrip:
         corrupt = bytearray(data)
         corrupt[position] ^= 1 << bit
         with pytest.raises(ArtifactError):
-            load_nodes(BddManager(), bytes(corrupt))
+            splice_nodes(BddManager(), parse_artifact(bytes(corrupt)))
 
     def test_truncated_bytes_are_rejected(self):
         context = SymbolicContext(VARIABLE_NAMES)
@@ -96,7 +96,7 @@ class TestNodeRoundTrip:
         data = dump_nodes(context.manager, roots={"f": function.node})
         for cut in (0, 3, len(data) // 2, len(data) - 5):
             with pytest.raises(ArtifactError):
-                load_nodes(BddManager(), data[:cut])
+                splice_nodes(BddManager(), parse_artifact(data[:cut]))
 
     def test_incompatible_variable_order_is_rejected(self):
         context = SymbolicContext(["a", "b", "c"])
@@ -104,7 +104,7 @@ class TestNodeRoundTrip:
         data = dump_nodes(context.manager, roots={"f": function.node})
         reversed_manager = BddManager(["c", "b", "a"])
         with pytest.raises(ArtifactError):
-            load_nodes(reversed_manager, data)
+            splice_nodes(reversed_manager, parse_artifact(data))
 
     def test_interleaved_target_order_still_splices(self):
         context = SymbolicContext(["a", "b", "c"])
@@ -112,7 +112,7 @@ class TestNodeRoundTrip:
         data = dump_nodes(context.manager, roots={"f": function.node})
         # Extra variables between the artifact's (relative order kept).
         target = BddManager(["a", "x", "b", "y", "c"])
-        node = load_nodes(target, data)["f"]
+        node = splice_nodes(target, parse_artifact(data))["f"]
         for assignment in all_assignments(["a", "b", "c"]):
             full = dict(assignment, x=False, y=True)
             assert target.evaluate(node, full) == eval_expr(
@@ -189,8 +189,8 @@ class TestDerivationArtifacts:
         assert loaded.feed_forward == derivation.feed_forward
         assert loaded.bdd_sizes == derivation.bdd_sizes
         for moe in spec.moe_flags():
-            assert str(loaded.moe_expression(moe)) == str(
-                derivation.moe_expression(moe)
+            assert str(loaded.moe_expressions[moe]) == str(
+                derivation.moe_expressions[moe]
             )
 
     def test_load_into_source_context_is_pointer_equal(self):

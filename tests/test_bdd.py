@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BddManager, compile_expr
-from repro.expr import And, Iff, Implies, Not, Or, all_assignments, eval_expr, vars_
+from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr
 from repro.symbolic import SymbolicContext
 
 
@@ -316,7 +316,7 @@ class TestKernelLifecycle:
 
 class TestExprCompiler:
     def test_compile_matches_evaluation(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         expr = Iff(Implies(a, b), Or(Not(c), And(a, b)))
         manager = BddManager()
         node = compile_expr(manager, expr)
@@ -324,13 +324,13 @@ class TestExprCompiler:
             assert manager.evaluate(node, assignment) == eval_expr(expr, assignment)
 
     def test_lifted_satisfiability(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         context = SymbolicContext()
-        assert context.lift(And(a, b)).is_satisfiable()
-        assert not context.lift(And(a, Not(a))).is_satisfiable()
+        assert not context.lift(And(a, b)).is_false()
+        assert context.lift(And(a, Not(a))).is_false()
 
     def test_lifted_counterexample_and_witness(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         context = SymbolicContext()
         counterexample = context.lift(Implies(a, b)).counterexample()
         assert counterexample is not None

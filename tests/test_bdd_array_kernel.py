@@ -23,8 +23,8 @@ from repro.bdd import (
     TRUE_NODE,
     compile_expr,
     dump_nodes,
-    load_nodes,
 )
+from repro.bdd.serialize import parse_artifact, splice_nodes
 from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr
 from repro.spec import build_functional_spec, symbolic_most_liberal
 from repro.symbolic import SymbolicContext
@@ -297,11 +297,11 @@ class TestGarbageCollection:
         )
         data = dump_nodes(source, roots={"f": f})
         manager = BddManager(VARIABLE_NAMES)
-        node = manager.protect(load_nodes(manager, data)["f"])
+        node = manager.protect(splice_nodes(manager, parse_artifact(data))["f"])
         self._junk(manager)
         manager.gc()
         # The rebuilt unique table still deduplicates a second splice.
-        assert load_nodes(manager, data)["f"] == node
+        assert splice_nodes(manager, parse_artifact(data))["f"] == node
         for assignment in all_assignments(["v00", "v03", "v07"]):
             full = dict.fromkeys(VARIABLE_NAMES, False)
             full.update(assignment)

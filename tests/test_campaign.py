@@ -750,6 +750,22 @@ class TestCampaignCli:
         assert code == 0
         assert "no artifacts" in output
 
+    def test_artifact_verb_lists_only_the_store_artifacts(self, tmp_path):
+        from repro.bdd import dump_nodes
+        from repro.expr import Var
+        from repro.symbolic import SymbolicContext
+
+        store = ResultStore(tmp_path / "store")
+        context = SymbolicContext(["a", "b"])
+        function = context.lift(Var("a") & Var("b"))
+        store.put_artifact("k1", dump_nodes(context.manager, roots={"f": function.node}))
+        store.put_stage("k2", StageResult(name="derive", ok=True, seconds=0.0, details={}))
+        code, output = run_cli("artifact", "--store", str(store.root))
+        assert code == 0
+        lines = output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{store.artifact_path('k1').name}: -  nodes=")
+
 
 def test_stage_result_round_trip():
     stage = StageResult(name="derive", ok=True, seconds=0.25, details={"n": 3})

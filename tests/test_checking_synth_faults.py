@@ -116,7 +116,7 @@ class TestPropertyChecker:
         assert not eval_expr(condition, signals)
 
     def test_missing_flag_rejected(self, example_spec, example_interlock):
-        partial = ClosedFormInterlock({"long.4.moe": example_interlock.expression_for("long.4.moe")})
+        partial = ClosedFormInterlock({"long.4.moe": example_interlock.expressions()["long.4.moe"]})
         checker = PropertyChecker(example_spec)
         with pytest.raises(ValueError):
             checker.check_functional(partial)

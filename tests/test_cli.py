@@ -2,12 +2,15 @@
 
 import io
 import re
+from dataclasses import replace
 
 import pytest
 
+from repro import cli
 from repro.archs import load_architecture
 from repro.cli import build_parser, main
 from repro.spec import build_functional_spec, loads_spec
+from repro.workloads import BALANCED, CONTENTION_HEAVY, HAZARD_HEAVY, WAIT_HEAVY, WorkloadGenerator
 
 
 def run_cli(*argv):
@@ -188,3 +191,37 @@ class TestCheckAndSimulate:
         assert "Assertion monitor report" in output
         assert "coverage" in output.lower()
         assert vcd_path.exists()
+
+    @pytest.mark.parametrize(
+        "name, profile",
+        [
+            ("balanced", BALANCED),
+            ("hazard-heavy", HAZARD_HEAVY),
+            ("contention-heavy", CONTENTION_HEAVY),
+            ("wait-heavy", WAIT_HEAVY),
+        ],
+    )
+    def test_simulate_runs_the_named_profile(self, monkeypatch, name, profile):
+        programs = []
+        simulate = cli.simulate
+
+        def recording_simulate(architecture, interlock, program):
+            programs.append(program)
+            return simulate(architecture, interlock, program)
+
+        monkeypatch.setattr(cli, "simulate", recording_simulate)
+        run_cli(
+            "simulate", "--arch", "dac2002-example", "--profile", name,
+            "--length", "64", "--seed", "0",
+        )
+        expected = WorkloadGenerator(load_architecture("dac2002-example"), seed=0).generate(
+            replace(profile, length=64)
+        )
+
+        def shape(program):
+            return program.external_inputs, {
+                pipe: [(i.kind, i.src, i.dst, i.wait_cycles) for i in stream]
+                for pipe, stream in program.streams.items()
+            }
+
+        assert [shape(program) for program in programs] == [shape(expected)]

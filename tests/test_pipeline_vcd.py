@@ -1,12 +1,20 @@
 """Tests for VCD export of simulation traces (repro.pipeline.vcd)."""
 
+import io
 import re
 
 import pytest
 
-from repro.pipeline import SimulationTrace, reference_interlock, simulate, trace_to_vcd, write_vcd_file
+from repro.pipeline import SimulationTrace, VcdWriter, reference_interlock, simulate, write_vcd_file
 from repro.pipeline.vcd import _identifier_for
 from repro.workloads import WorkloadGenerator, WorkloadProfile
+
+
+def trace_to_vcd(trace, **options):
+    """Render ``trace`` as VCD text with a :class:`VcdWriter`."""
+    buffer = io.StringIO()
+    VcdWriter(**options).write(trace, buffer)
+    return buffer.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -126,6 +126,19 @@ class TestParseSubmission:
             ({"arch": ARCH, "workload_length": "24"}, "must be an integer"),
             ({"arch": ARCH, "stages": 7}, "stages must be"),
             ({"job": {"arch": ARCH}, "stages": "derive"}, "only apply to 'arch'"),
+            ({"job": {"arch": ARCH, "workload_length": "48"}}, "workload_length must be an int"),
+            ({"job": {"arch": ARCH, "workload_length": True}}, "workload_length must be an int"),
+            ({"job": {"arch": ARCH, "max_faults": 2.5}}, "max_faults must be an integer"),
+            ({"job": {"arch": ARCH, "stages": "properties"}}, "stages must be a list"),
+            ({"job": {"arch": 7}}, "arch must be a non-empty string"),
+            ({"job": ["arch"]}, "job must be a JSON object"),
+            (
+                {"campaign": {"name": "c", "jobs": [{"arch": ARCH}], "workers": "2"}},
+                "workers must be an integer",
+            ),
+            ({"campaign": {"name": "", "jobs": [{"arch": ARCH}]}}, "name must be a non-empty"),
+            ({"campaign": {"name": "c", "jobs": {"arch": ARCH}}}, "jobs must be a list"),
+            ({"campaign": "c"}, "campaign must be a JSON object"),
         ],
     )
     def test_rejects(self, payload, fragment):
@@ -409,6 +422,12 @@ class TestEndpoints:
             service.client().submit(arch="no-such-arch")
         assert excinfo.value.status == 400
         assert "unknown architecture" in excinfo.value.message
+
+    def test_wrongly_typed_job_field_is_400(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.client().submit(job={"arch": ARCH, "workload_length": "48"})
+        assert excinfo.value.status == 400
+        assert "workload_length must be an integer" in excinfo.value.message
 
     def test_unknown_path_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:

@@ -34,6 +34,7 @@ from repro.faults import FaultInjector
 from repro.pipeline import (
     ClosedFormInterlock,
     ConservativeCompletionInterlock,
+    InstructionKind,
     PipelineSimulator,
     SpecFixedPointInterlock,
     StuckResetInterlock,
@@ -389,7 +390,7 @@ def _instruction_cycles(program):
         (instruction.uid, instruction.issue_cycle, instruction.retire_cycle)
         for stream in program.streams.values()
         for instruction in stream
-        if not instruction.is_bubble
+        if instruction.kind is not InstructionKind.BUBBLE
     ]
 
 

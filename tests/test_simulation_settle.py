@@ -79,7 +79,7 @@ def _observed(trace, program, monitor):
         ],
         report.cycles_checked,
         [report.violation_count(kind) for kind in AssertionKind],
-        report.violated_assertions(),
+        [violation.assertion.name for violation in report.violations],
     )
 
 

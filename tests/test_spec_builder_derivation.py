@@ -27,19 +27,16 @@ class TestSpecBuilder:
         assert len(example_spec.clauses) == example_arch.stage_count()
         assert set(example_spec.moe_flags()) == set(example_arch.moe_signals())
 
-    def test_completion_stage_condition(self, example_arch):
-        builder = SpecBuilder(example_arch)
-        condition = builder.stall_condition_for("long", 4)
+    def test_completion_stage_condition(self, example_spec):
+        condition = example_spec.condition_for("long.4.moe")
         assert condition == Var("long.req") & ~Var("long.gnt")
 
-    def test_intermediate_stage_condition(self, example_arch):
-        builder = SpecBuilder(example_arch)
-        condition = builder.stall_condition_for("long", 3)
+    def test_intermediate_stage_condition(self, example_spec):
+        condition = example_spec.condition_for("long.3.moe")
         assert condition == Var("long.3.rtm") & ~Var("long.4.moe")
 
-    def test_issue_stage_includes_wait_lockstep_scoreboard(self, example_arch):
-        builder = SpecBuilder(example_arch)
-        condition = builder.stall_condition_for("long", 1)
+    def test_issue_stage_includes_wait_lockstep_scoreboard(self, example_spec):
+        condition = example_spec.condition_for("long.1.moe")
         names = condition.variables()
         assert "op_is_WAIT" in names
         assert "short.1.moe" in names
@@ -47,9 +44,8 @@ class TestSpecBuilder:
         assert "long.1.src.regaddr=0" in names
         assert "c.regaddr=0" in names
 
-    def test_short_issue_has_no_wait(self, example_arch):
-        builder = SpecBuilder(example_arch)
-        condition = builder.stall_condition_for("short", 1)
+    def test_short_issue_has_no_wait(self, example_spec):
+        condition = example_spec.condition_for("short.1.moe")
         assert "op_is_WAIT" not in condition.variables()
 
     def test_options_disable_features(self, example_arch):
@@ -87,8 +83,8 @@ class TestSpecBuilder:
         assert spec.condition_for("p.2.moe") == FALSE
 
     def test_builder_output_is_monotone_for_all_archs(self, firepath_spec, risc_spec):
-        assert firepath_spec.is_monotone()
-        assert risc_spec.is_monotone()
+        assert firepath_spec.violating_clauses() == []
+        assert risc_spec.violating_clauses() == []
 
     def test_metadata_records_architecture(self, example_arch, example_spec):
         assert example_spec.metadata["architecture"] is example_arch
@@ -187,7 +183,7 @@ class TestSymbolicDerivation:
         assert symbolic_most_liberal(risc_spec).feed_forward is True
 
     def test_completion_stage_closed_form(self, example_derivation):
-        expression = example_derivation.moe_expression("long.4.moe")
+        expression = example_derivation.moe_expressions["long.4.moe"]
         assert eval_expr(expression, {"long.req": True, "long.gnt": False}) is False
         assert eval_expr(expression, {"long.req": True, "long.gnt": True}) is True
         assert eval_expr(expression, {"long.req": False, "long.gnt": False}) is True

@@ -128,7 +128,7 @@ class TestInterlockEquivalence:
         mutated = with_replaced_flag(
             example_interlock,
             "long.4.moe",
-            example_interlock.expression_for("long.4.moe") & ~Var("short.req"),
+            example_interlock.expressions()["long.4.moe"] & ~Var("short.req"),
         )
         report = PropertyChecker(
             example_spec, derivation=example_derivation

@@ -31,11 +31,13 @@ class TestStallClause:
 
     def test_performance_formula_shape(self):
         clause = StallClause(moe="m", condition=Var("c"))
-        assert clause.performance_formula() == Implies(Not(Var("m")), Var("c"))
+        spec = FunctionalSpec(name="s", clauses=[clause], inputs=["c"])
+        assert PerformanceSpec(spec).clauses[0].formula() == Implies(Not(Var("m")), Var("c"))
 
     def test_combined_formula_shape(self):
         clause = StallClause(moe="m", condition=Var("c"))
-        assert clause.combined_formula() == Iff(Var("c"), Not(Var("m")))
+        spec = FunctionalSpec(name="s", clauses=[clause], inputs=["c"])
+        assert CombinedSpec(spec).clauses[0].formula() == Iff(Var("c"), Not(Var("m")))
 
     def test_moe_variables_in_condition(self):
         clause = StallClause(moe="a.1.moe", condition=Var("rtm") & ~Var("a.2.moe"))
@@ -76,10 +78,6 @@ class TestFunctionalSpecQueries:
         with pytest.raises(KeyError):
             spec.clause_for("unknown")
 
-    def test_all_signals(self):
-        spec = two_stage_spec()
-        assert spec.all_signals() == ["p.req", "p.gnt", "p.1.rtm", "p.2.moe", "p.1.moe"]
-
     def test_formulas_are_conjunctions_over_clauses(self):
         spec = two_stage_spec()
         functional = spec.functional_formula()
@@ -96,7 +94,7 @@ class TestFunctionalSpecQueries:
 
     def test_performance_formula_detects_unnecessary_stall(self):
         spec = two_stage_spec()
-        performance = spec.performance_formula()
+        performance = PerformanceSpec(spec).formula()
         env = {
             "p.req": False,
             "p.gnt": False,
@@ -120,14 +118,12 @@ class TestFunctionalSpecQueries:
 
     def test_monotonicity_check(self):
         spec = two_stage_spec()
-        assert spec.is_monotone()
         assert spec.violating_clauses() == []
 
     def test_non_monotone_spec_detected(self):
         clause = StallClause(moe="a.moe", condition=Var("b.moe"))  # positive moe use
         other = StallClause(moe="b.moe", condition=Var("x"))
         spec = FunctionalSpec(name="bad", clauses=[clause, other], inputs=["x"])
-        assert not spec.is_monotone()
         assert spec.violating_clauses() == ["a.moe"]
 
     def test_describe_lists_every_clause(self):
@@ -137,19 +133,6 @@ class TestFunctionalSpecQueries:
         unicode_text = spec.describe(unicode_symbols=True)
         assert "→" in unicode_text and "¬" in unicode_text
 
-
-class TestSpecTransformations:
-    def test_substitute_inputs_refines_grant(self):
-        spec = two_stage_spec()
-        refined = spec.substitute_inputs({"p.gnt": Var("p.req")})
-        condition = refined.condition_for("p.2.moe")
-        assert eval_expr(condition, {"p.req": True}) is False
-        assert "p.gnt" not in refined.input_signals()
-
-    def test_substitute_moe_flag_rejected(self):
-        spec = two_stage_spec()
-        with pytest.raises(SpecificationError):
-            spec.substitute_inputs({"p.2.moe": Var("x")})
 
 class TestPerformanceAndCombinedSpecs:
     def test_performance_clauses_mirror_functional(self):
@@ -164,7 +147,6 @@ class TestPerformanceAndCombinedSpecs:
         clause = PerformanceSpec(spec).clause_for("p.2.moe")
         env = {"p.req": False, "p.gnt": False, "p.2.moe": False}
         assert not eval_expr(clause.formula(), env)
-        assert eval_expr(clause.violation_condition(), env)
 
     def test_performance_clause_lookup_error(self):
         with pytest.raises(KeyError):
@@ -183,11 +165,6 @@ class TestPerformanceAndCombinedSpecs:
         assert eval_expr(combined.formula(), env)
         env["p.1.moe"] = False  # stalls without reason: combined spec violated
         assert not eval_expr(combined.formula(), env)
-
-    def test_combined_moe_definition(self):
-        spec = two_stage_spec()
-        clause = CombinedSpec(spec).clauses[0]
-        assert clause.moe_definition() == Not(spec.condition_for("p.2.moe"))
 
     def test_describe_renders(self):
         spec = two_stage_spec()

@@ -10,7 +10,6 @@ from repro.spec import (
     dumps_spec,
     load_spec_file,
     loads_spec,
-    save_spec_file,
 )
 from repro.spec.derivation import derivation_order
 from repro.symbolic import SymbolicContext
@@ -161,7 +160,7 @@ class TestRoundTrip:
 class TestFileIo:
     def test_save_and_load_file(self, tmp_path, example_spec):
         path = tmp_path / "example.spec"
-        save_spec_file(example_spec, str(path))
+        path.write_text(dumps_spec(example_spec), encoding="utf-8")
         loaded = load_spec_file(str(path))
         assert loaded.moe_flags() == example_spec.moe_flags()
         assert _same_conditions(loaded, example_spec)

@@ -241,11 +241,6 @@ class TestDerivationResult:
             # The per-flag objects are the cached instances, not re-simplified.
             assert first[moe] is second[moe]
 
-    def test_stall_functions_are_negations(self, example_spec):
-        derivation = symbolic_most_liberal(example_spec)
-        for moe, stall in derivation.stall_functions().items():
-            assert (~stall).node == derivation.moe_function(moe).node
-
     def test_derivation_scope_is_primary_inputs(self, example_spec):
         derivation = symbolic_most_liberal(example_spec)
         for function in derivation.moe_functions.values():
@@ -268,7 +263,7 @@ class TestSymbolicObligationsAcrossLayers:
             condition = context.function(
                 context.manager.compose_many(context.lift(clause.condition).node, moe_nodes)
             )
-            obligations[clause.moe] = condition.iff(~derivation.moe_function(clause.moe))
+            obligations[clause.moe] = condition.iff(~derivation.moe_functions[clause.moe])
         report = checker.check_obligations(obligations, name="derived-contract")
         assert report.all_hold()
         assert len(report.results) == len(example_spec.clauses)
@@ -282,7 +277,7 @@ class TestSymbolicObligationsAcrossLayers:
         checker = PropertyChecker(example_spec, architecture=example_arch, backend="bdd")
         moe = example_spec.moe_flags()[0]
         # MOE_i is not constant-true, so this obligation must fail.
-        report = checker.check_obligations({moe: derivation.moe_function(moe)})
+        report = checker.check_obligations({moe: derivation.moe_functions[moe]})
         assert not report.all_hold()
         assert report.results[0].counterexample is not None
 
