@@ -59,8 +59,10 @@ MODULES = [
     "repro.obs",
     "repro.obs.metrics",
     "repro.obs.trace",
+    "repro.pipeline.interlock",
     "repro.pipeline.simulator",
     "repro.pipeline.trace",
+    "repro.pipeline.vcd",
     "repro.assertions.monitor",
     "repro.service",
     "repro.service.client",

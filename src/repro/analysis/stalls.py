@@ -164,8 +164,7 @@ def classify_stalls(
             stats.necessary_stalls += (stalled & justified_word).bit_count()
             unnecessary = stalled & ~justified_word
             stats.unnecessary_stalls += unnecessary.bit_count()
-            for bit in iter_set_bits(unnecessary):
-                stats.unnecessary_cycles.append(
-                    trace.record(word_index * WORD_BITS + bit).cycle
-                )
+            stats.unnecessary_cycles.extend(
+                word_index * WORD_BITS + bit for bit in iter_set_bits(unnecessary)
+            )
     return breakdown

@@ -34,7 +34,7 @@ from .structure import (
     StallInput,
 )
 from .trace import CycleRecord, HazardEvent, HazardKind, SimulationTrace
-from .vcd import VcdWriter, write_vcd_file
+from .vcd import write_vcd, write_vcd_file
 
 __all__ = [
     "Arbiter",
@@ -68,6 +68,6 @@ __all__ = [
     "HazardEvent",
     "HazardKind",
     "SimulationTrace",
-    "VcdWriter",
+    "write_vcd",
     "write_vcd_file",
 ]

@@ -6,19 +6,22 @@ WAIT, ...).  The simulator treats the interlock as a black box so that
 different implementations — the derived maximum-performance one, a
 conservative hand-written one, a synthesised netlist, or a fault-injected
 mutant — can all be plugged into the same datapath and compared.
+
+Every implementation is evaluated the same way: :meth:`Interlock.row_function`
+resolves the signal positions of one input order once and returns a
+function from a cycle's input row to its moe row.  A wrapping interlock
+composes the row function of the interlock it wraps.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import cached_property
 from operator import truth
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bdd.ordering import register_interleaved_order
 from ..expr.ast import Expr, variables_of
 from ..expr.compile import compile_outputs
-from ..expr.evaluate import eval_expr
 from ..spec.derivation import (
     DerivationResult,
     concrete_most_liberal,
@@ -26,61 +29,57 @@ from ..spec.derivation import (
 )
 from ..spec.functional import FunctionalSpec
 from ..symbolic import SymbolicContext, SymbolicFunction
+from . import signals as sig
+
+
+#: ``fn(row)`` of :meth:`Interlock.row_function`: one input row in, one new moe list out.
+RowFunction = Callable[[Sequence[bool]], List[bool]]
 
 
 class Interlock(ABC):
-    """Maps a control-input valuation to the moe flag valuation of one cycle."""
+    """Maps each cycle's row of control inputs to its row of moe flags."""
 
     name: str = "interlock"
     description: str = ""
     #: True when the moe flags are a function of the current cycle's inputs
     #: alone: :meth:`reset` and :meth:`on_cycle_start` keep no state that
-    #: changes what :meth:`compute_moe` returns.  The simulator relies on it
+    #: changes what the row function returns.  The simulator relies on it
     #: to repeat a settled cycle instead of stepping it; an interlock with
     #: memory leaves it False and is stepped every cycle.
     combinational: bool = False
 
     @abstractmethod
-    def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        """Compute every moe flag for the given control inputs."""
+    def row_function(self, input_names: Sequence[str]) -> Tuple[Tuple[str, ...], RowFunction]:
+        """The interlock as a function of one input row.
+
+        Returns ``(moe_names, fn)``: ``fn(row)`` takes the cycle's input
+        values in ``input_names`` order and returns a new list of the moe
+        values in ``moe_names`` order.  Signal positions are resolved once,
+        here; a signal the interlock reads that ``input_names`` lacks
+        raises ``ValueError`` naming it.
+        """
 
     @abstractmethod
     def moe_flags(self) -> list:
         """The moe flag names this interlock drives."""
-
-    def row_function(
-        self, input_names: Sequence[str]
-    ) -> Tuple[Tuple[str, ...], Callable[[Sequence[bool]], List[bool]]]:
-        """The interlock as a function of one input row.
-
-        Returns ``(moe_names, fn)``: ``fn(row)`` takes the cycle's input
-        values in ``input_names`` order and returns the moe values in
-        ``moe_names`` order.  This default evaluates :meth:`compute_moe`
-        on the row's valuation, so every interlock can be simulated; it
-        raises ``RuntimeError`` when ``compute_moe`` leaves one of
-        :meth:`moe_flags` undriven.
-        """
-        input_names = tuple(input_names)
-        moe_names = tuple(self.moe_flags())
-        compute_moe = self.compute_moe
-
-        def evaluate(row: Sequence[bool]) -> List[bool]:
-            moe = compute_moe(dict(zip(input_names, row)))
-            try:
-                return [moe[name] for name in moe_names]
-            except KeyError:
-                missing = sorted(set(moe_names).difference(moe))
-                raise RuntimeError(
-                    f"interlock {self.name!r} did not drive moe flags {missing}"
-                ) from None
-
-        return moe_names, evaluate
 
     def reset(self) -> None:
         """Reset any sequential state (reset/initialisation faults override this)."""
 
     def on_cycle_start(self, cycle: int) -> None:
         """Hook invoked by the simulator at the start of every cycle."""
+
+
+def row_positions(input_names: Sequence[str], names: Sequence[str]) -> Tuple[int, ...]:
+    """The position of each of ``names`` in ``input_names``.
+
+    Raises ``ValueError`` naming the signals ``input_names`` lacks.
+    """
+    position = {name: index for index, name in enumerate(input_names)}
+    missing = sorted(set(names).difference(position))
+    if missing:
+        raise ValueError(f"input row is missing signals {missing}")
+    return tuple(position[name] for name in names)
 
 
 class SpecFixedPointInterlock(Interlock):
@@ -99,8 +98,17 @@ class SpecFixedPointInterlock(Interlock):
         self.name = name or f"fixed-point({spec.name})"
         self.description = "per-cycle concrete fixed point of the functional specification"
 
-    def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        return concrete_most_liberal(self.spec, inputs)
+    def row_function(self, input_names: Sequence[str]) -> Tuple[Tuple[str, ...], RowFunction]:
+        input_names = tuple(input_names)
+        spec = self.spec
+        row_positions(input_names, spec.input_signals())
+        moe_names = tuple(spec.moe_flags())
+
+        def evaluate(row: Sequence[bool]) -> List[bool]:
+            moe = concrete_most_liberal(spec, dict(zip(input_names, row)))
+            return [moe[name] for name in moe_names]
+
+        return moe_names, evaluate
 
     def moe_flags(self) -> list:
         return self.spec.moe_flags()
@@ -120,8 +128,7 @@ class ClosedFormInterlock(Interlock):
     (:func:`~repro.expr.compile.compile_outputs`), so a simulated cycle
     costs one call instead of a tree walk per flag.  :meth:`row_function`
     compiles them once per input order, with the variables bound to row
-    positions, and caches the result; :meth:`compute_moe` evaluates the
-    row function over the closed forms' sorted support.
+    positions, and caches the result.
     """
 
     combinational = True
@@ -143,7 +150,7 @@ class ClosedFormInterlock(Interlock):
         self._functions: Dict[str, SymbolicFunction] = {
             moe: context.lift(value) for moe, value in moe_functions.items()
         }
-        self._row_functions: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Callable]] = {}
+        self._row_functions: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], RowFunction]] = {}
         self.name = name
         self.description = description or "closed-form combinational interlock"
 
@@ -176,52 +183,16 @@ class ClosedFormInterlock(Interlock):
         """All closed forms materialized as ISOP covers (cached per node)."""
         return {moe: function.to_expr() for moe, function in self._functions.items()}
 
-    @cached_property
-    def _support(self) -> Tuple[str, ...]:
-        return tuple(sorted(variables_of(self.expressions().values())))
-
-    def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        support = self._support
-        try:
-            row = list(map(truth, map(inputs.__getitem__, support)))
-        except KeyError:
-            # A partial valuation: eval_expr short-circuits past unbound
-            # variables that cannot matter and raises on the ones that do.
-            return {
-                moe: eval_expr(expression, inputs)
-                for moe, expression in self.expressions().items()
-            }
-        moe_names, evaluate = self._cached_row_function(support)
-        return dict(zip(moe_names, evaluate(row)))
-
     def moe_flags(self) -> list:
         return list(self._functions)
 
-    def row_function(
-        self, input_names: Sequence[str]
-    ) -> Tuple[Tuple[str, ...], Callable[[Sequence[bool]], List[bool]]]:
+    def row_function(self, input_names: Sequence[str]) -> Tuple[Tuple[str, ...], RowFunction]:
         """The compiled closed forms over row positions (cached per input order).
 
-        A subclass that overrides :meth:`compute_moe` is evaluated through
-        it, and so are closed forms over a signal the row does not carry.
+        :func:`~repro.expr.compile.compile_outputs` raises ``ValueError``
+        naming any signal a closed form reads outside ``input_names``.
         """
         input_names = tuple(input_names)
-        if type(self).compute_moe is not ClosedFormInterlock.compute_moe:
-            return super().row_function(input_names)
-        try:
-            return self._cached_row_function(input_names)
-        except ValueError:
-            # A closed form reads a signal outside the row.
-            return super().row_function(input_names)
-
-    def _cached_row_function(
-        self, input_names: Tuple[str, ...]
-    ) -> Tuple[Tuple[str, ...], Callable[[Sequence[bool]], List[bool]]]:
-        """The closed forms compiled over ``input_names`` (cached per order).
-
-        Raises ``ValueError`` when a closed form reads a name outside
-        ``input_names``.
-        """
         cached = self._row_functions.get(input_names)
         if cached is not None:
             return cached
@@ -251,37 +222,40 @@ class ConservativeCompletionInterlock(Interlock):
         self.spec = spec
         self.architecture = architecture
         self._reference = ClosedFormInterlock.from_spec(spec)
-        self._pending_request: Dict[str, bool] = {}
+        self._completion_pipes = tuple(
+            pipe.name for pipe in architecture.pipes if pipe.completion_bus is not None
+        )
+        self._pending_request = [False] * len(self._completion_pipes)
         self.name = name or f"conservative-completion({spec.name})"
         self.description = (
             "completion stages only honour grants for requests registered in the "
             "previous cycle (pre-redesign completion logic)"
         )
-        self.reset()
 
     def reset(self) -> None:
-        self._pending_request = {
-            pipe.name: False
-            for pipe in self.architecture.pipes
-            if pipe.completion_bus is not None
-        }
+        self._pending_request[:] = [False] * len(self._completion_pipes)
 
-    def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        from . import signals as sig
+    def row_function(self, input_names: Sequence[str]) -> Tuple[Tuple[str, ...], RowFunction]:
+        moe_names, reference = self._reference.row_function(input_names)
+        requests = row_positions(input_names, [sig.req_name(p) for p in self._completion_pipes])
+        grants = row_positions(input_names, [sig.gnt_name(p) for p in self._completion_pipes])
+        completions = tuple(enumerate(zip(requests, grants)))
+        pending = self._pending_request
 
-        # Mask the grant of any request that was not already pending in the
-        # previous cycle; the masked grant propagates through the reference
-        # closed forms, so the extra stall also reaches the upstream stages
-        # (no hazards — only lost cycles).
-        effective = dict(inputs)
-        for pipe in self.architecture.pipes:
-            if pipe.completion_bus is None:
-                continue
-            request = inputs.get(sig.req_name(pipe.name), False)
-            if request and not self._pending_request[pipe.name]:
-                effective[sig.gnt_name(pipe.name)] = False
-            self._pending_request[pipe.name] = request
-        return self._reference.compute_moe(effective)
+        def evaluate(row: Sequence[bool]) -> List[bool]:
+            # Mask the grant of any request that was not already pending in
+            # the previous cycle; the masked grant propagates through the
+            # reference closed forms, so the extra stall also reaches the
+            # upstream stages (no hazards — only lost cycles).  The sampled
+            # row is the trace's and is not changed.
+            effective = list(row)
+            for index, (request, grant) in completions:
+                if row[request] and not pending[index]:
+                    effective[grant] = False
+                pending[index] = row[request]
+            return reference(effective)
+
+        return moe_names, evaluate
 
     def moe_flags(self) -> list:
         return self._reference.moe_flags()
@@ -324,13 +298,22 @@ class StuckResetInterlock(Interlock):
         self._current_cycle = cycle
         self.inner.on_cycle_start(cycle)
 
-    def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        values = self.inner.compute_moe(inputs)
-        if self._current_cycle < self.cycles:
-            for moe, forced in self.forced_values.items():
-                if moe in values:
-                    values[moe] = forced
-        return values
+    def row_function(self, input_names: Sequence[str]) -> Tuple[Tuple[str, ...], RowFunction]:
+        moe_names, inner = self.inner.row_function(input_names)
+        forced = tuple(
+            (index, self.forced_values[moe])
+            for index, moe in enumerate(moe_names)
+            if moe in self.forced_values
+        )
+
+        def evaluate(row: Sequence[bool]) -> List[bool]:
+            values = inner(row)
+            if self._current_cycle < self.cycles:
+                for index, value in forced:
+                    values[index] = value
+            return values
+
+        return moe_names, evaluate
 
     def moe_flags(self) -> list:
         return self.inner.moe_flags()

@@ -48,15 +48,10 @@ class SimulatorConfig:
             interlocks).
         arbiter: completion-bus arbitration scheme, ``"fixed-priority"`` or
             ``"round-robin"``.
-        drain: keep simulating after the instruction streams are exhausted
-            until the pipeline is empty (or the cap is reached).
-        stop_on_hazard: abort the run at the first physical hazard.
     """
 
     max_cycles: int = 10_000
     arbiter: str = "fixed-priority"
-    drain: bool = True
-    stop_on_hazard: bool = False
 
 
 class _PipePlan:
@@ -220,7 +215,8 @@ class PipelineSimulator:
         The run starts from an empty pipeline, a clear scoreboard, reset
         arbiters and a reset interlock, and clears the issue and retire
         cycles of the program's instructions, so a program gives the same
-        trace however often it is run.
+        trace however often it is run.  It lasts until every instruction
+        has been fetched and the pipeline is empty, or ``max_cycles``.
 
         A run under a :attr:`~Interlock.combinational` interlock stops
         stepping at a settled cycle — one in which nothing moved, retired,
@@ -293,8 +289,6 @@ class PipelineSimulator:
         scoreboard_start = self._scoreboard_start
         scoreboard_end = scoreboard_start + num_registers
         hazards = trace.hazards
-        drain = self.config.drain
-        stop_on_hazard = self.config.stop_on_hazard
         max_cycles = self.config.max_cycles
         combinational = interlock.combinational
         # A cycle at or before the last asserted external stall never settles.
@@ -303,7 +297,7 @@ class PipelineSimulator:
         )
 
         for cycle in range(max_cycles):
-            if not unfetched and (not drain or occupant_uid.count(None) == num_slots):
+            if not unfetched and occupant_uid.count(None) == num_slots:
                 break
             interlock.on_cycle_start(cycle)
             unfetched_at_start = unfetched
@@ -540,8 +534,6 @@ class PipelineSimulator:
                 # moe flags from a combinational interlock — and so does
                 # every cycle after it, up to the cap.
                 trace.repeat_last_cycle(max_cycles - cycle - 1)
-                break
-            if stop_on_hazard and hazards:
                 break
         return trace
 

@@ -1,4 +1,4 @@
-"""Simulation traces: per-cycle rows and records, hazard events and summary statistics."""
+"""Simulation traces: per-cycle rows, their record view, hazard events and summary statistics."""
 
 from __future__ import annotations
 
@@ -68,45 +68,25 @@ class CycleRecord:
         return merged
 
 
-def _sample(record: CycleRecord, name: str, defaults: Dict[str, bool]) -> bool:
-    """One signal of one hand-built record: moe first, then inputs, then defaults."""
-    if name in record.moe:
-        return bool(record.moe[name])
-    if name in record.inputs:
-        return bool(record.inputs[name])
-    if name in defaults:
-        return bool(defaults[name])
-    raise KeyError(name)
-
-
 class SimulationTrace:
     """Result of one simulation run.
 
-    A simulated trace is columnar: per cycle it keeps one input row (values
-    in :attr:`input_names` order), one moe row (:attr:`moe_names` order),
-    one occupancy row (:attr:`occupancy_names` order: the occupying
+    A trace is columnar: per cycle it keeps one input row (values in
+    :attr:`input_names` order), one moe row (:attr:`moe_names` order), one
+    occupancy row (:attr:`occupancy_names` order: the occupying
     instruction uid or None) and the cycle's ``issued``, ``retired``,
     ``moved`` and ``stalled`` lists.  Bulk readers (the assertion monitor,
-    the stall classifier, the coverage scorer) pack signal columns straight
-    from the rows; :class:`CycleRecord` objects are built only when read,
-    by :meth:`record` or, for the whole run, by :attr:`cycles` — a
-    read-only view of the rows.  The rows are never modified after they
-    are appended: cycles that repeat a settled cycle share its row objects
+    the stall classifier, the coverage scorer, the VCD writer) read the
+    rows; :meth:`record` builds one cycle's :class:`CycleRecord` view of
+    them.  The rows are never modified after they are appended: cycles
+    that repeat a settled cycle share its row objects
     (:meth:`repeat_last_cycle`).
-
-    A hand-built trace passes its records as ``cycles=[...]``; they are
-    then the trace's content and :attr:`cycles` returns that list.
     """
 
     def __init__(
         self,
         architecture_name: str,
         interlock_name: str,
-        cycles: Optional[List[CycleRecord]] = None,
-        hazards: Optional[List[HazardEvent]] = None,
-        retired_instructions: int = 0,
-        issued_instructions: int = 0,
-        dropped_instructions: int = 0,
         *,
         input_names: Sequence[str] = (),
         moe_names: Sequence[str] = (),
@@ -114,10 +94,10 @@ class SimulationTrace:
     ):
         self.architecture_name = architecture_name
         self.interlock_name = interlock_name
-        self.hazards: List[HazardEvent] = hazards if hazards is not None else []
-        self.retired_instructions = retired_instructions
-        self.issued_instructions = issued_instructions
-        self.dropped_instructions = dropped_instructions
+        self.hazards: List[HazardEvent] = []
+        self.retired_instructions = 0
+        self.issued_instructions = 0
+        self.dropped_instructions = 0
         self.input_names = tuple(input_names)
         self.moe_names = tuple(moe_names)
         self.occupancy_names = tuple(occupancy_names)
@@ -128,10 +108,6 @@ class SimulationTrace:
         self.retired: List[List[int]] = []
         self.moved: List[List[str]] = []
         self.stalled: List[List[str]] = []
-        # The records: a hand-built trace's content, or a simulated
-        # trace's view built on first read of ``cycles``.
-        self._columnar = cycles is None
-        self._records: Optional[List[CycleRecord]] = cycles
         self._repeated_cycles = 0
 
     def __repr__(self) -> str:
@@ -142,17 +118,8 @@ class SimulationTrace:
 
     # -- records --------------------------------------------------------------------
 
-    @property
-    def cycles(self) -> List[CycleRecord]:
-        """Every cycle's :class:`CycleRecord` (built on first access)."""
-        if self._records is None:
-            self._records = [self.record(index) for index in range(self.num_cycles())]
-        return self._records
-
     def record(self, index: int) -> CycleRecord:
         """The record of the ``index``-th simulated cycle."""
-        if not self._columnar:
-            return self._records[index]
         return CycleRecord(
             cycle=index,
             inputs=dict(zip(self.input_names, self.input_rows[index])),
@@ -199,19 +166,14 @@ class SimulationTrace:
         This is the input format of the bit-parallel expression evaluator
         (:mod:`repro.expr.compile`): the assertion monitor and the coverage
         scorer both evaluate their formulas 64 cycles at a time over these
-        columns.  Each signal is resolved from the cycle's moe valuation
-        first, then its inputs; a signal a cycle does not sample falls back
-        to ``defaults`` or raises ``KeyError`` with the signal name.
+        columns.  Each signal is resolved from the moe row first, then the
+        input row; a signal the trace does not sample falls back to
+        ``defaults`` or raises ``KeyError`` with the signal name.
         """
         defaults = defaults or {}
         num_cycles = self.num_cycles()
         if not num_cycles:
             return {name: [] for name in names}
-        if not self._columnar:
-            return {
-                name: pack_bools([_sample(record, name, defaults) for record in self._records])
-                for name in names
-            }
         moe_position = {name: index for index, name in enumerate(self.moe_names)}
         input_position = {name: index for index, name in enumerate(self.input_names)}
         moe_columns = input_columns = None
@@ -236,9 +198,7 @@ class SimulationTrace:
 
     def num_cycles(self) -> int:
         """Number of simulated cycles."""
-        if self._columnar:
-            return len(self.moe_rows)
-        return len(self._records)
+        return len(self.moe_rows)
 
     def hazard_count(self, kind: Optional[HazardKind] = None) -> int:
         """Number of hazards observed (optionally of one kind)."""
@@ -263,19 +223,17 @@ class SimulationTrace:
         return self.num_cycles() / self.retired_instructions
 
     def stall_cycles(self, moe_flag: str) -> int:
-        """Number of cycles in which a given moe flag was low."""
-        return sum(1 for record in self.cycles if not record.moe.get(moe_flag, True))
+        """Number of cycles in which a given moe flag was low (0 if never driven)."""
+        return self.stall_cycles_by_flag().get(moe_flag, 0)
 
     def stall_cycles_by_flag(self) -> Dict[str, int]:
-        """Low-cycle counts for every moe flag."""
-        if not self.cycles:
+        """Low-cycle counts for every moe flag (empty for an empty trace)."""
+        if not self.moe_rows:
             return {}
-        counts: Dict[str, int] = {flag: 0 for flag in self.cycles[0].moe}
-        for record in self.cycles:
-            for flag, value in record.moe.items():
-                if not value:
-                    counts[flag] = counts.get(flag, 0) + 1
-        return counts
+        return {
+            flag: column.count(False)
+            for flag, column in zip(self.moe_names, zip(*self.moe_rows))
+        }
 
     def total_stall_cycles(self) -> int:
         """Sum of low cycles over all moe flags."""

@@ -7,21 +7,24 @@ inspected with standard EDA tooling (GTKWave and friends).
 
 Only single-bit control signals are dumped — exactly the signals the
 specification talks about (moe, rtm, req/gnt, scoreboard bits, bus-target
-and register-address indicators, WAIT/interrupt inputs) — plus, optionally,
-per-stage occupancy markers.
+and register-address indicators, WAIT/interrupt inputs) — plus a 1-bit
+"stage busy" marker per stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, TextIO
+from itertools import count, groupby
+from typing import List, Optional, TextIO
 
 from .trace import SimulationTrace
 
-__all__ = ["VcdWriter", "write_vcd_file"]
+__all__ = ["write_vcd", "write_vcd_file"]
 
 # Printable, non-whitespace VCD identifier characters.
 _IDENTIFIER_ALPHABET = [chr(code) for code in range(33, 127)]
+
+_DATE = "generated by repro.pipeline.vcd"
+_TIMESCALE = "1 ns"
 
 
 def _identifier_for(index: int) -> str:
@@ -42,90 +45,63 @@ def _sanitise(name: str) -> str:
     return name.replace(" ", "_").replace("[", "_").replace("]", "_")
 
 
-@dataclass
-class VcdWriter:
-    """Streams a simulation trace into VCD text.
+def write_vcd(trace: SimulationTrace, stream: TextIO) -> None:
+    """Write the whole trace to an open text stream as VCD.
 
-    The writer groups signals into two scopes: ``inputs`` (everything the
-    interlock samples) and ``moe`` (the flags it drives).  Occupancy markers
-    are emitted as a third scope when requested, as 1-bit "stage busy"
-    signals.
+    Signals are grouped into up to three scopes, each sorted by name:
+    ``inputs`` (everything the interlock samples), ``moe`` (the flags it
+    drives) and ``occupancy`` (``busy.<pipe>.<stage>``, high while the
+    stage holds an instruction); a scope without signals is left out.
+    Cycle ``k`` is time ``k``; after the first full dump only changed
+    values are written.
     """
+    num_cycles = trace.num_cycles()
+    if not num_cycles:
+        raise ValueError("cannot dump an empty trace")
+    busy_rows = [[uid is not None for uid in row] for row in trace.occupancy_rows]
+    # (scope, name, rows, row position) in identifier order.
+    signals = [
+        (scope, name, rows, position)
+        for scope, names, rows in (
+            ("inputs", trace.input_names, trace.input_rows),
+            ("moe", trace.moe_names, trace.moe_rows),
+            ("occupancy", [f"busy.{name}" for name in trace.occupancy_names], busy_rows),
+        )
+        for name, position in sorted(zip(names, count()))
+    ]
+    identifiers = [_identifier_for(index) for index in range(len(signals))]
 
-    timescale: str = "1 ns"
-    include_occupancy: bool = True
-    date: str = "generated by repro.pipeline.vcd"
-
-    def write(self, trace: SimulationTrace, stream: TextIO) -> None:
-        """Write the whole trace to an open text stream."""
-        if not trace.cycles:
-            raise ValueError("cannot dump an empty trace")
-        first = trace.cycles[0]
-        input_names = sorted(first.inputs)
-        moe_names = sorted(first.moe)
-        occupancy_names = sorted(first.occupancy) if self.include_occupancy else []
-
-        identifiers: Dict[str, str] = {}
-        ordered: List[str] = []
-        for name in input_names + moe_names + [f"busy.{n}" for n in occupancy_names]:
-            identifiers[name] = _identifier_for(len(identifiers))
-            ordered.append(name)
-
-        stream.write(f"$date {self.date} $end\n")
-        stream.write(f"$version repro (Eder & Barrett DAC 2002 reproduction) $end\n")
-        stream.write(f"$timescale {self.timescale} $end\n")
-        stream.write(f"$scope module {_sanitise(trace.architecture_name)} $end\n")
-
-        stream.write("$scope module inputs $end\n")
-        for name in input_names:
-            stream.write(f"$var wire 1 {identifiers[name]} {_sanitise(name)} $end\n")
+    stream.write(f"$date {_DATE} $end\n")
+    stream.write("$version repro (Eder & Barrett DAC 2002 reproduction) $end\n")
+    stream.write(f"$timescale {_TIMESCALE} $end\n")
+    stream.write(f"$scope module {_sanitise(trace.architecture_name)} $end\n")
+    for scope, declared in groupby(zip(identifiers, signals), key=lambda item: item[1][0]):
+        stream.write(f"$scope module {scope} $end\n")
+        for identifier, (_, name, _, _) in declared:
+            stream.write(f"$var wire 1 {identifier} {_sanitise(name)} $end\n")
         stream.write("$upscope $end\n")
+    stream.write("$upscope $end\n")
+    stream.write("$enddefinitions $end\n")
 
-        stream.write("$scope module moe $end\n")
-        for name in moe_names:
-            stream.write(f"$var wire 1 {identifiers[name]} {_sanitise(name)} $end\n")
-        stream.write("$upscope $end\n")
-
-        if occupancy_names:
-            stream.write("$scope module occupancy $end\n")
-            for name in occupancy_names:
-                stream.write(
-                    f"$var wire 1 {identifiers['busy.' + name]} {_sanitise('busy.' + name)} $end\n"
-                )
-            stream.write("$upscope $end\n")
-
-        stream.write("$upscope $end\n")
-        stream.write("$enddefinitions $end\n")
-
-        previous: Dict[str, bool] = {}
-        for record in trace.cycles:
-            values: Dict[str, bool] = {}
-            values.update({name: bool(record.inputs.get(name, False)) for name in input_names})
-            values.update({name: bool(record.moe.get(name, False)) for name in moe_names})
-            for name in occupancy_names:
-                values[f"busy.{name}"] = record.occupancy.get(name) is not None
-
-            changes = [
-                name for name in ordered if previous.get(name) != values[name]
-            ] if previous else ordered
-            if changes or not previous:
-                stream.write(f"#{record.cycle}\n")
-                if not previous:
-                    stream.write("$dumpvars\n")
-                for name in changes:
-                    stream.write(f"{int(values[name])}{identifiers[name]}\n")
-                if not previous:
-                    stream.write("$end\n")
-            previous = values
-        stream.write(f"#{trace.cycles[-1].cycle + 1}\n")
+    previous: Optional[List[bool]] = None
+    for cycle in range(num_cycles):
+        values = [bool(rows[cycle][position]) for _, _, rows, position in signals]
+        if previous is None:
+            stream.write("#0\n$dumpvars\n")
+            stream.writelines(f"{int(value)}{code}\n" for code, value in zip(identifiers, values))
+            stream.write("$end\n")
+        elif values != previous:
+            stream.write(f"#{cycle}\n")
+            stream.writelines(
+                f"{int(value)}{code}\n"
+                for code, value, before in zip(identifiers, values, previous)
+                if value != before
+            )
+        previous = values
+    stream.write(f"#{num_cycles}\n")
 
 
-def write_vcd_file(
-    trace: SimulationTrace,
-    path: str,
-    include_occupancy: bool = True,
-    timescale: str = "1 ns",
-) -> None:
+def write_vcd_file(trace: SimulationTrace, path: str) -> None:
     """Write a trace to a ``.vcd`` file."""
     with open(path, "w", encoding="ascii") as stream:
-        VcdWriter(timescale=timescale, include_occupancy=include_occupancy).write(trace, stream)
+        write_vcd(trace, stream)

@@ -18,9 +18,9 @@ in the paper's Section 5) is left to the consuming design flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..pipeline.interlock import ClosedFormInterlock
+from ..pipeline.interlock import ClosedFormInterlock, RowFunction, row_positions
 from ..pipeline.signals import to_hdl_identifier
 from ..spec.derivation import DerivationResult, symbolic_most_liberal
 from ..spec.functional import FunctionalSpec
@@ -56,9 +56,9 @@ class NetlistInterlock(ClosedFormInterlock):
     """Interlock backed by the synthesised netlist's evaluator.
 
     It subclasses :class:`ClosedFormInterlock` so the property checker can
-    reason about the same closed forms, but ``compute_moe`` executes the
-    gate-level netlist — the test-suite uses the pair to show netlist and
-    closed forms agree on every input.
+    reason about the same closed forms, but its :meth:`row_function`
+    executes the gate-level netlist — the test-suite uses the pair to show
+    netlist and closed forms agree on every input.
     """
 
     def __init__(self, synthesis: SynthesisResult):
@@ -68,23 +68,23 @@ class NetlistInterlock(ClosedFormInterlock):
             description="evaluates the synthesised gate-level netlist each cycle",
         )
         self._synthesis = synthesis
-        # Hoisted out of the per-cycle loop: neither the flag set nor the
-        # reverse name map ever changes.
-        self._moe_set = set(synthesis.spec.moe_flags())
-        self._reverse_names = {v: k for k, v in synthesis.name_map.items()}
 
-    def compute_moe(self, inputs: Mapping[str, bool]) -> Dict[str, bool]:
-        hdl_inputs = {}
-        for signal, identifier in self._synthesis.name_map.items():
-            if signal in self._moe_set:
-                continue
-            hdl_inputs[identifier] = bool(inputs.get(signal, False))
-        outputs = self._synthesis.module.evaluate(hdl_inputs)
-        reverse = self._reverse_names
-        return {
-            reverse[identifier]: value
-            for identifier, value in outputs.items()
-        }
+    def row_function(self, input_names: Sequence[str]) -> Tuple[Tuple[str, ...], RowFunction]:
+        synthesis = self._synthesis
+        name_map = synthesis.name_map
+        signals = synthesis.spec.input_signals()
+        ports = tuple(
+            zip([name_map[signal] for signal in signals], row_positions(input_names, signals))
+        )
+        moe_names = tuple(self.moe_flags())
+        outputs = tuple(name_map[moe] for moe in moe_names)
+        evaluate_module = synthesis.module.evaluate
+
+        def evaluate(row: Sequence[bool]) -> List[bool]:
+            values = evaluate_module({port: row[where] for port, where in ports})
+            return [values[port] for port in outputs]
+
+        return moe_names, evaluate
 
 
 class _NetlistBuilder:

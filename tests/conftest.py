@@ -19,6 +19,7 @@ from repro.archs import (
 )
 from repro.pipeline.instructions import Program, alu
 from repro.pipeline.interlock import ClosedFormInterlock
+from repro.pipeline.trace import CycleRecord, SimulationTrace
 from repro.spec import build_functional_spec, symbolic_most_liberal
 
 # Shared CI runners are slow and noisy: wall-clock deadlines flake and a
@@ -44,6 +45,48 @@ def with_replaced_flag(interlock, moe, expression):
         raise KeyError(f"interlock drives no flag named {moe!r}")
     functions[moe] = interlock.context.lift(expression)
     return ClosedFormInterlock(functions, context=interlock.context)
+
+
+def moe_of(interlock, valuation):
+    """The interlock's moe flags for one valuation, through its row function.
+
+    The row is the valuation's values in its own key order; a signal the
+    interlock reads that the valuation lacks raises ``ValueError``.
+    """
+    names = tuple(valuation)
+    moe_names, evaluate = interlock.row_function(names)
+    return dict(zip(moe_names, evaluate([valuation[name] for name in names])))
+
+
+def trace_of_records(records, architecture_name="hand-built", interlock_name="hand-built"):
+    """A columnar trace holding hand-built ``CycleRecord`` objects, in order.
+
+    Signal and stage names come from the first record; every record must
+    name the same ones.  ``record(k)`` of the result equals ``records[k]``
+    with its ``cycle`` set to ``k``.
+    """
+    first = records[0] if records else CycleRecord(cycle=0, inputs={}, moe={}, occupancy={})
+    trace = SimulationTrace(
+        architecture_name,
+        interlock_name,
+        input_names=list(first.inputs),
+        moe_names=list(first.moe),
+        occupancy_names=list(first.occupancy),
+    )
+    for record in records:
+        assert (tuple(record.inputs), tuple(record.moe), tuple(record.occupancy)) == (
+            trace.input_names,
+            trace.moe_names,
+            trace.occupancy_names,
+        ), "hand-built records must name the same signals and stages"
+        trace.input_rows.append([bool(record.inputs[name]) for name in trace.input_names])
+        trace.moe_rows.append([bool(record.moe[name]) for name in trace.moe_names])
+        trace.occupancy_rows.append([record.occupancy[name] for name in trace.occupancy_names])
+        trace.issued.append(list(record.issued))
+        trace.retired.append(list(record.retired))
+        trace.moved.append(list(record.moved))
+        trace.stalled.append(list(record.stalled))
+    return trace
 
 
 def dependent_chain(pipe, length, num_registers=8):

@@ -7,6 +7,7 @@ against per-cycle expression evaluation, and exercises the closed-form
 """
 
 import pytest
+from conftest import trace_of_records
 
 from repro.analysis import StageStallStats, classify_stalls
 from repro.expr import eval_expr, parse_expr
@@ -15,7 +16,7 @@ from repro.pipeline import (
     ConservativeCompletionInterlock,
     simulate,
 )
-from repro.pipeline.trace import CycleRecord, SimulationTrace
+from repro.pipeline.trace import CycleRecord
 from repro.spec import FunctionalSpec, StallClause, symbolic_most_liberal
 from repro.workloads import WorkloadGenerator, WorkloadProfile, completion_contention_program
 
@@ -33,9 +34,7 @@ def tiny_spec():
 
 
 def _trace(records):
-    return SimulationTrace(
-        architecture_name="tiny", interlock_name="hand-built", cycles=records
-    )
+    return trace_of_records(records, architecture_name="tiny")
 
 
 def _record(cycle, inputs, moe):
@@ -117,7 +116,7 @@ class TestClassification:
         breakdown = classify_stalls(trace, example_spec)
         for clause in example_spec.clauses:
             stalls = necessary = unnecessary = 0
-            for record in trace.cycles:
+            for record in map(trace.record, range(trace.num_cycles())):
                 if record.moe.get(clause.moe, True):
                     continue
                 stalls += 1

@@ -1,6 +1,7 @@
 """Tests for assertion generation, runtime monitoring and SVA/PSL emission."""
 
 import pytest
+from conftest import trace_of_records
 
 from repro.assertions import (
     AssertionKind,
@@ -91,10 +92,10 @@ class TestAssertionMonitor:
         assert trace.hazard_count() > 0
 
     def test_monitor_rejects_traces_missing_signals(self, example_spec):
-        from repro.pipeline.trace import CycleRecord, SimulationTrace
+        from repro.pipeline.trace import CycleRecord
 
         record = CycleRecord(cycle=0, inputs={}, moe={}, occupancy={})
-        trace = SimulationTrace(architecture_name="x", interlock_name="y", cycles=[record])
+        trace = trace_of_records([record])
         with pytest.raises(KeyError):
             monitor_trace(trace, testbench_assertions(example_spec))
 

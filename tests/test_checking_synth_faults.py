@@ -3,6 +3,7 @@
 import functools
 
 import pytest
+from conftest import moe_of
 
 from repro.checking import PropertyChecker, environment_assumptions, environment_formula
 from repro.archs import load_architecture
@@ -33,7 +34,7 @@ class TestEnvironmentAssumptions:
         assumptions = environment_assumptions(example_arch)
         program = WorkloadGenerator(example_arch, seed=0).generate(BALANCED)
         trace = simulate(example_arch, reference_interlock(example_spec), program)
-        for record in trace.cycles:
+        for record in map(trace.record, range(trace.num_cycles())):
             signals = record.signals()
             for assumption in assumptions:
                 assert eval_expr(assumption, signals), record.cycle
@@ -108,7 +109,7 @@ class TestPropertyChecker:
         # Fill unmentioned inputs with False and confirm the implementation
         # stalls although the specification's stall condition is false.
         inputs = {name: counterexample.get(name, False) for name in example_spec.input_signals()}
-        moe = pessimistic.compute_moe(inputs)
+        moe = moe_of(pessimistic, inputs)
         assert moe[failure.moe] is False
         condition = example_spec.condition_for(failure.moe)
         signals = dict(inputs)
@@ -321,7 +322,7 @@ class TestSynthesis:
         rng = random.Random(0)
         for _ in range(40):
             inputs = {name: bool(rng.getrandbits(1)) for name in example_spec.input_signals()}
-            assert netlist.compute_moe(inputs) == example_interlock.compute_moe(inputs)
+            assert moe_of(netlist, inputs) == moe_of(example_interlock, inputs)
 
     def test_netlist_interlock_simulates_identically(self, example_arch, example_spec, example_interlock):
         synthesis = synthesize_interlock(example_spec)

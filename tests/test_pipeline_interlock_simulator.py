@@ -3,11 +3,11 @@
 import random
 
 import pytest
-from conftest import dependent_chain, streams_program, with_replaced_flag
+from conftest import dependent_chain, moe_of, streams_program, with_replaced_flag
 
 from repro.analysis import classify_stalls, compare_traces
 from repro.archs import generate_family, load_architecture
-from repro.expr import UnboundVariableError, Var, eval_expr
+from repro.expr import Var, eval_expr
 from repro.faults import FaultInjector
 from repro.pipeline import (
     ClosedFormInterlock,
@@ -26,6 +26,7 @@ from repro.pipeline import (
     wait,
 )
 from repro.spec import build_functional_spec
+from repro.spec.derivation import concrete_most_liberal
 from repro.workloads import (
     BALANCED,
     HAZARD_HEAVY,
@@ -44,7 +45,8 @@ class TestInterlockImplementations:
         rng = random.Random(1)
         for _ in range(40):
             inputs = {name: bool(rng.getrandbits(1)) for name in example_spec.input_signals()}
-            assert example_interlock.compute_moe(inputs) == fixed_point.compute_moe(inputs)
+            expected = concrete_most_liberal(example_spec, inputs)
+            assert moe_of(example_interlock, inputs) == moe_of(fixed_point, inputs) == expected
 
     def test_moe_flags_listed(self, example_spec, example_interlock):
         assert set(example_interlock.moe_flags()) == set(example_spec.moe_flags())
@@ -55,15 +57,15 @@ class TestInterlockImplementations:
     def test_reference_interlock_factory(self, example_spec):
         assert isinstance(reference_interlock(example_spec), ClosedFormInterlock)
 
-    def test_expression_access_and_mutation(self, example_interlock):
+    def test_expression_access_and_mutation(self, example_spec, example_interlock):
         from repro.expr import FALSE
 
         expression = example_interlock.expressions()["long.4.moe"]
         assert "long.gnt" in expression.variables()
         mutated = with_replaced_flag(example_interlock, "long.4.moe", FALSE)
-        assert mutated.compute_moe(
-            {name: False for name in mutated.expressions()["long.1.moe"].variables() | {"long.req", "long.gnt"}}
-        )["long.4.moe"] is False
+        inputs = {name: False for name in example_spec.input_signals()}
+        assert moe_of(example_interlock, inputs)["long.4.moe"] is True
+        assert moe_of(mutated, inputs)["long.4.moe"] is False
         with pytest.raises(KeyError):
             with_replaced_flag(example_interlock, "ghost.moe", FALSE)
 
@@ -71,14 +73,14 @@ class TestInterlockImplementations:
         stuck = StuckResetInterlock(example_interlock, {"long.1.moe": False}, cycles=2)
         inputs = {name: False for name in example_spec.input_signals()}
         stuck.on_cycle_start(0)
-        assert stuck.compute_moe(inputs)["long.1.moe"] is False
+        assert moe_of(stuck, inputs)["long.1.moe"] is False
         stuck.on_cycle_start(1)
-        assert stuck.compute_moe(inputs)["long.1.moe"] is False
+        assert moe_of(stuck, inputs)["long.1.moe"] is False
         stuck.on_cycle_start(2)
-        assert stuck.compute_moe(inputs)["long.1.moe"] is True
+        assert moe_of(stuck, inputs)["long.1.moe"] is True
         stuck.reset()
         stuck.on_cycle_start(0)
-        assert stuck.compute_moe(inputs)["long.1.moe"] is False
+        assert moe_of(stuck, inputs)["long.1.moe"] is False
 
     def test_stuck_reset_requires_positive_window(self, example_interlock):
         with pytest.raises(ValueError):
@@ -112,17 +114,21 @@ class TestInterlockImplementations:
 class EvalExprInterlock(ClosedFormInterlock):
     """Reference evaluator: one ``eval_expr`` tree walk per flag and cycle."""
 
-    def compute_moe(self, inputs):
-        return {
-            moe: eval_expr(expression, inputs)
-            for moe, expression in self.expressions().items()
-        }
+    def row_function(self, input_names):
+        input_names = tuple(input_names)
+        expressions = self.expressions()
+
+        def evaluate(row):
+            valuation = dict(zip(input_names, row))
+            return [eval_expr(expression, valuation) for expression in expressions.values()]
+
+        return tuple(expressions), evaluate
 
 
 def trace_rows(trace):
     return [
         (record.cycle, record.inputs, record.moe, record.occupancy)
-        for record in trace.cycles
+        for record in map(trace.record, range(trace.num_cycles()))
     ]
 
 
@@ -146,9 +152,7 @@ class TestCompiledClosedForms:
             assert isinstance(interlock, ClosedFormInterlock)
             reference = EvalExprInterlock(interlock.expressions())
             for valuation in valuations:
-                assert interlock.compute_moe(valuation) == reference.compute_moe(
-                    valuation
-                )
+                assert moe_of(interlock, valuation) == moe_of(reference, valuation)
 
         program = WorkloadGenerator(arch, seed=7).generate(WorkloadProfile(length=48))
         compiled_trace = simulate(arch, injector.reference, program)
@@ -159,13 +163,16 @@ class TestCompiledClosedForms:
         assert trace_rows(compiled_trace) == trace_rows(reference_trace)
         assert compiled_trace.hazards == reference_trace.hazards
 
-    def test_partial_valuation_keeps_eval_expr_semantics(self):
+    def test_a_signal_outside_the_row_is_named(self, example_arch, example_spec):
         interlock = ClosedFormInterlock({"a.moe": Var("x") & Var("y")})
-        # y cannot matter once x is false, exactly as with eval_expr...
-        assert interlock.compute_moe({"x": False}) == {"a.moe": False}
-        # ...and an unbound variable that does matter is still an error.
-        with pytest.raises(UnboundVariableError):
-            interlock.compute_moe({"x": True})
+        with pytest.raises(ValueError, match="missing variables \\['y'\\]"):
+            interlock.row_function(["x"])
+        reads_unsampled = with_replaced_flag(
+            reference_interlock(example_spec), "long.1.moe", Var("never.sampled")
+        )
+        program = streams_program(long=[alu("long", dst=0)], short=[])
+        with pytest.raises(ValueError, match="never.sampled"):
+            simulate(example_arch, reads_unsampled, program)
 
 
 class TestSimulatorBasics:
@@ -258,21 +265,10 @@ class TestSimulatorBasics:
         with pytest.raises(RuntimeError, match="did not drive moe flags"):
             simulate(example_arch, incomplete, program)
 
-    def test_stop_on_hazard(self, example_arch, example_spec):
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(example_spec)
-        fault = injector.never_stall_fault("long.4.moe")
-        program = completion_contention_program(example_arch, length=20)
-        config = SimulatorConfig(stop_on_hazard=True)
-        trace = simulate(example_arch, fault.interlock, program, config)
-        assert trace.hazard_count() >= 1
-        assert trace.num_cycles() < 100
-
     def test_trace_records_have_consistent_shape(self, example_arch, example_spec):
         program = streams_program(long=[alu("long", dst=1)], short=[alu("short", dst=0)])
         trace = simulate(example_arch, reference_interlock(example_spec), program)
-        for record in trace.cycles:
+        for record in map(trace.record, range(trace.num_cycles())):
             assert set(record.moe) == set(example_arch.moe_signals())
             assert set(example_arch.input_signals()) <= set(record.inputs)
             merged = record.signals()
@@ -294,7 +290,7 @@ class TestSimulatorBasics:
         first, second = alu("long", dst=0), alu("long", dst=1)
         program = streams_program(long=[first, second], short=[])
         trace = simulate(example_arch, reference_interlock(example_spec), program)
-        assert trace.cycles[0].issued == [first.uid]
+        assert trace.record(0).issued == [first.uid]
         # Leaving stage 1 (in cycle 1) must not overwrite the fetch cycle 0.
         assert first.issue_cycle == 0
         assert second.issue_cycle == 1

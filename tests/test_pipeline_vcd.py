@@ -5,15 +5,15 @@ import re
 
 import pytest
 
-from repro.pipeline import SimulationTrace, VcdWriter, reference_interlock, simulate, write_vcd_file
-from repro.pipeline.vcd import _identifier_for
+from repro.pipeline import SimulationTrace, reference_interlock, simulate, write_vcd, write_vcd_file
+from repro.pipeline.vcd import _identifier_for, _sanitise
 from repro.workloads import WorkloadGenerator, WorkloadProfile
 
 
-def trace_to_vcd(trace, **options):
-    """Render ``trace`` as VCD text with a :class:`VcdWriter`."""
+def trace_to_vcd(trace):
+    """Render ``trace`` as VCD text with :func:`write_vcd`."""
     buffer = io.StringIO()
-    VcdWriter(**options).write(trace, buffer)
+    write_vcd(trace, buffer)
     return buffer.getvalue()
 
 
@@ -57,7 +57,7 @@ class TestVcdStructure:
         assert vcd_text.count("$scope") == vcd_text.count("$upscope")
 
     def test_one_var_per_signal(self, vcd_text, small_trace):
-        first = small_trace.cycles[0]
+        first = small_trace.record(0)
         expected = len(first.inputs) + len(first.moe) + len(first.occupancy)
         assert vcd_text.count("$var wire 1 ") == expected
 
@@ -74,12 +74,12 @@ class TestVcdStructure:
 
     def test_final_timestamp_extends_past_last_cycle(self, vcd_text, small_trace):
         stamps = [int(match) for match in re.findall(r"^#(\d+)$", vcd_text, re.MULTILINE)]
-        assert stamps[-1] == small_trace.cycles[-1].cycle + 1
+        assert stamps[-1] == small_trace.num_cycles()
 
     def test_initial_dump_covers_every_signal(self, vcd_text, small_trace):
         first_block = vcd_text.split("$dumpvars")[1].split("$end")[0]
         changes = [line for line in first_block.strip().splitlines() if line]
-        first = small_trace.cycles[0]
+        first = small_trace.record(0)
         assert len(changes) == len(first.inputs) + len(first.moe) + len(first.occupancy)
 
     def test_value_changes_use_binary_digits(self, vcd_text):
@@ -89,13 +89,9 @@ class TestVcdStructure:
                 continue
             assert line[0] in "01"
 
-    def test_occupancy_can_be_excluded(self, small_trace):
-        text = trace_to_vcd(small_trace, include_occupancy=False)
-        assert "$scope module occupancy $end" not in text
-
-    def test_custom_timescale(self, small_trace):
-        text = trace_to_vcd(small_trace, timescale="10 ps")
-        assert "$timescale 10 ps $end" in text
+    def test_fixed_header_values(self, vcd_text):
+        assert "$date generated by repro.pipeline.vcd $end" in vcd_text
+        assert "$timescale 1 ns $end" in vcd_text
 
 
 class TestVcdChangeSemantics:
@@ -108,10 +104,50 @@ class TestVcdChangeSemantics:
             line for line in body.strip().splitlines()
             if line and not line.startswith("#") and not line.startswith("$")
         ]
-        first = small_trace.cycles[0]
+        first = small_trace.record(0)
         num_signals = len(first.inputs) + len(first.moe) + len(first.occupancy)
         assert len(change_lines) <= num_signals * small_trace.num_cycles()
         assert len(change_lines) < num_signals * small_trace.num_cycles()
+
+
+def _changes_by_time(vcd_text):
+    """Per VCD time, the ``((scope, name), value)`` changes written at it."""
+    header, body = vcd_text.split("$enddefinitions $end")
+    names, scope = {}, None
+    for words in map(str.split, header.splitlines()):
+        if words[:2] == ["$scope", "module"]:
+            scope = words[2]
+        elif words[:1] == ["$var"]:
+            names[words[3]] = (scope, words[4])
+    changes, time = {}, None
+    for token in body.split():
+        if token.startswith("#"):
+            time = int(token[1:])
+            changes[time] = []
+        elif token[0] in "01":
+            changes[time].append((names[token[1:]], token[0] == "1"))
+    return changes
+
+
+class TestVcdReplaysTheRecords:
+    def test_every_cycle_reads_back_as_its_record(self, vcd_text, small_trace):
+        changes = _changes_by_time(vcd_text)
+        assert max(changes) == small_trace.num_cycles()
+        state = {}
+        for cycle in range(small_trace.num_cycles()):
+            state.update(changes.get(cycle, []))
+            record = small_trace.record(cycle)
+            expected = {
+                ("inputs", _sanitise(name)): value for name, value in record.inputs.items()
+            }
+            expected.update({("moe", _sanitise(name)): value for name, value in record.moe.items()})
+            expected.update(
+                {
+                    ("occupancy", _sanitise(f"busy.{name}")): uid is not None
+                    for name, uid in record.occupancy.items()
+                }
+            )
+            assert state == expected, f"cycle {cycle}"
 
 
 class TestFileOutput:

@@ -1,24 +1,27 @@
 """The columnar simulation trace and the row-evaluated interlocks.
 
-A simulated :class:`~repro.pipeline.trace.SimulationTrace` keeps per-cycle
-rows and builds :class:`~repro.pipeline.trace.CycleRecord` objects only
-when they are read; the assertion monitor keeps failure words and builds
+A :class:`~repro.pipeline.trace.SimulationTrace` keeps per-cycle rows
+and builds a :class:`~repro.pipeline.trace.CycleRecord` only when one is
+read; the assertion monitor keeps failure words and builds
 :class:`~repro.assertions.monitor.AssertionViolation` objects only when
 they are read.  These tests pin that every bulk reader sees the same thing
-on the rows as on the records, that every interlock's row function agrees
-with its ``compute_moe``, that a program's trace does not depend on
-earlier runs of it, and that the faults stage builds no records at all.
-The word-parallel consumers (stall classification, coverage, the
-closed-form interlock, the assertion monitor) are also checked against
-one :func:`~repro.expr.evaluate.eval_expr` call per formula per cycle.
+on the rows as one record at a time, that every interlock's row function
+agrees with an independent per-valuation reference, that a program's
+trace does not depend on earlier runs of it, and that the faults stage
+builds no records at all.  The word-parallel consumers (stall
+classification, coverage, the closed-form interlock, the assertion
+monitor) are also checked against one
+:func:`~repro.expr.evaluate.eval_expr` call per formula per cycle.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from conftest import moe_of, trace_of_records
 from test_pipeline_interlock_simulator import EvalExprInterlock
 from test_simulator_golden import GOLDEN, MIXED, _digest, _family_case, _program
 
@@ -29,7 +32,7 @@ from repro.assertions.monitor import AssertionViolation
 import repro.expr.compile as compile_module
 from repro.campaign import JobSpec, clear_warm_state, run_verification_job
 from repro.expr import Or, Var, eval_expr
-from repro.expr.evaluate import UnboundVariableError
+from repro.expr.compile import pack_bools
 from repro.faults import FaultInjector
 from repro.pipeline import (
     ClosedFormInterlock,
@@ -41,9 +44,9 @@ from repro.pipeline import (
     simulate,
 )
 from repro.pipeline.interlock import Interlock
-from repro.pipeline.trace import CycleRecord, SimulationTrace
+from repro.pipeline.trace import CycleRecord
 from repro.spec import build_functional_spec
-from repro.spec.derivation import symbolic_most_liberal
+from repro.spec.derivation import concrete_most_liberal, symbolic_most_liberal
 from repro.synth.synthesize import NetlistInterlock, synthesize_interlock
 from repro.workloads import WorkloadGenerator, WorkloadProfile
 
@@ -74,71 +77,87 @@ def _cases():
 CASES = list(_cases())
 
 
-def _as_records(trace: SimulationTrace) -> SimulationTrace:
-    return SimulationTrace(
-        architecture_name=trace.architecture_name,
-        interlock_name=trace.interlock_name,
-        cycles=list(trace.cycles),
-    )
+def _records(trace):
+    return [trace.record(index) for index in range(trace.num_cycles())]
+
+
+def _packed_per_record(trace, names, defaults=None):
+    """Each signal packed with ``pack_bools`` one record at a time: moe, inputs, defaults."""
+    defaults = defaults or {}
+
+    def sample(record, name):
+        for source in (record.moe, record.inputs, defaults):
+            if name in source:
+                return bool(source[name])
+        raise KeyError(name)
+
+    records = _records(trace)
+    return {name: pack_bools([sample(record, name) for record in records]) for name in names}
 
 
 @pytest.mark.parametrize("name, spec, trace", CASES, ids=[case[0] for case in CASES])
 class TestColumnarMatchesRecords:
     def test_records_are_built_from_the_rows(self, name, spec, trace):
-        assert trace.num_cycles() == len(trace.cycles)
         for index in (0, trace.num_cycles() // 2, trace.num_cycles() - 1):
-            assert trace.record(index) == trace.cycles[index]
-        first = trace.cycles[0]
-        assert list(first.inputs) == list(trace.input_names)
-        assert list(first.moe) == list(trace.moe_names)
+            record = trace.record(index)
+            assert record.cycle == index
+            assert list(record.inputs.items()) == list(
+                zip(trace.input_names, trace.input_rows[index])
+            )
+            assert list(record.moe.items()) == list(zip(trace.moe_names, trace.moe_rows[index]))
+            assert list(record.occupancy.items()) == list(
+                zip(trace.occupancy_names, trace.occupancy_rows[index])
+            )
+            assert (record.issued, record.retired, record.moved, record.stalled) == (
+                trace.issued[index],
+                trace.retired[index],
+                trace.moved[index],
+                trace.stalled[index],
+            )
+        first = trace.record(0)
         assert all(type(value) is bool for value in first.inputs.values())
         assert all(type(value) is bool for value in first.moe.values())
+        rebuilt = trace_of_records(_records(trace))
+        assert _records(rebuilt) == _records(trace)
 
     def test_packed_columns(self, name, spec, trace):
-        records = _as_records(trace)
         names = list(trace.moe_names) + list(trace.input_names)
-        assert trace.pack_signal_columns(names) == records.pack_signal_columns(names)
+        assert trace.pack_signal_columns(names) == _packed_per_record(trace, names)
         defaults = {"never.sampled": True, trace.moe_names[0]: False}
         with_defaults = names[:3] + list(defaults)
-        assert trace.pack_signal_columns(with_defaults, defaults) == records.pack_signal_columns(
-            with_defaults, defaults
+        assert trace.pack_signal_columns(with_defaults, defaults) == _packed_per_record(
+            trace, with_defaults, defaults
         )
-        for packed in (trace, records):
-            with pytest.raises(KeyError, match="never.sampled"):
-                packed.pack_signal_columns(names[:2] + ["never.sampled"])
+        with pytest.raises(KeyError, match="never.sampled"):
+            trace.pack_signal_columns(names[:2] + ["never.sampled"])
 
     def test_monitor_counts_and_order(self, name, spec, trace):
         monitor = AssertionMonitor(testbench_assertions(spec))
         columnar = monitor.check_trace(trace)
-        from_records = monitor.check_trace(_as_records(trace))
         per_cycle = [
             violation
-            for record in trace.cycles
+            for record in _records(trace)
             for violation in monitor.check_record(record)
         ]
-        assert columnar.violations == from_records.violations == per_cycle
+        assert columnar.violations == per_cycle
         for kind in (None, *AssertionKind):
             expected = sum(
-                1 for v in columnar.violations if kind is None or v.assertion.kind is kind
+                1 for v in per_cycle if kind is None or v.assertion.kind is kind
             )
             assert columnar.violation_count(kind) == expected
-            assert from_records.violation_count(kind) == expected
         assert columnar.clean() == (not per_cycle)
         if name in ("hazardous-mutant", "performance-mutant"):
             assert per_cycle, "a mutant must fire some assertion"
 
-    def test_stalls_and_coverage(self, name, spec, trace):
-        records = _as_records(trace)
-        columnar = classify_stalls(trace, spec)
-        hand_built = classify_stalls(records, spec)
-        for moe, stats in columnar.per_stage.items():
-            other = hand_built.per_stage[moe]
-            assert stats.unnecessary_cycles == other.unnecessary_cycles
-            assert stats.stall_cycles == other.stall_cycles
-        if name == "performance-mutant":
-            assert columnar.total_unnecessary() > 0
-        assert coverage_of(spec, [trace]).rows() == coverage_of(spec, [records]).rows()
-        assert trace.stall_cycles_by_flag() == records.stall_cycles_by_flag()
+    def test_stall_counts_per_record(self, name, spec, trace):
+        records = _records(trace)
+        expected = {
+            flag: sum(not record.moe[flag] for record in records) for flag in trace.moe_names
+        }
+        assert trace.stall_cycles_by_flag() == expected
+        assert [trace.stall_cycles(flag) for flag in trace.moe_names] == list(expected.values())
+        assert trace.stall_cycles("never.driven") == 0
+        assert trace.total_stall_cycles() == sum(expected.values())
 
 
 # -- bulk evaluators against eval_expr --------------------------------------------------
@@ -150,7 +169,7 @@ def _scalar_stalls(trace, stall_formulas):
     for moe, formula in stall_formulas.items():
         stalls = necessary = 0
         unnecessary = []
-        for record in trace.cycles:
+        for record in _records(trace):
             signals = {**dict.fromkeys(stall_formulas, True), **record.signals()}
             if signals[moe]:
                 continue
@@ -176,6 +195,8 @@ class TestBulkEvaluatorsMatchEvalExpr:
         breakdown = classify_stalls(trace, spec)
         conditions = {clause.moe: clause.condition for clause in spec.clauses}
         assert _breakdown_of(breakdown) == _scalar_stalls(trace, conditions)
+        if name == "performance-mutant":
+            assert breakdown.total_unnecessary() > 0
         for stats in breakdown.per_stage.values():
             assert stats.total_cycles == trace.num_cycles()
             assert stats.necessary_stalls + stats.unnecessary_stalls == stats.stall_cycles
@@ -195,7 +216,7 @@ class TestBulkEvaluatorsMatchEvalExpr:
             hits = [0] * len(disjuncts)
             sole = [0] * len(disjuncts)
             moving = condition_true = 0
-            for record in trace.cycles:
+            for record in _records(trace):
                 signals = record.signals()
                 moving += record.moe.get(clause.moe, True)
                 values = [eval_expr(disjunct, signals) for disjunct in disjuncts]
@@ -214,7 +235,7 @@ class TestBulkEvaluatorsMatchEvalExpr:
 
 
 @pytest.mark.parametrize("arch", ["dac2002-example", "firepath-like", "risc5"])
-def test_closed_form_compute_moe_matches_eval_expr(arch):
+def test_closed_form_row_function_matches_eval_expr(arch):
     architecture = load_architecture(arch)
     interlock = ClosedFormInterlock.from_spec(build_functional_spec(architecture))
     expressions = interlock.expressions()
@@ -224,17 +245,9 @@ def test_closed_form_compute_moe_matches_eval_expr(arch):
         inputs = {name: rng.random() < 0.5 for name in input_names}
         inputs["not.an.input"] = True
         expected = {moe: eval_expr(expr, inputs) for moe, expr in expressions.items()}
-        assert interlock.compute_moe(inputs) == expected
-    # compute_moe reuses the row function of the closed forms' sorted support.
+        assert moe_of(interlock, inputs) == expected
+    # One input order, one compiled row function.
     assert len(interlock._row_functions) == 1
-
-
-def test_closed_form_compute_moe_on_a_partial_valuation():
-    interlock = ClosedFormInterlock({"s.moe": Or(Var("a"), Var("b"))})
-    assert interlock.compute_moe({"a": True}) == {"s.moe": True}
-    assert interlock.compute_moe({"a": False, "b": True}) == {"s.moe": True}
-    with pytest.raises(UnboundVariableError):
-        interlock.compute_moe({"a": False})
 
 
 def test_monitor_compiles_once_for_all_traces(monkeypatch):
@@ -273,18 +286,6 @@ def test_monitor_names_the_assertion_reading_an_unsampled_signal():
 # -- row functions ---------------------------------------------------------------------
 
 
-class _CountingEvalInterlock(ClosedFormInterlock):
-    """Overrides ``compute_moe`` only: the simulator must go through it."""
-
-    def __init__(self, expressions):
-        super().__init__(expressions)
-        self.calls = 0
-
-    def compute_moe(self, inputs):
-        self.calls += 1
-        return super().compute_moe(inputs)
-
-
 class _PartialInterlock(Interlock):
     """Lists every flag but drives all except one."""
 
@@ -293,10 +294,13 @@ class _PartialInterlock(Interlock):
         self.dropped = dropped
         self.name = "partial"
 
-    def compute_moe(self, inputs):
-        moe = self.reference.compute_moe(inputs)
-        del moe[self.dropped]
-        return moe
+    def row_function(self, input_names):
+        moe_names, evaluate = self.reference.row_function(input_names)
+        kept = [index for index, moe in enumerate(moe_names) if moe != self.dropped]
+        return (
+            tuple(moe_names[index] for index in kept),
+            lambda row: [evaluate(row)[index] for index in kept],
+        )
 
     def moe_flags(self):
         return self.reference.moe_flags()
@@ -308,30 +312,82 @@ def _subclasses(cls):
         yield from _subclasses(subclass)
 
 
+def _closed_forms(expressions):
+    """Reference: one ``eval_expr`` per flag on the cycle's valuation."""
+    return lambda cycle, valuation: {
+        moe: eval_expr(expression, valuation) for moe, expression in expressions.items()
+    }
+
+
+def _registered_grants(expressions, completion_pipes):
+    """Reference: closed forms on grants masked unless the request was pending a cycle earlier."""
+    pending = dict.fromkeys(completion_pipes, False)
+
+    def moe(cycle, valuation):
+        effective = dict(valuation)
+        for pipe in completion_pipes:
+            request = valuation[f"{pipe}.req"]
+            if request and not pending[pipe]:
+                effective[f"{pipe}.gnt"] = False
+            pending[pipe] = request
+        return _closed_forms(expressions)(cycle, effective)
+
+    return moe
+
+
+def _forced_after_reset(expressions, forced, cycles):
+    """Reference: closed forms, with ``forced`` flags overridden before ``cycles``."""
+
+    def moe(cycle, valuation):
+        values = _closed_forms(expressions)(cycle, valuation)
+        return {**values, **forced} if cycle < cycles else values
+
+    return moe
+
+
 @pytest.fixture(scope="module")
 def interlock_factories():
+    """Per interlock class: (factory, a fresh per-cycle reference of the same interlock)."""
     architecture = load_architecture("fam-r2w2d4s1-blocking")
     spec = build_functional_spec(architecture)
     reference = ClosedFormInterlock.from_spec(spec)
+    expressions = reference.expressions()
     first_flag = reference.moe_flags()[0]
+    completion_pipes = [pipe.name for pipe in architecture.pipes if pipe.completion_bus]
     factories = {
-        SpecFixedPointInterlock: lambda: SpecFixedPointInterlock(spec),
-        ClosedFormInterlock: lambda: ClosedFormInterlock(reference.expressions()),
-        ConservativeCompletionInterlock: lambda: ConservativeCompletionInterlock(
-            spec, architecture
+        SpecFixedPointInterlock: (
+            lambda: SpecFixedPointInterlock(spec),
+            lambda: lambda cycle, valuation: concrete_most_liberal(spec, valuation),
         ),
-        StuckResetInterlock: lambda: StuckResetInterlock(
-            ClosedFormInterlock(reference.expressions()), {first_flag: False}, cycles=5
+        ClosedFormInterlock: (
+            lambda: ClosedFormInterlock(expressions),
+            lambda: _closed_forms(expressions),
         ),
-        NetlistInterlock: lambda: synthesize_interlock(spec).interlock(),
-        EvalExprInterlock: lambda: EvalExprInterlock(reference.expressions()),
-        _CountingEvalInterlock: lambda: _CountingEvalInterlock(reference.expressions()),
-        _PartialInterlock: lambda: _PartialInterlock(reference, first_flag),
+        ConservativeCompletionInterlock: (
+            lambda: ConservativeCompletionInterlock(spec, architecture),
+            lambda: _registered_grants(expressions, completion_pipes),
+        ),
+        StuckResetInterlock: (
+            lambda: StuckResetInterlock(
+                ClosedFormInterlock(expressions), {first_flag: False}, cycles=5
+            ),
+            lambda: _forced_after_reset(expressions, {first_flag: False}, 5),
+        ),
+        NetlistInterlock: (
+            lambda: synthesize_interlock(spec).interlock(),
+            lambda: _closed_forms(expressions),
+        ),
+        EvalExprInterlock: (
+            lambda: EvalExprInterlock(expressions),
+            lambda: _closed_forms(expressions),
+        ),
+        _PartialInterlock: (lambda: _PartialInterlock(reference, first_flag), None),
     }
+    assert completion_pipes
     return architecture, spec, factories
 
 
-def test_row_functions_agree_with_compute_moe(interlock_factories):
+def test_row_functions_agree_with_their_references(interlock_factories):
     architecture, spec, factories = interlock_factories
     input_names = tuple(architecture.input_signals())
     rng = random.Random(16)
@@ -342,37 +398,40 @@ def test_row_functions_agree_with_compute_moe(interlock_factories):
             assert subclass in factories, f"no row-function check for {subclass.__name__}"
         if subclass not in factories or subclass is _PartialInterlock:
             continue
-        by_row, by_dict = factories[subclass](), factories[subclass]()
-        moe_names, evaluate = by_row.row_function(input_names)
+        factory, make_reference = factories[subclass]
+        interlock, reference = factory(), make_reference()
+        moe_names, evaluate = interlock.row_function(input_names)
         assert sorted(moe_names) == sorted(spec.moe_flags())
-        by_row.reset()
-        by_dict.reset()
+        interlock.reset()
         for cycle, row in enumerate(rows):
-            by_row.on_cycle_start(cycle)
-            by_dict.on_cycle_start(cycle)
-            expected = by_dict.compute_moe(dict(zip(input_names, row)))
-            assert dict(zip(moe_names, evaluate(row))) == expected
+            interlock.on_cycle_start(cycle)
+            sampled = list(row)
+            assert dict(zip(moe_names, evaluate(row))) == reference(
+                cycle, dict(zip(input_names, row))
+            )
+            assert row == sampled, "a row function must not change the sampled row"
         covered.add(subclass)
     assert len(covered) == len(factories) - 1
 
 
+def test_a_signal_missing_from_the_row_is_named(interlock_factories):
+    architecture, _, factories = interlock_factories
+    completion = next(pipe.name for pipe in architecture.pipes if pipe.completion_bus)
+    dropped = f"{completion}.gnt"
+    input_names = [name for name in architecture.input_signals() if name != dropped]
+    for subclass, (factory, _) in factories.items():
+        if not subclass.__module__.startswith("repro."):
+            continue
+        with pytest.raises(ValueError, match=re.escape(dropped)):
+            factory().row_function(input_names)
+
+
 def test_partial_interlock_is_rejected(interlock_factories):
     architecture, spec, factories = interlock_factories
-    partial = factories[_PartialInterlock]()
-    _, evaluate = partial.row_function(architecture.input_signals())
-    with pytest.raises(RuntimeError, match="did not drive moe flags"):
-        evaluate([False] * len(architecture.input_signals()))
+    partial = factories[_PartialInterlock][0]()
     program = WorkloadGenerator(architecture, seed=1).generate(WorkloadProfile(length=8))
     with pytest.raises(RuntimeError, match="did not drive moe flags"):
         simulate(architecture, partial, program)
-
-
-def test_compute_moe_override_is_simulated_through_it(interlock_factories):
-    architecture, _, factories = interlock_factories
-    counting = factories[_CountingEvalInterlock]()
-    program = WorkloadGenerator(architecture, seed=2).generate(WorkloadProfile(length=16))
-    trace = simulate(architecture, counting, program)
-    assert counting.calls == trace.num_cycles() > 0
 
 
 def test_closed_form_row_function_is_cached():

@@ -42,9 +42,6 @@ class SteppedInterlock(Interlock):
         self.inner = inner
         self.name = inner.name
 
-    def compute_moe(self, inputs):
-        return self.inner.compute_moe(inputs)
-
     def moe_flags(self):
         return self.inner.moe_flags()
 
@@ -192,26 +189,3 @@ def test_an_interlock_with_memory_is_stepped_every_cycle():
     interlock = StuckResetInterlock(stuck, {"short.1.moe": False}, cycles=4)
     trace = _run_both(architecture, spec, interlock, program)
     assert trace.stepped_cycles == trace.num_cycles() == MAX_CYCLES
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        SimulatorConfig(max_cycles=MAX_CYCLES, drain=False),
-        SimulatorConfig(max_cycles=MAX_CYCLES, stop_on_hazard=True),
-    ],
-    ids=["no-drain", "stop-on-hazard"],
-)
-def test_drain_and_stop_on_hazard(config):
-    architecture, spec, program = _case("fam-r4w2d4s1-bypass")
-    injector = FaultInjector(spec, seed=3)
-    settled = 0
-    for fault in (
-        injector.stuck_stall_fault("p0.3.moe"),
-        injector.stuck_stall_fault("p1.1.moe"),
-        injector.never_stall_fault("p0.1.moe"),
-        injector.never_stall_fault("p1.3.moe"),
-    ):
-        trace = _run_both(architecture, spec, fault.interlock, program, config)
-        settled += trace.stepped_cycles < trace.num_cycles()
-    assert settled

@@ -4,8 +4,10 @@ Each case simulates a fixed program and hashes everything a
 :class:`~repro.pipeline.trace.SimulationTrace` records — every
 ``CycleRecord`` (dict key order included, since monitors and VCD dumps
 iterate them), every hazard and the instruction counters.  The digests were
-computed before the simulator precomputed its per-cycle plan; a refactor of
-the simulator must reproduce them bit for bit.
+computed before the simulator precomputed its per-cycle plan, and those of
+the wrapped interlocks (``WRAPPED``) while interlocks were still evaluated
+on per-cycle dicts; a refactor of the simulator or of an interlock must
+reproduce them bit for bit.
 
 Instruction uids come from a process-wide counter, so each program's
 instructions are renumbered from 1 (in pipe, then stream order) before the
@@ -23,11 +25,14 @@ from repro.archs import load_architecture
 from repro.faults import FaultInjector
 from repro.pipeline import (
     ClosedFormInterlock,
+    ConservativeCompletionInterlock,
     Program,
     SimulatorConfig,
+    SpecFixedPointInterlock,
     simulate,
 )
 from repro.spec import build_functional_spec, symbolic_most_liberal
+from repro.synth import synthesize_interlock
 from repro.workloads import CONTENTION_HEAVY, WorkloadGenerator, WorkloadProfile
 
 
@@ -44,7 +49,7 @@ def _program(architecture, seed: int, profile: WorkloadProfile) -> Program:
 def _digest(trace) -> str:
     payload = repr(
         (
-            trace.cycles,
+            [trace.record(index) for index in range(trace.num_cycles())],
             trace.hazards,
             trace.issued_instructions,
             trace.retired_instructions,
@@ -118,3 +123,41 @@ def test_golden_trace_of_a_hazardous_mutant():
     assert _digest(trace) == (
         "2f2680ddfd110566ec9860e0feb09d45a6a120f06b2ba8a6e9826a0e50d11a18"
     )
+
+
+# Interlocks that wrap or replace the closed forms, one family member each:
+# (architecture, program seed, profile, interlock factory over the spec).
+WRAPPED = {
+    "bad-reset": (
+        ("fam-r4w1d5s1-blocking", 9, MIXED),
+        lambda spec, architecture: FaultInjector(spec, seed=1)
+        .bad_reset_fault(spec.moe_flags()[0], value=False, cycles=6)
+        .interlock,
+        "cc0de3bb367e62d0c9a50da28385f92542c3979b3d449031eeeea67ca55ebcc4",
+    ),
+    "conservative-completion": (
+        ("fam-r4w2d4s1-bypass", 10, CONTENTION_HEAVY),
+        lambda spec, architecture: ConservativeCompletionInterlock(spec, architecture),
+        "43634fccbde43c2df5ead4abbad96dbdfe149ea0e9fe3196d2fbedcd6db6b96a",
+    ),
+    "spec-fixed-point": (
+        ("fam-r2w2d5s1-blocking-ls-wait", 11, WAITS_AND_INTERRUPTS),
+        lambda spec, architecture: SpecFixedPointInterlock(spec),
+        "c5d3a97c7a1f3d384d85b9c5178afa62930f681713853300961f8f9238c11d92",
+    ),
+    "netlist": (
+        ("fam-r4w1d4s1-bypass", 12, MIXED),
+        lambda spec, architecture: synthesize_interlock(spec).interlock(),
+        "699c5034ba9c97d7cad1f71a527990b23a054afd27e166cef5da3585553189be",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRAPPED))
+def test_golden_trace_of_a_wrapped_interlock(case):
+    (name, seed, profile), factory, expected = WRAPPED[case]
+    architecture = load_architecture(name)
+    interlock = factory(build_functional_spec(architecture), architecture)
+    trace = simulate(architecture, interlock, _program(architecture, seed, profile))
+    assert trace.num_cycles() > 0
+    assert _digest(trace) == expected

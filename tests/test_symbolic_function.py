@@ -10,6 +10,7 @@ expression on every assignment.
 import random
 
 import pytest
+from conftest import moe_of
 from hypothesis import given, settings, strategies as st
 
 from repro.archs import generate_family, load_architecture
@@ -305,7 +306,7 @@ class TestSymbolicObligationsAcrossLayers:
             valuation = {
                 name: bool(rng.getrandbits(1)) for name in example_spec.input_signals()
             }
-            assert interlock.compute_moe(valuation) == derivation.evaluate(valuation)
+            assert moe_of(interlock, valuation) == derivation.evaluate(valuation)
 
 
 class TestRegisterInterleavedOrder:
