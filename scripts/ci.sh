@@ -70,6 +70,7 @@ MODULES = [
     "repro.bdd",
     "repro.bdd.manager",
     "repro.bdd.ordering",
+    "repro.bdd.serialize",
     "repro.symbolic",
     "repro.symbolic.serialize",
     "repro.checking.bmc",

@@ -8,14 +8,14 @@ object handed between processes, instead of something every worker must
 re-derive from the architecture — the artifact-handoff framing the
 repository roadmap borrows from agentic-EDA work.
 
-Wire format (``RBDD`` version 1)
+Wire format (``RBDD`` version 2)
 --------------------------------
 
 ======  ========  =======================================================
 offset  size      field
 ======  ========  =======================================================
 0       4         magic ``b"RBDD"``
-4       4         format version, u32 little-endian (currently 1)
+4       4         format version, u32 little-endian (currently 2)
 8       4         manifest length ``M``, u32 little-endian
 12      M         manifest, UTF-8 JSON (see below)
 12+M    4·n       ``var`` array — per node, the index of its variable in
@@ -30,17 +30,27 @@ A node *reference* is ``0`` for the FALSE terminal, ``1`` for TRUE, and
 level-ordered bottom-up — deepest variable level first — so every
 reference points strictly backwards and loading is a single forward pass.
 
-The manifest is a JSON object::
+The manifest is a JSON object that holds each scope and each cover once::
 
     {"schema": 1,
      "variables": [...],        # full source variable order, top first
      "num_nodes": n,
      "roots": {name: ref},      # named entry points into the node table
-     "scopes": {name: [...]},   # optional declared scopes per root
-     "covers": {name: {"complemented": bool,
-                       "cubes": [[[var_index, polarity], ...], ...]}},
+     "scope_table": [[var_index, ...], ...],   # each distinct scope once
+     "scopes": {name: scope_table index or null},
+     "cover_table": [{"complemented": bool,    # each distinct cover once
+                      "cubes": [[literal, ...], ...]}, ...],
+     "covers": {name: cover_table index},
      "payload": {...}}          # arbitrary caller JSON (e.g. derivation
                                 # iterations, spec name)
+
+A cover literal is one integer, ``2 * var_index + polarity``.  Both
+tables are built in sorted root-name order, so equal root sets dump equal
+bytes whatever order the caller's mappings list them in.  The two tables
+and their maps are present only when the caller gives scopes or covers.
+A version-1 artifact (one scope and one cover per root, literals as
+``[var_index, polarity]`` pairs) is rejected as unsupported; the result
+store treats that as a corrupt entry and rebuilds it.
 
 ``variables`` records the *entire* source variable order, not only the
 levels in use: splicing a function into a manager whose relative order of
@@ -61,16 +71,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .manager import BddManager, FALSE_NODE, TRUE_NODE
 
 MAGIC = b"RBDD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 ARTIFACT_SCHEMA = 1
 
 _HEADER = struct.Struct("<4sII")
@@ -109,6 +121,7 @@ class ParsedArtifact:
     lo_refs: Sequence[int]
     hi_refs: Sequence[int]
     total_bytes: int
+    version: int
 
     @property
     def variables(self) -> List[str]:
@@ -133,12 +146,15 @@ def dump_nodes(
     Args:
         manager: the owning manager; every root must be one of its nodes.
         roots: name → node id entry points.
-        scopes: optional per-root declared variable scopes (stored
-            verbatim in the manifest for the symbolic layer).
+        scopes: optional per-root declared variable scopes (for the
+            symbolic layer); each distinct scope is stored once.  A scope
+            naming a variable outside the manager's order raises
+            ``ValueError``.
         covers: optional per-root ISOP covers, each a dict with keys
-            ``complemented`` (bool) and ``cubes`` — cubes use *variable
-            indexes into the manifest order*, which at dump time equal
-            the source manager's levels.
+            ``complemented`` (bool) and ``cubes`` — ``(index, polarity)``
+            literals whose *variable indexes into the manifest order* at
+            dump time equal the source manager's levels.  Roots sharing
+            a node and a cover store it once.
         payload: arbitrary JSON-serializable metadata for the caller.
     """
     var_of = manager._var
@@ -163,28 +179,18 @@ def dump_nodes(
     for position, node in enumerate(order):
         ref[node] = position + 2
 
+    variables = manager.variable_order()
+    root_refs = {name: ref[node] for name, node in roots.items()}
     manifest: Dict[str, Any] = {
         "schema": ARTIFACT_SCHEMA,
-        "variables": manager.variable_order(),
+        "variables": variables,
         "num_nodes": len(order),
-        "roots": {name: ref[node] for name, node in roots.items()},
+        "roots": root_refs,
     }
     if scopes:
-        manifest["scopes"] = {
-            name: (list(scope) if scope is not None else None)
-            for name, scope in scopes.items()
-        }
+        manifest["scope_table"], manifest["scopes"] = _scope_table(variables, scopes)
     if covers:
-        manifest["covers"] = {
-            name: {
-                "complemented": bool(cover["complemented"]),
-                "cubes": [
-                    [[int(index), bool(polarity)] for index, polarity in cube]
-                    for cube in cover["cubes"]
-                ],
-            }
-            for name, cover in covers.items()
-        }
+        manifest["cover_table"], manifest["covers"] = _cover_table(root_refs, covers)
     if payload is not None:
         manifest["payload"] = payload
     manifest_bytes = json.dumps(
@@ -202,12 +208,70 @@ def dump_nodes(
     return body + hashlib.sha256(body).digest()
 
 
+def _scope_table(
+    variables: List[str], scopes: Mapping[str, Optional[Sequence[str]]]
+) -> Tuple[List[List[int]], Dict[str, Optional[int]]]:
+    """Each distinct scope once, as variable indexes, and each root's entry."""
+    position = {name: index for index, name in enumerate(variables)}
+    table: List[List[int]] = []
+    entry_of: Dict[tuple, int] = {}
+    entries: Dict[str, Optional[int]] = {}
+    for name in sorted(scopes):
+        scope = scopes[name]
+        if scope is None:
+            entries[name] = None
+            continue
+        key = tuple(scope)
+        entry = entry_of.get(key)
+        if entry is None:
+            try:
+                table.append([position[variable] for variable in key])
+            except KeyError as exc:
+                raise ValueError(
+                    f"scope of {name!r} names {exc.args[0]!r}, which is not in "
+                    "the manager's variable order"
+                ) from None
+            entry = entry_of[key] = len(table) - 1
+        entries[name] = entry
+    return table, entries
+
+
+def _cover_table(
+    root_refs: Mapping[str, int], covers: Mapping[str, Any]
+) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+    """Each distinct cover once, literals as ``2 * index + polarity``.
+
+    Roots with the same node reference and complementation share an entry
+    when their cubes are equal too.
+    """
+    table: List[Dict[str, Any]] = []
+    entry_of: Dict[tuple, tuple] = {}
+    entries: Dict[str, int] = {}
+    for name in sorted(covers):
+        cover = covers[name]
+        complemented = bool(cover["complemented"])
+        cubes = cover["cubes"]
+        key = (root_refs[name], complemented)
+        seen = entry_of.get(key)
+        if seen is None or (seen[0] is not cubes and seen[0] != cubes):
+            table.append({
+                "complemented": complemented,
+                "cubes": [
+                    [2 * index + polarity for index, polarity in cube] for cube in cubes
+                ],
+            })
+            seen = entry_of[key] = (cubes, len(table) - 1)
+        entries[name] = seen[1]
+    return table, entries
+
+
 def parse_artifact(data: bytes) -> ParsedArtifact:
     """Verify and decode an artifact without splicing it into a manager.
 
     Raises :class:`ArtifactError` for anything that is not a byte-exact,
-    checksum-verified version-1 artifact (truncation, bit corruption, a
-    foreign file, an unsupported version).
+    checksum-verified version-2 artifact (truncation, bit corruption, a
+    foreign file, an unsupported version such as an older build's
+    version 1, a malformed scope or cover table).
     """
     if len(data) < _HEADER.size + _DIGEST_SIZE:
         raise ArtifactError("artifact truncated: shorter than header + checksum")
@@ -253,22 +317,75 @@ def parse_artifact(data: bytes) -> ParsedArtifact:
         if not isinstance(root, int) or not (0 <= root < limit):
             raise ArtifactError(f"artifact root {name!r} reference out of range")
     num_vars = len(variables)
-    for index in range(num_nodes):
-        if not (0 <= var_indexes[index] < num_vars):
+    if num_nodes:
+        if min(var_indexes) < 0 or max(var_indexes) >= num_vars:
             raise ArtifactError("artifact node has an out-of-range variable index")
-        if lo_refs[index] >= index + 2 or hi_refs[index] >= index + 2:
+        if min(lo_refs) < 0 or min(hi_refs) < 0:
+            raise ArtifactError("artifact node has a negative child reference")
+        positions = range(2, limit)
+        if not (
+            all(map(operator.lt, lo_refs, positions))
+            and all(map(operator.lt, hi_refs, positions))
+        ):
             raise ArtifactError(
                 "artifact node references a later node (not level-ordered)"
             )
-        if lo_refs[index] < 0 or hi_refs[index] < 0:
-            raise ArtifactError("artifact node has a negative child reference")
+    _check_tables(manifest, roots, num_vars)
     return ParsedArtifact(
         manifest=manifest,
         var_indexes=var_indexes,
         lo_refs=lo_refs,
         hi_refs=hi_refs,
         total_bytes=len(data),
+        version=version,
     )
+
+
+def _is_index_list(values: Any, limit: int) -> bool:
+    """Whether ``values`` is a JSON list of integers in ``[0, limit)``."""
+    return (
+        type(values) is list
+        and set(map(type, values)) <= {int}
+        and (not values or (min(values) >= 0 and max(values) < limit))
+    )
+
+
+def _check_tables(manifest: Dict[str, Any], roots: Dict[str, Any], num_vars: int) -> None:
+    """Reject scope and cover tables a loader could not decode.
+
+    Checks the shape and every index in bulk, so a malformed table raises
+    :class:`ArtifactError` here and never an ``IndexError`` or
+    ``TypeError`` while loading.
+    """
+    scope_table = manifest.get("scope_table", [])
+    cover_table = manifest.get("cover_table", [])
+    scopes = manifest.get("scopes", {})
+    covers = manifest.get("covers", {})
+    if not (
+        type(scope_table) is list
+        and type(cover_table) is list
+        and type(scopes) is dict
+        and type(covers) is dict
+    ):
+        raise ArtifactError("artifact scope or cover table has the wrong JSON type")
+    if not (set(scopes) <= set(roots) and set(covers) <= set(roots)):
+        raise ArtifactError("artifact scope or cover names an unknown root")
+    if not (
+        _is_index_list([e for e in scopes.values() if e is not None], len(scope_table))
+        and _is_index_list(list(covers.values()), len(cover_table))
+    ):
+        raise ArtifactError("artifact scope or cover index out of range")
+    if not all(_is_index_list(scope, num_vars) for scope in scope_table):
+        raise ArtifactError("artifact scope names a variable out of range")
+    for entry in cover_table:
+        cubes = entry.get("cubes") if type(entry) is dict else None
+        if not (
+            type(cubes) is list
+            and type(entry.get("complemented")) is bool
+            and set(map(type, cubes)) <= {list}
+            and _is_index_list(list(chain.from_iterable(cubes)), 2 * num_vars)
+        ):
+            raise ArtifactError("artifact cover is malformed or has a literal out of range")
 
 
 def splice_nodes(manager: BddManager, parsed: ParsedArtifact) -> Dict[str, int]:
@@ -312,16 +429,18 @@ def inspect_artifact(data: bytes) -> Dict[str, Any]:
     """A JSON-ready summary of an artifact (for ``repro artifact``).
 
     Verifies the checksum and structure like :func:`parse_artifact` but
-    splices nothing; the summary carries sizes, the root names and the
-    caller payload.
+    splices nothing; the summary carries sizes, the number of distinct
+    scopes and covers, the root names and the caller payload.
     """
     parsed = parse_artifact(data)
     manifest = parsed.manifest
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": parsed.version,
         "bytes": parsed.total_bytes,
         "num_nodes": parsed.num_nodes,
         "num_variables": len(parsed.variables),
+        "num_scopes": len(manifest.get("scope_table", [])),
+        "num_covers": len(manifest.get("cover_table", [])),
         "roots": sorted(manifest.get("roots", {})),
         "has_covers": bool(manifest.get("covers")),
         "payload": manifest.get("payload", {}),

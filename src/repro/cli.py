@@ -724,9 +724,9 @@ def _cmd_artifact(args: argparse.Namespace, out: TextIO) -> int:
         label = payload.get("spec") or payload.get("kind") or "-"
         out.write(
             f"{path.name}: {label}  nodes={summary['num_nodes']} "
-            f"vars={summary['num_variables']} bytes={summary['bytes']} "
-            f"roots={','.join(summary['roots'])}"
-            f"{'  +covers' if summary['has_covers'] else ''}\n"
+            f"vars={summary['num_variables']} scopes={summary['num_scopes']} "
+            f"covers={summary['num_covers']} bytes={summary['bytes']} "
+            f"roots={','.join(summary['roots'])}\n"
         )
 
     if args.file:

@@ -59,10 +59,6 @@ class Interlock(ABC):
         raises ``ValueError`` naming it.
         """
 
-    @abstractmethod
-    def moe_flags(self) -> list:
-        """The moe flag names this interlock drives."""
-
     def reset(self) -> None:
         """Reset any sequential state (reset/initialisation faults override this)."""
 
@@ -109,9 +105,6 @@ class SpecFixedPointInterlock(Interlock):
             return [moe[name] for name in moe_names]
 
         return moe_names, evaluate
-
-    def moe_flags(self) -> list:
-        return self.spec.moe_flags()
 
 
 class ClosedFormInterlock(Interlock):
@@ -182,9 +175,6 @@ class ClosedFormInterlock(Interlock):
     def expressions(self) -> Dict[str, Expr]:
         """All closed forms materialized as ISOP covers (cached per node)."""
         return {moe: function.to_expr() for moe, function in self._functions.items()}
-
-    def moe_flags(self) -> list:
-        return list(self._functions)
 
     def row_function(self, input_names: Sequence[str]) -> Tuple[Tuple[str, ...], RowFunction]:
         """The compiled closed forms over row positions (cached per input order).
@@ -257,9 +247,6 @@ class ConservativeCompletionInterlock(Interlock):
 
         return moe_names, evaluate
 
-    def moe_flags(self) -> list:
-        return self._reference.moe_flags()
-
 
 class StuckResetInterlock(Interlock):
     """Wraps another interlock but drives fixed values for the first cycles.
@@ -314,9 +301,6 @@ class StuckResetInterlock(Interlock):
             return values
 
         return moe_names, evaluate
-
-    def moe_flags(self) -> list:
-        return self.inner.moe_flags()
 
 
 def reference_interlock(spec: FunctionalSpec) -> ClosedFormInterlock:

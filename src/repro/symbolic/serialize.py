@@ -21,7 +21,7 @@ instead of an ISOP extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..bdd.serialize import (
     ArtifactError,
@@ -104,16 +104,22 @@ def load_functions(
         context = SymbolicContext(parsed.variables)
     roots = splice_nodes(context.manager, parsed)
     manifest = parsed.manifest
-    scopes = manifest.get("scopes", {})
-    functions = {
-        name: context.function(node, scope=scopes.get(name))
-        for name, node in roots.items()
-    }
-    for name, cover in (manifest.get("covers") or {}).items():
-        fn = functions.get(name)
-        if fn is None:
-            continue
-        _prime_cover(context, fn.node, cover, parsed.variables)
+    variables = manifest["variables"]
+    # The parser checked every table index, so decoding cannot fail here.
+    scope_table = [
+        tuple([variables[index] for index in scope])
+        for scope in manifest.get("scope_table", ())
+    ]
+    scope_of = manifest.get("scopes", {})
+    functions = {}
+    for name, node in roots.items():
+        entry = scope_of.get(name)
+        functions[name] = context.function(
+            node, scope=scope_table[entry] if entry is not None else None
+        )
+    covers = manifest.get("covers")
+    if covers:
+        _prime_covers(context, functions, covers, manifest["cover_table"], variables)
     return LoadedFunctions(
         context=context,
         functions=functions,
@@ -122,26 +128,36 @@ def load_functions(
     )
 
 
-def _prime_cover(
-    context: SymbolicContext, node: int, cover: Dict[str, Any], variables: list
+def _prime_covers(
+    context: SymbolicContext,
+    functions: Dict[str, SymbolicFunction],
+    covers: Dict[str, int],
+    cover_table: List[Dict[str, Any]],
+    variables: List[str],
 ) -> None:
-    """Install a stored minimized cover into the context's cover store.
+    """Install the stored minimized covers into the context's cover store.
 
-    The expression cache is primed from it too, for the node and — when
-    the cover is complemented — for its negation.  ``variables`` is the
-    *artifact's* manifest order — cube indexes refer to it, and the
+    Each table entry is decoded once, however many roots share it.  The
+    expression cache is primed from it too, for the node and — when the
+    cover is complemented — for its negation.  ``variables`` is the
+    *artifact's* manifest order — literal codes refer to it, and the
     target context may interleave other variables.
     """
-    if node in context._cover_cache:
-        return
-    try:
-        cubes = tuple(
-            tuple((context.manager.level_of(variables[index]), bool(polarity))
-                  for index, polarity in cube)
-            for cube in cover["cubes"]
-        )
-        complemented = bool(cover["complemented"])
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"artifact cover is malformed: {exc}") from exc
-    context._store_cover(node, (complemented, cubes))
-    context.to_expr(node)
+    level_of = context.manager.level_of
+    # Literal code ``2 * index + polarity`` -> the cube literal ``(level, polarity)``.
+    literal_of = [
+        literal
+        for level in map(level_of, variables)
+        for literal in ((level, False), (level, True))
+    ]
+    decode = literal_of.__getitem__
+    for name, entry in covers.items():
+        node = functions[name].node
+        # Roots share an entry only when they share a node, so a shared
+        # entry is found installed here after its first decode.
+        if node in context._cover_cache:
+            continue
+        stored = cover_table[entry]
+        cubes = tuple([tuple(map(decode, cube)) for cube in stored["cubes"]])
+        context._store_cover(node, (stored["complemented"], cubes))
+        context.to_expr(node)

@@ -76,7 +76,7 @@ class NetlistInterlock(ClosedFormInterlock):
         ports = tuple(
             zip([name_map[signal] for signal in signals], row_positions(input_names, signals))
         )
-        moe_names = tuple(self.moe_flags())
+        moe_names = tuple(synthesis.spec.moe_flags())
         outputs = tuple(name_map[moe] for moe in moe_names)
         evaluate_module = synthesis.module.evaluate
 

@@ -7,7 +7,10 @@ smaller expansion keeps BDDs and expression trees quick to build.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import struct
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -87,6 +90,26 @@ def trace_of_records(records, architecture_name="hand-built", interlock_name="ha
         trace.moved.append(list(record.moved))
         trace.stalled.append(list(record.stalled))
     return trace
+
+
+def resigned_artifact(data, edit=None, version=None):
+    """RBDD artifact bytes with an edited manifest or header version, re-signed.
+
+    ``edit(manifest)`` changes the decoded manifest in place; the bytes get
+    a fresh SHA-256 trailer, so only the format's structural checks can
+    reject them.
+    """
+    magic, old_version, length = struct.unpack_from("<4sII", data)
+    manifest = json.loads(data[12 : 12 + length])
+    if edit is not None:
+        edit(manifest)
+    encoded = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    body = (
+        struct.pack("<4sII", magic, old_version if version is None else version, len(encoded))
+        + encoded
+        + data[12 + length : -32]
+    )
+    return body + hashlib.sha256(body).digest()
 
 
 def dependent_chain(pipe, length, num_registers=8):

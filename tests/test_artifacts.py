@@ -10,13 +10,20 @@ silently produce a different BDD.
 import hashlib
 
 import pytest
+from conftest import resigned_artifact
 from hypothesis import given, settings, strategies as st
 
 from repro.archs import load_architecture
 from repro.archs.firepath_like import firepath_like_architecture
 from repro.bdd import ArtifactError, dump_nodes, inspect_artifact
 from repro.bdd.manager import BddManager
-from repro.bdd.serialize import _decode_i32, _encode_i32, parse_artifact, splice_nodes
+from repro.bdd.serialize import (
+    FORMAT_VERSION,
+    _decode_i32,
+    _encode_i32,
+    parse_artifact,
+    splice_nodes,
+)
 from repro.expr import And, Iff, Implies, Not, Or, Var, all_assignments, eval_expr
 from repro.spec import build_functional_spec, symbolic_most_liberal
 from repro.spec.derivation import DerivationResult
@@ -98,6 +105,26 @@ class TestNodeRoundTrip:
             with pytest.raises(ArtifactError):
                 splice_nodes(BddManager(), parse_artifact(data[:cut]))
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, len(VARIABLE_NAMES), "out-of-range variable index"),
+            (1, -1, "negative child reference"),
+            (2, 2, "references a later node"),
+        ],
+    )
+    def test_a_forged_node_table_is_rejected(self, column, value, message):
+        # Node 0's variable, low or high entry, re-signed so that only the
+        # structural checks stand between it and a splice.
+        context = SymbolicContext(VARIABLE_NAMES)
+        function = context.lift(Var("a") & ~Var("b") | Var("c"))
+        data = dump_nodes(context.manager, roots={"f": function.node})
+        num_nodes = parse_artifact(data).num_nodes
+        start = len(data) - 32 - 4 * num_nodes * (3 - column)
+        forged = data[:start] + _encode_i32([value]) + data[start + 4 :]
+        with pytest.raises(ArtifactError, match=message):
+            parse_artifact(resigned_artifact(forged))
+
     def test_incompatible_variable_order_is_rejected(self):
         context = SymbolicContext(["a", "b", "c"])
         function = context.lift(Var("a") & Var("b") | Var("c"))
@@ -162,6 +189,34 @@ class TestFunctionArtifacts:
         assert loaded.functions["f"].scope == ("a", "b")
         assert loaded.payload == {"answer": 42}
 
+    def test_shared_scopes_and_covers_are_stored_once(self):
+        context = SymbolicContext(VARIABLE_NAMES)
+        scope = ("a", "b", "c", "d")
+        f = context.lift((Var("a") & Var("b")) | (~Var("c") & Var("d")))
+        g = context.lift(Var("a") | Var("d"))
+        functions = {
+            name: context.function(fn.node, scope=scope)
+            for name, fn in (("h", f), ("f", f), ("g", g))
+        }
+        data = dump_functions(functions, include_covers=True)
+        manifest = parse_artifact(data).manifest
+        assert manifest["scope_table"] == [[0, 1, 2, 3]]
+        assert manifest["scopes"] == {"f": 0, "g": 0, "h": 0}
+        assert len(manifest["cover_table"]) == 2
+        assert manifest["covers"]["f"] == manifest["covers"]["h"] != manifest["covers"]["g"]
+        loaded = load_functions(data)
+        assert {fn.scope for fn in loaded.functions.values()} == {scope}
+        assert loaded.functions["f"].node == loaded.functions["h"].node
+        # The tables follow root names, not the caller's mapping order.
+        reordered = {name: functions[name] for name in ("g", "f", "h")}
+        assert dump_functions(reordered, include_covers=True) == data
+
+    def test_a_scope_outside_the_variable_order_is_rejected_at_dump(self):
+        context = SymbolicContext(VARIABLE_NAMES)
+        function = context.function(context.lift(Var("a")).node, scope=("a", "zz"))
+        with pytest.raises(ValueError, match="zz"):
+            dump_functions({"f": function})
+
     def test_mixed_contexts_are_rejected(self):
         one = SymbolicContext(VARIABLE_NAMES)
         other = SymbolicContext(VARIABLE_NAMES)
@@ -174,6 +229,77 @@ class TestFunctionArtifacts:
         data = dump_functions({"f": context.lift(Var("a"))})
         with pytest.raises(TypeError):
             load_functions(data, balanced_reduce=True)
+
+
+def _set(path, value):
+    """A manifest edit that sets the item at ``path`` (keys and indexes) to ``value``."""
+
+    def edit(manifest):
+        target = manifest
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+
+    return edit
+
+
+#: Hand-edited manifests of the artifact built by ``_tabled_artifact``:
+#: 5 variables, one scope, two covers.
+MALFORMED_TABLES = {
+    "scope index past the table": _set(("scopes", "f"), 1),
+    "negative scope index": _set(("scopes", "f"), -1),
+    "boolean scope index": _set(("scopes", "f"), True),
+    "cover index past the table": _set(("covers", "f"), 2),
+    "string cover index": _set(("covers", "f"), "0"),
+    "scope variable past the order": _set(("scope_table", 0, 0), 5),
+    "literal code past the variables": _set(("cover_table", 0, "cubes", 0, 0), 10),
+    "negative literal code": _set(("cover_table", 0, "cubes", 0, 0), -1),
+    "fractional literal code": _set(("cover_table", 0, "cubes", 0, 0), 1.0),
+    "scope table not a list": _set(("scope_table",), {"0": [0]}),
+    "cover table not a list": _set(("cover_table",), "cubes"),
+    "scope map not an object": _set(("scopes",), [0, 0]),
+    "scope entry not a list": _set(("scope_table", 0), 3),
+    "cover entry not an object": _set(("cover_table", 0), [False, [[0]]]),
+    "cubes not a list": _set(("cover_table", 0, "cubes"), {"0": [0]}),
+    "cube not a list": _set(("cover_table", 0, "cubes", 0), 4),
+    "complemented not a boolean": _set(("cover_table", 0, "complemented"), 0),
+    "cover for an unknown root": _set(("covers", "zz"), 0),
+}
+
+
+def _tabled_artifact():
+    context = SymbolicContext(VARIABLE_NAMES)
+    scope = ("a", "b", "c", "d")
+    functions = {
+        "f": context.function(context.lift(Var("a") & ~Var("c")).node, scope=scope),
+        "g": context.function(context.lift(Var("b") | Var("d")).node, scope=scope),
+    }
+    return dump_functions(functions, include_covers=True)
+
+
+class TestMalformedTables:
+    def test_the_unedited_artifact_loads(self):
+        data = _tabled_artifact()
+        manifest = parse_artifact(data).manifest
+        assert (len(manifest["scope_table"]), len(manifest["cover_table"])) == (1, 2)
+        assert load_functions(resigned_artifact(data)).functions["f"].scope == (
+            "a", "b", "c", "d"
+        )
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_TABLES))
+    def test_a_malformed_table_raises_artifact_error(self, fault):
+        # The result store treats only ArtifactError as a corrupt entry; an
+        # IndexError, KeyError or TypeError here would fail the job instead.
+        data = resigned_artifact(_tabled_artifact(), MALFORMED_TABLES[fault])
+        with pytest.raises(ArtifactError):
+            parse_artifact(data)
+        with pytest.raises(ArtifactError):
+            load_functions(data)
+
+    def test_a_version_1_artifact_is_unsupported(self):
+        data = resigned_artifact(_tabled_artifact(), version=1)
+        with pytest.raises(ArtifactError, match="version 1"):
+            load_functions(data)
 
 
 class TestDerivationArtifacts:
@@ -218,6 +344,13 @@ class TestDerivationArtifacts:
     def test_inspect_summarizes_without_splicing(self):
         spec, derivation = self._derivation()
         summary = inspect_artifact(derivation.to_artifact_bytes(include_covers=True))
+        assert summary["format_version"] == FORMAT_VERSION == 2
+        # Every closed form shares the primary-input scope; roots that
+        # share a node share its cover.
+        assert summary["num_scopes"] == 1
+        assert summary["num_covers"] == len(
+            {function.node for function in derivation.moe_functions.values()}
+        )
         assert summary["payload"]["spec"] == spec.name
         assert summary["payload"]["kind"] == "derivation"
         assert summary["roots"] == sorted(spec.moe_flags())
@@ -243,15 +376,15 @@ class TestCodecAndStability:
             assert type(column) is list
             assert len(column) == parsed.num_nodes
 
-    # SHA-256 of the firepath-like MOE closed forms with their covers.  The
-    # artifact format and the derivation order are both deterministic, so a
-    # change here means the kernel builds different nodes or the codec
-    # writes different bytes.
+    # SHA-256 of the firepath-like MOE closed forms with their covers, in
+    # format version 2.  The artifact format and the derivation order are
+    # both deterministic, so a change here means the kernel builds
+    # different nodes or the codec writes different bytes.
     @pytest.mark.parametrize(
         "num_registers, digest",
         [
-            (16, "83074b9e64dcdbbeab2fa60f6b10d9b94b6f14127141bebbb6e85491f63aef8f"),
-            (64, "a5d83e350ee8da3fb1f310e0b6d6336549c26f2b70013c43595ecc6ef676cdaa"),
+            (16, "18758f1e0536a61e13dff03b482ccb79522d6a0796afa735cbc2c66d230953db"),
+            (64, "b482b0bb52e163274a80977dc0455be5105fde7393b85a081e78f510264a65b6"),
         ],
     )
     def test_firepath_artifact_bytes_are_pinned(self, num_registers, digest):
@@ -271,7 +404,12 @@ class TestCodecAndStability:
         derivation.stall_expressions()
         data = derivation.to_artifact_bytes(include_covers=True)
         assert hashlib.sha256(data).hexdigest() == (
-            "28e3afadd1ae68e3aa635336ab56c877471852617cd7165a9271e33e7bcf9c44"
+            "b0a5971ae850407b13c4ccda62df24e554aaeac5ed7a31072d87279006ab612e"
+        )
+        # 26 flags over one input scope, 17 distinct closed forms.
+        summary = inspect_artifact(data)
+        assert (len(summary["roots"]), summary["num_scopes"], summary["num_covers"]) == (
+            26, 1, 17
         )
 
     @pytest.mark.parametrize("arch_name", ["dac2002-example", "firepath-like", "risc5"])

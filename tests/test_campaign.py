@@ -7,7 +7,9 @@ import sys
 import threading
 
 import pytest
+from conftest import resigned_artifact
 
+from repro.archs import load_architecture
 from repro.campaign import (
     CANONICAL_STAGES,
     CampaignSpec,
@@ -25,6 +27,8 @@ from repro.campaign.runner import run_traced_job
 from repro.campaign.store import store_tally
 from repro.cli import main as cli_main
 from repro.obs import get_registry
+from repro.spec import build_functional_spec
+from repro.spec.derivation import DerivationResult
 
 #: Small enough that a full six-stage job takes ~0.1 s.
 TINY = dict(workload_length=24, max_faults=2)
@@ -493,6 +497,33 @@ class TestIncremental:
         # The bad file was dropped and replaced by a valid artifact.
         inspect_artifact(store.artifact_path(key).read_bytes())
 
+    def test_version_1_artifact_is_a_corrupt_miss_and_rebuilt(self, tmp_path):
+        # A store written by an older build holds version-1 artifacts.
+        from repro.bdd import inspect_artifact
+
+        store = ResultStore(tmp_path)
+        job = tiny_job(stages=("derive",))
+        clear_warm_state()
+        run_verification_job(job, store=store)
+        key = job.stage_key("derive")
+        path = store.artifact_path(key)
+        path.write_bytes(resigned_artifact(path.read_bytes(), version=1))
+        spec = build_functional_spec(load_architecture(job.arch))
+        before = get_registry().snapshot()
+        loaded = store.get_artifact(
+            key, lambda data: DerivationResult.from_artifact_bytes(spec, data)
+        )
+        assert loaded is None
+        traffic = store_traffic_since(before)
+        assert traffic["corrupt"] == 1
+        assert (traffic["artifact_hits"], traffic["artifact_misses"]) == (0, 1)
+        assert not path.exists()
+        clear_warm_state()
+        result = run_verification_job(job, store=store, use_cache=False)
+        assert result.ok
+        assert result.stage("derive").details["source"] == "computed"
+        assert inspect_artifact(path.read_bytes())["format_version"] == 2
+
     def test_seed_change_reruns_only_workload_stages(self, tmp_path):
         store = ResultStore(tmp_path)
         clear_warm_state()
@@ -730,7 +761,8 @@ class TestCampaignCli:
         code, output = run_cli("artifact", "--store", store)
         assert code == 0
         assert "fam-r2w1d3s1-bypass" in output
-        assert "+covers" in output
+        # Three flags over one input scope, with three distinct closed forms.
+        assert " scopes=1 covers=3 " in output
         artifact_file = next(
             str(p) for p in __import__("pathlib").Path(store).glob("artifact-*.bdd")
         )
@@ -738,6 +770,9 @@ class TestCampaignCli:
         assert code == 0
         payload = json.loads(output)
         assert payload["payload"]["kind"] == "derivation"
+        assert (payload["format_version"], payload["num_scopes"], payload["num_covers"]) == (
+            2, 1, 3
+        )
 
     def test_artifact_verb_clean_errors(self, tmp_path):
         code, _ = run_cli("artifact", "--store", str(tmp_path / "nope"))

@@ -287,7 +287,7 @@ def test_monitor_names_the_assertion_reading_an_unsampled_signal():
 
 
 class _PartialInterlock(Interlock):
-    """Lists every flag but drives all except one."""
+    """Drives every flag of its reference interlock except one."""
 
     def __init__(self, reference: ClosedFormInterlock, dropped: str):
         self.reference = reference
@@ -301,9 +301,6 @@ class _PartialInterlock(Interlock):
             tuple(moe_names[index] for index in kept),
             lambda row: [evaluate(row)[index] for index in kept],
         )
-
-    def moe_flags(self):
-        return self.reference.moe_flags()
 
 
 def _subclasses(cls):
@@ -352,7 +349,7 @@ def interlock_factories():
     spec = build_functional_spec(architecture)
     reference = ClosedFormInterlock.from_spec(spec)
     expressions = reference.expressions()
-    first_flag = reference.moe_flags()[0]
+    first_flag = spec.moe_flags()[0]
     completion_pipes = [pipe.name for pipe in architecture.pipes if pipe.completion_bus]
     factories = {
         SpecFixedPointInterlock: (

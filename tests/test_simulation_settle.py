@@ -42,9 +42,6 @@ class SteppedInterlock(Interlock):
         self.inner = inner
         self.name = inner.name
 
-    def moe_flags(self):
-        return self.inner.moe_flags()
-
     def row_function(self, input_names):
         return self.inner.row_function(input_names)
 

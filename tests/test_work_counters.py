@@ -49,17 +49,20 @@ PINNED = {
     "derive_firepath_16r": {
         "live_nodes": 4283,
         "op_cache_entries": 5678,
-        "cache_misses": 698
+        "cache_misses": 698,
+        "artifact_bytes": 17686
     },
     "derive_firepath_32r": {
         "live_nodes": 8139,
         "op_cache_entries": 10734,
-        "cache_misses": 1274
+        "cache_misses": 1274,
+        "artifact_bytes": 31118
     },
     "derive_firepath_96r": {
         "live_nodes": 23563,
         "op_cache_entries": 31000,
-        "cache_misses": 3592
+        "cache_misses": 3592,
+        "artifact_bytes": 87962
     },
     "simulate_family": {
         "cycles": 1251,
@@ -101,12 +104,19 @@ def _kernel(stats):
     return {key: stats[key] for key in ("live_nodes", "op_cache_entries", "cache_misses")}
 
 
-def _derive(arch):
-    """The fixed point plus every closed form's and stall's ISOP cover."""
+def _derive(arch, artifact=False):
+    """The fixed point plus every closed form's and stall's ISOP cover.
+
+    With ``artifact``, also the size of the derivation artifact with its
+    covers, which the result store writes and every cold worker loads.
+    """
     derivation = symbolic_most_liberal(build_functional_spec(arch))
     _ = derivation.moe_expressions
     derivation.stall_expressions()
-    return _kernel(derivation.context.manager.stats().as_dict())
+    counters = _kernel(derivation.context.manager.stats().as_dict())
+    if artifact:
+        counters["artifact_bytes"] = len(derivation.to_artifact_bytes(include_covers=True))
+    return counters
 
 
 def simulate_family():
@@ -225,9 +235,15 @@ SCENARIOS = {
     "derive_firepath_2r": lambda: _derive(
         firepath_like_architecture(num_registers=2, deep_pipe_stages=4, loadstore_stages=3)
     ),
-    "derive_firepath_16r": lambda: _derive(firepath_like_architecture(num_registers=16)),
-    "derive_firepath_32r": lambda: _derive(firepath_like_architecture(num_registers=32)),
-    "derive_firepath_96r": lambda: _derive(firepath_like_architecture(num_registers=96)),
+    "derive_firepath_16r": lambda: _derive(
+        firepath_like_architecture(num_registers=16), artifact=True
+    ),
+    "derive_firepath_32r": lambda: _derive(
+        firepath_like_architecture(num_registers=32), artifact=True
+    ),
+    "derive_firepath_96r": lambda: _derive(
+        firepath_like_architecture(num_registers=96), artifact=True
+    ),
     "simulate_family": simulate_family,
     "property_check": property_check,
     "faults_dac2002": faults_dac2002,
