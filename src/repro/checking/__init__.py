@@ -9,14 +9,7 @@ from .bmc import (
     StuckResetModel,
     timed_name,
 )
-from .environment import (
-    bus_target_assumptions,
-    environment_assumptions,
-    environment_formula,
-    grant_assumptions,
-    issue_register_assumptions,
-    request_assumptions,
-)
+from .environment import environment_assumptions, environment_formula
 from .property_check import (
     CheckReport,
     PropertyChecker,
@@ -30,12 +23,8 @@ __all__ = [
     "RegisteredGrantModel",
     "StuckResetModel",
     "timed_name",
-    "bus_target_assumptions",
     "environment_assumptions",
     "environment_formula",
-    "grant_assumptions",
-    "issue_register_assumptions",
-    "request_assumptions",
     "CheckReport",
     "PropertyChecker",
 ]

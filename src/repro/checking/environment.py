@@ -1,4 +1,4 @@
-"""Environment assumptions for property checking.
+"""Environment assumptions for property checking: their only definition.
 
 The interlock's primary inputs are not free: the surrounding hardware
 guarantees, for example, that a completion-bus grant is only given to a
@@ -9,7 +9,11 @@ them as antecedents (``assumptions → property``).
 
 All assumptions are derived from the architecture description alone; they
 correspond to the behaviour of the simulator's arbiter, scoreboard and
-instruction decoder.
+instruction decoder.  This module is their only definition: the BDD
+checker lifts :func:`environment_assumptions` one by one into its
+partition (which checks that each holds with all of its signals low), and
+the SAT backend reads :func:`environment_formula`.  Each one-hot group is
+one :func:`~repro.expr.builders.at_most_one`, linear in its indicators.
 """
 
 from __future__ import annotations
@@ -17,25 +21,34 @@ from __future__ import annotations
 from typing import List
 
 from ..expr.ast import Expr, Var
-from ..expr.builders import at_most_one, big_and
+from ..expr.builders import at_most_one, big_and, big_or
 from ..pipeline import signals as sig
-from ..pipeline.arbitration import (
-    arbitration_environment_assumptions,
-    work_conserving_assumption,
-)
 from ..pipeline.structure import Architecture
 
 
-def grant_assumptions(architecture: Architecture) -> List[Expr]:
-    """Arbitration sanity: grants answer requests, one per bus, and a requested bus is granted."""
+def _grant_assumptions(architecture: Architecture) -> List[Expr]:
+    """Constraints every sane arbiter obeys, per bus.
+
+    * a grant is only given to a requesting pipe,
+    * at most one pipe is granted per bus per cycle, and
+    * if some pipe requests the bus, some pipe is granted it.
+
+    Fixed-priority and round-robin arbiters are both work conserving; the
+    last assumption tightens the environment and is what makes the
+    completion stages' maximum-performance condition achievable.
+    """
     assumptions: List[Expr] = []
     for bus in architecture.buses:
-        assumptions.extend(arbitration_environment_assumptions(bus))
-        assumptions.append(work_conserving_assumption(bus))
+        grants = [Var(sig.gnt_name(pipe)) for pipe in bus.priority]
+        requests = [Var(sig.req_name(pipe)) for pipe in bus.priority]
+        assumptions.extend(grant.implies(request) for grant, request in zip(grants, requests))
+        if len(grants) > 1:
+            assumptions.append(at_most_one(grants))
+        assumptions.append(big_or(requests).implies(big_or(grants)))
     return assumptions
 
 
-def bus_target_assumptions(architecture: Architecture) -> List[Expr]:
+def _bus_target_assumptions(architecture: Architecture) -> List[Expr]:
     """Completion-target indicators are one-hot and only valid with a grant."""
     assumptions: List[Expr] = []
     if architecture.scoreboard is None:
@@ -47,17 +60,12 @@ def bus_target_assumptions(architecture: Architecture) -> List[Expr]:
             for address in range(num_registers)
         ]
         assumptions.append(at_most_one(indicators))
-        any_grant = None
-        for pipe in bus.priority:
-            grant = Var(sig.gnt_name(pipe))
-            any_grant = grant if any_grant is None else (any_grant | grant)
-        if any_grant is not None:
-            for indicator in indicators:
-                assumptions.append(indicator.implies(any_grant))
+        any_grant = big_or(Var(sig.gnt_name(pipe)) for pipe in bus.priority)
+        assumptions.extend(indicator.implies(any_grant) for indicator in indicators)
     return assumptions
 
 
-def issue_register_assumptions(architecture: Architecture) -> List[Expr]:
+def _issue_register_assumptions(architecture: Architecture) -> List[Expr]:
     """Issue-stage register-address indicators are one-hot per selector."""
     assumptions: List[Expr] = []
     if architecture.scoreboard is None:
@@ -73,7 +81,7 @@ def issue_register_assumptions(architecture: Architecture) -> List[Expr]:
     return assumptions
 
 
-def request_assumptions(architecture: Architecture) -> List[Expr]:
+def _request_assumptions(architecture: Architecture) -> List[Expr]:
     """A completion request implies the completion stage has content to move.
 
     The simulator only raises ``p.req`` when the completion stage holds a
@@ -92,10 +100,10 @@ def request_assumptions(architecture: Architecture) -> List[Expr]:
 def environment_assumptions(architecture: Architecture) -> List[Expr]:
     """All environment assumptions for an architecture."""
     return (
-        grant_assumptions(architecture)
-        + bus_target_assumptions(architecture)
-        + issue_register_assumptions(architecture)
-        + request_assumptions(architecture)
+        _grant_assumptions(architecture)
+        + _bus_target_assumptions(architecture)
+        + _issue_register_assumptions(architecture)
+        + _request_assumptions(architecture)
     )
 
 

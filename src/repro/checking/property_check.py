@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..expr.ast import Expr
-from ..expr.builders import big_and
 from ..expr.transform import substitute
 from ..obs import get_registry
 from ..pipeline.interlock import ClosedFormInterlock
@@ -32,7 +31,7 @@ from ..spec.derivation import DerivationResult, symbolic_most_liberal
 from ..spec.functional import FunctionalSpec
 from ..spec.properties import PropertyCheck
 from ..symbolic import SymbolicContext, SymbolicFunction
-from .environment import environment_assumptions
+from .environment import environment_assumptions, environment_formula
 
 
 @dataclass
@@ -90,12 +89,22 @@ class _EnvironmentPartition:
     components its support touches, its cone (conjunctive partitioning,
     Burch, Clarke & Long 1991): the other components mention none of its
     variables, and every assumption holds with all of its signals low, so
-    they cannot change the verdict.  Each cone is conjoined once and kept.
+    they cannot change the verdict; an assumption that fails this at the
+    all-low point of its support raises ``ValueError`` here.  Each cone is
+    conjoined once and kept.
     """
 
     def __init__(self, context: SymbolicContext, assumptions: Iterable[Expr]):
         self.context = context
-        self._lifted = [context.lift(assumption) for assumption in assumptions]
+        self._lifted = []
+        for assumption in assumptions:
+            function = context.lift(assumption)
+            if not function.evaluate(dict.fromkeys(function.support(), False)):
+                raise ValueError(
+                    f"environment assumption {assumption} does not hold with all of its "
+                    "signals low, so deciding a claim under its support cone only is unsound"
+                )
+            self._lifted.append(function)
         component_of: Dict[str, int] = {}
         components: Dict[int, Tuple[List[int], Set[str]]] = {}
         for index, function in enumerate(self._lifted):
@@ -166,15 +175,15 @@ class PropertyChecker:
         self.spec = spec
         self.backend = backend
         self.architecture = architecture or spec.metadata.get("architecture")
+        # The BDD backend conditions a claim on its support cone only; the
+        # SAT backend decides ``environment → claim`` whole.
         self._assumptions = (
             environment_assumptions(self.architecture)
-            if self.architecture is not None
+            if backend == "bdd" and self.architecture is not None
             else []
         )
-        # The SAT backend decides ``environment → claim`` whole; the BDD
-        # backend conditions a claim on its support cone only.
         self.environment = (
-            big_and(self._assumptions)
+            environment_formula(self.architecture)
             if backend == "sat" and self.architecture is not None
             else None
         )

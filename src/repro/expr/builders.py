@@ -33,10 +33,27 @@ def big_or(exprs: Iterable[Expr]) -> Expr:
 
 
 def at_most_one(exprs: Sequence[Expr]) -> Expr:
-    """Pairwise at-most-one constraint, used e.g. for one-hot bus grants."""
+    """At most one operand holds, e.g. one-hot bus grants and register indicators.
+
+    A balanced split: at most one of ``L ∪ R`` holds iff (at most one of
+    ``L`` and none of ``R``) or (none of ``L`` and at most one of ``R``),
+    each half's two answers shared.  The DAG has ``4n − 3`` nodes and
+    depth ``2·log₂n + 1``.
+    """
     items = [coerce(e) for e in exprs]
-    clauses = []
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            clauses.append(Not(And(items[i], items[j])))
-    return big_and(clauses)
+
+    def split(low: int, high: int):
+        """``(none holds, at most one holds)`` over ``items[low:high]``; None is TRUE."""
+        if high - low == 1:
+            return Not(items[low]), None
+        middle = (low + high) // 2
+        none_left, one_left = split(low, middle)
+        none_right, one_right = split(middle, high)
+        return And(none_left, none_right), Or(
+            none_right if one_left is None else And(one_left, none_right),
+            none_left if one_right is None else And(none_left, one_right),
+        )
+
+    if len(items) < 2:
+        return TRUE
+    return split(0, len(items))[1]

@@ -5,15 +5,15 @@ and notes that "the completion logic, eg the arbitration scheme of the bus,
 can also be included in the functional specification".  Two arbiters are
 provided; the interlock specification is agnostic to the choice, which the
 test-suite verifies by running both under the same derived interlock.
+What the property checker assumes of any arbiter is stated with the rest of
+the environment, in :mod:`repro.checking.environment`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, List, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Optional
 
-from ..expr.ast import Expr, Var
-from . import signals as sig
 from .structure import CompletionBusSpec
 
 
@@ -89,35 +89,3 @@ def make_arbiter(kind: str, bus: CompletionBusSpec) -> Arbiter:
             f"unknown arbiter kind {kind!r}; choose from {sorted(ARBITER_FACTORIES)}"
         ) from exc
     return factory(bus)
-
-
-def arbitration_environment_assumptions(bus: CompletionBusSpec) -> List[Expr]:
-    """Constraints every sane arbiter obeys, used by the property checker.
-
-    * a grant is only given to a requesting pipe, and
-    * at most one pipe is granted per bus per cycle.
-    """
-    assumptions: List[Expr] = []
-    for pipe in bus.priority:
-        assumptions.append(Var(sig.gnt_name(pipe)).implies(Var(sig.req_name(pipe))))
-    pipes: Sequence[str] = bus.priority
-    for index, pipe in enumerate(pipes):
-        for other in pipes[index + 1 :]:
-            assumptions.append(~(Var(sig.gnt_name(pipe)) & Var(sig.gnt_name(other))))
-    return assumptions
-
-
-def work_conserving_assumption(bus: CompletionBusSpec) -> Expr:
-    """If some pipe requests the bus, some pipe is granted it.
-
-    Fixed-priority and round-robin arbiters are both work conserving; this
-    extra assumption tightens the property-checking environment and is what
-    makes the completion stages' maximum-performance condition achievable.
-    """
-    any_request = Var(sig.req_name(bus.priority[0]))
-    for pipe in bus.priority[1:]:
-        any_request = any_request | Var(sig.req_name(pipe))
-    any_grant = Var(sig.gnt_name(bus.priority[0]))
-    for pipe in bus.priority[1:]:
-        any_grant = any_grant | Var(sig.gnt_name(pipe))
-    return any_request.implies(any_grant)

@@ -1,5 +1,7 @@
 """Tests for the expression AST and the convenience builders."""
 
+import itertools
+
 import pytest
 
 from repro.expr import (
@@ -21,6 +23,7 @@ from repro.expr import (
     var,
     variables_of,
 )
+from repro.symbolic import SymbolicContext
 
 
 class TestConstructors:
@@ -171,9 +174,34 @@ class TestBuilders:
         a, b, c = map(Var, "abc")
         assert big_or([a, b, c]) == Or(a, b, c)
 
-    def test_at_most_one(self):
-        a, b, c = map(Var, "abc")
-        constraint = at_most_one([a, b, c])
-        assert eval_expr(constraint, {"a": True, "b": False, "c": False})
-        assert eval_expr(constraint, {"a": False, "b": False, "c": False})
-        assert not eval_expr(constraint, {"a": True, "b": True, "c": False})
+    def test_at_most_one_on_every_assignment(self):
+        for n in range(8):
+            names = [f"x{i}" for i in range(n)]
+            constraint = at_most_one([Var(name) for name in names])
+            for values in itertools.product((False, True), repeat=n):
+                assert eval_expr(constraint, dict(zip(names, values))) == (sum(values) <= 1)
+
+    def test_at_most_one_lifts_to_the_pairwise_node(self):
+        def pairwise(items):
+            # The quadratic reference: no two operands hold together.
+            return big_and([~(x & y) for i, x in enumerate(items) for y in items[i + 1 :]])
+
+        names = [f"x{i}" for i in range(12)]
+        context = SymbolicContext(names)
+        for n in range(13):
+            items = [Var(name) for name in names[:n]]
+            assert context.lift(at_most_one(items)).node == context.lift(pairwise(items)).node
+
+    def test_at_most_one_is_linear_and_shallow(self):
+        # 256 variables, 256 negations, 128 pair disjunctions and three
+        # nodes per larger split: 4n - 3 distinct nodes, depth 2·log2(n) + 1.
+        constraint = at_most_one([Var(f"x{i}") for i in range(256)])
+        distinct, stack = set(), [constraint]
+        while stack:
+            node = stack.pop()
+            if node not in distinct:
+                distinct.add(node)
+                stack.extend(node.children())
+        assert len(distinct) == 4 * 256 - 3
+        assert constraint.depth() == 17
+        assert not any(isinstance(node, Ite) for node in distinct)

@@ -19,7 +19,13 @@ from repro.checking import PropertyChecker
 from repro.expr import Var, substitute
 from repro.faults import FaultInjector
 from repro.pipeline import ClosedFormInterlock
-from repro.spec import FunctionalSpec, StallClause, build_functional_spec
+from repro.spec import (
+    FunctionalSpec,
+    StallClause,
+    build_functional_spec,
+    conservative_variant,
+    symbolic_most_liberal,
+)
 
 FAMILY_ARCH = "fam-r4w2d5s1-bypass"
 
@@ -203,6 +209,37 @@ def test_bdd_and_sat_agree_on_every_standard_mutant():
                 for checker in checkers.values()
             )
             assert bdd == sat, (mutant.name, check)
+
+
+@pytest.mark.parametrize("implementation", ["derived", "conservative"])
+def test_bdd_and_sat_agree_claim_by_claim_on_firepath(implementation):
+    # The SAT backend decides ``environment → claim`` on the whole
+    # environment formula; its one-hot groups no longer encode pairwise,
+    # so the oracle runs at FirePath scale.
+    architecture = load_architecture("firepath-like")
+    spec = build_functional_spec(architecture)
+    derivation = symbolic_most_liberal(spec)
+    if implementation == "derived":
+        interlock = ClosedFormInterlock.from_derivation(derivation)
+    else:
+        interlock = ClosedFormInterlock.from_spec(
+            conservative_variant(architecture), name="conservative-variant"
+        )
+    verdicts = {}
+    for backend in ("bdd", "sat"):
+        checker = PropertyChecker(spec, architecture, backend=backend, derivation=derivation)
+        verdicts[backend] = [
+            (result.name, result.moe, result.holds)
+            for check in (
+                checker.check_functional,
+                checker.check_performance,
+                checker.check_equivalence_with_derived,
+            )
+            for result in check(interlock).results
+        ]
+    assert verdicts["bdd"] == verdicts["sat"]
+    refuted = [claim for claim in verdicts["bdd"] if not claim[2]]
+    assert bool(refuted) == (implementation == "conservative")
 
 
 def test_non_monotone_spec_reports_failing_checks(monkeypatch):

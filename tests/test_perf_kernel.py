@@ -388,10 +388,10 @@ class TestBandedReduction:
     @pytest.mark.parametrize(
         "arch_name, op_cache_entries, live_nodes",
         [
-            ("dac2002-example", 3_113, 2_873),
-            ("risc5", 617, 707),
-            ("fam-r4w2d5s1-bypass", 826, 859),
-            ("fam-r8w3d6s1-bypass-ls-wait", 85_772, 54_948),
+            ("dac2002-example", 2_381, 2_148),
+            ("risc5", 514, 467),
+            ("fam-r4w2d5s1-bypass", 979, 853),
+            ("fam-r8w3d6s1-bypass-ls-wait", 32_100, 32_130),
         ],
     )
     def test_overlapping_environment_lift_is_one_tree(

@@ -1,8 +1,12 @@
 """Tests for the architecture description, signals, instructions, arbitration."""
 
+import itertools
+
 import pytest
 from conftest import streams_program
 
+from repro.archs import load_architecture
+from repro.checking import environment_assumptions
 from repro.expr import eval_expr
 from repro.pipeline import (
     Architecture,
@@ -22,10 +26,6 @@ from repro.pipeline import (
     wait,
 )
 from repro.pipeline import signals as sig
-from repro.pipeline.arbitration import (
-    arbitration_environment_assumptions,
-    work_conserving_assumption,
-)
 
 
 class TestSignals:
@@ -219,24 +219,23 @@ class TestArbitration:
         with pytest.raises(ValueError):
             make_arbiter("mystery", self.bus())
 
-    def test_environment_assumptions_hold_for_real_arbiters(self):
-        bus = self.bus()
-        assumptions = arbitration_environment_assumptions(bus)
-        conservation = work_conserving_assumption(bus)
-        for requests in (
-            {"short": False, "long": False},
-            {"short": True, "long": False},
-            {"short": False, "long": True},
-            {"short": True, "long": True},
-        ):
-            for arbiter in (FixedPriorityArbiter(bus), RoundRobinArbiter(bus)):
-                winner = arbiter.grant(requests)
-                env = {
-                    "short.req": requests["short"],
-                    "long.req": requests["long"],
-                    "short.gnt": winner == "short",
-                    "long.gnt": winner == "long",
-                }
-                for assumption in assumptions:
-                    assert eval_expr(assumption, env)
-                assert eval_expr(conservation, env)
+    @pytest.mark.parametrize("arch_name", ["dac2002-example", "fam-r8w3d6s1-bypass-ls-wait"])
+    def test_environment_assumptions_hold_for_real_arbiters(self, arch_name):
+        # The property checker's grant assumptions (grant only on request,
+        # at most one grant, work conservation) hold for both arbiters.
+        architecture = load_architecture(arch_name)
+        assumptions = environment_assumptions(architecture)
+        for bus in architecture.buses:
+            signals = {sig.req_name(p) for p in bus.priority} | {
+                sig.gnt_name(p) for p in bus.priority
+            }
+            grant_rules = [a for a in assumptions if a.variables() <= signals]
+            assert len(grant_rules) == len(bus.priority) + 2
+            for values in itertools.product((False, True), repeat=len(bus.priority)):
+                requests = dict(zip(bus.priority, values))
+                for arbiter in (FixedPriorityArbiter(bus), RoundRobinArbiter(bus)):
+                    winner = arbiter.grant(requests)
+                    env = {sig.req_name(p): requests[p] for p in bus.priority}
+                    env.update({sig.gnt_name(p): winner == p for p in bus.priority})
+                    for assumption in grant_rules:
+                        assert eval_expr(assumption, env)

@@ -64,10 +64,6 @@ KEPT: Dict[str, str] = {
     "repro.archs.example_dac2002._scoreboard_hazard": _PAPER,
     "repro.assertions.monitor.AssertionMonitor.check_cycle": _MONITOR,
     "repro.assertions.monitor.AssertionMonitor.check_record": _MONITOR,
-    "repro.checking.environment.environment_formula": (
-        "reference: the whole environment as one formula, against which the BDD checker's "
-        "per-cone witnesses and the SAT backend are checked"
-    ),
     "repro.devtools.sanitizer.SanitizedBddManager.describe_leaks": (
         "diagnostic: renders the sanitizer's leak report for a person reading a failure"
     ),

@@ -27,12 +27,15 @@ from repro.checking import (
     CombinationalModel,
     PropertyChecker,
     StuckResetModel,
+    environment_assumptions,
     environment_formula,
 )
 from repro.faults import FaultCampaign, FaultInjector
 from repro.obs import get_registry
 from repro.pipeline import ClosedFormInterlock, PipelineSimulator
 from repro.spec import build_functional_spec, conservative_variant, symbolic_most_liberal
+from repro.spec.derivation import derivation_order
+from repro.symbolic import SymbolicContext
 from repro.workloads import WorkloadGenerator, WorkloadProfile
 
 PINNED = {
@@ -72,17 +75,22 @@ PINNED = {
         "cover_size": 880
     },
     "property_check": {
-        "live_nodes": 573,
+        "live_nodes": 571,
         "op_cache_entries": 690,
         "cache_misses": 65
     },
     "faults_dac2002": {
-        "live_nodes": 1389,
-        "op_cache_entries": 1478,
-        "cache_misses": 353,
+        "live_nodes": 989,
+        "op_cache_entries": 1207,
+        "cache_misses": 313,
         "claims": 32,
         "simulated_cycles": 929,
         "stepped_cycles": 116
+    },
+    "environment_96r": {
+        "live_nodes": 17910,
+        "op_cache_entries": 17462,
+        "cache_misses": 7118
     },
     "campaign_sweep": {
         "kernel_cache_misses": 1479,
@@ -188,6 +196,21 @@ def faults_dac2002():
     return counters
 
 
+def environment_96r():
+    """The 96-register FirePath environment lifted one assumption at a time.
+
+    This is the lift the BDD checker's environment partition does in the
+    job context.  Each of its 14 one-hot groups is one linear-size
+    ``at_most_one``; the pairwise form made it 301,414 live nodes, 255,926
+    op-cache entries and 64,028 cache misses, quadratic in the registers.
+    """
+    arch = firepath_like_architecture(num_registers=96)
+    context = SymbolicContext(derivation_order(build_functional_spec(arch)))
+    for assumption in environment_assumptions(arch):
+        context.lift(assumption)
+    return _kernel(context.manager.stats().as_dict())
+
+
 def campaign_sweep():
     """Eight family jobs, all six stages, two cold workers, no result store."""
     spec = family_sweep(
@@ -247,6 +270,7 @@ SCENARIOS = {
     "simulate_family": simulate_family,
     "property_check": property_check,
     "faults_dac2002": faults_dac2002,
+    "environment_96r": environment_96r,
     "campaign_sweep": campaign_sweep,
     "bmc_stuck_reset": bmc_stuck_reset,
 }
